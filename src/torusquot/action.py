@@ -50,10 +50,6 @@ def x_variable(g: GrassmannElement, i: int, j: int) -> RationalFunction:
     return RationalFunction.variable(f"X_{i}_{j}", x_names(g))
 
 
-def y_variable(g: GrassmannElement, i: int, j: int) -> RationalFunction:
-    return RationalFunction.variable(f"Y_{i}_{j}", y_names(g))
-
-
 def _row_len(g: GrassmannElement, i: int) -> int:
     return max(g.a_seq[i - 1] - i + 1, 0)
 
@@ -78,54 +74,6 @@ def stabilizer_generators(g: GrassmannElement) -> frozenset:
         if j == g.r or a[j] >= a[j - 1] + 2:
             excluded.add(k)
     return frozenset(k for k in range(1, g.n) if k not in excluded)
-
-
-def stabilizer_families(g: GrassmannElement) -> Dict[str, Tuple[int, ...]]:
-    """The stabilizer split into its four index families.
-
-    ``head``: indices below the first block; ``gaps``: indices strictly
-    between consecutive blocks (or past the last); ``block_end_less_one``
-    and ``block_end``: the two indices attached to each block.  The
-    family of block ends less one admits an exception: when the previous
-    block ends exactly two steps below, s_{a_p - 1} bumps the column set
-    out of the closure and is excluded (see family3_exclusions).
-    """
-    a = g.a_seq
-    r = g.r
-    head = tuple(k for k in range(1, a[0] - 1))
-    gaps: List[int] = []
-    for p in range(1, r):
-        gaps.extend(range(a[p - 1] + 2, a[p] - 1))
-    gaps.extend(range(a[r - 1] + 2, g.n))
-    less_one = []
-    for p in range(1, r + 1):
-        k = a[p - 1] - 1
-        if k < 1 or k in a:
-            continue
-        if p == 1 or a[p - 2] != a[p - 1] - 2:
-            less_one.append(k)
-    ends = tuple(k for k in a if 1 <= k <= g.n - 1)
-    return {
-        "head": head,
-        "gaps": tuple(gaps),
-        "block_end_less_one": tuple(less_one),
-        "block_end": ends,
-    }
-
-
-def family3_exclusions(g: GrassmannElement) -> Tuple[int, ...]:
-    """Indices of the form a_p - 1 that do NOT stabilize the closure.
-
-    These are exactly the a_p - 1 with a_{p-1} = a_p - 2; listing every
-    a_p - 1 unconditionally overcounts the stabilizer on such cells.
-    """
-    a = g.a_seq
-    out = []
-    for p in range(2, g.r + 1):
-        k = a[p - 1] - 1
-        if k >= 1 and k not in a and a[p - 2] == a[p - 1] - 2:
-            out.append(k)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +362,17 @@ def matrix_of_point(
     return mat
 
 
-def coordinates_of_matrix(
-    mat: Sequence[Sequence[Fraction]], g: GrassmannElement
-) -> Dict[str, Fraction]:
-    """Cell coordinates of a column span lying in the open cell of g.
+def pivot_columns(mat: Sequence[Sequence[Fraction]]) -> Dict[int, List[Fraction]]:
+    """Bottom-up pivot reduction of a column span.
 
-    Columns are reduced to the canonical cell form (pivot rows a_j + 1
-    from the bottom up, pivots scaled to 1, pivot rows cleared); raises
-    if the span's pivot set is not this cell's column set.
+    Repeatedly takes the column whose lowest nonzero entry sits lowest,
+    makes that row its pivot and clears the row from the other columns.
+    Returns the reduced columns keyed by 0-based pivot row; the set of
+    pivot rows depends only on the span.  Raises if the columns are
+    dependent.
     """
-    n, r = g.n, g.r
-    cols = [[Fraction(mat[i][j]) for i in range(n)] for j in range(r)]
+    n, r = len(mat), len(mat[0])
+    remaining = [[Fraction(mat[i][j]) for i in range(n)] for j in range(r)]
 
     def lowest(col: List[Fraction]) -> int:
         for i in range(n - 1, -1, -1):
@@ -433,7 +381,6 @@ def coordinates_of_matrix(
         return -1
 
     chosen: Dict[int, List[Fraction]] = {}
-    remaining = cols
     while remaining:
         lows = [lowest(c) for c in remaining]
         if -1 in lows:
@@ -447,11 +394,25 @@ def coordinates_of_matrix(
                 for i in range(n):
                     other[i] -= fac * col[i]
         chosen[piv] = col
+    return chosen
+
+
+def coordinates_of_matrix(
+    mat: Sequence[Sequence[Fraction]], g: GrassmannElement
+) -> Dict[str, Fraction]:
+    """Cell coordinates of a column span lying in the open cell of g.
+
+    Columns are reduced to the canonical cell form (pivot rows a_j + 1
+    from the bottom up, pivots scaled to 1, pivot rows cleared); raises
+    if the span's pivot set is not this cell's column set.
+    """
+    chosen = pivot_columns(mat)
     if sorted(chosen) != list(g.a_seq):
         raise ValueError(
             f"point lies in the cell with pivots {sorted(i + 1 for i in chosen)}, "
             f"not {[x + 1 for x in g.a_seq]}"
         )
+    r = g.r
     ordered = [chosen[g.a_seq[j]] for j in range(r)]
     for j in range(r):
         piv = g.a_seq[j]

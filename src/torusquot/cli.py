@@ -181,30 +181,28 @@ def _cmd_flag_quotient(args: argparse.Namespace) -> int:
     return _emit("flag-quotient", params, results, checks, 0)
 
 
-_RANGE_SUITES = {"lemma-1.6", "lemma-1.7", "lemma-1.8", "prop-2.9"}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params: Dict[str, object] = {}
+    # each flag fills the parameter of that name, or the range or list form
+    # the suite takes instead; a suite with neither refuses the flag
+    takes = verify.suite_parameters(args.suite)
+    params: Dict[str, object] = {"seed": args.seed}
     if args.n is not None:
-        if args.suite == "strata":
+        if "n_min" in takes:
             params["n_min"] = params["n_max"] = args.n
         else:
             params["n"] = args.n
     if args.r is not None:
-        if args.suite in _RANGE_SUITES:
+        if "rs" in takes:
             params["rs"] = (args.r,)
         else:
             params["r"] = args.r
-    if args.suite in {"lemma-2.7", "lemma-4.1", "lemma-5.1", "thm-5.2"}:
-        params["seed"] = args.seed
     rep = verify.exhaustive_check(args.suite, **params)
     check: Check = {"name": rep.name, "status": rep.status}
     if rep.counterexample is not None:
         check["counterexample"] = rep.counterexample
     shown = dict(rep.params)
     shown["suite"] = args.suite
-    return _emit("verify", shown, rep.to_payload(), [check], args.seed)
+    return _emit("verify", shown, rep.to_payload(), [check], args.seed or 0)
 
 
 def _int_arg(text: str) -> int:
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=verify.available_suites())
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
     return parser
 

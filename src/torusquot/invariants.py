@@ -53,11 +53,6 @@ def position_index(shape: Tuple[int, ...], i: int, j: int) -> int:
     return sum(shape[: i - 1]) + (j - 1)
 
 
-def zero_vector(arr: InversionArray) -> ExponentVector:
-    shape = array_shape(arr)
-    return ExponentVector(shape, (0,) * sum(shape))
-
-
 def unit_vector(arr: InversionArray, i: int, j: int) -> ExponentVector:
     shape = array_shape(arr)
     exps = [0] * sum(shape)

@@ -12,7 +12,7 @@ import math
 
 from conftest import ACCEPTANCE_LINES
 
-from torusquot import action, flag, invariants, oracle, schubert, strat
+from torusquot import action, flag, invariants, oracle, schubert
 from torusquot.ratfunc import variables
 from torusquot.verify import exhaustive_check
 
@@ -28,23 +28,15 @@ def test_criterion_1_gateway_equals_sampling_oracle():
     """Cells at or above the gateway element are exactly the cells whose
     generic point passes the barycenter test, for every (n, r) at desk
     scale, three seeds, unanimously, with no inconclusive samples."""
-    mismatches = []
-    inconclusive = []
-    cells = 0
-    for n in range(4, 8):
-        for r in range(2, n - 1):
-            gate = {g.a_seq for g in schubert.semistable_cells(n, r)}
-            for g in schubert.all_cells(n, r):
-                cells += 1
-                w = schubert.to_permutation(g)
-                verdicts = [oracle.cell_semistable(w, r, seed=s)[0] for s in SEEDS]
-                if "inconclusive" in verdicts:
-                    inconclusive.append((n, r, g.a_seq))
-                elif len(set(verdicts)) != 1 or (
-                    (verdicts[0] == "semistable") != (g.a_seq in gate)
-                ):
-                    mismatches.append((n, r, g.a_seq, verdicts))
-    ok = not mismatches and not inconclusive
+    reps = {
+        (n, r): exhaustive_check("lemma-2.7", n=n, r=r)
+        for n in range(4, 8)
+        for r in range(2, n - 1)
+    }
+    mismatches = [(nr, rep.counterexample) for nr, rep in reps.items() if rep.status == "fail"]
+    inconclusive = [(nr, rep.details) for nr, rep in reps.items() if rep.status == "inconclusive"]
+    cells = sum(rep.checked for rep in reps.values())
+    ok = all(rep.ok for rep in reps.values())
     assert _record(
         1,
         ok,
@@ -216,23 +208,11 @@ def test_criterion_8_quotient_map_desk_checks():
 
 
 def test_criterion_9_stratum_family():
-    problems = []
-    for n in range(4, 10):
-        rep = strat.strata_report(n)
-        m = strat.closed_parameter(n)
-        if len(rep.descriptors) != (n - 1) // 2 + 1:
-            problems.append((n, "count"))
-        open_dims = sorted(d.dimension for d in rep.descriptors if d.kind == "open")
-        if open_dims != list(range(m - 1, n - 2)):
-            problems.append((n, "dims"))
-        if not rep.divergences:
-            problems.append((n, "missing divergence record"))
-        if n % 2 == 0 and len(rep.divergences) < 2:
-            problems.append((n, "missing even-case record"))
+    rep = exhaustive_check("strata", n_min=4, n_max=9)
     assert _record(
         9,
-        not problems,
+        rep.ok,
         "n=4..9: floor((n-1)/2)+1 descriptors, open dimensions m-1..n-3, "
         "indexing divergence recorded for every n (plus the extra even-n "
         "semistable parameter)",
-    ), problems
+    ), rep.counterexample

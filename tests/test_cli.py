@@ -70,6 +70,39 @@ def test_verify_seed_echoed(capsys):
     assert doc["results"]["params"]["seed"] == 9
 
 
+def test_gateway_suite_offsets_its_seed(capsys):
+    code, out, _ = _capture(
+        capsys, ["verify", "--suite", "lemma-2.7", "--n", "4", "--r", "2", "--seed", "7"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["params"]["seed"] == 7
+    assert "seeds [7, 8, 9]" in doc["results"]["details"][0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "lemma-3.1", "--n", "4", "--r", "2"],
+        ["verify", "--suite", "cor-4.4", "--n", "3"],
+        ["verify", "--suite", "lemma-1.8", "--n", "5", "--r", "2", "--seed", "3"],
+    ],
+)
+def test_verify_refuses_flags_the_suite_cannot_take(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "takes no parameter" in err
+
+
+def test_verify_suite_checking_no_case_exits_one(capsys):
+    code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["results"]["status"] == "inconclusive"
+    assert doc["results"]["checked"] == 0
+
+
 def test_act_emits_closed_form_and_check(capsys):
     code, out, _ = _capture(
         capsys, ["act", "--n", "5", "--r", "2", "--a", "2", "4", "--gen", "2"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from torusquot import verify
 from torusquot.verify import CheckReport, available_suites, exhaustive_check
 
 
@@ -60,9 +61,53 @@ def test_report_payload_shape():
 
 
 def test_none_params_are_dropped():
-    rep = exhaustive_check("lemma-2.7", n=4, r=2, seeds=None)
+    rep = exhaustive_check("lemma-2.7", n=4, r=2, seed=None)
     assert rep.ok
-    assert rep.params["seeds"] == [0, 1, 2]
+    assert rep.params["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("lemma-1.8", {"rz": (9,)}),
+        ("lemma-2.7", {"seeds": (0, 1, 2)}),
+    ],
+)
+def test_unknown_parameter_rejected(name, params):
+    with pytest.raises(ValueError):
+        exhaustive_check(name, **params)
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("cor-5.3", {"n": 1}),
+        ("prop-2.9", {"n": 4, "rs": (3,)}),
+    ],
+)
+def test_suite_checking_no_case_is_inconclusive(name, params):
+    rep = exhaustive_check(name, **params)
+    assert rep.status == "inconclusive"
+    assert rep.checked == 0
+
+
+def test_runner_stops_at_first_counterexample(monkeypatch):
+    ran = []
+
+    def synthetic(cases: int = 5):
+        for i in range(cases):
+            ran.append(i)
+            yield i != 2, {"case": i}
+        return ("all cases hold",)
+
+    monkeypatch.setitem(verify._REGISTRY, "synthetic", synthetic)
+    rep = exhaustive_check("synthetic")
+    assert rep.status == "fail"
+    assert rep.checked == 3
+    assert rep.counterexample == {"case": 2}
+    assert rep.details == ()
+    assert rep.params == {"cases": 5}
+    assert ran == [0, 1, 2]
 
 
 @pytest.mark.parametrize(
