@@ -19,16 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg
 from .invariants import (
-    ExponentVector,
-    array_shape,
-    torus_weight,
-    y_generators,
+    InvariantLattice,
+    position_weights,
+    reexpress,
+    y_exponent,
     y_labels,
 )
 from .ratfunc import Names, RationalFunction, Substitution, variables
-from .schubert import GrassmannElement, InversionArray, inversion_array, row_starts
+from .schubert import GrassmannElement, inversion_array, row_starts
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +176,6 @@ def x_action(k: int, g: GrassmannElement) -> Substitution:
 # moving between X and Y coordinates
 
 
-class ReexpressionError(ValueError):
-    """A function expected to be torus-invariant failed to reduce to Y's."""
-
-
 def y_to_x(g: GrassmannElement) -> Substitution:
     """Each cross-ratio Y_{i,j} as a Laurent monomial in the X's."""
     sub: Substitution = {}
@@ -194,63 +189,17 @@ def y_to_x(g: GrassmannElement) -> Substitution:
     return sub
 
 
-def _monomial_weight(g: GrassmannElement, arr: InversionArray, mono: Tuple[int, ...]):
-    return torus_weight(ExponentVector(array_shape(arr), mono), arr)
+@lru_cache(maxsize=None)
+def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
+    """The cross-ratio lattice of the cell: each Y is its X monomial."""
+    arr = inversion_array(g)
+    gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
+    return InvariantLattice(x_names(g), position_weights(arr), y_names(g), gens, sign=1)
 
 
 def reexpress_in_y(f: RationalFunction, g: GrassmannElement) -> RationalFunction:
-    """Rewrite a torus-invariant rational function of the X's in the Y's.
-
-    Requires both numerator and denominator to be weight-homogeneous of
-    a common weight (true for any invariant after gcd reduction, since
-    distinct monomial weights cannot cancel); each monomial is then a
-    weight-zero multiple of the denominator's leading monomial and is
-    solved exactly in the cross-ratio exponent lattice.
-    """
-    if f.names != x_names(g):
-        raise ValueError("expected a function of this cell's X coordinates")
-    if f.is_zero:
-        return RationalFunction.constant(0, y_names(g))
-    arr = inversion_array(g)
-    num, den = f.numer_terms(), f.denom_terms()
-    wn = _monomial_weight(g, arr, num[0][0])
-    wd = _monomial_weight(g, arr, den[0][0])
-    if any(_monomial_weight(g, arr, m) != wn for m, _ in num[1:]):
-        raise ReexpressionError("numerator is not weight-homogeneous")
-    if any(_monomial_weight(g, arr, m) != wd for m, _ in den[1:]):
-        raise ReexpressionError("denominator is not weight-homogeneous")
-    if wn != wd:
-        raise ReexpressionError("function has nonzero torus weight")
-    basis = y_generators(arr) if g.r >= 2 else None
-    pivot = den[0][0]
-    ynames = y_names(g)
-
-    def monomial_image(mono: Tuple[int, ...]) -> RationalFunction:
-        target = [e - p for e, p in zip(mono, pivot)]
-        if not any(target):
-            return RationalFunction.constant(1, ynames)
-        if basis is None:
-            raise ReexpressionError("nonconstant invariant monomial with r < 2")
-        cols = [list(vec.exps) for vec in basis.generators]
-        mat = [[col[i] for col in cols] for i in range(len(target))]
-        sol = linalg.solve_linear(mat, target)
-        if sol is None or any(z.denominator != 1 for z in sol):
-            raise ReexpressionError("monomial outside the cross-ratio lattice")
-        out = RationalFunction.constant(1, ynames)
-        for (i, j), z in zip(basis.labels, sol):
-            if z:
-                out = out * RationalFunction.variable(f"Y_{i}_{j}", ynames) ** int(z)
-        return out
-
-    num_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in num:
-        num_y = num_y + RationalFunction.constant(coeff, ynames) * monomial_image(mono)
-    den_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in den:
-        den_y = den_y + RationalFunction.constant(coeff, ynames) * monomial_image(mono)
-    if den_y.is_zero:
-        raise ReexpressionError("denominator collapsed to zero")
-    return num_y / den_y
+    """Rewrite a torus-invariant rational function of the X's in the Y's."""
+    return reexpress(f, invariant_lattice(g))
 
 
 def y_action(k: int, g: GrassmannElement, f: RationalFunction) -> RationalFunction:

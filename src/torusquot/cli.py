@@ -93,9 +93,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     for i, j in invariants.y_labels(arr):
         vec = invariants.y_exponent(arr, i, j)
         monomials[f"Y_{i}_{j}"] = {
-            f"X_{p}_{q}": int(e)
-            for (p, q), e in zip(positions, vec.exps)
-            if e
+            f"X_{p}_{q}": e for (p, q), e in zip(positions, vec) if e
         }
     rep = invariants.verify_kernel_basis(arr)
     check: Check = {"name": "kernel-basis", "status": "pass" if rep.ok else "fail"}

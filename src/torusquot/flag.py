@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from . import linalg
+from .invariants import InvariantLattice, reexpress, root_weight
 from .ratfunc import Names, RationalFunction, Substitution
 from .weights import Weight, act, weight
 from .weyl import Permutation, all_permutations, from_word, longest_element, parabolic_elements
@@ -71,10 +71,6 @@ def reflect_root(i: int, r: Root) -> Optional[Root]:
     return None
 
 
-def root_weight(r: Root, rank: int) -> Tuple[int, ...]:
-    return tuple(1 if r[0] <= i <= r[1] else 0 for i in range(1, rank + 1))
-
-
 def beta_prime(beta: Root, rank: int) -> Root:
     """The unique root through alpha_1 whose sum with beta is a root.
 
@@ -97,13 +93,21 @@ def beta_prime(beta: Root, rank: int) -> Root:
 # the semistable cell family
 
 
+def check_rank(n: int) -> None:
+    """Refuse a flag variety GL_{n+1}/B with n < 1: it has no simple root."""
+    if n < 1:
+        raise ValueError(f"the flag family needs n >= 1, got n={n}")
+
+
 def cyclic_element(n: int) -> Permutation:
     """c = s_1 s_2 ... s_n in S_{n+1}: the long cycle j -> j + 1."""
+    check_rank(n)
     return from_word(range(1, n + 1), n + 1)
 
 
 def subgroup_fixing_last(n: int) -> List[Permutation]:
     """W_I: permutations of the first n letters inside S_{n+1}."""
+    check_rank(n)
     return list(parabolic_elements(range(1, n), n + 1))
 
 
@@ -115,6 +119,7 @@ class RegularDominantChar:
     coeffs: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_rank(self.rank)
         if len(self.coeffs) != self.rank:
             raise ValueError("need one coefficient per simple root")
         if self.coeffs[0] <= 0 or any(
@@ -283,6 +288,7 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
     per inversion root beta not through alpha_1, labeled by the root
     beta shifted down one step (the long cycle's relabeling).
     """
+    check_rank(n)
     if tau.n != n + 1:
         raise ValueError("tau must be given inside the bigger symmetric group")
     if tau(n + 1) != n + 1:
@@ -392,86 +398,30 @@ def top_cell(n: int) -> Permutation:
     return cyclic_element(n) * longest_element(range(1, n), n + 1)
 
 
-def _y_exponent_vectors(n: int) -> Tuple[List[Root], List[List[int]]]:
-    positions = list(root_order(n))
+@lru_cache(maxsize=None)
+def flag_lattice(n: int) -> InvariantLattice:
+    """The quotient-coordinate lattice of the full cell.
+
+    Y_{a,b} is minus the X monomial X_beta X_beta' / X_{beta+beta'} with
+    beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1].
+    """
+    positions = root_order(n)
     idx = {r: t for t, r in enumerate(positions)}
-    labels = list(root_order(n - 1))
-    vecs = []
-    for a, b in labels:
-        beta = (a + 1, b + 1)
-        bp = (1, a)
-        total = (1, b + 1)
+    gens = []
+    for a, b in root_order(n - 1):
         v = [0] * len(positions)
-        v[idx[beta]] += 1
-        v[idx[bp]] += 1
-        v[idx[total]] -= 1
-        vecs.append(v)
-    return labels, vecs
-
-
-class FlagReexpressionError(ValueError):
-    """A torus-invariant function failed to reduce to quotient coordinates."""
+        v[idx[(a + 1, b + 1)]] += 1
+        v[idx[(1, a)]] += 1
+        v[idx[(1, b + 1)]] -= 1
+        gens.append(tuple(v))
+    weights = tuple(root_weight(r, n) for r in positions)
+    names = flag_x_names(top_cell(n))
+    return InvariantLattice(names, weights, flag_y_names(n - 1), tuple(gens), sign=-1)
 
 
 def flag_reexpress_in_y(f: RationalFunction, n: int) -> RationalFunction:
-    """Rewrite an invariant function of the full cell's X's in the Y's.
-
-    Same scheme as the Grassmannian case: weight-homogeneity of both
-    parts, division by the denominator's leading monomial, and an exact
-    integer solve in the quotient-coordinate exponent lattice, with the
-    sign of each Y monomial tracked (each Y is minus an X monomial).
-    """
-    w0 = top_cell(n)
-    names = flag_x_names(w0)
-    if f.names != names:
-        raise ValueError("expected a function of the full cell's coordinates")
-    ynames = flag_y_names(n - 1)
-    if f.is_zero:
-        return RationalFunction.constant(0, ynames)
-    positions = list(root_order(n))
-    wts = [root_weight(r, n) for r in positions]
-
-    def mono_weight(mono: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(
-            sum(e * wt[t] for e, wt in zip(mono, wts)) for t in range(n)
-        )
-
-    num, den = f.numer_terms(), f.denom_terms()
-    wn, wd = mono_weight(num[0][0]), mono_weight(den[0][0])
-    if any(mono_weight(m) != wn for m, _ in num[1:]) or any(
-        mono_weight(m) != wd for m, _ in den[1:]
-    ):
-        raise FlagReexpressionError("function is not weight-homogeneous")
-    if wn != wd:
-        raise FlagReexpressionError("function has nonzero torus weight")
-    labels, vecs = _y_exponent_vectors(n)
-    pivot = den[0][0]
-
-    def image(mono: Tuple[int, ...], coeff) -> RationalFunction:
-        target = [e - p for e, p in zip(mono, pivot)]
-        out = RationalFunction.constant(coeff, ynames)
-        if not any(target):
-            return out
-        mat = [[v[t] for v in vecs] for t in range(len(target))]
-        sol = linalg.solve_linear(mat, target)
-        if sol is None or any(z.denominator != 1 for z in sol):
-            raise FlagReexpressionError("monomial outside the quotient lattice")
-        if sum(int(z) for z in sol) % 2:
-            out = -out
-        for (a, b), z in zip(labels, sol):
-            if z:
-                out = out * RationalFunction.variable(f"Y_{a}_{b}", ynames) ** int(z)
-        return out
-
-    num_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in num:
-        num_y = num_y + image(mono, coeff)
-    den_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in den:
-        den_y = den_y + image(mono, coeff)
-    if den_y.is_zero:
-        raise FlagReexpressionError("denominator collapsed to zero")
-    return num_y / den_y
+    """Rewrite an invariant function of the full cell's X's in the Y's."""
+    return reexpress(f, flag_lattice(n))
 
 
 def quotient_generator_action(i: int, n: int) -> Substitution:
@@ -547,8 +497,6 @@ class FlagStabilityReport:
     validated_readings: Dict[str, str]
     injectivity: Tuple[int, int]
     rescale_stable: Tuple[int, int]
-    induced_first_rule: bool
-    induced_higher_rules: Dict[int, bool]
     sign_note: str
 
     @property
@@ -570,8 +518,6 @@ class FlagStabilityReport:
             and all(a == b for a, b in self.case_tallies.values())
             and self.injectivity[0] == self.injectivity[1]
             and self.rescale_stable[0] == self.rescale_stable[1]
-            and self.induced_first_rule
-            and all(self.induced_higher_rules.values())
         )
 
     def lines(self) -> List[str]:
@@ -595,9 +541,6 @@ class FlagStabilityReport:
             out.append(f"  reading {key}: {val}")
         out.append(f"  torus-translate recovery: {self.injectivity[0]}/{self.injectivity[1]}")
         out.append(f"  rescale-invariant verdicts: {self.rescale_stable[0]}/{self.rescale_stable[1]}")
-        out.append(f"  induced first-generator rule: {self.induced_first_rule}")
-        for i, okv in sorted(self.induced_higher_rules.items()):
-            out.append(f"  induced generator {i} matches smaller flag: {okv}")
         out.append(f"  note: {self.sign_note}")
         return out
 
@@ -862,25 +805,6 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
             inj[0] += good
             inj[1] += 1
 
-    ynames = flag_y_names(n - 1)
-    ident = {nm: RationalFunction.variable(nm, ynames) for nm in ynames}
-
-    def dropped(sub: Substitution) -> Substitution:
-        neg = {nm: -ident[nm] for nm in ynames}
-        return {k: -(v.subs(neg)) for k, v in sub.items()}
-
-    first = dropped(quotient_generator_action(1, n))
-    induced_first = all(
-        first.get(nm, ident[nm]) == s1_y_action(ident[nm]) for nm in ynames
-    )
-    higher_rules = {}
-    for i in range(2, n + 1):
-        qi = dropped(quotient_generator_action(i, n))
-        si = small_generator_action(i - 1, n)
-        higher_rules[i] = all(
-            qi.get(nm, ident[nm]) == si.get(nm, ident[nm]) for nm in ynames
-        )
-
     return FlagStabilityReport(
         n=n,
         seed=seed,
@@ -897,8 +821,6 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
         },
         injectivity=(inj[0], inj[1]),
         rescale_stable=(rescale[0], rescale[1]),
-        induced_first_rule=induced_first,
-        induced_higher_rules=higher_rules,
         sign_note=(
             "with the quotient coordinates exactly as displayed the induced "
             "first-generator action is 1 - Y rather than -(1 + Y); dropping "

@@ -1,90 +1,40 @@
 """Torus weights of cell coordinates and the invariant monomial lattice.
 
-Each cell coordinate X_{i,j} carries the interval root at its array
-position as a torus weight, so a Laurent monomial in the X's carries
-the integer combination of those intervals.  The weight-zero monomials
-form a lattice; the cross-ratio generators Y_{i,j} below are certified
-to be a basis of it by exact integer linear algebra.
+Each cell coordinate carries an interval root as its torus weight, so a
+Laurent monomial in the X's, written as an integer exponent tuple,
+carries the integer combination of those intervals.  The weight-zero
+monomials form a lattice.  Both the Grassmannian cells and the full flag
+cell coordinatize their torus quotient by a basis of it: the cross-ratio
+generators Y_{i,j} below, certified to be a basis by exact integer
+linear algebra, and the flag quotient coordinates.  `reexpress` rewrites
+an invariant rational function in either basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from . import linalg
-from .schubert import InversionArray
-from .weights import Weight, weight, zero_weight
+from .ratfunc import Names, RationalFunction
+from .schubert import Interval, InversionArray
+
+Exponents = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExponentVector:
-    """Integer exponents over the positions of one inversion array."""
-
-    shape: Tuple[int, ...]
-    exps: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.exps) != sum(self.shape):
-            raise ValueError("exponent count does not match the shape")
-
-    def __add__(self, other: "ExponentVector") -> "ExponentVector":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return ExponentVector(self.shape, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __sub__(self, other: "ExponentVector") -> "ExponentVector":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return ExponentVector(self.shape, tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def __neg__(self) -> "ExponentVector":
-        return ExponentVector(self.shape, tuple(-a for a in self.exps))
+def root_weight(root: Interval, rank: int) -> Exponents:
+    """Simple-root coefficients of the interval root [j, k]."""
+    return tuple(1 if root[0] <= t <= root[1] else 0 for t in range(1, rank + 1))
 
 
-def array_shape(arr: InversionArray) -> Tuple[int, ...]:
-    return tuple(len(row) for row in arr.rows)
+def position_weights(arr: InversionArray) -> Tuple[Exponents, ...]:
+    """Torus weight of each coordinate X_{i,j}, row major: its interval root."""
+    return tuple(root_weight(arr.root_at(i, j), arr.g.n - 1) for i, j in arr.positions())
 
 
-def position_index(shape: Tuple[int, ...], i: int, j: int) -> int:
-    """Flat index of array position (i, j), row major, 1-based."""
-    if not 1 <= i <= len(shape) or not 1 <= j <= shape[i - 1]:
-        raise ValueError(f"position ({i}, {j}) outside shape {shape}")
-    return sum(shape[: i - 1]) + (j - 1)
-
-
-def unit_vector(arr: InversionArray, i: int, j: int) -> ExponentVector:
-    shape = array_shape(arr)
-    exps = [0] * sum(shape)
-    exps[position_index(shape, i, j)] = 1
-    return ExponentVector(shape, tuple(exps))
-
-
-def torus_weight(e: ExponentVector, arr: InversionArray) -> Weight:
-    """Sum of the interval roots at the positions, weighted by exponents."""
-    if e.shape != array_shape(arr):
-        raise ValueError("shape mismatch")
-    rank = arr.g.n - 1
-    coeffs = [0] * rank
-    for (i, j), exp in zip(arr.positions(), e.exps):
-        if exp == 0:
-            continue
-        start, end = arr.root_at(i, j)
-        for k in range(start, end + 1):
-            coeffs[k - 1] += exp
-    return weight(coeffs)
-
-
-@dataclass(frozen=True)
-class InvariantBasis:
-    """Cross-ratio exponent vectors Y_{i,j}, one per admissible (i, j)."""
-
-    arr: InversionArray
-    labels: Tuple[Tuple[int, int], ...]
-    generators: Tuple[ExponentVector, ...]
-
-    def as_dict(self) -> Dict[Tuple[int, int], ExponentVector]:
-        return dict(zip(self.labels, self.generators))
+def monomial_weight(exps: Exponents, weights: Tuple[Exponents, ...]) -> Exponents:
+    """Torus weight of the Laurent monomial with these exponents."""
+    return tuple(sum(e * c for e, c in zip(exps, row)) for row in zip(*weights))
 
 
 def y_labels(arr: InversionArray) -> List[Tuple[int, int]]:
@@ -97,42 +47,89 @@ def y_labels(arr: InversionArray) -> List[Tuple[int, int]]:
     ]
 
 
-def y_exponent(arr: InversionArray, i: int, j: int) -> ExponentVector:
-    """Exponent vector of X_{i,L_i} X_{i+1,j} / (X_{i,j} X_{i+1,L_i}), L_i = a_i - i + 1."""
+def y_exponent(arr: InversionArray, i: int, j: int) -> Exponents:
+    """Exponents of X_{i,L_i} X_{i+1,j} / (X_{i,j} X_{i+1,L_i}), L_i = a_i - i + 1."""
     li = arr.g.a_seq[i - 1] - i + 1
-    return (
-        unit_vector(arr, i, li)
-        + unit_vector(arr, i + 1, j)
-        - unit_vector(arr, i, j)
-        - unit_vector(arr, i + 1, li)
-    )
+    positions = arr.positions()
+    exps = [0] * len(positions)
+    for pos, e in (((i, li), 1), ((i + 1, j), 1), ((i, j), -1), ((i + 1, li), -1)):
+        exps[positions.index(pos)] += e
+    return tuple(exps)
 
 
-def y_generators(arr: InversionArray) -> InvariantBasis:
-    """The invariant cross-ratio generators of the cell.
+@dataclass(frozen=True)
+class InvariantLattice:
+    """The weight-zero monomials of one cell and a basis of them.
 
-    Count is sum(a_i - i) over i < r; rows shorter than their index
-    contribute nothing.  Requires r >= 2: with a single block every
-    coordinate has a distinct interval weight and no cross-ratio exists.
+    ``weights`` holds the integer torus weight of each X coordinate and
+    ``generators`` the exponents of each quotient coordinate Y; a Y is
+    ``sign`` times its X monomial (+1 for the Grassmannian cross-ratios,
+    -1 for the flag quotient coordinates).
     """
-    if arr.g.r < 2:
-        raise ValueError("no invariants of this shape for r < 2")
-    labels = tuple(y_labels(arr))
-    gens = tuple(y_exponent(arr, i, j) for i, j in labels)
-    basis = InvariantBasis(arr, labels, gens)
-    for gen in gens:
-        assert torus_weight(gen, arr) == zero_weight(arr.g.n - 1)
-    return basis
+
+    x_names: Names
+    weights: Tuple[Exponents, ...]
+    y_names: Names
+    generators: Tuple[Exponents, ...]
+    sign: int
 
 
-def weight_matrix(arr: InversionArray) -> List[List[int]]:
-    """Integer matrix of position -> root-lattice weight, one column per position."""
-    rank = arr.g.n - 1
-    cols = []
-    for i, j in arr.positions():
-        start, end = arr.root_at(i, j)
-        cols.append([1 if start <= k <= end else 0 for k in range(1, rank + 1)])
-    return [[col[k] for col in cols] for k in range(rank)]
+class ReexpressionError(ValueError):
+    """A function expected to be torus-invariant failed to reduce to Y's."""
+
+
+def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunction:
+    """Rewrite a torus-invariant rational function of the X's in the Y's.
+
+    Requires numerator and denominator to be weight-homogeneous of a
+    common weight (true for any invariant after gcd reduction, since
+    distinct monomial weights cannot cancel); each monomial is then a
+    weight-zero multiple of the denominator's leading monomial and is
+    solved exactly in the generator lattice, the Y monomial with
+    exponents z standing for sign**sum(z) times its X monomial.
+    """
+    if f.names != lattice.x_names:
+        raise ValueError("expected a function of this cell's X coordinates")
+    ynames = lattice.y_names
+    if f.is_zero:
+        return RationalFunction.constant(0, ynames)
+    num, den = f.numer_terms(), f.denom_terms()
+    wn, wd = (
+        {monomial_weight(m, lattice.weights) for m, _ in terms} for terms in (num, den)
+    )
+    if len(wn) > 1:
+        raise ReexpressionError("numerator is not weight-homogeneous")
+    if len(wd) > 1:
+        raise ReexpressionError("denominator is not weight-homogeneous")
+    if wn != wd:
+        raise ReexpressionError("function has nonzero torus weight")
+    pivot = den[0][0]
+    mat = [[v[t] for v in lattice.generators] for t in range(len(pivot))]
+
+    def image(mono: Exponents, coeff) -> RationalFunction:
+        out = RationalFunction.constant(coeff, ynames)
+        target = [e - p for e, p in zip(mono, pivot)]
+        if not any(target):
+            return out
+        sol = linalg.solve_linear(mat, target)
+        if sol is None or any(z.denominator != 1 for z in sol):
+            raise ReexpressionError("monomial outside the invariant lattice")
+        if lattice.sign < 0 and sum(sol) % 2:
+            out = -out
+        for name, z in zip(ynames, sol):
+            if z:
+                out = out * RationalFunction.variable(name, ynames) ** int(z)
+        return out
+
+    num_y = RationalFunction.constant(0, ynames)
+    for mono, coeff in num:
+        num_y = num_y + image(mono, coeff)
+    den_y = RationalFunction.constant(0, ynames)
+    for mono, coeff in den:
+        den_y = den_y + image(mono, coeff)
+    if den_y.is_zero:
+        raise ReexpressionError("denominator collapsed to zero")
+    return num_y / den_y
 
 
 @dataclass(frozen=True)
@@ -165,19 +162,12 @@ def verify_kernel_basis(arr: InversionArray) -> KernelReport:
     """
     g = arr.g
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
-    mat = weight_matrix(arr)
-    npos = len(arr.positions())
-    if npos == 0:
+    weights = position_weights(arr)
+    if not weights:
         return KernelReport(g.n, g.r, g.a_seq, 0, expected, True, expected == 0)
+    mat = [list(row) for row in zip(*weights)]
     kernel = linalg.integer_kernel_basis(mat)
-    if g.r < 2:
-        ys: List[List[int]] = []
-    else:
-        ys = [list(vec.exps) for vec in y_generators(arr).generators]
-    in_kernel = all(
-        torus_weight(ExponentVector(array_shape(arr), tuple(v)), arr)
-        == zero_weight(g.n - 1)
-        for v in ys
-    )
+    ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]
+    in_kernel = not any(any(monomial_weight(v, weights)) for v in ys)
     same = linalg.lattice_canonical_form(kernel) == linalg.lattice_canonical_form(ys)
     return KernelReport(g.n, g.r, g.a_seq, len(kernel), expected, in_kernel, same)

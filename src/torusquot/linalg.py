@@ -57,24 +57,6 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[List[Q]]:
     return x
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    m = _to_q(a)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rk = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rk, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        for r in range(rk + 1, nrows):
-            if m[r][col] != 0:
-                f = m[r][col] / m[rk][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rk])]
-        rk += 1
-    return rk
-
-
 def determinant(a: Sequence[Sequence]) -> Q:
     m = _to_q(a)
     n = len(m)

@@ -228,7 +228,3 @@ def inversion_intervals(w: Permutation) -> set:
                 out.add((j, k))
     return out
 
-
-def sum_is_root(b1: Interval, b2: Interval) -> bool:
-    """Whether the sum of two interval roots is again a root (type A)."""
-    return b1[1] + 1 == b2[0] or b2[1] + 1 == b1[0]

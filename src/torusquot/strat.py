@@ -26,11 +26,6 @@ def _check_n(n: int) -> None:
         raise ValueError("the stratification needs n >= 4")
 
 
-def stratum_count(n: int) -> int:
-    _check_n(n)
-    return (n - 1) // 2 + 1
-
-
 def closed_parameter(n: int) -> int:
     """Cell parameter of the closed stratum: ceil((n-1)/2)."""
     _check_n(n)

@@ -311,6 +311,7 @@ def _suite_cor_5_3(n: int = 3) -> Cases:
 
 def _suite_cor_5_4(n: int = 3) -> Cases:
     """Higher generators act on the quotient as on the smaller flag variety."""
+    flag.check_rank(n)
     for i in range(2, n + 1):
         ident, induced = _sign_dropped_action(i, n)
         direct = flag.small_generator_action(i - 1, n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from . import linalg
 from .weyl import Permutation, reduced_word
@@ -127,19 +127,6 @@ def act(w: Permutation, chi: Weight) -> Weight:
 def height(chi: Weight) -> Q:
     """Sum of the simple-root coefficients."""
     return sum(chi.coeffs, Q(0))
-
-
-def descent_direction(mu: Weight, support: Sequence[int]) -> int:
-    """Smallest index i in the support with <mu, alpha_i^vee> > 0.
-
-    Any weight with positive coefficients exactly on the support pairs
-    positively with some coroot there; a violation means the caller's
-    hypothesis failed.
-    """
-    for i in sorted(support):
-        if pairing(mu, i) > 0:
-            return i
-    raise ValueError("no positive pairing on the support; hypothesis violated")
 
 
 def _extremal_target(omega: Weight, mode: str) -> Weight:

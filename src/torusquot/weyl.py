@@ -100,12 +100,6 @@ def left_descents(w: Permutation) -> Tuple[int, ...]:
     return tuple(i for i in range(1, w.n) if inv[i - 1] > inv[i])
 
 
-def right_descents(w: Permutation) -> Tuple[int, ...]:
-    """Indices i with l(w s_i) < l(w), i.e. w(i) > w(i+1)."""
-    img = w.images
-    return tuple(i for i in range(1, w.n) if img[i - 1] > img[i])
-
-
 def reduced_word(w: Permutation) -> Word:
     """Reduced word for w, peeling the smallest left descent first."""
     letters = []

@@ -193,9 +193,10 @@ def test_criterion_8_quotient_map_desk_checks():
     readings = reports[3].validated_readings
     ok = ok and "quotient-map-sign" in readings and "generic-case-labels" in readings
 
-    # the induced first-generator rule is an involution, symbolically
-    inv = exhaustive_check("cor-5.3", n=3)
-    ok = ok and inv.ok
+    # every induced generator rule holds at n = 2 and 3, and the induced
+    # first-generator rule is an involution, symbolically
+    induced = [exhaustive_check(s, n=n) for s in ("cor-5.3", "cor-5.4") for n in (2, 3)]
+    ok = ok and all(rep.ok for rep in induced)
 
     assert _record(
         8,
@@ -204,7 +205,7 @@ def test_criterion_8_quotient_map_desk_checks():
         f"{reports[3].injectivity[1]} pairs at n=3; case tallies "
         f"{ {k: v[1] for k, v in tallies.items()} }; readings recorded; "
         f"induced rule involutive",
-    ), (reports[2].ok, reports[3].ok, tallies, inv.ok)
+    ), (reports[2].ok, reports[3].ok, tallies, [rep.counterexample for rep in induced])
 
 
 def test_criterion_9_stratum_family():

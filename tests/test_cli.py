@@ -95,6 +95,24 @@ def test_verify_refuses_flags_the_suite_cannot_take(capsys, argv):
     assert "takes no parameter" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flag-quotient", "--n", "-1", "--tau"],
+        ["flag-quotient", "--n", "0", "--tau"],
+        ["verify", "--suite", "lemma-5.1", "--n", "0"],
+        ["verify", "--suite", "thm-5.2", "--n", "0"],
+        ["verify", "--suite", "cor-5.3", "--n", "0"],
+        ["verify", "--suite", "cor-5.4", "--n", "0"],
+    ],
+)
+def test_flag_family_refuses_n_below_one(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "needs n >= 1" in err
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from torusquot import flag, oracle
+from torusquot import oracle
 from torusquot.flag import (
     RegularDominantChar,
     add_roots,
@@ -35,6 +35,7 @@ from torusquot.flag import (
     verify_w_stability,
     y_value,
 )
+from torusquot.invariants import ReexpressionError
 from torusquot.ratfunc import RationalFunction
 from torusquot.weyl import all_permutations, from_word, length
 
@@ -257,7 +258,7 @@ def test_reexpress_in_y_roundtrip():
     f = -coords[(1, 1)] * coords[(2, 2)] / coords[(1, 2)]
     assert flag_reexpress_in_y(f, n).canonical() == "Y_1_1"
     assert flag_reexpress_in_y(f * f, n).canonical() == "Y_1_1**2"
-    with pytest.raises(flag.FlagReexpressionError):
+    with pytest.raises(ReexpressionError):
         flag_reexpress_in_y(coords[(1, 1)], n)  # weight nonzero
 
 
@@ -280,7 +281,6 @@ def test_stability_report_small():
     assert rep.rescale_stable == (60, 60)
     assert rep.case_tallies["3-middle-equals-inner-ends"] == (30, 30)
     assert rep.global_identity["sign-dropped"] == (60, 60)
-    assert rep.induced_first_rule and rep.induced_higher_rules == {2: True}
 
 
 def test_stability_report_records_sign_convention():

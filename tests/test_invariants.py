@@ -1,23 +1,24 @@
-"""Cross-ratio invariants and the certified weight-zero lattice basis."""
+"""Cross-ratio invariants, the certified weight-zero lattice basis, and
+re-expression of invariant functions in it."""
+
+import random
 
 import pytest
 
-from torusquot import schubert
+from torusquot import action, flag, schubert
 from torusquot.invariants import (
-    ExponentVector,
+    ReexpressionError,
+    reexpress,
     verify_kernel_basis,
     y_exponent,
     y_labels,
 )
+from torusquot.ratfunc import RationalFunction
+from torusquot.weyl import longest_element
 
 
 def _arr(n, r, a):
     return schubert.inversion_array(schubert.GrassmannElement(n, r, a))
-
-
-def test_exponent_vector_shape_guard():
-    with pytest.raises(ValueError):
-        ExponentVector((2, 3), (1, 0, 0))
 
 
 def test_y_labels_count():
@@ -38,7 +39,7 @@ def test_y_exponent_is_weight_zero():
         for i, j in y_labels(arr):
             vec = y_exponent(arr, i, j)
             total = [0] * n
-            for (p, q), e in zip(positions, vec.exps):
+            for (p, q), e in zip(positions, vec):
                 lo, hi = arr.root_at(p, q)
                 for letter in range(lo, hi + 1):
                     total[letter - 1] += e
@@ -74,3 +75,59 @@ def test_kernel_rank_counts_invariants_not_rows():
     rep = verify_kernel_basis(_arr(6, 3, (2, 3, 5)))
     assert rep.expected_rank == (2 - 1) + (3 - 2)
     assert rep.ok
+
+
+def _random_invariant(names, rng):
+    """A quotient of two sums of Y monomials with seeded integer exponents."""
+
+    def part():
+        total = RationalFunction.constant(0, names)
+        for _ in range(rng.randint(1, 3)):
+            term = RationalFunction.constant(rng.choice([-3, -1, 1, 2, 5]), names)
+            for name in names:
+                term = term * RationalFunction.variable(name, names) ** rng.randint(-2, 2)
+            total = total + term
+        return total
+
+    den = part()
+    while den.is_zero:
+        den = part()
+    return part() / den
+
+
+@pytest.mark.parametrize(
+    "n,r,a", [(5, 2, (2, 4)), (6, 2, (4, 5)), (6, 3, (2, 3, 5)), (7, 3, (2, 4, 6))]
+)
+def test_grassmann_reexpression_round_trip(n, r, a):
+    g = schubert.GrassmannElement(n, r, a)
+    rng = random.Random(n * 100 + sum(a))
+    for _ in range(4):
+        f = _random_invariant(action.y_names(g), rng)
+        fx = f.subs(action.y_to_x(g), target_names=action.x_names(g))
+        assert reexpress(fx, action.invariant_lattice(g)) == f
+        assert action.reexpress_in_y(fx, g) == f
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flag_reexpression_round_trip_keeps_the_sign(n):
+    # each quotient coordinate is minus its X monomial, so monomials of
+    # odd total degree pick up a sign on the way back
+    w0 = flag.top_cell(n)
+    to_x = flag.pi_tau(longest_element(range(1, n), n + 1), n)
+    rng = random.Random(n)
+    for _ in range(4):
+        f = _random_invariant(flag.flag_y_names(n - 1), rng)
+        fx = f.subs(to_x, target_names=flag.flag_x_names(w0))
+        assert reexpress(fx, flag.flag_lattice(n)) == f
+        assert flag.flag_reexpress_in_y(fx, n) == f
+
+
+def test_grassmann_reexpression_refuses_non_invariants():
+    g = schubert.GrassmannElement(6, 2, (4, 5))
+    x11, x12 = action.x_variable(g, 1, 1), action.x_variable(g, 1, 2)
+    with pytest.raises(ReexpressionError, match="nonzero torus weight"):
+        action.reexpress_in_y(x11 / x12, g)
+    with pytest.raises(ReexpressionError, match="numerator is not weight-homogeneous"):
+        action.reexpress_in_y((x11 + x12) / x12, g)
+    with pytest.raises(ReexpressionError, match="denominator is not weight-homogeneous"):
+        action.reexpress_in_y(x12 / (x11 + x12), g)

@@ -7,7 +7,6 @@ from torusquot.linalg import (
     hnf_columns,
     integer_kernel_basis,
     lattice_canonical_form,
-    rank,
     solve_linear,
 )
 
@@ -23,7 +22,6 @@ def test_solve_linear_inconsistent_returns_none():
 
 
 def test_rank_and_determinant():
-    assert rank([[1, 2], [2, 4]]) == 1
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[Fraction(1, 2), 0], [0, 4]]) == 2
 

@@ -14,7 +14,6 @@ from torusquot.schubert import (
     inversion_intervals,
     row_starts,
     semistable_cells,
-    sum_is_root,
     tau_r,
     tau_r_ceil_form,
     tau_r_closed_form,
@@ -124,9 +123,3 @@ def test_inversion_array_shape_and_intervals():
     w = to_permutation(g)
     assert set(r for row in arr.rows for r in row) == inversion_intervals(w)
 
-
-def test_sum_is_root_adjacency():
-    assert sum_is_root((1, 2), (3, 5))
-    assert sum_is_root((3, 5), (1, 2))
-    assert not sum_is_root((1, 2), (4, 5))
-    assert not sum_is_root((1, 3), (2, 5))

@@ -9,7 +9,6 @@ from torusquot.strat import (
     closed_parameter,
     strata,
     strata_report,
-    stratum_count,
 )
 
 
@@ -21,7 +20,7 @@ def test_needs_enough_columns():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_count_and_dimensions(n):
     descs = strata(n)
-    assert len(descs) == stratum_count(n) == (n - 1) // 2 + 1
+    assert len(descs) == (n - 1) // 2 + 1
     m = closed_parameter(n)
     assert descs[0].kind == "closed"
     assert descs[0].dimension == m - 1

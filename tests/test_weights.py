@@ -6,7 +6,6 @@ import pytest
 
 from torusquot.weights import (
     act,
-    descent_direction,
     fundamental_weight,
     minuscule_floor_element,
     pairing,
@@ -47,13 +46,6 @@ def test_act_frozen_example():
     assert img.coeffs == q(
         Fraction(-2, 5), Fraction(-4, 5), Fraction(-1, 5), Fraction(-3, 5)
     )
-
-
-def test_descent_direction_reduces_height():
-    chi = fundamental_weight(2, 5)
-    i = descent_direction(chi, range(1, 5))
-    moved = act(simple_reflection(i, 5), chi)
-    assert sum(moved.coeffs) < sum(chi.coeffs)
 
 
 @pytest.mark.parametrize("mode,lo,hi", [("ceil", Fraction(-1), Fraction(0)), ("floor", Fraction(0), Fraction(1))])

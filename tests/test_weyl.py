@@ -20,7 +20,6 @@ from torusquot.weyl import (
     min_coset_reps,
     parabolic_elements,
     reduced_word,
-    right_descents,
     simple_reflection,
 )
 
@@ -61,7 +60,6 @@ def test_descents_track_length_drop():
         for i in (1, 2, 3):
             s = simple_reflection(i, 4)
             assert (i in left_descents(w)) == (length(s * w) < length(w))
-            assert (i in right_descents(w)) == (length(w * s) < length(w))
 
 
 def test_longest_element_reverses():
