@@ -177,7 +177,9 @@ def has_semistable(g: GrassmannElement) -> bool:
 
 
 def semistable_cells(n: int, r: int) -> List[GrassmannElement]:
-    return [g for g in all_cells(n, r) if has_semistable(g)]
+    """All cells of G_{r,n} containing semistable points: those above tau_r."""
+    tau = tau_r(n, r)
+    return [g for g in all_cells(n, r) if grassmann_leq(tau, g)]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,17 @@
 
 A weight is a rational vector (m_1, ..., m_l) standing for
 sum m_i alpha_i, where alpha_1, ..., alpha_l are the simple roots of
-sl_{l+1}.  The pairing with a simple coroot is computed through the
-Cartan matrix, and simple reflections act by
+sl_{l+1}.  The pairing with the simple coroot alpha_j^vee reads the
+j-th row of the tridiagonal Cartan matrix,
 
-    s_i(chi) = chi - <chi, alpha_i^vee> alpha_i.
+    <chi, alpha_j^vee> = 2 m_j - m_{j-1} - m_{j+1}   (m_0 = m_{l+1} = 0).
+
+The Weyl group S_{l+1} acts by permuting coordinates: with
+alpha_i = eps_i - eps_{i+1}, chi has eps-coordinates e_j = m_j - m_{j-1},
+w sends eps_j to eps_{w(j)}, and prefix sums give the simple-root
+coefficients back.  This agrees with the product of the simple
+reflections s_i(chi) = chi - <chi, alpha_i^vee> alpha_i along any word
+for w; the tests compare the two.
 
 Fundamental weights are obtained by solving the Cartan system, not
 from a closed form; the closed form is checked against this in the
@@ -17,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import accumulate
 from typing import Iterable, List, Tuple
 
 from . import linalg
-from .weyl import Permutation, reduced_word
+from .weyl import Permutation
 
 
 @dataclass(frozen=True)
@@ -33,34 +41,9 @@ class Weight:
     def rank(self) -> int:
         return len(self.coeffs)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "Weight") -> "Weight":
         self._check(other)
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, c) -> "Weight":
-        q = Q(c)
-        return Weight(tuple(q * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-    def is_nonpositive(self) -> bool:
-        return all(a <= 0 for a in self.coeffs)
-
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.coeffs)
-
-    def leq(self, other: "Weight") -> bool:
-        """Coefficientwise comparison."""
-        self._check(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
 
     def _check(self, other: "Weight") -> None:
         if self.rank != other.rank:
@@ -69,10 +52,6 @@ class Weight:
 
 def weight(coeffs: Iterable) -> Weight:
     return Weight(tuple(Q(c) for c in coeffs))
-
-
-def zero_weight(rank: int) -> Weight:
-    return Weight((Q(0),) * rank)
 
 
 def simple_root(i: int, rank: int) -> Weight:
@@ -90,11 +69,13 @@ def cartan_matrix(rank: int) -> List[List[int]]:
 
 
 def pairing(chi: Weight, j: int) -> Q:
-    """<chi, alpha_j^vee> through the Cartan matrix."""
+    """<chi, alpha_j^vee> = 2 m_j - m_{j-1} - m_{j+1}, the j-th Cartan row."""
     if not 1 <= j <= chi.rank:
         raise ValueError(f"coroot index {j} out of range for rank {chi.rank}")
-    a = cartan_matrix(chi.rank)
-    return sum((m * a[i][j - 1] for i, m in enumerate(chi.coeffs)), Q(0))
+    m = chi.coeffs
+    left = m[j - 2] if j > 1 else 0
+    right = m[j] if j < chi.rank else 0
+    return 2 * m[j - 1] - left - right
 
 
 def fundamental_weight(r: int, n: int) -> Weight:
@@ -109,19 +90,15 @@ def fundamental_weight(r: int, n: int) -> Weight:
     return Weight(tuple(sol))
 
 
-def reflect(i: int, chi: Weight) -> Weight:
-    """s_i(chi) = chi - <chi, alpha_i^vee> alpha_i."""
-    return chi - pairing(chi, i) * simple_root(i, chi.rank)
-
-
 def act(w: Permutation, chi: Weight) -> Weight:
-    """Action of a permutation on a weight, via any word for it."""
+    """w(chi): the eps-coordinate e_j of chi moves to position w(j)."""
     if w.n != chi.rank + 1:
         raise ValueError("dimension mismatch")
-    cur = chi
-    for i in reversed(reduced_word(w)):
-        cur = reflect(i, cur)
-    return cur
+    m = (0,) + chi.coeffs + (0,)
+    eps = [Q(0)] * w.n
+    for j in range(1, w.n + 1):
+        eps[w(j) - 1] = m[j] - m[j - 1]
+    return Weight(tuple(accumulate(eps[:-1])))
 
 
 def height(chi: Weight) -> Q:

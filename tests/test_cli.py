@@ -113,6 +113,14 @@ def test_flag_family_refuses_n_below_one(capsys, argv):
     assert "needs n >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["tau", "semistable-cells"])
+def test_grassmannian_commands_refuse_r_out_of_range(capsys, command):
+    code, out, err = _capture(capsys, [command, "--n", "1", "--r", "2"])
+    assert code == 2
+    assert out == ""
+    assert "need 2 <= r <= n - 2" in err
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -110,6 +110,13 @@ def test_negative_elements_counts():
         assert c in elements
 
 
+def test_negative_elements_rank_five_is_the_coset_family():
+    elements = negative_elements(RegularDominantChar(5, (1, 2, 3, 4, 5)))
+    c = cyclic_element(5)
+    assert elements == {c * tau for tau in subgroup_fixing_last(5)}
+    assert len(elements) == 120
+
+
 def test_regular_dominant_char_validation():
     with pytest.raises(ValueError):
         RegularDominantChar(3, (1, 2))

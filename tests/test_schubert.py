@@ -2,6 +2,7 @@
 
 import pytest
 
+from torusquot import schubert
 from torusquot.schubert import (
     ClosedFormDisagreement,
     GrassmannElement,
@@ -97,6 +98,30 @@ def test_semistable_cells_frozen():
     assert seqs(4, 2) == [(1, 3), (2, 3)]
     assert seqs(6, 2) == [(2, 5), (3, 5), (4, 5)]
     assert seqs(5, 3) == [(1, 3, 4), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_semistable_cells_are_the_cells_passing_has_semistable(n):
+    for r in range(2, n - 1):
+        assert semistable_cells(n, r) == [g for g in all_cells(n, r) if has_semistable(g)]
+
+
+def test_semistable_cells_refuses_what_tau_refuses():
+    with pytest.raises(ValueError, match="need 2 <= r <= n - 2"):
+        semistable_cells(1, 2)
+
+
+def test_semistable_cells_computes_tau_once(monkeypatch):
+    calls = []
+    real = schubert.tau_r
+
+    def counting_tau_r(n, r):
+        calls.append((n, r))
+        return real(n, r)
+
+    monkeypatch.setattr(schubert, "tau_r", counting_tau_r)
+    assert semistable_cells(9, 4)
+    assert calls == [(9, 4)]
 
 
 def test_has_semistable_is_upward_closed():

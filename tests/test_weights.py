@@ -1,17 +1,25 @@
 """Weights over the simple roots and the rounding representatives."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from torusquot.weights import (
     act,
+    cartan_matrix,
     fundamental_weight,
     minuscule_floor_element,
     pairing,
     weight,
 )
-from torusquot.weyl import all_permutations, from_word, min_coset_reps, simple_reflection
+from torusquot.weyl import (
+    all_permutations,
+    from_word,
+    min_coset_reps,
+    reduced_word,
+    simple_reflection,
+)
 
 
 def q(*vals):
@@ -29,6 +37,43 @@ def test_pairing_with_coroots_is_cartan_shaped():
         omega = fundamental_weight(r, n)
         for i in range(1, n):
             assert pairing(omega, i) == (1 if i == r else 0)
+
+
+def random_weight(rng, rank):
+    return weight(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rank))
+
+
+def cartan_pairing(coeffs, j):
+    """<chi, alpha_j^vee> as the row sum against the Cartan matrix."""
+    a = cartan_matrix(len(coeffs))
+    return sum((m * a[i][j - 1] for i, m in enumerate(coeffs)), Fraction(0))
+
+
+def act_by_reflections(w, coeffs):
+    """Reference action: s_i(chi) = chi - <chi, alpha_i^vee> alpha_i along
+    a reduced word for w, the rightmost letter first."""
+    for i in reversed(reduced_word(w)):
+        p = cartan_pairing(coeffs, i)
+        coeffs = tuple(m - p if k == i else m for k, m in enumerate(coeffs, start=1))
+    return coeffs
+
+
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_pairing_is_the_cartan_row_sum(rank):
+    rng = random.Random(rank)
+    for _ in range(5):
+        chi = random_weight(rng, rank)
+        for j in range(1, rank + 1):
+            assert pairing(chi, j) == cartan_pairing(chi.coeffs, j)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_act_equals_the_reflection_word_product(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        chi = random_weight(rng, n - 1)
+        for w in all_permutations(n):
+            assert act(w, chi).coeffs == act_by_reflections(w, chi.coeffs)
 
 
 def test_act_is_a_group_action():
