@@ -26,7 +26,8 @@ from .invariants import (
     y_exponent,
     y_labels,
 )
-from .ratfunc import Names, RationalFunction, Substitution, variables
+from .linalg import column_echelon
+from .ratfunc import Names, RationalFunction, Substitution, identity_substitution
 from .schubert import GrassmannElement, inversion_array, row_starts
 
 
@@ -116,10 +117,6 @@ def action_case(k: int, g: GrassmannElement) -> Tuple[str, int]:
 # action on the X coordinates
 
 
-def _x_identity(g: GrassmannElement) -> Substitution:
-    return variables(x_names(g))
-
-
 def _swap_columns(sub: Substitution, g: GrassmannElement, rows: Sequence[int], c1: int, c2: int) -> None:
     for i in rows:
         if _row_len(g, i) >= max(c1, c2):
@@ -137,7 +134,7 @@ def x_action(k: int, g: GrassmannElement) -> Substitution:
     label, p = action_case(k, g)
     a = g.a_seq
     r = g.r
-    sub = _x_identity(g)
+    sub = identity_substitution(x_names(g))
     if label == "outside":
         return sub
     if label == "head-swap":
@@ -228,7 +225,7 @@ def closed_y_action(k: int, g: GrassmannElement) -> Substitution:
     a = g.a_seq
     r = g.r
     names = y_names(g)
-    sub = variables(names)
+    sub = identity_substitution(names)
 
     def yv(i: int, c: int) -> RationalFunction:
         # convention: out-of-range cross-ratios are 1
@@ -311,68 +308,26 @@ def matrix_of_point(
     return mat
 
 
-def pivot_columns(mat: Sequence[Sequence[Fraction]]) -> Dict[int, List[Fraction]]:
-    """Bottom-up pivot reduction of a column span.
-
-    Repeatedly takes the column whose lowest nonzero entry sits lowest,
-    makes that row its pivot and clears the row from the other columns.
-    Returns the reduced columns keyed by 0-based pivot row; the set of
-    pivot rows depends only on the span.  Raises if the columns are
-    dependent.
-    """
-    n, r = len(mat), len(mat[0])
-    remaining = [[Fraction(mat[i][j]) for i in range(n)] for j in range(r)]
-
-    def lowest(col: List[Fraction]) -> int:
-        for i in range(n - 1, -1, -1):
-            if col[i]:
-                return i
-        return -1
-
-    chosen: Dict[int, List[Fraction]] = {}
-    while remaining:
-        lows = [lowest(c) for c in remaining]
-        if -1 in lows:
-            raise ValueError("matrix has dependent columns")
-        idx = max(range(len(remaining)), key=lambda t: lows[t])
-        piv = lows[idx]
-        col = remaining.pop(idx)
-        for other in remaining:
-            if other[piv]:
-                fac = other[piv] / col[piv]
-                for i in range(n):
-                    other[i] -= fac * col[i]
-        chosen[piv] = col
-    return chosen
-
-
 def coordinates_of_matrix(
     mat: Sequence[Sequence[Fraction]], g: GrassmannElement
 ) -> Dict[str, Fraction]:
     """Cell coordinates of a column span lying in the open cell of g.
 
-    Columns are reduced to the canonical cell form (pivot rows a_j + 1
-    from the bottom up, pivots scaled to 1, pivot rows cleared); raises
-    if the span's pivot set is not this cell's column set.
+    The echelon's columns, sorted by pivot row, are echelonized again:
+    that clears each pivot row from the columns above it and leaves the
+    canonical cell form.  Raises if the span's pivot set is not this
+    cell's column set.
     """
-    chosen = pivot_columns(mat)
-    if sorted(chosen) != list(g.a_seq):
+    pivots, cols = column_echelon(mat)
+    if sorted(pivots) != list(g.a_seq):
         raise ValueError(
-            f"point lies in the cell with pivots {sorted(i + 1 for i in chosen)}, "
+            f"point lies in the cell with pivots {sorted(i + 1 for i in pivots)}, "
             f"not {[x + 1 for x in g.a_seq]}"
         )
-    r = g.r
-    ordered = [chosen[g.a_seq[j]] for j in range(r)]
-    for j in range(r):
-        piv = g.a_seq[j]
-        scale = ordered[j][piv]
-        ordered[j] = [v / scale for v in ordered[j]]
-        for j2 in range(j + 1, r):
-            fac = ordered[j2][piv]
-            if fac:
-                ordered[j2] = [v - fac * w for v, w in zip(ordered[j2], ordered[j])]
+    by_pivot = sorted(range(g.r), key=pivots.__getitem__)
+    _, ordered = column_echelon(list(zip(*(cols[j] for j in by_pivot))))
     out: Dict[str, Fraction] = {}
-    for j in range(1, r + 1):
+    for j in range(1, g.r + 1):
         for q, start in enumerate(row_starts(g, j), start=1):
             out[f"X_{j}_{q}"] = ordered[j - 1][start - 1]
     return out
@@ -402,7 +357,7 @@ def r2_action(
     names = r2_names(m)
     if f.names != names:
         raise ValueError("expected a function of Y_1 .. Y_{m-1}")
-    sub = variables(names)
+    sub = identity_substitution(names)
     if 1 <= k <= m - 2:
         sub[f"Y_{k}"], sub[f"Y_{k + 1}"] = sub[f"Y_{k + 1}"], sub[f"Y_{k}"]
     elif k == m - 1:
@@ -437,8 +392,8 @@ def standard_rep_names(m: int) -> Names:
 def _standard_rep_substitution(k: int, m: int) -> Tuple[Tuple[str, RationalFunction], ...]:
     xnames = tuple(f"x_{i}" for i in range(1, m + 2))
     znames = standard_rep_names(m)
-    xs = variables(xnames)
-    swap = variables(xnames)
+    xs = identity_substitution(xnames)
+    swap = identity_substitution(xnames)
     swap[f"x_{k}"], swap[f"x_{k + 1}"] = swap[f"x_{k + 1}"], swap[f"x_{k}"]
     slice_sub: Substitution = {}
     for i in range(1, m):

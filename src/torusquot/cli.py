@@ -60,6 +60,12 @@ def _cell(n: int, r: int, a: List[int]) -> GrassmannElement:
 def _cmd_tau(args: argparse.Namespace) -> int:
     g = schubert.tau_r(args.n, args.r)
     results = {"a_seq": list(g.a_seq), "word": list(schubert.word_of(g))}
+    case_split = schubert.tau_r_closed_form(args.n, args.r)
+    if case_split != g:
+        results["divergences"] = [
+            f"case-split form {list(case_split.a_seq)} disagrees with the descent "
+            f"result {list(g.a_seq)} for n={args.n}, r={args.r}; the descent result is kept"
+        ]
     return _emit("tau", {"n": args.n, "r": args.r}, results, [], 0)
 
 

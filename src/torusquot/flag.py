@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .invariants import InvariantLattice, reexpress, root_weight
+from .invariants import InvariantLattice, monomial_weight, reexpress, root_weight
+from .linalg import column_echelon
 from .ratfunc import Names, RationalFunction, Substitution
 from .weights import Weight, act, weight
 from .weyl import Permutation, all_permutations, from_word, longest_element, parabolic_elements
@@ -49,15 +50,6 @@ def root_order(rank: int) -> Tuple[Root, ...]:
     )
 
 
-def add_roots(a: Root, b: Root) -> Optional[Root]:
-    """Sum of two interval roots, or None when the sum is not a root."""
-    if a[1] + 1 == b[0]:
-        return (a[0], b[1])
-    if b[1] + 1 == a[0]:
-        return (b[0], a[1])
-    return None
-
-
 def reflect_root(i: int, r: Root) -> Optional[Root]:
     """Image of an interval root under s_i; None when the image is negative."""
     j, m = r[0], r[1] + 1
@@ -69,24 +61,6 @@ def reflect_root(i: int, r: Root) -> Optional[Root]:
     if a < b:
         return (a, b - 1)
     return None
-
-
-def beta_prime(beta: Root, rank: int) -> Root:
-    """The unique root through alpha_1 whose sum with beta is a root.
-
-    For beta = [j, k] with j >= 2 this is [1, j-1]; uniqueness is
-    re-derived by scanning every positive root rather than assumed.
-    """
-    if beta[0] == 1:
-        raise ValueError("beta already dominates the first simple root")
-    if not 1 <= beta[0] <= beta[1] <= rank:
-        raise ValueError(f"{beta} is not a positive root at rank {rank}")
-    found = [
-        g for g in all_positive_roots(rank) if g[0] == 1 and add_roots(g, beta)
-    ]
-    if len(found) != 1:
-        raise ArithmeticError(f"expected one completion for {beta}, got {found}")
-    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +193,13 @@ def torus_scale(mat: Sequence[Sequence[object]], ts: Sequence[object]) -> List[l
 def decompose_point(mat: Sequence[Sequence[object]]) -> Tuple[Permutation, Dict[Root, object]]:
     """Cell permutation and canonical coordinates of a column flag.
 
-    Columns are reduced to the canonical coset form (pivot 1 at the
-    lowest fresh row, pivot rows cleared rightward), re-assembled into
-    a unipotent matrix, and peeled factor by factor in increasing root
-    order; coordinates at non-inversion roots must peel to zero.
+    Columns are reduced to the canonical coset form by the column
+    echelon, re-assembled into a unipotent matrix, and peeled factor by
+    factor in increasing root order; coordinates at non-inversion roots
+    must peel to zero.
     """
     nn = len(mat)
-    cols = [[mat[i][j] for i in range(nn)] for j in range(nn)]
-    pivots: List[int] = []
-    for j in range(nn):
-        col = cols[j]
-        while True:
-            low = next((i for i in range(nn - 1, -1, -1) if col[i] != 0), None)
-            if low is None:
-                raise ValueError("columns are linearly dependent")
-            if low not in pivots:
-                break
-            j0 = pivots.index(low)
-            f = col[low]
-            col = [a - f * b for a, b in zip(col, cols[j0])]
-        piv = col[low]
-        # pristine permutation entries are plain ints; int/int must not float
-        if piv != 1:
-            col = [
-                Fraction(a, piv) if isinstance(a, int) and isinstance(piv, int) else a / piv
-                for a in col
-            ]
-        cols[j] = col
-        pivots.append(low)
-    for j in range(nn):
-        p = pivots[j]
-        for j2 in range(j + 1, nn):
-            f = cols[j2][p]
-            if f != 0:
-                cols[j2] = [a - f * b for a, b in zip(cols[j2], cols[j])]
+    pivots, cols = column_echelon(mat)
     w = Permutation(tuple(p + 1 for p in pivots))
     uni = [[0] * nn for _ in range(nn)]
     for j in range(nn):
@@ -282,11 +229,11 @@ def decompose_point(mat: Sequence[Sequence[object]]) -> Tuple[Permutation, Dict[
 
 
 def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
-    """Symbolic quotient map on the cell of c tau.
+    """Symbolic quotient map on the cell of c tau: pi_point at its generic point.
 
-    One weight-zero Laurent monomial -X_beta X_{beta'} / X_{beta+beta'}
-    per inversion root beta not through alpha_1, labeled by the root
-    beta shifted down one step (the long cycle's relabeling).
+    Each coordinate is a Laurent monomial in the X's, labeled Y_{a,b}.
+    It has weight zero when its numerator and denominator monomials
+    share one torus weight; any other coordinate raises.
     """
     check_rank(n)
     if tau.n != n + 1:
@@ -294,35 +241,25 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
     if tau(n + 1) != n + 1:
         raise ValueError("tau must fix the last letter")
     w = cyclic_element(n) * tau
-    names = flag_x_names(w)
+    weights = tuple(root_weight(r, n) for r in inversion_roots(w))
     out: Dict[str, RationalFunction] = {}
-    for beta in inversion_roots(w):
-        j, k = beta
-        if j == 1:
-            continue
-        bp = beta_prime(beta, n)
-        total = add_roots(beta, bp)
-        expr = -(
-            RationalFunction.variable(f"X_{j}_{k}", names)
-            * RationalFunction.variable(f"X_{bp[0]}_{bp[1]}", names)
-            / RationalFunction.variable(f"X_{total[0]}_{total[1]}", names)
-        )
-        wt = [
-            a + b - c
-            for a, b, c in zip(
-                root_weight(beta, n), root_weight(bp, n), root_weight(total, n)
-            )
-        ]
-        if any(wt):
-            raise ArithmeticError(f"quotient coordinate at {beta} has weight {wt}")
-        out[f"Y_{j - 1}_{k - 1}"] = expr
+    for (a, b), expr in pi_point(w, symbolic_coords(w))[1].items():
+        monomials = expr.numer_terms() + expr.denom_terms()
+        wts = {monomial_weight(mono, weights) for mono, _ in monomials}
+        if len(wts) != 1:
+            raise ArithmeticError(f"quotient coordinate Y_{a}_{b} mixes weights {sorted(wts)}")
+        out[f"Y_{a}_{b}"] = expr
     return out
 
 
 def pi_point(
     w: Permutation, coords: Mapping[Root, object]
 ) -> Tuple[Permutation, Dict[Root, object]]:
-    """Quotient image of a cell point: smaller-flag cell and coordinates."""
+    """Quotient image of a cell point: smaller-flag cell and coordinates.
+
+    Y_{j-1,k-1} = -X_beta X_{[1,j-1]} / X_{[1,k]} for every inversion root
+    beta = [j, k] with j >= 2; the scalar type is the coordinates' own.
+    """
     tau = cell_parameter(w)
     small = restrict_to_first(tau)
     out: Dict[Root, object] = {}
@@ -334,12 +271,6 @@ def pi_point(
     if set(out) != set(inversion_roots(small)):
         raise ArithmeticError("quotient labels do not match the smaller cell")
     return small, out
-
-
-def y_value(mat: Sequence[Sequence[object]], r: Root) -> object:
-    """Coordinate of a smaller-flag point at a root, zero when absent."""
-    w, coords = decompose_point(mat)
-    return coords.get(r, 0)
 
 
 def semistable_flag_support(w: Permutation, n: int):
@@ -545,15 +476,6 @@ class FlagStabilityReport:
         return out
 
 
-def _pi_point_signed(
-    w: Permutation, coords: Mapping[Root, object], drop_sign: bool
-) -> Tuple[Permutation, Dict[Root, object]]:
-    small, out = pi_point(w, coords)
-    if drop_sign:
-        out = {r: -v for r, v in out.items()}
-    return small, out
-
-
 def _random_cell_coords(w: Permutation, rng: random.Random) -> Dict[Root, Fraction]:
     pool = [v for v in range(-50, 51) if v]
     return {r: Fraction(rng.choice(pool)) for r in inversion_roots(w)}
@@ -581,10 +503,7 @@ def _step2_tallies(n: int) -> Tuple[Dict[str, RuleTally], RuleTally]:
         w = cyclic_element(n) * tau
         winv = set(inversion_roots(w))
         names = flag_x_names(w)
-        xv = {
-            r: RationalFunction.variable(f"X_{r[0]}_{r[1]}", names)
-            for r in inversion_roots(w)
-        }
+        xv = symbolic_coords(w)
         wi = w.inverse()
         for i in range(1, n + 1):
             w2, c2 = generator_pullback(i, w)
@@ -670,11 +589,13 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
     rescale = [0, 0]
     small_roots = all_positive_roots(n - 1)
 
-    def yv(small: Permutation, ycoords: Mapping[Root, object], alpha: Root):
-        return y_value(point_matrix(small, ycoords), alpha)
+    def moved(small: Permutation, ycoords: Mapping[Root, object], j: int):
+        """Coordinates of the smaller-flag point after s_j."""
+        return decompose_point(swap_rows(point_matrix(small, ycoords), j))[1]
 
-    def moved_yv(small, ycoords, j, alpha):
-        return y_value(swap_rows(point_matrix(small, ycoords), j), alpha)
+    def negated(image):
+        small, ycoords = image
+        return small, {r: -v for r, v in ycoords.items()}
 
     def case_instances(w, coords, i, branch_a):
         """Yields (case key, middle value, comparison kind) triples."""
@@ -715,6 +636,17 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
                         "inner",
                     )
 
+    def case_verdicts(w, coords, i, branch_a, image, moved_image):
+        """(case key, verdict) per case instance at a point, given the
+        sign-dropped quotient images of the point and of its s_i move."""
+        (s1, y1), (s2, y2) = image, moved_image
+        for ckey, mid, alpha, kind in case_instances(w, coords, i, branch_a):
+            if kind == "outer":
+                ok = mid == y1.get(alpha, 0) and mid == moved(s2, y2, i - 1).get(alpha, 0)
+            else:
+                ok = mid == moved(s1, y1, i - 1).get(alpha, 0) and mid == y2.get(alpha, 0)
+            yield ckey, ok
+
     for tau in subgroup_fixing_last(n):
         w = cyclic_element(n) * tau
         support = semistable_flag_support(w, n)
@@ -731,31 +663,19 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
                     # boundary collision: the pipelines below would divide
                     # by a vanished first-row coordinate
                     continue
-                verdicts: List[bool] = []
-                for key, drop in (("as-printed", False), ("sign-dropped", True)):
-                    s1, y1 = _pi_point_signed(w, coords, drop)
-                    s2, y2 = _pi_point_signed(w2, c2, drop)
+                printed = (pi_point(w, coords), pi_point(w2, c2))
+                dropped = (negated(printed[0]), negated(printed[1]))
+                for key, images in (("as-printed", printed), ("sign-dropped", dropped)):
+                    (_, y1), (s2, y2) = images
+                    y2_moved = moved(s2, y2, i - 1)
                     for alpha in small_roots:
-                        lhs = yv(s1, y1, alpha)
-                        rhs = moved_yv(s2, y2, i - 1, alpha)
-                        glob[key][0] += lhs == rhs
+                        glob[key][0] += y1.get(alpha, 0) == y2_moved.get(alpha, 0)
                         glob[key][1] += 1
-                for ckey, mid, alpha, kind in case_instances(w, coords, i, branch_a):
-                    s1, y1 = _pi_point_signed(w, coords, True)
-                    s2, y2 = _pi_point_signed(w2, c2, True)
-                    if kind == "outer":
-                        ends_ok = (
-                            mid == yv(s1, y1, alpha)
-                            and mid == moved_yv(s2, y2, i - 1, alpha)
-                        )
-                    else:
-                        ends_ok = (
-                            mid == moved_yv(s1, y1, i - 1, alpha)
-                            and mid == yv(s2, y2, alpha)
-                        )
-                    cases[ckey][0] += ends_ok
+                verdicts: List[bool] = []
+                for ckey, ok in case_verdicts(w, coords, i, branch_a, *dropped):
+                    cases[ckey][0] += ok
                     cases[ckey][1] += 1
-                    verdicts.append(ends_ok)
+                    verdicts.append(ok)
                 # rescaling the input by a random torus element must not
                 # change any case verdict (weight-zero coordinates)
                 ts = [
@@ -764,20 +684,8 @@ def verify_w_stability(n: int, seed: int = 0, samples: int = 30) -> FlagStabilit
                 ]
                 ws, cs = decompose_point(torus_scale(point_matrix(w, coords), ts))
                 w2s, c2s = decompose_point(swap_rows(point_matrix(ws, cs), i))
-                redo: List[bool] = []
-                for ckey, mid, alpha, kind in case_instances(ws, cs, i, branch_a):
-                    s1, y1 = _pi_point_signed(ws, cs, True)
-                    s2, y2 = _pi_point_signed(w2s, c2s, True)
-                    if kind == "outer":
-                        redo.append(
-                            mid == yv(s1, y1, alpha)
-                            and mid == moved_yv(s2, y2, i - 1, alpha)
-                        )
-                    else:
-                        redo.append(
-                            mid == moved_yv(s1, y1, i - 1, alpha)
-                            and mid == yv(s2, y2, alpha)
-                        )
+                scaled = (negated(pi_point(ws, cs)), negated(pi_point(w2s, c2s)))
+                redo = [ok for _, ok in case_verdicts(ws, cs, i, branch_a, *scaled)]
                 rescale[0] += redo == verdicts
                 rescale[1] += 1
 

@@ -1,4 +1,5 @@
-"""Small exact linear algebra helpers over Fraction and over the integers.
+"""Small exact linear algebra: a column echelon generic over the scalar,
+a solver over Fraction and Hermite forms over the integers.
 
 Everything here works on plain lists of lists; matrices are modest
 (at most a few dozen rows), so clarity wins over asymptotics.
@@ -57,25 +58,46 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[List[Q]]:
     return x
 
 
-def determinant(a: Sequence[Sequence]) -> Q:
-    m = _to_q(a)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("dimension mismatch")
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+def column_echelon(mat: Sequence[Sequence]) -> Tuple[List[int], List[list]]:
+    """Pivot rows and reduced columns of a matrix with independent columns.
+
+    Columns are reduced left to right: each is cleared against earlier
+    columns until its lowest nonzero entry sits in a fresh row, its
+    pivot, which is scaled to 1; then every pivot row is cleared from
+    the columns to its right.  Any exact scalar works (int, Fraction,
+    RationalFunction); int entries divide as Fractions.  The set of
+    pivot rows (0-based, one per column) depends only on the column
+    span.  Raises ValueError if the columns are dependent.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    cols = [[mat[i][j] for i in range(nrows)] for j in range(ncols)]
+    pivots: List[int] = []
+    for j in range(ncols):
+        col = cols[j]
+        while True:
+            low = next((i for i in range(nrows - 1, -1, -1) if col[i] != 0), None)
+            if low is None:
+                raise ValueError("columns are linearly dependent")
+            if low not in pivots:
+                break
+            f = col[low]
+            col = [a - f * b for a, b in zip(col, cols[pivots.index(low)])]
+        piv = col[low]
+        # pristine permutation entries are plain ints; int/int must not float
+        if piv != 1:
+            col = [
+                Q(a, piv) if isinstance(a, int) and isinstance(piv, int) else a / piv
+                for a in col
+            ]
+        cols[j] = col
+        pivots.append(low)
+    for j, p in enumerate(pivots):
+        for j2 in range(j + 1, ncols):
+            f = cols[j2][p]
+            if f != 0:
+                cols[j2] = [a - f * b for a, b in zip(cols[j2], cols[j])]
+    return pivots, cols
 
 
 def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:

@@ -72,13 +72,6 @@ def inversion_positions(w: Permutation) -> List[Tuple[int, int]]:
         if winv(i) > winv(j)
     ]
 
-def cell_permutation_from_subset(subset: Sequence[int], n: int) -> Permutation:
-    """Minimal coset representative sending {1..r} to the given column set."""
-    s = tuple(sorted(subset))
-    rest = tuple(sorted(set(range(1, n + 1)) - set(s)))
-    return Permutation(s + rest)
-
-
 def sample_cell_matrix(
     w: Permutation, r: int, rng: random.Random
 ) -> List[List[int]]:

@@ -288,7 +288,3 @@ def identity_substitution(names: Names) -> Substitution:
 def compose(second: Substitution, first: Substitution) -> Substitution:
     """The substitution applying `first`, then `second`, to each variable."""
     return {name: value.subs(second) for name, value in first.items()}
-
-
-def variables(names: Names) -> Dict[str, RationalFunction]:
-    return {name: RationalFunction.variable(name, names) for name in tuple(names)}

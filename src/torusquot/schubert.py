@@ -18,7 +18,6 @@ calculus of the action module work.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -119,17 +118,13 @@ def grassmann_leq(g: GrassmannElement, h: GrassmannElement) -> bool:
     return all(a <= b for a, b in zip(g.a_seq, h.a_seq))
 
 
-class ClosedFormDisagreement(UserWarning):
-    """The case-split formula for tau_r disagrees with the descent answer."""
-
-
 def tau_r_closed_form(n: int, r: int) -> GrassmannElement:
     """Case-split form of the minimal semistable cell, cross-check only.
 
     Writing n = q r + t with 1 <= t <= r, the entries are i (q + 1) for
     i <= t - 1 and i q + t - 1 for t <= i <= r.  The case split is
-    reliable only when t = 1 (n = 1 mod r); tau_r diagnoses any
-    disagreement and keeps the descent answer.  (A variant with t + 1 in
+    reliable only when t = 1 (n = 1 mod r); the tau command records any
+    disagreement with tau_r as a divergence.  (A variant with t + 1 in
     the second branch overflows a_r <= n - 1 and is not used.)
     """
     q, t = divmod(n, r)
@@ -153,22 +148,12 @@ def tau_r(n: int, r: int) -> GrassmannElement:
     """Minimal cell whose closure meets the semistable locus.
 
     Computed as the unique minimal-coset element moving n omega_r to a
-    nonpositive weight (descent algorithm); the case-split form is only
-    a cross-check and loses on disagreement.
+    nonpositive weight (descent algorithm).
     """
     if not 2 <= r <= n - 2:
         raise ValueError(f"need 2 <= r <= n - 2, got n={n}, r={r}")
     w = minuscule_floor_element(fundamental_weight(r, n), mode="ceil")
-    g = from_permutation(w, r)
-    cf = tau_r_closed_form(n, r)
-    if cf != g:
-        warnings.warn(
-            f"case-split form {cf.a_seq} disagrees with descent result "
-            f"{g.a_seq} for n={n}, r={r}; keeping the descent result",
-            ClosedFormDisagreement,
-            stacklevel=2,
-        )
-    return g
+    return from_permutation(w, r)
 
 
 def has_semistable(g: GrassmannElement) -> bool:

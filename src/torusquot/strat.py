@@ -59,8 +59,7 @@ def strata(n: int) -> List[StratumDescriptor]:
     so open dimensions run m-1, ..., n-3 and the count is
     floor((n-1)/2) + 1.
     """
-    _check_n(n)
-    m = (n - 1 + 1) // 2  # ceil((n-1)/2)
+    m = closed_parameter(n)
     out = [
         StratumDescriptor(
             index=0,

@@ -24,6 +24,7 @@ from itertools import accumulate
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from . import action, flag, invariants, oracle, schubert, strat, weights
+from .linalg import column_echelon
 from .ratfunc import RationalFunction, Substitution, compose, identity_substitution
 from .schubert import GrassmannElement
 from .weyl import all_permutations, parabolic_elements
@@ -193,7 +194,8 @@ def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
             mat = action.matrix_of_point(g, values)
             for sigma in all_permutations(n):
                 permuted = [mat[sigma.inverse()(i + 1) - 1] for i in range(n)]
-                escapes = frozenset(action.pivot_columns(permuted)) == target and sigma not in group
+                pivots, _ = column_echelon(permuted)
+                escapes = frozenset(pivots) == target and sigma not in group
                 yield not escapes, {"a_seq": list(g.a_seq), "sigma": list(sigma.images)}
     return (f"{points} sampled points per semistable rank-2 cell, all row permutations",)
 
@@ -290,7 +292,7 @@ def _sign_dropped_action(i: int, n: int) -> Tuple[Substitution, Substitution]:
     """Identity on the quotient coordinates, and the induced action of s_i
     on them once they drop their displayed leading minus."""
     ynames = flag.flag_y_names(n - 1)
-    ident = {nm: RationalFunction.variable(nm, ynames) for nm in ynames}
+    ident = identity_substitution(ynames)
     neg = {nm: -v for nm, v in ident.items()}
     return ident, {k: -(v.subs(neg)) for k, v in flag.quotient_generator_action(i, n).items()}
 

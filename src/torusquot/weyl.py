@@ -6,9 +6,10 @@ as functions, so in ``u * v`` the permutation ``v`` acts first.
 
 Two partial orders appear side by side.  ``bruhat_leq`` is the
 length-additive order (u <= w iff l(w) = l(u) + l(w u^-1), the left
-weak order), which is the one the lemma machinery in this package is
-built on.  ``bruhat_leq_classical`` is the usual subword order; the
-two are compared on Grassmannian quotients in the tests.
+weak order) and ``bruhat_leq_classical`` is the usual subword order.
+Neither is on the main path, which orders Grassmannian cells by
+``schubert.grassmann_leq``; the tests check that all three orders agree
+on Grassmannian quotients.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ def length(w: Permutation) -> int:
     return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if img[i] > img[j])
 
 
-def is_reduced(word: Word, n: int) -> bool:
-    return length(from_word(word, n)) == len(word)
-
-
 def left_descents(w: Permutation) -> Tuple[int, ...]:
     """Indices i with l(s_i w) < l(w), i.e. i appears after i+1 in w."""
     inv = w.inverse().images
@@ -140,24 +137,6 @@ def bruhat_leq_classical(u: Permutation, w: Permutation) -> bool:
 def is_min_coset_rep(w: Permutation, I: Iterable[int]) -> bool:
     """True iff w sends every simple root indexed by I to a positive root."""
     return all(w(i) < w(i + 1) for i in I)
-
-
-def min_coset_rep(w: Permutation, I: Iterable[int]) -> Tuple[Permutation, Permutation]:
-    """Factor w = phi * tau with phi minimal in w W_I and tau in W_I.
-
-    Lengths are additive: l(w) = l(phi) + l(tau).
-    """
-    iset = sorted(set(I))
-    phi, tau = w, identity(w.n)
-    while True:
-        for i in iset:
-            if phi(i) > phi(i + 1):
-                s = simple_reflection(i, w.n)
-                phi = phi * s
-                tau = s * tau
-                break
-        else:
-            return phi, tau
 
 
 def longest_element(I: Iterable[int], n: int) -> Permutation:

@@ -13,7 +13,7 @@ import math
 from conftest import ACCEPTANCE_LINES
 
 from torusquot import action, flag, invariants, oracle, schubert
-from torusquot.ratfunc import variables
+from torusquot.ratfunc import identity_substitution
 from torusquot.verify import exhaustive_check
 
 SEEDS = (0, 1, 2)
@@ -139,7 +139,7 @@ def test_criterion_6_invariant_action_consistency():
     bad = [r for r in reps if not r.ok]
 
     # the legible closed forms, frozen: pivot-division rule and affine flip
-    ys = variables(action.r2_names(3))
+    ys = identity_substitution(action.r2_names(3))
     boxed = (
         action.r2_action(2, 3, ys["Y_1"]) == ys["Y_1"] / ys["Y_2"]
         and action.r2_action(2, 3, ys["Y_2"]) == 1 / ys["Y_2"]

@@ -1,5 +1,6 @@
 """Symmetric group action on cell coordinates and on the invariants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from torusquot.action import (
     y_action_substitution,
     y_names,
 )
-from torusquot.ratfunc import RationalFunction, compose, identity_substitution, variables
+from torusquot.ratfunc import RationalFunction, compose, identity_substitution
 from torusquot.schubert import GrassmannElement, semistable_cells
 
 
@@ -52,22 +53,26 @@ def test_x_action_is_involution():
 
 def test_x_action_permutes_points_like_row_swap():
     """The coordinate action must agree with swapping matrix rows and
-    re-reading coordinates, on a generic rational point."""
-    values = {
-        "X_1_1": Fraction(2),
-        "X_1_2": Fraction(-3),
-        "X_2_1": Fraction(5),
-        "X_2_2": Fraction(7, 2),
-        "X_2_3": Fraction(-1, 3),
-    }
-    for k in sorted(stabilizer_generators(G24)):
-        mat = matrix_of_point(G24, values)
-        swapped = [row[:] for row in mat]
-        swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-        direct = coordinates_of_matrix(swapped, G24)
-        sub = x_action(k, G24)
-        pulled = {name: sub[name].evaluate(values) for name in sub}
-        assert pulled == direct
+    re-reading coordinates, on a generic rational point of every
+    semistable cell with n <= 6 and every stabilizing generator."""
+    rng = random.Random(0)
+    checked = 0
+    for n in range(4, 7):
+        for r in range(2, n - 1):
+            for g in semistable_cells(n, r):
+                values = {
+                    name: Fraction(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 5))
+                    for name in x_names(g)
+                }
+                mat = matrix_of_point(g, values)
+                for k in sorted(stabilizer_generators(g)):
+                    swapped = [row[:] for row in mat]
+                    swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
+                    sub = x_action(k, g)
+                    pulled = {name: sub[name].evaluate(values) for name in sub}
+                    assert pulled == coordinates_of_matrix(swapped, g), (g, k)
+                    checked += 1
+    assert checked == 65
 
 
 def test_coordinates_of_matrix_rejects_other_cells():
@@ -104,7 +109,7 @@ def test_y_action_is_involution_on_semistable_cells_n5():
 
 def test_r2_rules_frozen():
     names = r2_names(3)
-    y1, y2 = variables(names)["Y_1"], variables(names)["Y_2"]
+    y1, y2 = identity_substitution(names)["Y_1"], identity_substitution(names)["Y_2"]
     # leading swap
     assert r2_action(1, 3, y1) == y2
     # boxed pivot rule
@@ -116,7 +121,7 @@ def test_r2_rules_frozen():
 
 def test_r2_far_indices_need_ambient_size():
     names = r2_names(3)
-    y1 = variables(names)["Y_1"]
+    y1 = identity_substitution(names)["Y_1"]
     with pytest.raises(ValueError):
         r2_action(5, 3, y1)
     assert r2_action(5, 3, y1, n=7) == y1  # identity far block

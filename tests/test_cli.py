@@ -1,10 +1,14 @@
 """Front-end behavior: JSON shape, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import torusquot
 from torusquot import __version__
 from torusquot.cli import _emit, _jsonable, build_parser, run
 
@@ -119,6 +123,19 @@ def test_grassmannian_commands_refuse_r_out_of_range(capsys, command):
     assert code == 2
     assert out == ""
     assert "need 2 <= r <= n - 2" in err
+
+
+def test_semistable_cells_writes_nothing_to_stderr():
+    """In a fresh interpreter, where no test harness catches warnings, a
+    case-split divergence (12 = 2 mod 4) leaves stderr empty."""
+    src = os.path.dirname(os.path.dirname(torusquot.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusquot.cli", "semistable-cells", "--n", "12", "--r", "4"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["results"]["count"] > 0
 
 
 def test_verify_suite_checking_no_case_exits_one(capsys):

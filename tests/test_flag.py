@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from torusquot import oracle
+from torusquot import flag, oracle
 from torusquot.flag import (
     RegularDominantChar,
-    add_roots,
     all_positive_roots,
-    beta_prime,
     cell_parameter,
     cyclic_element,
     decompose_point,
+    flag_lattice,
     flag_reexpress_in_y,
     flag_y_names,
     inversion_roots,
@@ -33,11 +32,10 @@ from torusquot.flag import (
     top_cell,
     torus_scale,
     verify_w_stability,
-    y_value,
 )
 from torusquot.invariants import ReexpressionError
 from torusquot.ratfunc import RationalFunction
-from torusquot.weyl import all_permutations, from_word, length
+from torusquot.weyl import all_permutations, from_word, length, longest_element
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +45,15 @@ from torusquot.weyl import all_permutations, from_word, length
 def test_root_order_blocks_by_start_then_longest_first():
     assert root_order(3) == ((1, 3), (1, 2), (1, 1), (2, 3), (2, 2), (3, 3))
     assert len(all_positive_roots(4)) == 10
+
+
+def add_roots(a, b):
+    """Sum of two interval roots, or None when the sum is not a root."""
+    if a[1] + 1 == b[0]:
+        return (a[0], b[1])
+    if b[1] + 1 == a[0]:
+        return (b[0], a[1])
+    return None
 
 
 def test_add_roots_concatenates_intervals():
@@ -70,11 +77,16 @@ def test_root_weight_indicator():
 
 
 def test_beta_prime_unique_completion():
-    # [2,4] completes with [1,1] to the first-row interval [1,4]
-    assert beta_prime((2, 4), 4) == (1, 1)
-    assert beta_prime((3, 3), 4) == (1, 2)
-    with pytest.raises(ValueError):
-        beta_prime((1, 3), 4)
+    """The quotient map pairs beta = [j, k], j >= 2, with [1, j-1]: up to
+    rank 5, the only root through alpha_1 whose sum with beta is a root,
+    the sum being [1, k]."""
+    for rank in range(1, 6):
+        roots = all_positive_roots(rank)
+        for j, k in roots:
+            if j > 1:
+                found = [g for g in roots if g[0] == 1 and add_roots(g, (j, k))]
+                assert found == [(1, j - 1)]
+                assert add_roots(found[0], (j, k)) == (1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +149,7 @@ def _random_coords(w, rng):
     }
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_decompose_inverts_point_matrix_everywhere(n):
     rng = random.Random(0)
     for w in all_permutations(n):
@@ -179,9 +191,36 @@ def test_pi_tau_frozen_small_cell():
     }
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pi_tau_on_the_full_cell_is_the_flag_lattice_basis(n):
+    """The quotient map on the full cell against the exponent vectors that
+    `flag_lattice` writes down on its own: Y = sign * X-monomial."""
+    lattice = flag_lattice(n)
+    exprs = pi_tau(longest_element(range(1, n), n + 1), n)
+    assert tuple(exprs) == lattice.y_names
+    for expr, gen in zip(exprs.values(), lattice.generators):
+        assert expr.names == lattice.x_names
+        [(num, a)], [(den, b)] = expr.numer_terms(), expr.denom_terms()
+        assert a / b == lattice.sign
+        assert tuple(p - q for p, q in zip(num, den)) == gen
+
+
 def test_pi_tau_rejects_moving_last_letter():
     with pytest.raises(ValueError):
         pi_tau(from_word((3,), 4), 3)
+
+
+def test_pi_tau_weight_check_reads_the_expressions(monkeypatch):
+    """A coordinate whose monomials differ in torus weight must raise."""
+    real = flag.pi_point
+
+    def off_by_one_root(w, coords):
+        small, ys = real(w, coords)
+        return small, {r: v * coords[(1, 1)] for r, v in ys.items()}
+
+    monkeypatch.setattr(flag, "pi_point", off_by_one_root)
+    with pytest.raises(ArithmeticError, match="mixes weights"):
+        pi_tau(from_word((1, 2), 4), 3)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -197,14 +236,6 @@ def test_pi_point_matches_symbolic_map(n):
         small, yvals = pi_point(w, coords)
         for (a, b), val in yvals.items():
             assert exprs[f"Y_{a}_{b}"].evaluate(values) == val
-
-
-def test_y_value_reads_quotient_coordinate():
-    w0 = top_cell(2)
-    coords = {(1, 1): Fraction(2), (1, 2): Fraction(3), (2, 2): Fraction(5)}
-    mat = point_matrix(w0, coords)
-    assert y_value(mat, (1, 1)) == Fraction(2)
-    assert y_value(mat, (2, 2)) == Fraction(5)
 
 
 def test_support_predicate_matches_sampling_oracle():

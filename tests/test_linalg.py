@@ -1,14 +1,18 @@
 """Exact linear algebra and integer lattice normal forms."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
 from torusquot.linalg import (
-    determinant,
+    column_echelon,
     hnf_columns,
     integer_kernel_basis,
     lattice_canonical_form,
     solve_linear,
 )
+from torusquot.oracle import int_det
 
 
 def test_solve_linear_unique():
@@ -21,9 +25,35 @@ def test_solve_linear_inconsistent_returns_none():
     assert solve_linear([[1, 2], [2, 4]], [1, 3]) is None
 
 
-def test_rank_and_determinant():
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[Fraction(1, 2), 0], [0, 4]]) == 2
+def test_column_echelon_normal_form():
+    # column 1 pivots at its lowest row 1; column 2 at row 2, and then
+    # loses its entry in row 1
+    pivots, cols = column_echelon([[1, 2], [3, 4], [0, 2]])
+    assert pivots == [1, 2]
+    assert cols == [[Fraction(1, 3), 1, 0], [Fraction(1, 3), 0, 1]]
+    assert all(isinstance(x, (int, Fraction)) for col in cols for x in col)
+
+
+def test_column_echelon_pivot_set_depends_only_on_span():
+    rng = random.Random(0)
+    for _ in range(200):
+        mat = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(5)]
+        mix = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if int_det(mix) == 0:
+            continue
+        try:
+            pivots, _ = column_echelon(mat)
+        except ValueError:
+            continue
+        mixed = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mix)] for row in mat]
+        assert sorted(column_echelon(mixed)[0]) == sorted(pivots)
+
+
+def test_column_echelon_refuses_dependent_columns():
+    with pytest.raises(ValueError, match="dependent"):
+        column_echelon([[1, 2], [2, 4], [3, 6]])
+    with pytest.raises(ValueError, match="dependent"):
+        column_echelon([[1, 0], [2, 0]])
 
 
 def test_hnf_transform_is_unimodular():
@@ -35,7 +65,7 @@ def test_hnf_transform_is_unimodular():
         for i in range(len(a))
     ]
     assert prod == h
-    assert determinant(u) in (1, -1)
+    assert int_det(u) in (1, -1)
     # column-style triangular with positive pivots
     pivots = []
     for j in range(m):

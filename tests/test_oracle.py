@@ -11,7 +11,6 @@ from fractions import Fraction
 from torusquot import schubert
 from torusquot.oracle import (
     SAMPLE_BOUND,
-    cell_permutation_from_subset,
     cell_semistable,
     cell_support,
     flag_cell_of,
@@ -102,11 +101,6 @@ def test_three_seed_consensus_matches_gateway_n5():
         assert len(verdicts) == 1
         expected = "semistable" if schubert.has_semistable(g) else "unstable"
         assert verdicts == {expected}
-
-
-def test_cell_permutation_from_subset():
-    w = cell_permutation_from_subset((3, 5), 5)
-    assert w == schubert.to_permutation(schubert.GrassmannElement(5, 2, (2, 4)))
 
 
 def test_subset_bump_closure():

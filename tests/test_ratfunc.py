@@ -8,14 +8,13 @@ from torusquot.ratfunc import (
     RationalFunction,
     compose,
     identity_substitution,
-    variables,
 )
 
 NAMES = ("x", "y")
 
 
 def _xy():
-    v = variables(NAMES)
+    v = identity_substitution(NAMES)
     return v["x"], v["y"]
 
 

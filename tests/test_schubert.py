@@ -1,10 +1,13 @@
 """Grassmannian cells: normal forms, the gateway element, inversion arrays."""
 
+import json
+import warnings
+
 import pytest
 
 from torusquot import schubert
+from torusquot.cli import run
 from torusquot.schubert import (
-    ClosedFormDisagreement,
     GrassmannElement,
     all_cells,
     cell_length,
@@ -59,35 +62,35 @@ def test_tau_frozen_values():
     assert tau_r(7, 3).a_seq == (2, 4, 6)
 
 
-def test_tau_case_split_form_diverges_with_warning():
-    """The case-split shortcut loses to the descent computation and the
-    disagreement must be surfaced, not swallowed."""
+def test_tau_case_split_form_diverges_as_a_record(capsys):
+    """The case-split shortcut loses to the descent computation.  The
+    disagreement is surfaced as a divergence record in the tau report,
+    not as a warning from tau_r."""
     assert tau_r_closed_form(5, 3).a_seq == (2, 3, 4)
-    with pytest.warns(ClosedFormDisagreement):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         g = tau_r(5, 3)
     assert g.a_seq == (1, 3, 4)
+    assert run(["tau", "--n", "5", "--r", "3"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["results"]["divergences"] == [
+        "case-split form [2, 3, 4] disagrees with the descent result [1, 3, 4] "
+        "for n=5, r=3; the descent result is kept"
+    ]
 
 
 def test_tau_case_split_reliable_exactly_when_remainder_one():
-    import warnings
-
     for n in range(4, 10):
         for r in range(2, n - 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ClosedFormDisagreement)
-                descent = tau_r(n, r)
-            agrees = tau_r_closed_form(n, r) == descent
+            agrees = tau_r_closed_form(n, r) == tau_r(n, r)
             assert agrees == (n % r == 1), (n, r)
 
 
 def test_tau_ceil_form_always_agrees():
-    import warnings
-
     for n in range(4, 10):
         for r in range(2, n - 1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ClosedFormDisagreement)
-                assert tau_r_ceil_form(n, r) == tau_r(n, r)
+            assert tau_r_ceil_form(n, r) == tau_r(n, r)
 
 
 def test_semistable_cells_frozen():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from torusquot.schubert import all_cells, grassmann_leq, to_permutation
 from torusquot.weyl import (
     Permutation,
     all_permutations,
@@ -12,11 +13,9 @@ from torusquot.weyl import (
     from_word,
     identity,
     is_min_coset_rep,
-    is_reduced,
     left_descents,
     length,
     longest_element,
-    min_coset_rep,
     min_coset_reps,
     parabolic_elements,
     reduced_word,
@@ -52,7 +51,6 @@ def test_word_length_roundtrip():
             word = reduced_word(w)
             assert from_word(word, n) == w
             assert len(word) == length(w)
-            assert is_reduced(word, n)
 
 
 def test_descents_track_length_drop():
@@ -71,11 +69,15 @@ def test_longest_element_reverses():
 
 
 def test_min_coset_decomposition():
+    """Every w factors uniquely as u v with u a minimal representative
+    and v in W_I, and the lengths add."""
     n, I = 4, (1, 3)
+    reps = list(min_coset_reps(I, n))
+    assert all(is_min_coset_rep(u, I) for u in reps)
+    factors = {u * v: (u, v) for u in reps for v in parabolic_elements(I, n)}
+    assert len(factors) == len(reps) * len(list(parabolic_elements(I, n)))
     for w in all_permutations(n):
-        u, v = min_coset_rep(w, I)
-        assert u * v == w
-        assert is_min_coset_rep(u, I)
+        u, v = factors[w]
         assert length(u) + length(v) == length(w)
 
 
@@ -94,14 +96,18 @@ def test_parabolic_subgroup_order():
 
 def test_two_orders_agree_on_grassmannian_quotients():
     """The length-additive order and the subword order coincide on
-    minimal representatives for a maximal parabolic (but not on all of W)."""
-    n = 4
-    for r in (1, 2, 3):
-        I = tuple(i for i in range(1, n) if i != r)
-        reps = list(min_coset_reps(I, n))
-        for u in reps:
-            for w in reps:
-                assert bruhat_leq(u, w) == bruhat_leq_classical(u, w)
+    minimal representatives for a maximal parabolic (but not on all of W),
+    and with the componentwise cell order the main path uses, on every
+    cell with n <= 6."""
+    for n in range(2, 7):
+        for r in range(1, n):
+            cells = list(all_cells(n, r))
+            perms = [to_permutation(g) for g in cells]
+            I = tuple(i for i in range(1, n) if i != r)
+            assert set(perms) == set(min_coset_reps(I, n))
+            for g, u in zip(cells, perms):
+                for h, w in zip(cells, perms):
+                    assert bruhat_leq(u, w) == bruhat_leq_classical(u, w) == grassmann_leq(g, h)
 
 
 def test_two_orders_differ_somewhere_on_s4():
