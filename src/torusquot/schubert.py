@@ -202,16 +202,3 @@ def inversion_array(g: GrassmannElement) -> InversionArray:
     arr = InversionArray(g, tuple(rows))
     assert len(arr.positions()) == cell_length(g)
     return arr
-
-
-def inversion_intervals(w: Permutation) -> set:
-    """{alpha > 0 : w^{-1}(alpha) < 0} directly from the one-line form."""
-    inv = w.inverse()
-    out = set()
-    for j in range(1, w.n + 1):
-        for k in range(j, w.n):
-            # alpha = eps_j - eps_{k+1}
-            if inv(j) > inv(k + 1):
-                out.add((j, k))
-    return out
-

@@ -167,6 +167,25 @@ def test_criterion_7_negative_weight_coset_family():
     ), bad
 
 
+CASES = (
+    "1-corrected-middle-equals-outer-ends",
+    "2-middle-equals-inner-ends",
+    "3-middle-equals-inner-ends",
+    "generic-reflected-middle-equals-inner-ends",
+)
+
+
+def _desk_tallies(rep):
+    """label -> (holds, total) from the tally lines of a thm-5.2 report."""
+    out = {}
+    for line in rep.details:
+        label, _, tally = line.strip().rpartition(": ")
+        holds, _, total = tally.partition("/")
+        if holds.isdigit() and total.isdigit():
+            out[label] = (int(holds), int(total))
+    return out
+
+
 def test_criterion_8_quotient_map_desk_checks():
     # every quotient coordinate is weight zero (asserted inside pi_tau)
     weight_zero_cells = 0
@@ -175,23 +194,27 @@ def test_criterion_8_quotient_map_desk_checks():
             flag.pi_tau(tau, n)
             weight_zero_cells += 1
 
-    reports = {n: flag.verify_w_stability(n, seed=0, samples=30) for n in (2, 3)}
+    reports = {n: exhaustive_check("thm-5.2", n=n, seed=0, samples=30) for n in (2, 3)}
+    tallies = {n: _desk_tallies(rep) for n, rep in reports.items()}
     ok = all(rep.ok for rep in reports.values())
 
     # at least 20 exact point pairs per cell parameter for injectivity
+    recovery = {n: t.get("torus-translate recovery", (0, 0)) for n, t in tallies.items()}
     ok = ok and all(
-        rep.injectivity[0] == rep.injectivity[1]
-        and rep.injectivity[1] >= 20 * math.factorial(n)
-        for n, rep in reports.items()
+        hits == total and total >= 20 * math.factorial(n)
+        for n, (hits, total) in recovery.items()
     )
 
     # each commutation case that occurs at n = 3 is hit at least 20 times
-    tallies = reports[3].case_tallies
-    ok = ok and all(hits == total and total >= 20 for hits, total in tallies.values())
+    cases = {k: tallies[3].get(f"case {k}", (0, 0)) for k in CASES}
+    ok = ok and all(hits == total and total >= 20 for hits, total in cases.values())
 
     # the validating index reading is recorded, not silently chosen
-    readings = reports[3].validated_readings
-    ok = ok and "quotient-map-sign" in readings and "generic-case-labels" in readings
+    readings = [line.strip() for line in reports[3].details]
+    ok = ok and all(
+        any(line.startswith(f"reading {key}:") for line in readings)
+        for key in ("quotient-map-sign", "generic-case-labels")
+    )
 
     # every induced generator rule holds at n = 2 and 3, and the induced
     # first-generator rule is an involution, symbolically
@@ -202,10 +225,14 @@ def test_criterion_8_quotient_map_desk_checks():
         8,
         ok,
         f"weight-zero on {weight_zero_cells} cells (n<=4); injectivity "
-        f"{reports[3].injectivity[1]} pairs at n=3; case tallies "
-        f"{ {k: v[1] for k, v in tallies.items()} }; readings recorded; "
+        f"{recovery[3][1]} pairs at n=3; case tallies "
+        f"{ {k: v[1] for k, v in cases.items()} }; readings recorded; "
         f"induced rule involutive",
-    ), (reports[2].ok, reports[3].ok, tallies, [rep.counterexample for rep in induced])
+    ), (
+        [rep.counterexample for rep in reports.values()],
+        cases,
+        [rep.counterexample for rep in induced],
+    )
 
 
 def test_criterion_9_stratum_family():

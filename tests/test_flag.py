@@ -7,11 +7,12 @@ import pytest
 
 from torusquot import flag, oracle
 from torusquot.flag import (
+    PRINTED_DIVERGENCES,
     RegularDominantChar,
-    all_positive_roots,
     cell_parameter,
     cyclic_element,
     decompose_point,
+    desk_check,
     flag_lattice,
     flag_reexpress_in_y,
     flag_y_names,
@@ -31,10 +32,10 @@ from torusquot.flag import (
     symbolic_coords,
     top_cell,
     torus_scale,
-    verify_w_stability,
 )
 from torusquot.invariants import ReexpressionError
 from torusquot.ratfunc import RationalFunction
+from torusquot.verify import exhaustive_check
 from torusquot.weyl import all_permutations, from_word, length, longest_element
 
 
@@ -44,7 +45,7 @@ from torusquot.weyl import all_permutations, from_word, length, longest_element
 
 def test_root_order_blocks_by_start_then_longest_first():
     assert root_order(3) == ((1, 3), (1, 2), (1, 1), (2, 3), (2, 2), (3, 3))
-    assert len(all_positive_roots(4)) == 10
+    assert len(root_order(4)) == 10
 
 
 def add_roots(a, b):
@@ -81,7 +82,7 @@ def test_beta_prime_unique_completion():
     rank 5, the only root through alpha_1 whose sum with beta is a root,
     the sum being [1, k]."""
     for rank in range(1, 6):
-        roots = all_positive_roots(rank)
+        roots = root_order(rank)
         for j, k in roots:
             if j > 1:
                 found = [g for g in roots if g[0] == 1 and add_roots(g, (j, k))]
@@ -308,26 +309,53 @@ def test_swap_rows_keeps_generic_top_cell_point_in_cell():
 
 
 # ---------------------------------------------------------------------------
-# the aggregated desk check
+# the desk check, one instance at a time
+
+
+def _tallies(n, seed=0, samples=30):
+    """label -> (holds, total) over every instance the desk check yields."""
+    out = {}
+    for check, ok, _ in desk_check(n, seed, samples):
+        holds, total = out.get(check, (0, 0))
+        out[check] = (holds + ok, total + 1)
+    return out
 
 
 def test_stability_report_small():
-    rep = verify_w_stability(2)
-    assert rep.ok
-    assert rep.support_preserved == (60, 60)
-    assert rep.injectivity == (40, 40)
-    assert rep.rescale_stable == (60, 60)
-    assert rep.case_tallies["3-middle-equals-inner-ends"] == (30, 30)
-    assert rep.global_identity["sign-dropped"] == (60, 60)
+    tallies = _tallies(2)
+    assert all(h == t for c, (h, t) in tallies.items() if c not in PRINTED_DIVERGENCES)
+    assert tallies["image support preserved"] == (60, 60)
+    assert tallies["torus-translate recovery"] == (40, 40)
+    assert tallies["rescale-invariant verdicts"] == (60, 60)
+    assert tallies["case 3-middle-equals-inner-ends"] == (30, 30)
+    assert tallies["commutation identity [sign-dropped]"] == (60, 60)
+
+
+def test_every_required_rule_is_hit_at_rank_three():
+    tallies = _tallies(3, samples=1)
+    for rule in (
+        "rule alpha-inverts",
+        "rule start-at-i-divides",
+        "rule end-at-i-divides-when-partner-absent",
+        "rule end-at-i-swaps-when-partner-present",
+        "rule end-before-i-swaps",
+    ):
+        holds, total = tallies[rule]
+        assert holds == total >= 1, rule
 
 
 def test_stability_report_records_sign_convention():
-    rep = verify_w_stability(2)
-    assert "leading minus dropped" in rep.validated_readings["quotient-map-sign"]
-    assert "s_i" in rep.validated_readings["case-3-right-end"]
-    assert "dropping the leading minus" in rep.sign_note
+    details = [line.strip() for line in exhaustive_check("thm-5.2", n=2, samples=6).details]
+    assert any(
+        line.startswith("reading quotient-map-sign:") and "leading minus dropped" in line
+        for line in details
+    )
+    assert any(line.startswith("reading case-3-right-end:") and "s_i" in line for line in details)
+    assert any(
+        line.startswith("note:") and "dropping the leading minus" in line for line in details
+    )
 
 
 def test_stability_check_refuses_large_rank():
     with pytest.raises(ValueError):
-        verify_w_stability(5)
+        next(desk_check(5))

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from torusquot import schubert
+from torusquot import flag, schubert
 from torusquot.cli import run
 from torusquot.schubert import (
     GrassmannElement,
@@ -15,7 +15,6 @@ from torusquot.schubert import (
     grassmann_leq,
     has_semistable,
     inversion_array,
-    inversion_intervals,
     row_starts,
     semistable_cells,
     tau_r,
@@ -149,5 +148,5 @@ def test_inversion_array_shape_and_intervals():
     assert arr.rows == (((1, 2), (2, 2)), ((1, 4), (2, 4), (4, 4)))
     assert row_starts(g, 2) == [1, 2, 4]  # skips a_1 + 1 = 3
     w = to_permutation(g)
-    assert set(r for row in arr.rows for r in row) == inversion_intervals(w)
+    assert set(r for row in arr.rows for r in row) == set(flag.inversion_roots(w))
 

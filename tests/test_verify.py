@@ -1,8 +1,11 @@
 """The named cross-check suites and their registry."""
 
+import json
+
 import pytest
 
-from torusquot import verify
+from torusquot import flag, verify
+from torusquot.cli import _jsonable, run
 from torusquot.verify import CheckReport, available_suites, exhaustive_check
 
 
@@ -138,3 +141,46 @@ def test_thm_suite_carries_reading_records():
     rep = exhaustive_check("thm-5.2", n=2, samples=6)
     blob = "\n".join(rep.details)
     assert "leading minus" in blob or "sign" in blob.lower()
+
+
+def _fail_third_support_check(monkeypatch, n, samples):
+    """Make the third sampled point's support check fail; returns the
+    `checked` count and the counterexample the runner must report."""
+    required = [
+        (check, witness)
+        for check, ok, witness in flag.desk_check(n, 0, samples)
+        if check not in flag.PRINTED_DIVERGENCES
+    ]
+    at = [k for k, (check, _) in enumerate(required) if check == "image support preserved"][2]
+    real, calls = flag.semistable_flag_support, []
+
+    def support(w, rank):
+        calls.append(w)
+        return (lambda coords: False) if len(calls) == 3 else real(w, rank)
+
+    monkeypatch.setattr(flag, "semistable_flag_support", support)
+    check, witness = required[at]
+    return len(flag.subgroup_fixing_last(n)) + at + 1, {"check": check, **witness}
+
+
+def test_thm_suite_fail_names_the_failing_instance(monkeypatch):
+    checked, counterexample = _fail_third_support_check(monkeypatch, 2, 6)
+    rep = exhaustive_check("thm-5.2", n=2, samples=6)
+    assert rep.status == "fail"
+    assert rep.checked == checked
+    assert rep.counterexample == counterexample
+    assert rep.counterexample["check"] == "image support preserved"
+    cells = {(flag.cyclic_element(2) * tau).images for tau in flag.subgroup_fixing_last(2)}
+    assert rep.counterexample["cell"] in cells
+    assert rep.details == ()
+
+
+def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
+    # the command line runs the default 12 samples
+    checked, counterexample = _fail_third_support_check(monkeypatch, 2, 12)
+    code = run(["verify", "--suite", "thm-5.2", "--n", "2", "--seed", "0"])
+    assert code == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["status"] == "fail"
+    assert results["checked"] == checked
+    assert results["counterexample"] == _jsonable(counterexample)
