@@ -175,15 +175,15 @@ def x_action(k: int, g: GrassmannElement) -> Substitution:
 
 def y_to_x(g: GrassmannElement) -> Substitution:
     """Each cross-ratio Y_{i,j} as a Laurent monomial in the X's."""
-    sub: Substitution = {}
-    for i, j in y_labels(inversion_array(g)):
-        li = g.a_seq[i - 1] - i + 1
-        sub[f"Y_{i}_{j}"] = (
-            x_variable(g, i, li)
-            * x_variable(g, i + 1, j)
-            / (x_variable(g, i, j) * x_variable(g, i + 1, li))
+    lattice = invariant_lattice(g)
+    return {
+        name: RationalFunction.from_terms(
+            lattice.x_names,
+            {tuple(max(e, 0) for e in exps): 1},
+            {tuple(max(-e, 0) for e in exps): 1},
         )
-    return sub
+        for name, exps in zip(lattice.y_names, lattice.generators)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -199,18 +199,11 @@ def reexpress_in_y(f: RationalFunction, g: GrassmannElement) -> RationalFunction
     return reexpress(f, invariant_lattice(g))
 
 
-def y_action(k: int, g: GrassmannElement, f: RationalFunction) -> RationalFunction:
-    """Action of s_k on a rational function of the Y's, via the X level."""
-    fx = f.subs(y_to_x(g), target_names=x_names(g))
-    gx = fx.subs(x_action(k, g))
-    return reexpress_in_y(gx, g)
-
-
 def y_action_substitution(k: int, g: GrassmannElement) -> Substitution:
-    return {
-        name: y_action(k, g, RationalFunction.variable(name, y_names(g)))
-        for name in y_names(g)
-    }
+    """Action of s_k on the Y's, via the X level: each Y's X monomial is
+    moved by s_k and re-expressed in the Y's."""
+    xsub = x_action(k, g)
+    return {name: reexpress_in_y(mono.subs(xsub), g) for name, mono in y_to_x(g).items()}
 
 
 def closed_y_action(k: int, g: GrassmannElement) -> Substitution:

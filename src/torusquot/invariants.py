@@ -12,7 +12,7 @@ an invariant rational function in either basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from . import linalg
@@ -64,7 +64,10 @@ class InvariantLattice:
     ``weights`` holds the integer torus weight of each X coordinate and
     ``generators`` the exponents of each quotient coordinate Y; a Y is
     ``sign`` times its X monomial (+1 for the Grassmannian cross-ratios,
-    -1 for the flag quotient coordinates).
+    -1 for the flag quotient coordinates).  ``left_inverse`` holds one
+    integer row per generator, pairing to 1 with it and to 0 with the
+    others; construction raises ``ValueError`` when none exists, that is
+    when the generators are not a basis of a saturated lattice.
     """
 
     x_names: Names
@@ -72,6 +75,25 @@ class InvariantLattice:
     y_names: Names
     generators: Tuple[Exponents, ...]
     sign: int
+    left_inverse: Tuple[Exponents, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "left_inverse", _left_inverse(self.generators))
+
+
+def _left_inverse(generators: Tuple[Exponents, ...]) -> Tuple[Exponents, ...]:
+    """Integer rows L with L G^T = I, G the generators as rows.
+
+    The Hermite form G U has the identity as its leading block exactly
+    when such rows exist; they are then the first columns of U.
+    """
+    k = len(generators)
+    if not k:
+        return ()
+    h, u = linalg.hnf_columns(generators)
+    if any(row[:k] != [int(a == c) for c in range(k)] for a, row in enumerate(h)):
+        raise ValueError("generators are not a basis of a saturated lattice")
+    return tuple(tuple(row[a] for row in u) for a in range(k))
 
 
 class ReexpressionError(ValueError):
@@ -84,9 +106,11 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     Requires numerator and denominator to be weight-homogeneous of a
     common weight (true for any invariant after gcd reduction, since
     distinct monomial weights cannot cancel); each monomial is then a
-    weight-zero multiple of the denominator's leading monomial and is
-    solved exactly in the generator lattice, the Y monomial with
-    exponents z standing for sign**sum(z) times its X monomial.
+    weight-zero multiple of the denominator's leading monomial, whose
+    exponents z in the generator lattice the left inverse gives and the
+    generators confirm.  The Y monomial with exponents z stands for
+    sign**sum(z) times its X monomial; all of them are shifted by a
+    common Y monomial so that numerator and denominator are polynomials.
     """
     if f.names != lattice.x_names:
         raise ValueError("expected a function of this cell's X coordinates")
@@ -104,32 +128,25 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     if wn != wd:
         raise ReexpressionError("function has nonzero torus weight")
     pivot = den[0][0]
-    mat = [[v[t] for v in lattice.generators] for t in range(len(pivot))]
 
-    def image(mono: Exponents, coeff) -> RationalFunction:
-        out = RationalFunction.constant(coeff, ynames)
-        target = [e - p for e, p in zip(mono, pivot)]
-        if not any(target):
-            return out
-        sol = linalg.solve_linear(mat, target)
-        if sol is None or any(z.denominator != 1 for z in sol):
+    def y_exponents(mono: Exponents) -> Exponents:
+        shift = [e - p for e, p in zip(mono, pivot)]
+        z = tuple(sum(a * b for a, b in zip(row, shift)) for row in lattice.left_inverse)
+        back = [sum(c * v[t] for c, v in zip(z, lattice.generators)) for t in range(len(shift))]
+        if back != shift:
             raise ReexpressionError("monomial outside the invariant lattice")
-        if lattice.sign < 0 and sum(sol) % 2:
-            out = -out
-        for name, z in zip(ynames, sol):
-            if z:
-                out = out * RationalFunction.variable(name, ynames) ** int(z)
-        return out
+        return z
 
-    num_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in num:
-        num_y = num_y + image(mono, coeff)
-    den_y = RationalFunction.constant(0, ynames)
-    for mono, coeff in den:
-        den_y = den_y + image(mono, coeff)
-    if den_y.is_zero:
-        raise ReexpressionError("denominator collapsed to zero")
-    return num_y / den_y
+    zs = [[(y_exponents(m), c) for m, c in terms] for terms in (num, den)]
+    low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
+    num_y, den_y = (
+        {
+            tuple(e - m for e, m in zip(z, low)): -c if lattice.sign < 0 and sum(z) % 2 else c
+            for z, c in terms
+        }
+        for terms in zs
+    )
+    return RationalFunction.from_terms(ynames, num_y, den_y)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,24 @@ class RationalFunction:
         names = tuple(names)
         return cls(names, _field_for(names).ground_new(_to_qq(value)))
 
+    @classmethod
+    def from_terms(
+        cls,
+        names: Names,
+        numer: Mapping[Tuple[int, ...], Scalar],
+        denom: Mapping[Tuple[int, ...], Scalar],
+    ) -> "RationalFunction":
+        """The reduced quotient of two polynomials given as exponent -> coefficient."""
+        names = tuple(names)
+        fld = _field_for(names)
+        num, den = (
+            fld.ring.from_dict({mon: _to_qq(c) for mon, c in terms.items()})
+            for terms in (numer, denom)
+        )
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        return cls(names, fld.new(num, den))
+
     # -- helpers -----------------------------------------------------
 
     def _coerce(self, other) -> "RationalFunction":
@@ -172,7 +190,9 @@ class RationalFunction:
         Values must all live over one variable tuple (the target).
         Source variables absent from the mapping are sent to the
         same-named target variable; if the target lacks that name the
-        variable must not occur.
+        variable must not occur.  The numerator and the denominator are
+        evaluated in the target's polynomial ring and reduced by one
+        cancellation.
         """
         if target_names is None:
             if mapping:
@@ -185,21 +205,39 @@ class RationalFunction:
                 raise ValueError(f"unknown variable {name!r}")
             if value.names != target_names:
                 raise ValueError("substitution values over mixed variable sets")
-        images: List[RationalFunction] = []
-        for name in self.names:
+        fld = _field_for(target_names)
+        numer, denom = self.elem.numer, self.elem.denom
+        if not numer:
+            return RationalFunction(target_names, fld.zero)
+        # Image p_i/q_i of variable i, over the common denominator
+        # prod q_i**d_i: monomial exponent e contributes p_i**e q_i**(d_i - e).
+        factors: List[Tuple[int, list]] = []
+        degrees = map(max, zip(*numer.itermonoms(), *denom.itermonoms()))
+        for i, (name, d) in enumerate(zip(self.names, degrees)):
+            if not d:
+                continue
             if name in mapping:
-                images.append(mapping[name])
+                img = mapping[name].elem
             elif name in target_names:
-                images.append(RationalFunction.variable(name, target_names))
-            elif self.uses(name):
-                raise ValueError(f"no image provided for occurring variable {name!r}")
+                img = fld.gens[target_names.index(name)]
             else:
-                images.append(RationalFunction.constant(0, target_names))
-        num = _eval_poly(self.elem.numer, images, target_names)
-        den = _eval_poly(self.elem.denom, images, target_names)
-        if den.is_zero:
+                raise ValueError(f"no image provided for occurring variable {name!r}")
+            p, q = _powers(img.numer, d), _powers(img.denom, d)
+            factors.append((i, [p[e] * q[d - e] for e in range(d + 1)]))
+
+        def cleared(poly):
+            total = fld.ring.zero
+            for mon, coeff in poly.terms():
+                term = fld.ring.ground_new(coeff)
+                for i, by_exponent in factors:
+                    term *= by_exponent[mon[i]]
+                total += term
+            return total
+
+        den = cleared(denom)
+        if not den:
             raise ZeroDivisionError("substitution sends the denominator to zero")
-        return num / den
+        return RationalFunction(target_names, fld.new(cleared(numer), den))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; the denominator must not vanish."""
@@ -232,17 +270,12 @@ class RationalFunction:
         return f"({num})/({den})"
 
 
-def _eval_poly(poly, images: List[RationalFunction], names: Names) -> RationalFunction:
-    total = RationalFunction.constant(0, names)
-    for mon, coeff in poly.terms():
-        term = RationalFunction.constant(
-            Fraction(int(coeff.numerator), int(coeff.denominator)), names
-        )
-        for img, e in zip(images, mon):
-            if e:
-                term = term * img ** e
-        total = total + term
-    return total
+def _powers(poly, d: int) -> list:
+    """poly**0, ..., poly**d."""
+    out = [poly.ring.one]
+    for _ in range(d):
+        out.append(out[-1] * poly)
+    return out
 
 
 def _eval_poly_scalar(poly, point: List[Fraction]) -> Fraction:

@@ -181,11 +181,20 @@ def _suite_prop_3_2(n: int = 6) -> Cases:
     )
 
 
+# n = 8 takes about 30 s; the sweep grows like n!, so n = 9 takes minutes.
+LEMMA_4_1_MAX_N = 8
+
+
 def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
     """No escape: a permutation keeping a generic point in its cell lies in
     the subgroup generated by the closure-stabilizing reflections."""
     if n < 4:
         raise ValueError(f"lemma-4.1 needs n >= 4 for a semistable rank-2 cell, got n={n}")
+    if n > LEMMA_4_1_MAX_N:
+        raise ValueError(
+            f"lemma-4.1 walks all n! row permutations per point; n={n} is over "
+            f"the limit n <= {LEMMA_4_1_MAX_N}"
+        )
     rng = random.Random(seed)
     nonzero = [v for v in range(-50, 51) if v]
     for g in schubert.semistable_cells(n, 2):

@@ -145,6 +145,13 @@ def test_lemma_4_1_refuses_n_below_four_by_name(capsys):
     assert "lemma-4.1 needs n >= 4" in err and "got n=3" in err
 
 
+def test_lemma_4_1_refuses_n_over_its_limit(capsys):
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-4.1", "--n", "9"])
+    assert code == 2
+    assert out == ""
+    assert "n=9 is over the limit n <= 8" in err
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -4,9 +4,12 @@ re-expression of invariant functions in it."""
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from torusquot import action, flag, schubert
+from torusquot import action, flag, linalg, schubert
 from torusquot.invariants import (
+    InvariantLattice,
     ReexpressionError,
     reexpress,
     verify_kernel_basis,
@@ -126,3 +129,132 @@ def test_grassmann_reexpression_refuses_non_invariants():
         action.reexpress_in_y((x11 + x12) / x12, g)
     with pytest.raises(ReexpressionError, match="denominator is not weight-homogeneous"):
         action.reexpress_in_y(x12 / (x11 + x12), g)
+
+
+def reference_reexpress(f, lattice):
+    """One exact rational solve per monomial and a field product per Y."""
+    ynames = lattice.y_names
+    num, den = f.numer_terms(), f.denom_terms()
+    pivot = den[0][0]
+    mat = [[v[t] for v in lattice.generators] for t in range(len(pivot))]
+
+    def image(mono, coeff):
+        out = RationalFunction.constant(coeff, ynames)
+        target = [e - p for e, p in zip(mono, pivot)]
+        if not any(target):
+            return out
+        sol = linalg.solve_linear(mat, target)
+        if sol is None or any(z.denominator != 1 for z in sol):
+            raise ReexpressionError("monomial outside the invariant lattice")
+        if lattice.sign < 0 and sum(sol) % 2:
+            out = -out
+        for name, z in zip(ynames, sol):
+            if z:
+                out = out * RationalFunction.variable(name, ynames) ** int(z)
+        return out
+
+    def evaluate(terms):
+        total = RationalFunction.constant(0, ynames)
+        for mono, coeff in terms:
+            total = total + image(mono, coeff)
+        return total
+
+    return evaluate(num) / evaluate(den)
+
+
+def _grassmann_case(n, r, a):
+    g = schubert.GrassmannElement(n, r, a)
+    return action.invariant_lattice(g), action.y_to_x(g)
+
+
+def _flag_case(n):
+    return flag.flag_lattice(n), flag.pi_tau(longest_element(range(1, n), n + 1), n)
+
+
+LATTICES = {
+    "grassmann (6, 3, (2, 3, 5))": _grassmann_case(6, 3, (2, 3, 5)),
+    "grassmann (7, 2, (4, 6))": _grassmann_case(7, 2, (4, 6)),
+    "flag n=3": _flag_case(3),
+}
+
+
+@settings(
+    derandomize=True, database=None, max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=st.sampled_from(sorted(LATTICES)), seed=st.integers(0, 2**16))
+def test_reexpress_matches_the_solve_linear_reference(case, seed):
+    lattice, to_x = LATTICES[case]
+    f = _random_invariant(lattice.y_names, random.Random(seed))
+    fx = f.subs(to_x, target_names=lattice.x_names)
+    got = reexpress(fx, lattice)
+    assert got == reference_reexpress(fx, lattice) == f
+    assert got.canonical() == f.canonical()
+
+
+def test_y_to_x_is_the_cross_ratio():
+    g = schubert.GrassmannElement(7, 3, (2, 4, 6))
+    x = action.x_variable
+    for i, j in y_labels(schubert.inversion_array(g)):
+        li = g.a_seq[i - 1] - i + 1
+        cross = x(g, i, li) * x(g, i + 1, j) / (x(g, i, j) * x(g, i + 1, li))
+        assert action.y_to_x(g)[f"Y_{i}_{j}"] == cross
+
+
+def test_left_inverse_exists_for_every_cell_and_flag_lattice():
+    lattices = [
+        action.invariant_lattice(g)
+        for n in range(4, 8)
+        for r in range(2, n - 1)
+        for g in schubert.semistable_cells(n, r)
+    ] + [flag.flag_lattice(n) for n in range(1, 6)]
+    for lattice in lattices:
+        gens = lattice.generators
+        assert len(lattice.left_inverse) == len(gens)
+        for a, row in enumerate(lattice.left_inverse):
+            pairings = [sum(c * e for c, e in zip(row, v)) for v in gens]
+            assert pairings == [int(a == b) for b in range(len(gens))]
+
+
+def test_y_action_substitution_solves_no_linear_system(monkeypatch):
+    calls = []
+    solve = linalg.solve_linear
+    monkeypatch.setattr(linalg, "solve_linear", lambda *args: calls.append(args) or solve(*args))
+    g = schubert.GrassmannElement(6, 3, (2, 3, 5))
+    for k in sorted(action.stabilizer_generators(g)):
+        assert action.y_action_substitution(k, g) == action.closed_y_action(k, g)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [action.invariant_lattice(schubert.GrassmannElement(5, 2, (1, 4))), flag.flag_lattice(1)],
+    ids=["cell without Ys", "flag n=1"],
+)
+def test_lattice_without_generators_reexpresses_constants(lattice):
+    assert lattice.generators == () and lattice.left_inverse == ()
+    for c in (0, 3, -2):
+        f = RationalFunction.constant(c, lattice.x_names)
+        assert reexpress(f, lattice) == RationalFunction.constant(c, lattice.y_names)
+    with pytest.raises(ReexpressionError, match="nonzero torus weight"):
+        reexpress(RationalFunction.variable(lattice.x_names[0], lattice.x_names), lattice)
+
+
+def test_lattice_refuses_generators_without_integer_left_inverse():
+    lattice, _ = LATTICES["grassmann (7, 2, (4, 6))"]
+    first = lattice.generators[0]
+    for gens in [(tuple(2 * e for e in first),), (first, first)]:
+        with pytest.raises(ValueError, match="saturated"):
+            InvariantLattice(lattice.x_names, lattice.weights, lattice.y_names[: len(gens)], gens, 1)
+
+
+def test_monomial_outside_the_lattice_is_refused():
+    lattice, to_x = LATTICES["grassmann (7, 2, (4, 6))"]
+    smaller = InvariantLattice(
+        lattice.x_names, lattice.weights, lattice.y_names[:1], lattice.generators[:1], 1
+    )
+    outside = to_x[lattice.y_names[1]]
+    with pytest.raises(ReexpressionError, match="monomial outside the invariant lattice"):
+        reexpress(outside, smaller)
+    with pytest.raises(ReexpressionError, match="monomial outside the invariant lattice"):
+        reference_reexpress(outside, smaller)

@@ -184,3 +184,13 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
     assert results["status"] == "fail"
     assert results["checked"] == checked
     assert results["counterexample"] == _jsonable(counterexample)
+
+
+def test_lemma_4_1_size_limit_is_checked_before_the_sweep():
+    limit = verify.LEMMA_4_1_MAX_N
+    with pytest.raises(ValueError, match=f"n={limit + 1} is over the limit"):
+        next(verify._suite_lemma_4_1(n=limit + 1))
+    cases = verify._suite_lemma_4_1(n=limit)
+    ok, witness = next(cases)
+    cases.close()
+    assert ok is True and witness["sigma"] == list(range(1, limit + 1))
