@@ -2,10 +2,11 @@
 
 Everything here recomputes its answers from first principles: explicit
 integer matrices for generic cell points, exact minor expansion for
-Pluecker supports, a phase-1 simplex over rationals for the barycenter
-feasibility test, and direct subset bumping for cell-closure stability.
-No code is shared with the modules under test beyond the Permutation
-type, so agreement between the two sides is evidence, not tautology.
+Pluecker supports, a fraction-free integer phase-1 simplex for the
+barycenter feasibility test, and direct subset bumping for cell-closure
+stability.  No code is shared with the modules under test beyond the
+Permutation type, so agreement between the two sides is evidence, not
+tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
@@ -16,9 +17,11 @@ rather than guessing when the draws keep disagreeing.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .weyl import Permutation
@@ -132,63 +135,83 @@ def cell_support(
 
 
 # ---------------------------------------------------------------------------
-# exact phase-1 simplex for barycenter membership
+# fraction-free phase-1 simplex for barycenter membership
+
+
+def _cleared(v: Rational, scale: int) -> int:
+    """v * scale, for a multiple `scale` of v's denominator."""
+    return v.numerator * (scale // v.denominator)
 
 
 def feasible_combination(
-    columns: List[List[Fraction]], b: List[Fraction]
+    columns: Sequence[Sequence[Rational]], b: Sequence[Rational]
 ) -> Tuple[bool, List[Fraction]]:
     """Solve sum_j x_j col_j = b, x >= 0 by phase-1 simplex, Bland's rule.
 
     Returns (True, x) with the feasible point, or (False, y) with a
     separating vector satisfying y . col_j <= 0 for all j and y . b > 0.
+
+    The arithmetic is fraction-free (Edmonds, 1967).  Every row is first
+    multiplied by the lcm D of all denominators; that only rescales the
+    artificial variables and the objective, so the pivots, x and y are
+    those of the simplex over the rationals.  The tableau, objective row
+    included, is then kept in integers over one positive common
+    denominator d: a pivot on p replaces every other row v by
+    (v * p - f * w) // d, an exact division, and sets d = p.
     """
     m = len(b)
     k = len(columns)
-    rows = [[columns[j][i] for j in range(k)] for i in range(m)]
-    for i in range(m):
-        if b[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            b = b[:i] + [-b[i]] + b[i + 1 :]
+    scale = math.lcm(
+        *(v.denominator for col in columns for v in col), *(v.denominator for v in b)
+    )
     # tableau: original columns, artificial identity, rhs
-    t = [rows[i] + [Fraction(int(i == p)) for p in range(m)] + [b[i]] for i in range(m)]
+    t: List[List[int]] = []
+    for i in range(m):
+        row = [_cleared(col[i], scale) for col in columns]
+        rhs = _cleared(b[i], scale)
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
+        t.append(row + [int(i == p) for p in range(m)] + [rhs])
     basis = [k + i for i in range(m)]
     # reduced costs for phase-1 objective (sum of artificials, basis cost 1)
-    z = [Fraction(0)] * (k + m)
-    for j in range(k + m):
-        z[j] = Fraction(int(j >= k)) - sum(t[i][j] for i in range(m))
+    z = [int(j >= k) - sum(row[j] for row in t) for j in range(k + m)]
+    d = 1
     while True:
-        enter = next((j for j in range(k + m) if z[j] < 0), None)
+        enter = next((j for j, v in enumerate(z) if v < 0), None)
         if enter is None:
             break
-        leave, best = None, None
-        for i in range(m):
-            if t[i][enter] > 0:
-                ratio = t[i][-1] / t[i][enter]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    leave, best = i, ratio
+        leave = None
+        for i, row in enumerate(t):
+            if row[enter] > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio test by cross-multiplication; ties go to the lower basis index
+                lhs = row[-1] * t[leave][enter]
+                rhs = t[leave][-1] * row[enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded")  # impossible
-        piv = t[leave][enter]
-        t[leave] = [v / piv for v in t[leave]]
-        for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                f = t[i][enter]
-                t[i] = [v - f * w for v, w in zip(t[i], t[leave])]
+        lead = t[leave]
+        p = lead[enter]
+        for i, row in enumerate(t):
+            if i != leave:
+                f = row[enter]
+                t[i] = [(v * p - f * w) // d for v, w in zip(row, lead)]
         f = z[enter]
-        z = [v - f * w for v, w in zip(z, t[leave][: k + m])]
+        z = [(v * p - f * w) // d for v, w in zip(z, lead)]
         basis[leave] = enter
+        d = p
     objective = sum(t[i][-1] for i in range(m) if basis[i] >= k)
     if objective == 0:
         x = [Fraction(0)] * k
         for i in range(m):
             if basis[i] < k:
-                x[basis[i]] = t[i][-1]
+                x[basis[i]] = Fraction(t[i][-1], d)
         return True, x
     # infeasible: read the separating vector off the artificial columns
-    y = [Fraction(1) - z[k + i] for i in range(m)]
+    y = [1 - Fraction(z[k + i], d) for i in range(m)]
     return False, y
 
 
@@ -209,27 +232,31 @@ def hm_semistable(
     A point with this support is semistable for the torus action iff
     (r/n, ..., r/n) is a convex combination of the indicator vectors of
     the support.  The returned certificate is checked by direct inner
-    products before being trusted.
+    products, in integers after clearing its denominators, before being
+    trusted.
     """
     subs = sorted(support)
-    cols = [
-        [Fraction(int(i in sub)) for i in range(1, n + 1)] + [Fraction(1)]
-        for sub in subs
-    ]
-    b = [Fraction(r, n)] * n + [Fraction(1)]
+    cols = [[int(i in sub) for i in range(1, n + 1)] + [1] for sub in subs]
+    nb = [r] * n + [n]
+    b = [Fraction(v, n) for v in nb]
     ok, vec = feasible_combination(cols, b)
     if ok:
         comb = {sub: coef for sub, coef in zip(subs, vec) if coef != 0}
+        column = dict(zip(subs, cols))
+        scale = math.lcm(*(c.denominator for c in comb.values()))
+        coefs = [_cleared(c, scale) for c in comb.values()]
         for i in range(n + 1):
-            total = sum(coef * cols[subs.index(sub)][i] for sub, coef in comb.items())
-            assert total == b[i], "feasibility certificate failed re-verification"
-        assert all(c >= 0 for c in comb.values())
+            total = sum(c * column[sub][i] for sub, c in zip(comb, coefs))
+            assert n * total == scale * nb[i], "feasibility certificate failed re-verification"
+        assert all(c >= 0 for c in coefs)
         return HMCertificate(True, comb, None)
+    scale = math.lcm(*(y.denominator for y in vec))
+    ys = [_cleared(y, scale) for y in vec]
     for col in cols:
-        assert sum(y * v for y, v in zip(vec, col)) <= 0, (
+        assert sum(y * v for y, v in zip(ys, col)) <= 0, (
             "separating vector failed re-verification"
         )
-    assert sum(y * v for y, v in zip(vec, b)) > 0
+    assert sum(y * v for y, v in zip(ys, nb)) > 0
     return HMCertificate(False, None, tuple(vec))
 
 
@@ -336,8 +363,8 @@ def flag_point_semistable(
     """
     n = len(mat)
     for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        permuted = [mat[sigma.inverse()(i + 1) - 1] for i in range(n)]
+        inverse = Permutation(images).inverse()
+        permuted = [mat[inverse(i + 1) - 1] for i in range(n)]
         w = flag_cell_of(permuted)
         if not all(c <= 0 for c in weight_image(w, coeffs)):
             return False

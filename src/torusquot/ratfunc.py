@@ -200,11 +200,7 @@ class RationalFunction:
             else:
                 target_names = self.names
         target_names = tuple(target_names)
-        for name, value in mapping.items():
-            if name not in self.names:
-                raise ValueError(f"unknown variable {name!r}")
-            if value.names != target_names:
-                raise ValueError("substitution values over mixed variable sets")
+        _check_images(mapping, self.names, target_names)
         fld = _field_for(target_names)
         numer, denom = self.elem.numer, self.elem.denom
         if not numer:
@@ -270,6 +266,15 @@ class RationalFunction:
         return f"({num})/({den})"
 
 
+def _check_images(mapping: Mapping[str, RationalFunction], source: Names, target: Names) -> None:
+    """Every mapped name must be a source variable, every image over `target`."""
+    for name, value in mapping.items():
+        if name not in source:
+            raise ValueError(f"unknown variable {name!r}")
+        if value.names != target:
+            raise ValueError("substitution values over mixed variable sets")
+
+
 def _powers(poly, d: int) -> list:
     """poly**0, ..., poly**d."""
     out = [poly.ring.one]
@@ -319,5 +324,30 @@ def identity_substitution(names: Names) -> Substitution:
 
 
 def compose(second: Substitution, first: Substitution) -> Substitution:
-    """The substitution applying `first`, then `second`, to each variable."""
-    return {name: value.subs(second) for name, value in first.items()}
+    """The substitution applying `first`, then `second`, to each variable.
+
+    An image of `first` that is a bare variable v becomes `second[v]`, or
+    the same-named target variable, without a `subs` call; every other
+    image goes through `subs`.  The mapping is checked as `subs` checks
+    it, once per variable tuple of `first`, so the bare images raise the
+    same `ValueError`s.
+    """
+    checked = set()
+    out: Substitution = {}
+    for name, value in first.items():
+        target = next(iter(second.values())).names if second else value.names
+        if value.names not in checked:
+            _check_images(second, value.names, target)
+            checked.add(value.names)
+        elem = value.elem
+        if not (elem.denom.is_one and elem.numer.is_generator):
+            out[name] = value.subs(second)
+            continue
+        var = value.names[elem.numer.ring.gens.index(elem.numer)]
+        if var in second:
+            out[name] = second[var]
+        elif var in target:
+            out[name] = RationalFunction.variable(var, target)
+        else:
+            raise ValueError(f"no image provided for occurring variable {var!r}")
+    return out

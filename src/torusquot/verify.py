@@ -107,9 +107,19 @@ def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     return (f"all ordered pairs of cells, n={n}, r in {list(rs)}",)
 
 
+# The slowest rank at n = 10 (r = 5 or 6) takes about 10 s; at n = 11 it
+# takes about 55 s.
+LEMMA_2_7_MAX_N = 10
+
+
 def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
     """Gateway criterion versus the sampling oracle, every cell, oracle
     seeds seed, seed + 1 and seed + 2."""
+    if n > LEMMA_2_7_MAX_N:
+        raise ValueError(
+            f"lemma-2.7 samples every cell of Gr(r, n) under three seeds; n={n} is "
+            f"over the limit n <= {LEMMA_2_7_MAX_N}"
+        )
     seeds = [seed, seed + 1, seed + 2]
     gate = {g.a_seq for g in schubert.semistable_cells(n, r)}
     cells = list(schubert.all_cells(n, r))

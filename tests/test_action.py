@@ -149,3 +149,40 @@ def test_standard_rep_action_shape():
     z1 = RationalFunction.variable("Z_1", standard_rep_names(2))
     assert standard_rep_action(2, 2, z1) == 1 - z1
     assert standard_rep_action(1, 2, z1) == 1 / z1
+
+
+def test_compose_skips_subs_on_bare_variable_images(monkeypatch):
+    original = RationalFunction.subs
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    for n in range(4, 7):
+        for r in range(2, n - 1):
+            for g in semistable_cells(n, r):
+                for k in sorted(stabilizer_generators(g)):
+                    for sub, names in ((x_action(k, g), x_names(g)), (closed_y_action(k, g), y_names(g))):
+                        ident = identity_substitution(names)
+                        for second, first in ((sub, sub), (ident, sub), (sub, ident)):
+                            assert compose(second, first) == {
+                                key: value.subs(second) for key, value in first.items()
+                            }
+                        monkeypatch.setattr(RationalFunction, "subs", counted)
+                        calls.clear()
+                        assert compose(ident, sub) == sub
+                        monkeypatch.setattr(RationalFunction, "subs", original)
+                        bare = set(ident.values())
+                        assert calls == [v for v in sub.values() if v not in bare]
+
+
+def test_compose_raises_as_subs_does_on_bare_images():
+    x, y = (RationalFunction.variable(name, ("x", "y")) for name in ("x", "y"))
+    u = RationalFunction.variable("u", ("u",))
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        compose({"z": u}, {"x": y})
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        compose({"x": u, "y": x}, {"x": y})
+    with pytest.raises(ValueError, match="no image provided for occurring variable 'y'"):
+        compose({"x": u}, {"x": y})

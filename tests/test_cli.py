@@ -152,6 +152,13 @@ def test_lemma_4_1_refuses_n_over_its_limit(capsys):
     assert "n=9 is over the limit n <= 8" in err
 
 
+def test_lemma_2_7_refuses_n_over_its_limit(capsys):
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", "11"])
+    assert code == 2
+    assert out == ""
+    assert "n=11 is over the limit n <= 10" in err
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -2,17 +2,27 @@
 
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: exact minors, support stabilization,
-feasibility certificates re-verified by hand, and the subset-bump
-closure test.
+feasibility certificates re-verified by hand, the fraction-free simplex
+against the rational one it replaced, the verdict against Edmonds' rank
+criterion, and the subset-bump closure test.
 """
 
+import ast
+import itertools
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
-from torusquot import schubert
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from torusquot import oracle, schubert
 from torusquot.oracle import (
     SAMPLE_BOUND,
+    HMCertificate,
     cell_semistable,
     cell_support,
+    feasible_combination,
     flag_cell_of,
     flag_point_semistable,
     hm_semistable,
@@ -24,6 +34,105 @@ from torusquot.oracle import (
     weight_image,
 )
 from torusquot.weyl import Permutation, simple_reflection
+
+
+def reference_feasible_combination(columns, b):
+    """The phase-1 simplex over `Fraction`s, Bland's rule: the reference
+    for the fraction-free one in `oracle`.  Entries must be `Fraction`s."""
+    m = len(b)
+    k = len(columns)
+    rows = [[columns[j][i] for j in range(k)] for i in range(m)]
+    for i in range(m):
+        if b[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            b = b[:i] + [-b[i]] + b[i + 1 :]
+    # tableau: original columns, artificial identity, rhs
+    t = [rows[i] + [Fraction(int(i == p)) for p in range(m)] + [b[i]] for i in range(m)]
+    basis = [k + i for i in range(m)]
+    # reduced costs for phase-1 objective (sum of artificials, basis cost 1)
+    z = [Fraction(0)] * (k + m)
+    for j in range(k + m):
+        z[j] = Fraction(int(j >= k)) - sum(t[i][j] for i in range(m))
+    while True:
+        enter = next((j for j in range(k + m) if z[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            if t[i][enter] > 0:
+                ratio = t[i][-1] / t[i][enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    leave, best = i, ratio
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded")  # impossible
+        piv = t[leave][enter]
+        t[leave] = [v / piv for v in t[leave]]
+        for i in range(m):
+            if i != leave and t[i][enter] != 0:
+                f = t[i][enter]
+                t[i] = [v - f * w for v, w in zip(t[i], t[leave])]
+        f = z[enter]
+        z = [v - f * w for v, w in zip(z, t[leave][: k + m])]
+        basis[leave] = enter
+    objective = sum(t[i][-1] for i in range(m) if basis[i] >= k)
+    if objective == 0:
+        x = [Fraction(0)] * k
+        for i in range(m):
+            if basis[i] < k:
+                x[basis[i]] = t[i][-1]
+        return True, x
+    # infeasible: read the separating vector off the artificial columns
+    y = [Fraction(1) - z[k + i] for i in range(m)]
+    return False, y
+
+
+def reference_certificate(support, n, r):
+    """The certificate `hm_semistable` returned with the rational simplex."""
+    subs = sorted(support)
+    cols = [
+        [Fraction(int(i in sub)) for i in range(1, n + 1)] + [Fraction(1)]
+        for sub in subs
+    ]
+    ok, vec = reference_feasible_combination(cols, [Fraction(r, n)] * n + [Fraction(1)])
+    if ok:
+        return HMCertificate(True, {sub: c for sub, c in zip(subs, vec) if c != 0}, None)
+    return HMCertificate(False, None, tuple(vec))
+
+
+@cache
+def conclusive_supports(n):
+    """(r, seed, support) for every conclusive sampled support of a cell of
+    Gr(r, n), 1 <= r <= n - 1, seeds 0-2; cells come from their column
+    sets, so nothing outside `oracle` is used."""
+    out = []
+    for r in range(1, n):
+        for head in itertools.combinations(range(1, n + 1), r):
+            tail = tuple(i for i in range(1, n + 1) if i not in head)
+            w = oracle.Permutation(head + tail)
+            for seed in range(3):
+                rep = cell_support(w, r, seed=seed)
+                if rep.conclusive:
+                    out.append((r, seed, rep.support))
+    return tuple(out)
+
+
+def reverify(cert, support, n, r):
+    """The certificate's conditions, checked in `Fraction` arithmetic."""
+    if cert.semistable:
+        assert cert.separator is None
+        assert all(c > 0 and sub in support for sub, c in cert.combination.items())
+        assert sum(cert.combination.values()) == 1
+        for i in range(1, n + 1):
+            mass = sum(c for sub, c in cert.combination.items() if i in sub)
+            assert mass == Fraction(r, n)
+    else:
+        assert cert.combination is None
+        y = cert.separator
+        for sub in support:
+            assert sum(y[i - 1] for i in sub) + y[n] <= 0
+        assert Fraction(r, n) * sum(y[:n]) + y[n] > 0
 
 
 def test_int_det_integer_exact():
@@ -61,26 +170,15 @@ def test_hm_certificate_combination_re_verifies():
     verdict, rep, cert = cell_semistable(schubert.to_permutation(g), 2, seed=0)
     assert verdict == "semistable"
     assert cert.semistable and cert.combination
-    total = [Fraction(0)] * 5
-    mass = Fraction(0)
-    for sub, coef in cert.combination.items():
-        assert coef > 0 and sub in rep.support
-        mass += coef
-        for i in sub:
-            total[i - 1] += coef
-    assert mass == 1
-    assert total == [Fraction(2, 5)] * 5  # barycenter hit exactly
+    reverify(cert, rep.support, 5, 2)  # barycenter hit exactly
 
 
 def test_hm_certificate_separator_re_verifies():
     g = schubert.GrassmannElement(5, 2, (1, 4))
     verdict, rep, cert = cell_semistable(schubert.to_permutation(g), 2, seed=0)
     assert verdict == "unstable"
-    y = cert.separator
-    assert y is not None
-    for sub in rep.support:
-        assert sum(y[i - 1] for i in sub) + y[5] <= 0
-    assert Fraction(2, 5) * sum(y[:5]) + y[5] > 0
+    assert cert.separator is not None
+    reverify(cert, rep.support, 5, 2)
 
 
 def test_hm_on_handmade_supports():
@@ -141,3 +239,85 @@ def test_flag_point_semistable_generic_vs_degenerate():
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
     assert not flag_point_semistable(degenerate, coeffs)
+
+
+SIMPLEX_PROPERTY = settings(
+    derandomize=True, database=None, max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def linear_programs(draw):
+    """(columns, b): m <= 5 rows, k <= 8 columns, signed int and Fraction
+    entries, b with negative entries allowed and zeros frequent, so that
+    degenerate pivots put Bland's tie-break to work."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 8))
+    columns = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
+    b = draw(st.lists(st.one_of(st.just(0), ENTRIES), min_size=m, max_size=m))
+    return columns, b
+
+
+@SIMPLEX_PROPERTY
+@given(lp=linear_programs())
+# a ratio tie that the lower basis index breaks, not the lower row
+@example(lp=([[-2, 2, 2], [0, 2, 1]], [0, 1, 1]))
+def test_fraction_free_simplex_matches_the_rational_reference(lp):
+    columns, b = lp
+    as_fractions = ([[Fraction(v) for v in col] for col in columns], [Fraction(v) for v in b])
+    try:
+        expected = reference_feasible_combination(*as_fractions)
+    except ArithmeticError:
+        try:
+            feasible_combination(columns, b)
+        except ArithmeticError:
+            return
+        raise AssertionError("the reference raised, the fraction-free simplex did not")
+    got = feasible_combination(columns, b)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got[1])
+
+
+def test_certificates_equal_the_rational_reference_n4_to_7():
+    for n in range(4, 8):
+        for r, _, support in conclusive_supports(n):
+            got = hm_semistable(support, n, r)
+            expected = reference_certificate(support, n, r)
+            assert got == expected and repr(got) == repr(expected), (n, r, sorted(support))
+
+
+def test_verdict_is_edmonds_rank_criterion_n_up_to_6():
+    # (r/n, ..., r/n) lies in the base polytope iff r |S| <= n rk(S) for every S
+    for n in range(2, 7):
+        subsets = [set(s) for size in range(n + 1) for s in itertools.combinations(range(1, n + 1), size)]
+        for r, _, support in conclusive_supports(n):
+            expected = all(
+                r * len(s) <= n * max(len(s.intersection(base)) for base in support)
+                for s in subsets
+            )
+            cert = hm_semistable(support, n, r)
+            assert cert.semistable == expected, (n, r, sorted(support))
+            reverify(cert, support, n, r)
+
+
+def test_oracle_imports_only_permutation_from_the_package():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    internal = [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "torusquot")
+    ]
+    plain = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "torusquot"
+    ]
+    assert internal == [("weyl", ["Permutation"])] and plain == []

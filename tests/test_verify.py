@@ -186,6 +186,16 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
     assert results["counterexample"] == _jsonable(counterexample)
 
 
+def test_lemma_2_7_size_limit_is_checked_before_any_sampling():
+    limit = verify.LEMMA_2_7_MAX_N
+    with pytest.raises(ValueError, match=f"n={limit + 1} is over the limit"):
+        next(verify._suite_lemma_2_7(n=limit + 1))
+    cases = verify._suite_lemma_2_7(n=limit)
+    ok, witness = next(cases)
+    cases.close()
+    assert ok is True and witness["a_seq"] == [0, 1]
+
+
 def test_lemma_4_1_size_limit_is_checked_before_the_sweep():
     limit = verify.LEMMA_4_1_MAX_N
     with pytest.raises(ValueError, match=f"n={limit + 1} is over the limit"):
