@@ -1,12 +1,12 @@
 """Independent ground truth for semistability and stabilizer checks.
 
 Everything here recomputes its answers from first principles: explicit
-integer matrices for generic cell points, exact minor expansion for
-Pluecker supports, a fraction-free integer phase-1 simplex for the
-barycenter feasibility test, and direct subset bumping for cell-closure
-stability.  No code is shared with the modules under test beyond the
-Permutation type, so agreement between the two sides is evidence, not
-tautology.
+integer matrices for generic cell points, Laplace expansion of the minors
+for Pluecker supports, a fraction-free integer phase-1 simplex for the
+barycenter feasibility test (one LP per distinct support), and direct
+subset bumping for cell-closure stability.  No code is shared with the
+modules under test beyond the Permutation type, so agreement between the
+two sides is evidence, not tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -29,35 +30,6 @@ from .weyl import Permutation
 Subset = Tuple[int, ...]
 
 SAMPLE_BOUND = 50  # coordinates are nonzero integers in [-50, 50]
-
-
-# ---------------------------------------------------------------------------
-# exact determinants
-
-
-def int_det(rows: List[List[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    a = [row[:] for row in rows]
-    m = len(a)
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +54,51 @@ def sample_cell_matrix(
 
     The point is u . w . P with u unipotent upper triangular supported on
     the inversion positions of w^{-1}; its column span is the span of
-    columns w(1), ..., w(r) of u.
+    columns w(1), ..., w(r) of u, written here without building u.  One
+    value is drawn per inversion position, kept or not, so the random
+    stream does not depend on r.
     """
     n = w.n
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    column = {w(k): k - 1 for k in range(1, r + 1)}
+    mat = [[0] * r for _ in range(n)]
+    for j, k in column.items():
+        mat[j - 1][k] = 1
     for i, j in inversion_positions(w):
         x = 0
         while x == 0:
             x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
-        u[i - 1][j - 1] = x
-    return [[u[i][w(k) - 1] for k in range(1, r + 1)] for i in range(n)]
+        if j in column:
+            mat[i - 1][column[j]] = x
+    return mat
 
 
 def minor_support(mat: List[List[int]], n: int, r: int) -> FrozenSet[Subset]:
-    """Row subsets with nonvanishing r x r minor."""
-    out = []
-    for rows in itertools.combinations(range(n), r):
-        if int_det([mat[i] for i in rows]) != 0:
-            out.append(tuple(i + 1 for i in rows))
-    return frozenset(out)
+    """Row subsets with nonvanishing r x r minor, by Laplace expansion.
+
+    After column c the nonzero c x c minors of the first c columns are
+    kept in a dict keyed by row bitmask; each extends to c + 1 columns
+    through the nonzero entries of column c, with sign
+    (-1)^(rows below the new row + c).
+    """
+    if len(mat) != n or any(len(row) != r for row in mat):
+        raise ValueError(f"expected an {n} x {r} matrix")
+    minors: Dict[int, int] = {0: 1}
+    for c in range(r):
+        entries = [(1 << i, row[c]) for i, row in enumerate(mat) if row[c] != 0]
+        grown: Dict[int, int] = {}
+        for rows, minor in minors.items():
+            for bit, v in entries:
+                if not rows & bit:
+                    term = minor * v
+                    if ((rows & (bit - 1)).bit_count() + c) & 1:
+                        term = -term
+                    grown[rows | bit] = grown.get(rows | bit, 0) + term
+        minors = {rows: m for rows, m in grown.items() if m != 0}
+    # inserted in lexicographic order, so the set iterates (and prints) as
+    # one built from itertools.combinations does
+    return frozenset(sorted(
+        tuple(i + 1 for i in range(n) if rows >> i & 1) for rows in minors
+    ))
 
 
 @dataclass(frozen=True)
@@ -224,6 +222,7 @@ class HMCertificate:
     separator: Optional[Tuple[Fraction, ...]]
 
 
+@lru_cache(maxsize=None)
 def hm_semistable(
     support: FrozenSet[Subset], n: int, r: int
 ) -> HMCertificate:
@@ -233,7 +232,8 @@ def hm_semistable(
     (r/n, ..., r/n) is a convex combination of the indicator vectors of
     the support.  The returned certificate is checked by direct inner
     products, in integers after clearing its denominators, before being
-    trusted.
+    trusted.  It depends on (support, n, r) alone, so it is computed once
+    per distinct support; callers must not mutate it.
     """
     subs = sorted(support)
     cols = [[int(i in sub) for i in range(1, n + 1)] + [1] for sub in subs]
@@ -287,11 +287,12 @@ def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
     dominated by `top`; the swap sends a dominated subset containing k
     but not k+1 to its bump, which must stay dominated.
     """
-    r = len(top)
-    for sub in itertools.combinations(range(1, n + 1), r):
-        if subset_leq(sub, top) and k in sub and k + 1 not in sub:
-            bumped = tuple(sorted(set(sub) - {k} | {k + 1}))
-            if not subset_leq(bumped, top):
+    top = tuple(sorted(top))
+    for sub in itertools.combinations(range(1, n + 1), len(top)):
+        # sub is sorted, and so is its bump, since k + 1 is not in sub
+        if k in sub and k + 1 not in sub and all(a <= b for a, b in zip(sub, top)):
+            bumped = tuple(k + 1 if a == k else a for a in sub)
+            if not all(a <= b for a, b in zip(bumped, top)):
                 return False
     return True
 

@@ -107,9 +107,8 @@ def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     return (f"all ordered pairs of cells, n={n}, r in {list(rs)}",)
 
 
-# The slowest rank at n = 10 (r = 5 or 6) takes about 10 s; at n = 11 it
-# takes about 55 s.
-LEMMA_2_7_MAX_N = 10
+# The slowest rank at n = 11 (r = 5 or 6) takes about 10 s.
+LEMMA_2_7_MAX_N = 11
 
 
 def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:

@@ -1,6 +1,33 @@
-"""Shared test plumbing: collect acceptance lines and show them last."""
+"""Shared test plumbing: collect acceptance lines and show them last, and
+the reference determinant that the oracle's minors and the HNF transform
+are checked against."""
 
 ACCEPTANCE_LINES = []
+
+
+def int_det(rows):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    a = [row[:] for row in rows]
+    m = len(a)
+    if m == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(m - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, m):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import torusquot
-from torusquot import __version__
+from torusquot import __version__, verify
 from torusquot.cli import _emit, _jsonable, build_parser, run
 
 
@@ -153,10 +153,11 @@ def test_lemma_4_1_refuses_n_over_its_limit(capsys):
 
 
 def test_lemma_2_7_refuses_n_over_its_limit(capsys):
-    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", "11"])
+    limit = verify.LEMMA_2_7_MAX_N
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", str(limit + 1)])
     assert code == 2
     assert out == ""
-    assert "n=11 is over the limit n <= 10" in err
+    assert f"n={limit + 1} is over the limit n <= {limit}" in err
 
 
 def test_verify_suite_checking_no_case_exits_one(capsys):

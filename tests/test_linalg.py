@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import int_det
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquot.linalg import (
     column_echelon,
@@ -12,7 +15,6 @@ from torusquot.linalg import (
     lattice_canonical_form,
     solve_linear,
 )
-from torusquot.oracle import int_det
 
 
 def test_solve_linear_unique():
@@ -74,6 +76,25 @@ def test_hnf_transform_is_unimodular():
             pivots.append(nz[0])
             assert h[nz[0]][j] > 0
     assert pivots == sorted(pivots)
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-4 rows, 1-5 columns, small signed entries with zeros frequent."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(a=integer_matrices())
+def test_hnf_is_a_times_a_unimodular_transform(a):
+    h, u = hnf_columns(a)
+    m = len(a[0])
+    assert len(u) == m and all(len(row) == m for row in u)
+    assert h == [[sum(a[i][k] * u[k][j] for k in range(m)) for j in range(m)] for i in range(len(a))]
+    assert int_det(u) in (1, -1)
 
 
 def test_integer_kernel_basis_exact():

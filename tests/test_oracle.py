@@ -1,18 +1,23 @@
 """Sampling Hilbert-Mumford oracle: certificates, verdicts, determinism.
 
 The oracle is the independent side of every cross-check, so its own
-internals get direct coverage: exact minors, support stabilization,
-feasibility certificates re-verified by hand, the fraction-free simplex
-against the rational one it replaced, the verdict against Edmonds' rank
-criterion, and the subset-bump closure test.
+internals get direct coverage: the Laplace-expanded minors against
+determinants, the r-column sampler against the n x n one it replaced,
+support stabilization, feasibility certificates re-verified by hand, one
+LP per distinct support, the fraction-free simplex against the rational
+one it replaced, the verdict against Edmonds' rank criterion, and the
+subset-bump closure test.
 """
 
 import ast
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+import pytest
+from conftest import int_det
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +31,7 @@ from torusquot.oracle import (
     flag_cell_of,
     flag_point_semistable,
     hm_semistable,
-    int_det,
+    inversion_positions,
     minor_support,
     reflection_preserves_closure,
     sample_cell_matrix,
@@ -34,6 +39,47 @@ from torusquot.oracle import (
     weight_image,
 )
 from torusquot.weyl import Permutation, simple_reflection
+
+
+def reference_sample_cell_matrix(w, r, rng):
+    """The sampler that built the n x n unipotent u: the reference for the
+    r-column one in `oracle`, draw for draw."""
+    n = w.n
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in inversion_positions(w):
+        x = 0
+        while x == 0:
+            x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+        u[i - 1][j - 1] = x
+    return [[u[i][w(k) - 1] for k in range(1, r + 1)] for i in range(n)]
+
+
+def reference_minor_support(mat, n, r):
+    """Row subsets whose r x r minor `int_det` finds nonzero."""
+    return frozenset(
+        tuple(i + 1 for i in rows)
+        for rows in itertools.combinations(range(n), r)
+        if int_det([mat[i] for i in rows]) != 0
+    )
+
+
+def reference_preserves_closure(top, k, n):
+    """The closure test that sorted both sides of every comparison."""
+    for sub in itertools.combinations(range(1, n + 1), len(top)):
+        if subset_leq(sub, top) and k in sub and k + 1 not in sub:
+            bumped = tuple(sorted(set(sub) - {k} | {k + 1}))
+            if not subset_leq(bumped, top):
+                return False
+    return True
+
+
+def cells(n):
+    """(w, r) for every cell of Gr(r, n), 1 <= r <= n - 1, built from its
+    column set, so nothing outside `oracle` is used."""
+    for r in range(1, n):
+        for head in itertools.combinations(range(1, n + 1), r):
+            tail = tuple(i for i in range(1, n + 1) if i not in head)
+            yield oracle.Permutation(head + tail), r
 
 
 def reference_feasible_combination(columns, b):
@@ -104,17 +150,13 @@ def reference_certificate(support, n, r):
 @cache
 def conclusive_supports(n):
     """(r, seed, support) for every conclusive sampled support of a cell of
-    Gr(r, n), 1 <= r <= n - 1, seeds 0-2; cells come from their column
-    sets, so nothing outside `oracle` is used."""
+    Gr(r, n), seeds 0-2."""
     out = []
-    for r in range(1, n):
-        for head in itertools.combinations(range(1, n + 1), r):
-            tail = tuple(i for i in range(1, n + 1) if i not in head)
-            w = oracle.Permutation(head + tail)
-            for seed in range(3):
-                rep = cell_support(w, r, seed=seed)
-                if rep.conclusive:
-                    out.append((r, seed, rep.support))
+    for w, r in cells(n):
+        for seed in range(3):
+            rep = cell_support(w, r, seed=seed)
+            if rep.conclusive:
+                out.append((r, seed, rep.support))
     return tuple(out)
 
 
@@ -143,8 +185,6 @@ def test_int_det_integer_exact():
 
 
 def test_sample_cell_matrix_lands_in_cell():
-    import random
-
     g = schubert.GrassmannElement(5, 2, (2, 4))
     w = schubert.to_permutation(g)
     mat = sample_cell_matrix(w, 2, random.Random(3))
@@ -154,6 +194,90 @@ def test_sample_cell_matrix_lands_in_cell():
     support = minor_support(mat, 5, 2)
     assert (3, 5) in support
     assert all(subset_leq(s, (3, 5)) for s in support)
+
+
+SAMPLED_CELLS = [(w, r, seed) for n in range(2, 9) for w, r in cells(n) for seed in range(3)]
+
+
+def test_sampler_draws_the_reference_stream_n_up_to_8():
+    assert len(SAMPLED_CELLS) == 1482
+    # a Grassmannian w inverts only into its first r columns; any other w
+    # also draws values that the r columns do not keep
+    others = [
+        (Permutation(images), r, seed)
+        for n in range(2, 6)
+        for images in itertools.permutations(range(1, n + 1))
+        for r in range(1, n)
+        for seed in range(3)
+    ]
+    for w, r, seed in SAMPLED_CELLS + others:
+        got = sample_cell_matrix(w, r, random.Random(seed))
+        assert got == reference_sample_cell_matrix(w, r, random.Random(seed)), (w, r, seed)
+
+
+def test_minor_support_matches_determinants_on_sampled_cells_n_up_to_8():
+    for w, r, seed in SAMPLED_CELLS:
+        mat = sample_cell_matrix(w, r, random.Random(seed))
+        got, expected = minor_support(mat, w.n, r), reference_minor_support(mat, w.n, r)
+        # the repr pins the iteration order too, which SupportReport's repr shows
+        assert got == expected and repr(got) == repr(expected), (w, r, seed)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(mat, n, r): n <= 7 rows, 1 <= r <= n columns, mostly zero entries,
+    with whole zero rows and columns forced in now and then, and now and
+    then a row that is a multiple of another, so that minors also vanish
+    by cancellation of nonzero terms."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.sampled_from(sorted({1, n, draw(st.integers(1, n))})))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    mat = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    for i, j, f in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.sampled_from([-2, -1, 2, 3])), max_size=1)):
+        mat[j] = [f * v for v in mat[i]]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        mat[i] = [0] * r
+    for c in draw(st.sets(st.integers(0, r - 1), max_size=1)):
+        for row in mat:
+            row[c] = 0
+    return mat, n, r
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=sparse_matrices())
+@example(case=([[0]], 1, 1))
+@example(case=([[1, 2], [3, 4]], 2, 2))
+# the determinant vanishes, the permanent does not
+@example(case=([[1, 2], [2, 4], [1, -1]], 3, 2))
+def test_minor_support_matches_determinants_on_sparse_matrices(case):
+    mat, n, r = case
+    assert minor_support(mat, n, r) == reference_minor_support(mat, n, r)
+
+
+def test_minor_support_refuses_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="3 x 2"):
+        minor_support([[1, 0], [0, 1]], 3, 2)
+    with pytest.raises(ValueError, match="3 x 2"):
+        minor_support([[1, 0], [0, 1], [1]], 3, 2)
+
+
+def test_one_lp_per_distinct_support(monkeypatch):
+    calls = []
+
+    def counting(columns, b):
+        calls.append(len(columns))
+        return feasible_combination(columns, b)
+
+    monkeypatch.setattr(oracle, "feasible_combination", counting)
+    hm_semistable.cache_clear()
+    w = schubert.to_permutation(schubert.GrassmannElement(6, 3, (2, 3, 5)))
+    runs = [cell_semistable(w, 3, seed=s) for s in (0, 1, 2)]
+    assert len({rep.support for _, rep, _ in runs}) == 1
+    assert len(calls) == 1
+    certs = [cert for _, _, cert in runs]
+    assert certs[0] == certs[1] == certs[2]
+    assert hm_semistable.cache_info().hits == 2
 
 
 def test_cell_support_deterministic_per_seed():
@@ -205,6 +329,16 @@ def test_subset_bump_closure():
     top = (3, 5)
     # bumping (3,5) itself at k = 3 gives (4,5), which escapes
     assert [k for k in range(1, 5) if reflection_preserves_closure(top, k, 5)] == [1, 2, 4]
+
+
+def test_closure_test_matches_the_sorting_reference_n_up_to_7():
+    for n in range(2, 8):
+        for r in range(1, n):
+            for head in itertools.combinations(range(1, n + 1), r):
+                for k in range(1, n):
+                    expected = reference_preserves_closure(head, k, n)
+                    assert reflection_preserves_closure(head, k, n) == expected
+                    assert reflection_preserves_closure(frozenset(head), k, n) == expected
 
 
 def test_weight_image_signs():
