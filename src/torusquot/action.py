@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantLattice,
@@ -26,7 +26,6 @@ from .invariants import (
     y_exponent,
     y_labels,
 )
-from .linalg import column_echelon
 from .ratfunc import Names, RationalFunction, Substitution, identity_substitution
 from .schubert import GrassmannElement, inversion_array, row_starts
 
@@ -299,31 +298,6 @@ def matrix_of_point(
         for q, start in enumerate(row_starts(g, j), start=1):
             mat[start - 1][j - 1] = Fraction(values[f"X_{j}_{q}"])
     return mat
-
-
-def coordinates_of_matrix(
-    mat: Sequence[Sequence[Fraction]], g: GrassmannElement
-) -> Dict[str, Fraction]:
-    """Cell coordinates of a column span lying in the open cell of g.
-
-    The echelon's columns, sorted by pivot row, are echelonized again:
-    that clears each pivot row from the columns above it and leaves the
-    canonical cell form.  Raises if the span's pivot set is not this
-    cell's column set.
-    """
-    pivots, cols = column_echelon(mat)
-    if sorted(pivots) != list(g.a_seq):
-        raise ValueError(
-            f"point lies in the cell with pivots {sorted(i + 1 for i in pivots)}, "
-            f"not {[x + 1 for x in g.a_seq]}"
-        )
-    by_pivot = sorted(range(g.r), key=pivots.__getitem__)
-    _, ordered = column_echelon(list(zip(*(cols[j] for j in by_pivot))))
-    out: Dict[str, Fraction] = {}
-    for j in range(1, g.r + 1):
-        for q, start in enumerate(row_starts(g, j), start=1):
-            out[f"X_{j}_{q}"] = ordered[j - 1][start - 1]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,12 @@ def _emit(command: str, params: Dict[str, object], results: object,
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
+def _emit_flags(args: argparse.Namespace, results: object, checks: List[Check]) -> int:
+    """Report with the parsed flags as ``params`` and seed 0."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return _emit(args.command, params, results, checks, 0)
+
+
 def _cell(n: int, r: int, a: List[int]) -> GrassmannElement:
     return GrassmannElement(n, r, tuple(a))
 
@@ -66,13 +72,13 @@ def _cmd_tau(args: argparse.Namespace) -> int:
             f"case-split form {list(case_split.a_seq)} disagrees with the descent "
             f"result {list(g.a_seq)} for n={args.n}, r={args.r}; the descent result is kept"
         ]
-    return _emit("tau", {"n": args.n, "r": args.r}, results, [], 0)
+    return _emit_flags(args, results, [])
 
 
 def _cmd_semistable_cells(args: argparse.Namespace) -> int:
     cells = [list(g.a_seq) for g in schubert.semistable_cells(args.n, args.r)]
     results = {"cells": cells, "count": len(cells)}
-    return _emit("semistable-cells", {"n": args.n, "r": args.r}, results, [], 0)
+    return _emit_flags(args, results, [])
 
 
 def _cmd_inversions(args: argparse.Namespace) -> int:
@@ -86,9 +92,7 @@ def _cmd_inversions(args: argparse.Namespace) -> int:
         "intervals": intervals,
         "labels": [list(p) for p in arr.positions()],
     }
-    return _emit(
-        "inversions", {"a": args.a, "n": args.n, "r": args.r}, results, [], 0
-    )
+    return _emit_flags(args, results, [])
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
@@ -110,9 +114,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             "lattice_equality": rep.lattice_equality,
         }
     results = {"count": len(monomials), "monomials": monomials}
-    return _emit(
-        "invariants", {"a": args.a, "n": args.n, "r": args.r}, results, [check], 0
-    )
+    return _emit_flags(args, results, [check])
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
@@ -128,8 +130,7 @@ def _cmd_act(args: argparse.Namespace) -> int:
     checks: List[Check] = [
         {"name": "involution", "status": "pass" if involution else "fail"}
     ]
-    params = {"a": args.a, "gen": k, "n": args.n, "r": args.r}
-    return _emit("act", params, results, checks, 0)
+    return _emit_flags(args, results, checks)
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
@@ -148,7 +149,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
             for d in rep.descriptors
         ],
     }
-    return _emit("strata", {"n": args.n}, results, [], 0)
+    return _emit_flags(args, results, [])
 
 
 def _cmd_flag_negative(args: argparse.Namespace) -> int:
@@ -164,9 +165,7 @@ def _cmd_flag_negative(args: argparse.Namespace) -> int:
         "count": len(elements),
         "elements": sorted(list(w.images) for w in elements),
     }
-    return _emit(
-        "flag-negative", {"chi": args.chi, "n": args.n}, results, [check], 0
-    )
+    return _emit_flags(args, results, [check])
 
 
 def _cmd_flag_quotient(args: argparse.Namespace) -> int:
@@ -181,8 +180,7 @@ def _cmd_flag_quotient(args: argparse.Namespace) -> int:
         "tau_one_line": list(tau.images),
     }
     checks: List[Check] = [{"name": "weight-zero", "status": "pass"}]
-    params = {"n": args.n, "tau": list(args.tau)}
-    return _emit("flag-quotient", params, results, checks, 0)
+    return _emit_flags(args, results, checks)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -1,5 +1,5 @@
-"""Small exact linear algebra: a column echelon generic over the scalar,
-a solver over Fraction and Hermite forms over the integers.
+"""Small exact linear algebra: a column echelon generic over the scalar
+and Hermite forms over the integers.
 
 Everything here works on plain lists of lists; matrices are modest
 (at most a few dozen rows), so clarity wins over asymptotics.
@@ -8,54 +8,9 @@ Everything here works on plain lists of lists; matrices are modest
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-Matrix = List[List[Q]]
 IntMatrix = List[List[int]]
-
-
-def _to_q(rows: Sequence[Sequence]) -> Matrix:
-    return [[Q(x) for x in row] for row in rows]
-
-
-def solve_linear(a: Sequence[Sequence], b: Sequence) -> Optional[List[Q]]:
-    """One solution of A x = b over the rationals, or None if inconsistent.
-
-    If the system is underdetermined the free variables are set to 0.
-    """
-    m = _to_q(a)
-    rhs = [Q(x) for x in b]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if len(rhs) != nrows:
-        raise ValueError("dimension mismatch")
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        rhs[row] *= inv
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-                rhs[r] -= f * rhs[row]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if rhs[r] != 0:
-            return None
-    x = [Q(0)] * ncols
-    for r, c in pivots:
-        x[c] = rhs[r]
-    return x
 
 
 def column_echelon(mat: Sequence[Sequence]) -> Tuple[List[int], List[list]]:

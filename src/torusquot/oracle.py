@@ -11,7 +11,12 @@ two sides is evidence, not tautology.
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
 supports from three consecutive draws and reports "inconclusive"
-rather than guessing when the draws keep disagreeing.
+rather than guessing when the draws keep disagreeing.  A nonzero minor
+of a cell point has degree at most r in its coordinates, so by
+Schwartz-Zippel one draw sends some nonzero minor to zero with
+probability at most C(n, r) r / (2 SAMPLE_BOUND).  A bound of 50 puts
+that at 23 for n = 11, r = 7, where three agreeing draws become rare;
+at 10**6 it stays below 0.002 for every n <= 11.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .weyl import Permutation
 
 Subset = Tuple[int, ...]
 
-SAMPLE_BOUND = 50  # coordinates are nonzero integers in [-50, 50]
+SAMPLE_BOUND = 10**6  # coordinates are nonzero integers in [-SAMPLE_BOUND, SAMPLE_BOUND]
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +280,6 @@ def cell_semistable(
 # stabilizer of a cell closure, by subset bumping
 
 
-def subset_leq(s: Subset, t: Subset) -> bool:
-    """Componentwise comparison of sorted column sets (cell-closure order)."""
-    return all(a <= b for a, b in zip(sorted(s), sorted(t)))
-
-
 def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
     """Does swapping k and k+1 map the cell closure of `top` into itself?
 
@@ -361,6 +361,11 @@ def flag_point_semistable(
     The flag spanned by the columns is semistable iff for every
     permutation sigma of the rows, the pivot cell w of the permuted
     flag satisfies w(chi) <= 0 coefficientwise.
+
+    No package code calls this: the tests compare it with
+    ``flag.semistable_flag_support``, and the benchmark's oracle
+    workload times it.  It stays here until a flag-matroid rank check
+    replaces its n! enumeration (ROADMAP item 3).
     """
     n = len(mat)
     for images in itertools.permutations(range(1, n + 1)):

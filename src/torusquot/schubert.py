@@ -29,7 +29,11 @@ Interval = Tuple[int, int]  # (j, k) stands for alpha_j + ... + alpha_k
 
 @dataclass(frozen=True)
 class GrassmannElement:
-    """A cell label for the quotient by the parabolic P_r."""
+    """A cell label for the quotient by the parabolic P_r.
+
+    Absent blocks (a_j = j - 1) always form a head: a_j >= j and strict
+    increase give a_{j+1} >= j + 1, so no check is needed for them.
+    """
 
     n: int
     r: int
@@ -48,24 +52,6 @@ class GrassmannElement:
             if not j - 1 <= aj <= n - r + j - 1:
                 raise ValueError(f"a_{j}={aj} out of range [{j-1}, {n-r+j-1}]")
             prev = aj
-        # absent blocks (a_j = j - 1) may only form a head
-        seen_active = False
-        for j, aj in enumerate(a, start=1):
-            if aj >= j:
-                seen_active = True
-            elif seen_active:
-                raise ValueError(f"absent block after an active one: {a}")
-
-    @property
-    def start_index(self) -> int:
-        """Index of the first active block; r + 1 for the identity."""
-        for j, aj in enumerate(self.a_seq, start=1):
-            if aj >= j:
-                return j
-        return self.r + 1
-
-    def is_identity(self) -> bool:
-        return self.start_index == self.r + 1
 
 
 def word_of(g: GrassmannElement) -> Tuple[int, ...]:
@@ -134,16 +120,6 @@ def tau_r_closed_form(n: int, r: int) -> GrassmannElement:
     return GrassmannElement(n, r, a)
 
 
-def tau_r_ceil_form(n: int, r: int) -> GrassmannElement:
-    """Minimal semistable cell as evenly spread rounding: a_i = ceil(i n / r) - 1.
-
-    Equivalently w([1, r]) = {ceil(j n / r) : j = 1..r}, the column set
-    whose running count matches floor(k r / n) at every k.  Tests verify
-    this agrees with the descent computation exhaustively.
-    """
-    return GrassmannElement(n, r, tuple(-(i * n // -r) - 1 for i in range(1, r + 1)))
-
-
 def tau_r(n: int, r: int) -> GrassmannElement:
     """Minimal cell whose closure meets the semistable locus.
 
@@ -154,11 +130,6 @@ def tau_r(n: int, r: int) -> GrassmannElement:
         raise ValueError(f"need 2 <= r <= n - 2, got n={n}, r={r}")
     w = minuscule_floor_element(fundamental_weight(r, n), mode="ceil")
     return from_permutation(w, r)
-
-
-def has_semistable(g: GrassmannElement) -> bool:
-    """True iff the cell of g contains a semistable point (tau_r <= g)."""
-    return grassmann_leq(tau_r(g.n, g.r), g)
 
 
 def semistable_cells(n: int, r: int) -> List[GrassmannElement]:

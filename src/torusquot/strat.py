@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import List, Tuple
 
-from .schubert import tau_r_ceil_form
+from .schubert import tau_r
 
 
 def _check_n(n: int) -> None:
@@ -27,9 +27,9 @@ def _check_n(n: int) -> None:
 
 
 def closed_parameter(n: int) -> int:
-    """Cell parameter of the closed stratum: ceil((n-1)/2)."""
+    """Cell parameter of the closed stratum: ceil((n-1)/2) = floor(n/2)."""
     _check_n(n)
-    return (n - 1 + 1) // 2 if (n - 1) % 2 else (n - 1) // 2
+    return n // 2
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def strata_report(n: int) -> StrataReport:
             f"emitted family pairs index i with parameter i + {m} - 1 instead"
         )
     ]
-    least_semistable = tau_r_ceil_form(n, 2).a_seq[0]
+    least_semistable = tau_r(n, 2).a_seq[0]
     if least_semistable < m:
         divergences.append(
             f"cells (m', {n - 1}) admit semistable points for m' >= "

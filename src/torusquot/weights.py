@@ -14,9 +14,9 @@ coefficients back.  This agrees with the product of the simple
 reflections s_i(chi) = chi - <chi, alpha_i^vee> alpha_i along any word
 for w; the tests compare the two.
 
-Fundamental weights are obtained by solving the Cartan system, not
-from a closed form; the closed form is checked against this in the
-tests.
+Fundamental weights come from the inverse Cartan matrix in closed
+form, omega_r = sum_j min(r, j) (n - max(r, j)) / n alpha_j; the tests
+check it against a solve of the Cartan system.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import accumulate
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
-from . import linalg
-from .weyl import Permutation
+from .weyl import Permutation, identity, simple_reflection
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,6 @@ def simple_root(i: int, rank: int) -> Weight:
     return Weight(tuple(Q(1) if j == i else Q(0) for j in range(1, rank + 1)))
 
 
-def cartan_matrix(rank: int) -> List[List[int]]:
-    """Type A Cartan matrix: 2 on the diagonal, -1 off by one."""
-    return [
-        [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
-        for i in range(rank)
-    ]
-
-
 def pairing(chi: Weight, j: int) -> Q:
     """<chi, alpha_j^vee> = 2 m_j - m_{j-1} - m_{j+1}, the j-th Cartan row."""
     if not 1 <= j <= chi.rank:
@@ -79,15 +70,15 @@ def pairing(chi: Weight, j: int) -> Q:
 
 
 def fundamental_weight(r: int, n: int) -> Weight:
-    """omega_r for sl_n, solved from <omega_r, alpha_j^vee> = delta_rj."""
-    rank = n - 1
-    if not 1 <= r <= rank:
+    """omega_r for sl_n: the r-th column of the inverse Cartan matrix.
+
+    The coefficient of alpha_j is min(r, j) (n - max(r, j)) / n, so that
+    <omega_r, alpha_j^vee> = delta_rj (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 13.2).
+    """
+    if not 1 <= r <= n - 1:
         raise ValueError(f"fundamental weight index {r} out of range for sl_{n}")
-    a = cartan_matrix(rank)
-    e = [Q(1) if j == r - 1 else Q(0) for j in range(rank)]
-    sol = linalg.solve_linear(a, e)
-    assert sol is not None  # the Cartan matrix is invertible
-    return Weight(tuple(sol))
+    return Weight(tuple(Q(min(r, j) * (n - max(r, j)), n) for j in range(1, n)))
 
 
 def act(w: Permutation, chi: Weight) -> Weight:
@@ -125,8 +116,6 @@ def minuscule_floor_element(omega: Weight, mode: str = "ceil") -> Permutation:
     """
     target = _extremal_target(omega, mode)
     n = omega.rank + 1
-    from .weyl import identity, simple_reflection  # local to avoid cycle noise
-
     w = identity(n)
     chi = omega
     steps = height(chi - target)

@@ -1,15 +1,9 @@
-"""Symmetric group combinatorics: words, lengths, cosets and two orders.
+"""Symmetric group combinatorics: permutations, words and parabolic
+subgroups.
 
 Permutations are written in one-line notation over {1, ..., n}.  The
 simple transposition s_i swaps the values i and i+1; products compose
 as functions, so in ``u * v`` the permutation ``v`` acts first.
-
-Two partial orders appear side by side.  ``bruhat_leq`` is the
-length-additive order (u <= w iff l(w) = l(u) + l(w u^-1), the left
-weak order) and ``bruhat_leq_classical`` is the usual subword order.
-Neither is on the main path, which orders Grassmannian cells by
-``schubert.grassmann_leq``; the tests check that all three orders agree
-on Grassmannian quotients.
 """
 
 from __future__ import annotations
@@ -17,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
-
-Word = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,64 +73,6 @@ def from_word(word: Iterable[int], n: int) -> Permutation:
     return w
 
 
-def length(w: Permutation) -> int:
-    """Coxeter length = number of inversions.
-
-    >>> length(from_word([2, 1, 4, 3, 2], 5))
-    5
-    """
-    img = w.images
-    return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if img[i] > img[j])
-
-
-def left_descents(w: Permutation) -> Tuple[int, ...]:
-    """Indices i with l(s_i w) < l(w), i.e. i appears after i+1 in w."""
-    inv = w.inverse().images
-    return tuple(i for i in range(1, w.n) if inv[i - 1] > inv[i])
-
-
-def reduced_word(w: Permutation) -> Word:
-    """Reduced word for w, peeling the smallest left descent first."""
-    letters = []
-    cur = w
-    while True:
-        des = left_descents(cur)
-        if not des:
-            break
-        i = des[0]
-        letters.append(i)
-        cur = simple_reflection(i, cur.n) * cur
-    return tuple(letters)
-
-
-def bruhat_leq(u: Permutation, w: Permutation) -> bool:
-    """Length-additive order: u <= w iff l(w) = l(u) + l(w u^-1)."""
-    if u.n != w.n:
-        raise ValueError("dimension mismatch")
-    return length(w) == length(u) + length(w * u.inverse())
-
-
-def bruhat_leq_classical(u: Permutation, w: Permutation) -> bool:
-    """Subword (classical Bruhat) order, via prefix dominance.
-
-    u <= w iff for every k the sorted initial values u(1..k) are
-    dominated entrywise by the sorted initial values w(1..k).
-    """
-    if u.n != w.n:
-        raise ValueError("dimension mismatch")
-    for k in range(1, u.n):
-        us = sorted(u.images[:k])
-        ws = sorted(w.images[:k])
-        if any(a > b for a, b in zip(us, ws)):
-            return False
-    return True
-
-
-def is_min_coset_rep(w: Permutation, I: Iterable[int]) -> bool:
-    """True iff w sends every simple root indexed by I to a positive root."""
-    return all(w(i) < w(i + 1) for i in I)
-
-
 def longest_element(I: Iterable[int], n: int) -> Permutation:
     """Longest element of the parabolic subgroup W_I of S_n.
 
@@ -185,14 +119,6 @@ def parabolic_elements(I: Iterable[int], n: int) -> Iterator[Permutation]:
                 ok = False
                 break
         if ok:
-            yield w
-
-
-def min_coset_reps(I: Iterable[int], n: int) -> Iterator[Permutation]:
-    """All minimal coset representatives in W / W_I (small n only)."""
-    iset = sorted(set(I))
-    for w in all_permutations(n):
-        if is_min_coset_rep(w, iset):
             yield w
 
 

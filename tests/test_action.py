@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import coordinates_of_matrix
 
 from torusquot.action import (
     adjoint_torus_action,
     check_equivariance,
     closed_y_action,
-    coordinates_of_matrix,
     matrix_of_point,
     r2_action,
     r2_names,

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import length
 
 from torusquot import flag, oracle
 from torusquot.flag import (
@@ -36,7 +37,7 @@ from torusquot.flag import (
 from torusquot.invariants import ReexpressionError
 from torusquot.ratfunc import RationalFunction
 from torusquot.verify import exhaustive_check
-from torusquot.weyl import all_permutations, from_word, length, longest_element
+from torusquot.weyl import all_permutations, from_word, longest_element
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import int_det
+from conftest import int_det, solve_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from torusquot.linalg import (
     hnf_columns,
     integer_kernel_basis,
     lattice_canonical_form,
-    solve_linear,
 )
 
 

@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from conftest import int_det
+from conftest import has_semistable, int_det, subset_leq
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +35,6 @@ from torusquot.oracle import (
     minor_support,
     reflection_preserves_closure,
     sample_cell_matrix,
-    subset_leq,
     weight_image,
 )
 from torusquot.weyl import Permutation, simple_reflection
@@ -289,6 +288,17 @@ def test_cell_support_deterministic_per_seed():
     assert one.conclusive
 
 
+def test_a_gr_7_11_cell_settles_in_three_draws():
+    """With coordinates in [-50, 50] this cell's eight draws never gave
+    three agreeing supports in a row, so lemma-2.7 --n 11 --r 7 was
+    inconclusive; the Schwartz-Zippel bound in the module docstring says
+    why."""
+    g = schubert.GrassmannElement(11, 7, (1, 4, 6, 7, 8, 9, 10))
+    rep = cell_support(schubert.to_permutation(g), 7, seed=1)
+    assert rep.conclusive and len(rep.draws) == 3
+    assert len(rep.support) == 292
+
+
 def test_hm_certificate_combination_re_verifies():
     g = schubert.GrassmannElement(5, 2, (2, 4))
     verdict, rep, cert = cell_semistable(schubert.to_permutation(g), 2, seed=0)
@@ -321,7 +331,7 @@ def test_three_seed_consensus_matches_gateway_n5():
         w = schubert.to_permutation(g)
         verdicts = {cell_semistable(w, 2, seed=s)[0] for s in (0, 1, 2)}
         assert len(verdicts) == 1
-        expected = "semistable" if schubert.has_semistable(g) else "unstable"
+        expected = "semistable" if has_semistable(g) else "unstable"
         assert verdicts == {expected}
 
 

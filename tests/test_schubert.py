@@ -4,6 +4,7 @@ import json
 import warnings
 
 import pytest
+from conftest import has_semistable, length, min_coset_reps, tau_r_ceil_form
 
 from torusquot import flag, schubert
 from torusquot.cli import run
@@ -13,17 +14,14 @@ from torusquot.schubert import (
     cell_length,
     from_permutation,
     grassmann_leq,
-    has_semistable,
     inversion_array,
     row_starts,
     semistable_cells,
     tau_r,
-    tau_r_ceil_form,
     tau_r_closed_form,
     to_permutation,
     word_of,
 )
-from torusquot.weyl import length, min_coset_reps
 
 
 def test_a_seq_validation():

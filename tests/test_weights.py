@@ -4,22 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import cartan_matrix, min_coset_reps, reduced_word, solve_linear
 
 from torusquot.weights import (
     act,
-    cartan_matrix,
     fundamental_weight,
     minuscule_floor_element,
     pairing,
     weight,
 )
-from torusquot.weyl import (
-    all_permutations,
-    from_word,
-    min_coset_reps,
-    reduced_word,
-    simple_reflection,
-)
+from torusquot.weyl import all_permutations, from_word, simple_reflection
 
 
 def q(*vals):
@@ -29,6 +23,15 @@ def q(*vals):
 def test_fundamental_weight_coeffs():
     # n = 4: omega_2 = (1/2, 1, 1/2) over the simple roots
     assert fundamental_weight(2, 4).coeffs == q(Fraction(1, 2), 1, Fraction(1, 2))
+
+
+def test_fundamental_weight_closed_form_is_the_cartan_solve():
+    for n in range(2, 14):
+        for r in range(1, n):
+            e = [int(j == r) for j in range(1, n)]
+            solved = tuple(solve_linear(cartan_matrix(n - 1), e))
+            assert fundamental_weight(r, n).coeffs == solved
+            assert repr(fundamental_weight(r, n).coeffs) == repr(solved)
 
 
 def test_pairing_with_coroots_is_cartan_shaped():

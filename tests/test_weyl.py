@@ -3,22 +3,24 @@
 import itertools
 
 import pytest
+from conftest import (
+    bruhat_leq,
+    bruhat_leq_classical,
+    is_min_coset_rep,
+    left_descents,
+    length,
+    min_coset_reps,
+    reduced_word,
+)
 
 from torusquot.schubert import all_cells, grassmann_leq, to_permutation
 from torusquot.weyl import (
     Permutation,
     all_permutations,
-    bruhat_leq,
-    bruhat_leq_classical,
     from_word,
     identity,
-    is_min_coset_rep,
-    left_descents,
-    length,
     longest_element,
-    min_coset_reps,
     parabolic_elements,
-    reduced_word,
     simple_reflection,
 )
 
