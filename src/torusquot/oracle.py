@@ -3,10 +3,11 @@
 Everything here recomputes its answers from first principles: explicit
 integer matrices for generic cell points, Laplace expansion of the minors
 for Pluecker supports, a fraction-free integer phase-1 simplex for the
-barycenter feasibility test (one LP per distinct support), and direct
-subset bumping for cell-closure stability.  No code is shared with the
-modules under test beyond the Permutation type, so agreement between the
-two sides is evidence, not tautology.
+barycenter feasibility test (one LP per distinct support), direct
+subset bumping for cell-closure stability, and, for full flags, the
+flag-matroid rank inequalities read off the same minors.  No code is
+shared with the modules under test beyond the Permutation type, so
+agreement between the two sides is evidence, not tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
@@ -35,6 +36,7 @@ from .weyl import Permutation
 Subset = Tuple[int, ...]
 
 SAMPLE_BOUND = 10**6  # coordinates are nonzero integers in [-SAMPLE_BOUND, SAMPLE_BOUND]
+EXTRA_DRAWS = 5  # draws allowed after the first three before a cell is inconclusive
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +121,15 @@ class SupportReport:
         return len(self.draws) > 3
 
 
-def cell_support(
-    w: Permutation, r: int, seed: int = 0, extra_draws: int = 5
-) -> SupportReport:
+def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
     """Pluecker support of a generic cell point, by repeated sampling.
 
     Three consecutive identical draws are accepted; a disagreement (a
     random value landing on a minor's vanishing locus) triggers up to
-    `extra_draws` further attempts before giving up.
+    EXTRA_DRAWS further attempts before giving up.
     """
     draws: List[FrozenSet[Subset]] = []
-    for k in range(3 + extra_draws):
+    for k in range(3 + EXTRA_DRAWS):
         rng = random.Random(1_000_003 * seed + k)
         draws.append(minor_support(sample_cell_matrix(w, r, rng), w.n, r))
         if len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]:
@@ -298,80 +298,56 @@ def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# weight images in coordinate form (independent of the weights module)
-
-
-def weight_image(w: Permutation, coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Simple-root coefficients of w(chi) for chi given by coefficients.
-
-    Works in the coordinate basis: the coefficient vector is converted
-    to successive differences, permuted by w, and re-accumulated.
-    """
-    n = w.n
-    m = [Fraction(c) for c in coeffs]
-    if len(m) != n - 1:
-        raise ValueError("coefficient count must be rank = n - 1")
-    diffs = [m[0]] + [m[i] - m[i - 1] for i in range(1, n - 1)] + [-m[-1]]
-    out = [Fraction(0)] * n
-    for i in range(1, n + 1):
-        out[w(i) - 1] = diffs[i - 1]
-    acc = Fraction(0)
-    result = []
-    for i in range(n - 1):
-        acc += out[i]
-        result.append(acc)
-    return tuple(result)
-
-
-# ---------------------------------------------------------------------------
-# full flag variety: pivot cells and the Hilbert-Mumford test
-
-
-def flag_cell_of(mat: List[List[Fraction]]) -> Permutation:
-    """Pivot permutation of the cell U_w w B containing a column flag.
-
-    Columns are reduced left to right; each column's lowest nonzero row,
-    after clearing rows already claimed by earlier columns from below,
-    is its pivot.
-    """
-    n = len(mat)
-    cols = [[Fraction(mat[i][j]) for i in range(n)] for j in range(n)]
-    pivots: List[int] = []
-    for j in range(n):
-        col = cols[j]
-        while True:
-            low = max((i for i in range(n) if col[i] != 0), default=None)
-            if low is None:
-                raise ValueError("singular matrix has no flag cell")
-            if low not in pivots:
-                break
-            j0 = pivots.index(low)
-            f = col[low] / cols[j0][low]
-            col = [c - f * p for c, p in zip(col, cols[j0])]
-        cols[j] = col
-        pivots.append(low)
-    return Permutation(tuple(p + 1 for p in pivots))
+# full flag variety: the Hilbert-Mumford test as flag-matroid rank inequalities
 
 
 def flag_point_semistable(
     mat: List[List[Fraction]], coeffs: Sequence[Fraction]
 ) -> bool:
-    """Hilbert-Mumford verdict for a full flag and a dominant character.
+    """Hilbert-Mumford verdict for the full flag spanned by the columns.
 
-    The flag spanned by the columns is semistable iff for every
-    permutation sigma of the rows, the pivot cell w of the permuted
-    flag satisfies w(chi) <= 0 coefficientwise.
+    chi has simple-root coefficients m_1, ..., m_{N-1}; with m_0 = m_N = 0
+    and c_k = 2 m_k - m_{k-1} - m_{k+1}, chi = sum_k c_k omega_k.  Let
+    bases_k be the row subsets with a nonzero minor on the first k
+    columns (``minor_support``), so rk_k(S) = max |B & S| over B in
+    bases_k is the rank of rows S there.  The flag is semistable iff
 
-    No package code calls this: the tests compare it with
-    ``flag.semistable_flag_support``, and the benchmark's oracle
-    workload times it.  It stays here until a flag-matroid rank check
-    replaces its n! enumeration (ROADMAP item 3).
+        N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
+
+    Why this is the Hilbert-Mumford test over all N! row permutations
+    sigma (every pivot cell w of a permuted flag has w(chi) <= 0
+    coefficientwise), for every chi, dominant or not:
+
+    - In coordinates w(chi) = sum_k c_k (1_{B_k} - k/N), where
+      B_k = w({1..k}) is the set of pivot rows of the first k columns.
+    - Each column's pivot is the lowest row not claimed by an earlier
+      column, so B_k is the greedy basis of bases_k taken from the
+      bottom row up (Edmonds, Math. Programming 1, 1971).  One chain
+      B_1 < ... < B_N therefore gives |B_k & T| = rk_k(T) for every k
+      at once, T any set of bottom rows.
+    - Coefficient j of w(chi) is sum_k c_k (k - |B_k & T| - j k/N) with
+      T the last N - j rows, so it is <= 0 exactly when the inequality
+      holds for S, the rows that sigma puts last.  Every S of size
+      1..N-1 arises this way; S = [N] holds with equality.
+
+    The inequalities cut out the moment polytope of the torus-orbit
+    closure (Gelfand and Serganova, Russian Math. Surveys 42, 1987), and
+    a violated one is an integer separator.
     """
     n = len(mat)
-    for images in itertools.permutations(range(1, n + 1)):
-        inverse = Permutation(images).inverse()
-        permuted = [mat[inverse(i + 1) - 1] for i in range(n)]
-        w = flag_cell_of(permuted)
-        if not all(c <= 0 for c in weight_image(w, coeffs)):
-            return False
-    return True
+    m = [Fraction(0), *(Fraction(c) for c in coeffs), Fraction(0)]
+    if len(m) != n + 1:
+        raise ValueError("coefficient count must be rank = n - 1")
+    if not minor_support(mat, n, n):
+        raise ValueError("singular matrix has no flag cell")
+    c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]
+    bases = [
+        [sum(1 << (i - 1) for i in b) for b in minor_support([row[:k] for row in mat], n, k)]
+        for k in range(1, n)
+    ]
+    total = sum(k * ck for k, ck in enumerate(c, start=1))
+    return all(
+        n * sum(ck * max((b & s).bit_count() for b in bk) for ck, bk in zip(c, bases))
+        >= s.bit_count() * total
+        for s in range(1, 1 << n)
+    )

@@ -103,26 +103,20 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 
 
 def parabolic_elements(I: Iterable[int], n: int) -> Iterator[Permutation]:
-    """All elements of W_I, by brute enumeration (small n only)."""
-    iset = set(I)
-    # w in W_I iff w permutes each block of I-connected positions.
-    for w in all_permutations(n):
-        ok = True
-        for i in range(1, n + 1):
-            lo = i
-            while lo - 1 in iset:
-                lo -= 1
-            hi = i
-            while hi in iset:
-                hi += 1
-            if not lo <= w(i) <= hi:
-                ok = False
-                break
-        if ok:
-            yield w
+    """All elements of W_I, in lexicographic order of their images.
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
+    W_I is the product of the symmetric groups on the blocks of
+    positions joined by I, so each element permutes every block within
+    itself; the last position always closes a block.
+    """
+    iset = sorted(set(I))
+    if any(not 1 <= i <= n - 1 for i in iset):
+        raise ValueError(f"index set {iset} out of range for S_{n}")
+    blocks = []
+    start = 1
+    for i in range(1, n + 1):
+        if i not in iset:
+            blocks.append(itertools.permutations(range(start, i + 1)))
+            start = i + 1
+    for parts in itertools.product(*blocks):
+        yield Permutation(tuple(itertools.chain.from_iterable(parts)))

@@ -19,8 +19,14 @@ against.  None of these is called by the package itself.
 - ``subset_leq``: the componentwise order on column sets.
 - ``coordinates_of_matrix``: cell coordinates read back from a matrix,
   the reference for the Prop 3.2 row-swap test.
+- ``weight_image``, ``flag_cell_of`` and
+  ``reference_flag_point_semistable``: the Hilbert-Mumford test for a
+  full flag by enumeration of all N! row permutations, each reduced to
+  its pivot cell with ``Fraction``s; the reference for the oracle's
+  flag-matroid rank inequalities.
 """
 
+import itertools
 from fractions import Fraction as Q
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -227,6 +233,75 @@ def coordinates_of_matrix(
         for q, start in enumerate(row_starts(g, j), start=1):
             out[f"X_{j}_{q}"] = ordered[j - 1][start - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# full flags: pivot cells, weight images and the N! Hilbert-Mumford test
+
+
+def weight_image(w: Permutation, coeffs: Sequence[Q]) -> Tuple[Q, ...]:
+    """Simple-root coefficients of w(chi) for chi given by coefficients.
+
+    Works in the coordinate basis: the coefficient vector is converted
+    to successive differences, permuted by w, and re-accumulated.
+    """
+    n = w.n
+    m = [Q(c) for c in coeffs]
+    if len(m) != n - 1:
+        raise ValueError("coefficient count must be rank = n - 1")
+    diffs = [m[0]] + [m[i] - m[i - 1] for i in range(1, n - 1)] + [-m[-1]]
+    out = [Q(0)] * n
+    for i in range(1, n + 1):
+        out[w(i) - 1] = diffs[i - 1]
+    acc = Q(0)
+    result = []
+    for i in range(n - 1):
+        acc += out[i]
+        result.append(acc)
+    return tuple(result)
+
+
+def flag_cell_of(mat: List[List[Q]]) -> Permutation:
+    """Pivot permutation of the cell U_w w B containing a column flag.
+
+    Columns are reduced left to right; each column's lowest nonzero row,
+    after clearing rows already claimed by earlier columns from below,
+    is its pivot.
+    """
+    n = len(mat)
+    cols = [[Q(mat[i][j]) for i in range(n)] for j in range(n)]
+    pivots: List[int] = []
+    for j in range(n):
+        col = cols[j]
+        while True:
+            low = max((i for i in range(n) if col[i] != 0), default=None)
+            if low is None:
+                raise ValueError("singular matrix has no flag cell")
+            if low not in pivots:
+                break
+            j0 = pivots.index(low)
+            f = col[low] / cols[j0][low]
+            col = [c - f * p for c, p in zip(col, cols[j0])]
+        cols[j] = col
+        pivots.append(low)
+    return Permutation(tuple(p + 1 for p in pivots))
+
+
+def reference_flag_point_semistable(mat: List[List[Q]], coeffs: Sequence[Q]) -> bool:
+    """Hilbert-Mumford verdict for a full flag and a character.
+
+    The flag spanned by the columns is semistable iff for every
+    permutation sigma of the rows, the pivot cell w of the permuted
+    flag satisfies w(chi) <= 0 coefficientwise.
+    """
+    n = len(mat)
+    for images in itertools.permutations(range(1, n + 1)):
+        inverse = Permutation(images).inverse()
+        permuted = [mat[inverse(i + 1) - 1] for i in range(n)]
+        w = flag_cell_of(permuted)
+        if not all(c <= 0 for c in weight_image(w, coeffs)):
+            return False
+    return True
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -242,9 +242,9 @@ def test_pi_point_matches_symbolic_map(n):
 
 def test_support_predicate_matches_sampling_oracle():
     """First-row coordinates nonzero iff the point is torus-semistable,
-    on every cell of the smallest two flag varieties."""
+    on every cell of the smallest three flag varieties."""
     rng = random.Random(7)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         chi = [Fraction(c) for c in range(1, n + 1)]
         cyc = cyclic_element(n)
         for w in all_permutations(n + 1):
@@ -268,6 +268,9 @@ def test_support_predicate_matches_sampling_oracle():
                 coords = _random_coords(w, rng)
                 coords[(1, 1)] = Fraction(0)
                 assert not member(coords)
+                assert not oracle.flag_point_semistable(
+                    [[Fraction(e) for e in row] for row in point_matrix(w, coords)], chi
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ internals get direct coverage: the Laplace-expanded minors against
 determinants, the r-column sampler against the n x n one it replaced,
 support stabilization, feasibility certificates re-verified by hand, one
 LP per distinct support, the fraction-free simplex against the rational
-one it replaced, the verdict against Edmonds' rank criterion, and the
-subset-bump closure test.
+one it replaced, the verdict against Edmonds' rank criterion, the
+subset-bump closure test, and the flag rank inequalities against the N!
+row-permutation enumeration they replaced.
 """
 
 import ast
@@ -17,7 +18,14 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from conftest import has_semistable, int_det, subset_leq
+from conftest import (
+    flag_cell_of,
+    has_semistable,
+    int_det,
+    reference_flag_point_semistable,
+    subset_leq,
+    weight_image,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,16 +36,14 @@ from torusquot.oracle import (
     cell_semistable,
     cell_support,
     feasible_combination,
-    flag_cell_of,
     flag_point_semistable,
     hm_semistable,
     inversion_positions,
     minor_support,
     reflection_preserves_closure,
     sample_cell_matrix,
-    weight_image,
 )
-from torusquot.weyl import Permutation, simple_reflection
+from torusquot.weyl import Permutation, all_permutations, simple_reflection
 
 
 def reference_sample_cell_matrix(w, r, rng):
@@ -383,6 +389,64 @@ def test_flag_point_semistable_generic_vs_degenerate():
         [Fraction(0), Fraction(0), Fraction(1)],
     ]
     assert not flag_point_semistable(degenerate, coeffs)
+
+
+def _flag_point(w, rng, zeroed):
+    """A point u w of the flag cell of w, with small entries of u on the
+    inversion positions; each is 0 with probability `zeroed`."""
+    n = w.n
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in inversion_positions(w):
+        u[i - 1][j - 1] = 0 if rng.random() < zeroed else rng.choice([-3, -2, -1, 1, 2, 3])
+    return [[Fraction(u[i][w(k) - 1]) for k in range(1, n + 1)] for i in range(n)]
+
+
+def _characters(rng, n):
+    """Simple-root coefficients of an increasing, a dominant and a
+    mixed-sign character of the rank n - 1 torus."""
+    dominant = [rng.randint(0, 3) for _ in range(n - 1)]  # c_k = <chi, alpha_k>
+    return {
+        "increasing": sorted(rng.sample(range(1, 3 * n), n - 1)),
+        "dominant": [
+            sum(Fraction(min(k, j) * (n - max(k, j)), n) * c for k, c in enumerate(dominant, 1))
+            for j in range(1, n)
+        ],
+        "mixed": [rng.randint(-3, 3) for _ in range(n - 1)],
+    }
+
+
+def test_flag_rank_inequalities_match_the_permutation_enumeration():
+    """Every cell of S_N for N = 2..5, at a generic point and at one with
+    coordinates zeroed, and seeded top cells at N = 6, under increasing,
+    dominant and mixed-sign characters: the rank test gives the
+    enumeration's verdict."""
+    rng = random.Random(5)
+    points = [
+        _flag_point(w, rng, zeroed)
+        for n in range(2, 6)
+        for w in all_permutations(n)
+        for zeroed in (0.0, 0.4)
+    ]
+    points += [_flag_point(Permutation((6, 5, 4, 3, 2, 1)), rng, 0.0) for _ in range(2)]
+    verdicts = set()
+    for mat in points:
+        for kind, chi in _characters(rng, len(mat)).items():
+            expected = reference_flag_point_semistable(mat, chi)
+            assert flag_point_semistable(mat, chi) == expected, (mat, chi)
+            verdicts.add((kind, expected))
+    # both verdicts occur for every kind of character
+    assert len(verdicts) == 6
+
+
+def test_flag_point_semistable_refusals():
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="coefficient count must be rank = n - 1"):
+        flag_point_semistable(identity, [Fraction(1)])
+    singular = [[Fraction(1), Fraction(2), Fraction(0)],
+                [Fraction(2), Fraction(4), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(1)]]
+    with pytest.raises(ValueError, match="singular matrix has no flag cell"):
+        flag_point_semistable(singular, [Fraction(1), Fraction(2)])
 
 
 SIMPLEX_PROPERTY = settings(

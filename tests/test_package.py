@@ -9,8 +9,8 @@ import torusquot
 
 # name -> why it stays in src without a package caller
 ALLOWED = {
-    "flag_point_semistable": "the benchmark's oracle workload times it; "
-    "ROADMAP item 3 replaces it with a flag-matroid rank check",
+    "flag_point_semistable": "the benchmark's oracle workload calls it, and "
+    "ROADMAP item 3's thm-5.2-stability suite will",
 }
 
 

@@ -1,5 +1,6 @@
 """Symmetric group basics: words, descents, cosets, the two orders."""
 
+import doctest
 import itertools
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     reduced_word,
 )
 
+from torusquot import weyl
 from torusquot.schubert import all_cells, grassmann_leq, to_permutation
 from torusquot.weyl import (
     Permutation,
@@ -94,6 +96,40 @@ def test_min_coset_reps_count_binomial(n, r):
 def test_parabolic_subgroup_order():
     assert len(list(parabolic_elements((1, 2), 4))) == 6
     assert len(list(parabolic_elements((), 4))) == 1
+
+
+def test_parabolic_elements_are_the_block_preserving_permutations_in_order():
+    """The block-by-block product yields what filtering S_n for
+    permutations that keep each I-connected block of positions yields,
+    in the same order."""
+
+    def keeps_blocks(w, I):
+        for i in range(1, w.n + 1):
+            lo = hi = i
+            while lo - 1 in I:
+                lo -= 1
+            while hi in I:
+                hi += 1
+            if not lo <= w(i) <= hi:
+                return False
+        return True
+
+    for n in range(1, 7):
+        for k in range(n):
+            for I in itertools.combinations(range(1, n), k):
+                expected = [w for w in all_permutations(n) if keeps_blocks(w, I)]
+                assert list(parabolic_elements(I, n)) == expected
+
+
+@pytest.mark.parametrize("I", [(0,), (4,), (1, 5)])
+def test_parabolic_elements_refuses_indices_outside_the_rank(I):
+    with pytest.raises(ValueError, match="out of range for S_4"):
+        list(parabolic_elements(I, 4))
+
+
+def test_weyl_doctests_pass():
+    result = doctest.testmod(weyl)
+    assert (result.attempted, result.failed) == (4, 0)
 
 
 def test_two_orders_agree_on_grassmannian_quotients():
