@@ -2,12 +2,14 @@
 
 Everything here recomputes its answers from first principles: explicit
 integer matrices for generic cell points, Laplace expansion of the minors
-for Pluecker supports, a fraction-free integer phase-1 simplex for the
-barycenter feasibility test (one LP per distinct support), direct
-subset bumping for cell-closure stability, and, for full flags, the
-flag-matroid rank inequalities read off the same minors.  No code is
-shared with the modules under test beyond the Permutation type, so
-agreement between the two sides is evidence, not tautology.
+for Pluecker supports, one Hilbert-Mumford test for Grassmannians and
+full flags alike, and direct subset bumping for cell-closure stability.
+The Hilbert-Mumford test checks the (flag-)matroid rank inequalities of
+the supports read off the minors, from a table of the rank of every row
+set; a Grassmannian is its one-step case, decided once per distinct
+support.  No code is shared with the modules under test beyond the
+Permutation type, so agreement between the two sides is evidence, not
+tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
@@ -28,7 +30,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .weyl import Permutation
@@ -138,131 +139,75 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free phase-1 simplex for barycenter membership
+# the Hilbert-Mumford test as matroid rank inequalities
 
 
-def _cleared(v: Rational, scale: int) -> int:
-    """v * scale, for a multiple `scale` of v's denominator."""
-    return v.numerator * (scale // v.denominator)
+def _rank_table(bases: Sequence[int], n: int) -> List[int]:
+    """rk(S) = max |B & S| over B in `bases`, for every row bitmask S < 2^n.
 
-
-def feasible_combination(
-    columns: Sequence[Sequence[Rational]], b: Sequence[Rational]
-) -> Tuple[bool, List[Fraction]]:
-    """Solve sum_j x_j col_j = b, x >= 0 by phase-1 simplex, Bland's rule.
-
-    Returns (True, x) with the feasible point, or (False, y) with a
-    separating vector satisfying y . col_j <= 0 for all j and y . b > 0.
-
-    The arithmetic is fraction-free (Edmonds, 1967).  Every row is first
-    multiplied by the lcm D of all denominators; that only rescales the
-    artificial variables and the objective, so the pivots, x and y are
-    those of the simplex over the rationals.  The tableau, objective row
-    included, is then kept in integers over one positive common
-    denominator d: a pivot on p replaces every other row v by
-    (v * p - f * w) // d, an exact division, and sets d = p.
+    Independence spreads from each basis to its subsets one row smaller,
+    masks visited in descending order.  An independent S has rank |S|;
+    any other S keeps a row outside a basis attaining its rank, so its
+    rank is the largest over S minus one row.
     """
-    m = len(b)
-    k = len(columns)
-    scale = math.lcm(
-        *(v.denominator for col in columns for v in col), *(v.denominator for v in b)
-    )
-    # tableau: original columns, artificial identity, rhs
-    t: List[List[int]] = []
-    for i in range(m):
-        row = [_cleared(col[i], scale) for col in columns]
-        rhs = _cleared(b[i], scale)
-        if rhs < 0:
-            row, rhs = [-v for v in row], -rhs
-        t.append(row + [int(i == p) for p in range(m)] + [rhs])
-    basis = [k + i for i in range(m)]
-    # reduced costs for phase-1 objective (sum of artificials, basis cost 1)
-    z = [int(j >= k) - sum(row[j] for row in t) for j in range(k + m)]
-    d = 1
-    while True:
-        enter = next((j for j, v in enumerate(z) if v < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for i, row in enumerate(t):
-            if row[enter] > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                # ratio test by cross-multiplication; ties go to the lower basis index
-                lhs = row[-1] * t[leave][enter]
-                rhs = t[leave][-1] * row[enter]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("phase-1 objective unbounded")  # impossible
-        lead = t[leave]
-        p = lead[enter]
-        for i, row in enumerate(t):
-            if i != leave:
-                f = row[enter]
-                t[i] = [(v * p - f * w) // d for v, w in zip(row, lead)]
-        f = z[enter]
-        z = [(v * p - f * w) // d for v, w in zip(z, lead)]
-        basis[leave] = enter
-        d = p
-    objective = sum(t[i][-1] for i in range(m) if basis[i] >= k)
-    if objective == 0:
-        x = [Fraction(0)] * k
-        for i in range(m):
-            if basis[i] < k:
-                x[basis[i]] = Fraction(t[i][-1], d)
-        return True, x
-    # infeasible: read the separating vector off the artificial columns
-    y = [1 - Fraction(z[k + i], d) for i in range(m)]
-    return False, y
+    bits = [1 << i for i in range(n)]
+    independent = bytearray(1 << n)
+    for b in bases:
+        independent[b] = 1
+    for s in range(len(independent) - 1, 0, -1):
+        if independent[s]:
+            for bit in bits:
+                independent[s & ~bit] = 1
+    rank = [s.bit_count() if ind else 0 for s, ind in enumerate(independent)]
+    for s in range(1, len(rank)):
+        if not independent[s]:
+            rank[s] = max(rank[s & ~bit] for bit in bits)
+    return rank
+
+
+def _violated_rows(
+    steps: Sequence[Tuple[int, int, Sequence[int]]], n: int
+) -> Optional[int]:
+    """First nonempty row bitmask S with n sum_k c_k rk_k(S) < |S| sum_k k c_k,
+    or None; each step is (k, c_k, bases_k), rk_k the rank over bases_k."""
+    total = sum(k * c for k, c, _ in steps)
+    tables = [(c, _rank_table(bases, n)) for _, c, bases in steps]
+    for s in range(1, 1 << n):
+        if n * sum(c * rank[s] for c, rank in tables) < s.bit_count() * total:
+            return s
+    return None
 
 
 @dataclass(frozen=True)
 class HMCertificate:
-    """Re-verified witness for a semistability verdict."""
+    """Semistability verdict; when unstable, the violated row set."""
 
     semistable: bool
-    combination: Optional[Dict[Subset, Fraction]]
-    separator: Optional[Tuple[Fraction, ...]]
+    separator: Optional[Subset]
 
 
 @lru_cache(maxsize=None)
 def hm_semistable(
     support: FrozenSet[Subset], n: int, r: int
 ) -> HMCertificate:
-    """Barycenter membership test for a Pluecker support.
+    """Hilbert-Mumford verdict for a Pluecker support of Gr(r, n).
 
-    A point with this support is semistable for the torus action iff
-    (r/n, ..., r/n) is a convex combination of the indicator vectors of
-    the support.  The returned certificate is checked by direct inner
-    products, in integers after clearing its denominators, before being
-    trusted.  It depends on (support, n, r) alone, so it is computed once
-    per distinct support; callers must not mutate it.
+    The moment polytope of the torus-orbit closure is the base polytope
+    of the support (Gelfand, Goresky, MacPherson and Serganova, 1987), and
+    it holds the barycenter (r/n, ..., r/n) iff n rk(S) >= r |S| for every
+    row set S (Edmonds, 1970): the one-step case c_k = [k = r] of
+    ``flag_point_semistable``.  A violated S is an integer separator,
+    re-checked against the support before it is returned; checking every
+    S certifies the semistable side.  The verdict depends on (support, n,
+    r) alone, so it is computed once per distinct support.
     """
-    subs = sorted(support)
-    cols = [[int(i in sub) for i in range(1, n + 1)] + [1] for sub in subs]
-    nb = [r] * n + [n]
-    b = [Fraction(v, n) for v in nb]
-    ok, vec = feasible_combination(cols, b)
-    if ok:
-        comb = {sub: coef for sub, coef in zip(subs, vec) if coef != 0}
-        column = dict(zip(subs, cols))
-        scale = math.lcm(*(c.denominator for c in comb.values()))
-        coefs = [_cleared(c, scale) for c in comb.values()]
-        for i in range(n + 1):
-            total = sum(c * column[sub][i] for sub, c in zip(comb, coefs))
-            assert n * total == scale * nb[i], "feasibility certificate failed re-verification"
-        assert all(c >= 0 for c in coefs)
-        return HMCertificate(True, comb, None)
-    scale = math.lcm(*(y.denominator for y in vec))
-    ys = [_cleared(y, scale) for y in vec]
-    for col in cols:
-        assert sum(y * v for y, v in zip(ys, col)) <= 0, (
-            "separating vector failed re-verification"
-        )
-    assert sum(y * v for y, v in zip(ys, nb)) > 0
-    return HMCertificate(False, None, tuple(vec))
+    s = _violated_rows([(r, 1, [sum(1 << (i - 1) for i in sub) for sub in support])], n)
+    if s is None:
+        return HMCertificate(True, None)
+    rows = tuple(i + 1 for i in range(n) if s >> i & 1)
+    rank = max((len(set(rows).intersection(sub)) for sub in support), default=0)
+    assert n * rank < r * len(rows), "separator failed re-verification"
+    return HMCertificate(False, rows)
 
 
 def cell_semistable(
@@ -310,9 +255,12 @@ def flag_point_semistable(
     and c_k = 2 m_k - m_{k-1} - m_{k+1}, chi = sum_k c_k omega_k.  Let
     bases_k be the row subsets with a nonzero minor on the first k
     columns (``minor_support``), so rk_k(S) = max |B & S| over B in
-    bases_k is the rank of rows S there.  The flag is semistable iff
+    bases_k (``_rank_table``) is the rank of rows S there.  The flag is
+    semistable iff
 
         N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
+
+    ``hm_semistable`` is the one-step case; steps with c_k = 0 are skipped.
 
     Why this is the Hilbert-Mumford test over all N! row permutations
     sigma (every pivot cell w of a permuted flag has w(chi) <= 0
@@ -341,13 +289,10 @@ def flag_point_semistable(
     if not minor_support(mat, n, n):
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]
-    bases = [
-        [sum(1 << (i - 1) for i in b) for b in minor_support([row[:k] for row in mat], n, k)]
-        for k in range(1, n)
-    ]
-    total = sum(k * ck for k, ck in enumerate(c, start=1))
-    return all(
-        n * sum(ck * max((b & s).bit_count() for b in bk) for ck, bk in zip(c, bases))
-        >= s.bit_count() * total
-        for s in range(1, 1 << n)
-    )
+    scale = math.lcm(*(ck.denominator for ck in c))  # integer c_k, same inequalities
+    steps = []
+    for k, ck in enumerate(c, start=1):
+        if ck:
+            minors = minor_support([row[:k] for row in mat], n, k)
+            steps.append((k, int(ck * scale), [sum(1 << (i - 1) for i in b) for b in minors]))
+    return _violated_rows(steps, n) is None

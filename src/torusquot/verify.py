@@ -107,7 +107,8 @@ def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     return (f"all ordered pairs of cells, n={n}, r in {list(rs)}",)
 
 
-# The slowest rank at n = 11 (r = 5 or 6) takes about 10 s.
+# At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest, r = 5,
+# takes 5-6 s.
 LEMMA_2_7_MAX_N = 11
 
 

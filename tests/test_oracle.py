@@ -3,11 +3,13 @@
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: the Laplace-expanded minors against
 determinants, the r-column sampler against the n x n one it replaced,
-support stabilization, feasibility certificates re-verified by hand, one
-LP per distinct support, the fraction-free simplex against the rational
-one it replaced, the verdict against Edmonds' rank criterion, the
-subset-bump closure test, and the flag rank inequalities against the N!
-row-permutation enumeration they replaced.
+support stabilization, the rank table against max |B & S|, one rank table
+per distinct support, Grassmannian verdicts against the rational phase-1
+simplex they replaced (its combination re-verified by hand for a
+semistable verdict, the separator's rank inequality for an unstable one)
+and against Edmonds' rank criterion, the subset-bump closure test, and
+the flag rank inequalities against the N! row-permutation enumeration
+they replaced.
 """
 
 import ast
@@ -26,16 +28,14 @@ from conftest import (
     subset_leq,
     weight_image,
 )
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusquot import oracle, schubert
 from torusquot.oracle import (
     SAMPLE_BOUND,
-    HMCertificate,
     cell_semistable,
     cell_support,
-    feasible_combination,
     flag_point_semistable,
     hm_semistable,
     inversion_positions,
@@ -89,7 +89,7 @@ def cells(n):
 
 def reference_feasible_combination(columns, b):
     """The phase-1 simplex over `Fraction`s, Bland's rule: the reference
-    for the fraction-free one in `oracle`.  Entries must be `Fraction`s."""
+    for the oracle's Grassmannian verdicts.  Entries must be `Fraction`s."""
     m = len(b)
     k = len(columns)
     rows = [[columns[j][i] for j in range(k)] for i in range(m)]
@@ -139,17 +139,17 @@ def reference_feasible_combination(columns, b):
     return False, y
 
 
-def reference_certificate(support, n, r):
-    """The certificate `hm_semistable` returned with the rational simplex."""
+def reference_combination(support, n, r):
+    """The convex combination of the support's indicator vectors that the
+    rational simplex finds for the barycenter (r/n, ..., r/n), or None if
+    it finds the barycenter outside their hull."""
     subs = sorted(support)
     cols = [
         [Fraction(int(i in sub)) for i in range(1, n + 1)] + [Fraction(1)]
         for sub in subs
     ]
     ok, vec = reference_feasible_combination(cols, [Fraction(r, n)] * n + [Fraction(1)])
-    if ok:
-        return HMCertificate(True, {sub: c for sub, c in zip(subs, vec) if c != 0}, None)
-    return HMCertificate(False, None, tuple(vec))
+    return {sub: c for sub, c in zip(subs, vec) if c != 0} if ok else None
 
 
 @cache
@@ -166,20 +166,24 @@ def conclusive_supports(n):
 
 
 def reverify(cert, support, n, r):
-    """The certificate's conditions, checked in `Fraction` arithmetic."""
+    """The verdict checked by hand.  Semistable: no separator, and the
+    rational simplex's combination hits the barycenter, in `Fraction`
+    arithmetic.  Unstable: the separator is a sorted nonempty row set S
+    with n max |B & S| < r |S| over the support."""
     if cert.semistable:
         assert cert.separator is None
-        assert all(c > 0 and sub in support for sub, c in cert.combination.items())
-        assert sum(cert.combination.values()) == 1
+        combination = reference_combination(support, n, r)
+        assert combination is not None
+        assert all(c > 0 and sub in support for sub, c in combination.items())
+        assert sum(combination.values()) == 1
         for i in range(1, n + 1):
-            mass = sum(c for sub, c in cert.combination.items() if i in sub)
+            mass = sum(c for sub, c in combination.items() if i in sub)
             assert mass == Fraction(r, n)
     else:
-        assert cert.combination is None
-        y = cert.separator
-        for sub in support:
-            assert sum(y[i - 1] for i in sub) + y[n] <= 0
-        assert Fraction(r, n) * sum(y[:n]) + y[n] > 0
+        rows = set(cert.separator)
+        assert rows <= set(range(1, n + 1)) and cert.separator == tuple(sorted(rows))
+        rank = max((len(rows.intersection(sub)) for sub in support), default=0)
+        assert n * rank < r * len(rows)
 
 
 def test_int_det_integer_exact():
@@ -267,14 +271,15 @@ def test_minor_support_refuses_a_matrix_of_the_wrong_shape():
         minor_support([[1, 0], [0, 1], [1]], 3, 2)
 
 
-def test_one_lp_per_distinct_support(monkeypatch):
+def test_one_rank_table_per_distinct_support(monkeypatch):
     calls = []
+    rank_table = oracle._rank_table
 
-    def counting(columns, b):
-        calls.append(len(columns))
-        return feasible_combination(columns, b)
+    def counting(bases, n):
+        calls.append(len(bases))
+        return rank_table(bases, n)
 
-    monkeypatch.setattr(oracle, "feasible_combination", counting)
+    monkeypatch.setattr(oracle, "_rank_table", counting)
     hm_semistable.cache_clear()
     w = schubert.to_permutation(schubert.GrassmannElement(6, 3, (2, 3, 5)))
     runs = [cell_semistable(w, 3, seed=s) for s in (0, 1, 2)]
@@ -309,7 +314,7 @@ def test_hm_certificate_combination_re_verifies():
     g = schubert.GrassmannElement(5, 2, (2, 4))
     verdict, rep, cert = cell_semistable(schubert.to_permutation(g), 2, seed=0)
     assert verdict == "semistable"
-    assert cert.semistable and cert.combination
+    assert cert.semistable and cert.separator is None
     reverify(cert, rep.support, 5, 2)  # barycenter hit exactly
 
 
@@ -330,6 +335,9 @@ def test_hm_on_handmade_supports():
     # all subsets through a common column: barycenter unreachable
     pinned = frozenset(frozenset(s) for s in [(1, 2), (1, 3)])
     assert not hm_semistable(pinned, 3, 2).semistable
+    # no nonzero Pluecker coordinate: every row set violates its inequality
+    empty = hm_semistable(frozenset(), 3, 2)
+    assert not empty.semistable and empty.separator == (1,)
 
 
 def test_three_seed_consensus_matches_gateway_n5():
@@ -449,54 +457,25 @@ def test_flag_point_semistable_refusals():
         flag_point_semistable(singular, [Fraction(1), Fraction(2)])
 
 
-SIMPLEX_PROPERTY = settings(
-    derandomize=True, database=None, max_examples=50, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-ENTRIES = st.one_of(
-    st.integers(-4, 4),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-)
-
-
-@st.composite
-def linear_programs(draw):
-    """(columns, b): m <= 5 rows, k <= 8 columns, signed int and Fraction
-    entries, b with negative entries allowed and zeros frequent, so that
-    degenerate pivots put Bland's tie-break to work."""
-    m = draw(st.integers(1, 5))
-    k = draw(st.integers(0, 8))
-    columns = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
-    b = draw(st.lists(st.one_of(st.just(0), ENTRIES), min_size=m, max_size=m))
-    return columns, b
-
-
-@SIMPLEX_PROPERTY
-@given(lp=linear_programs())
-# a ratio tie that the lower basis index breaks, not the lower row
-@example(lp=([[-2, 2, 2], [0, 2, 1]], [0, 1, 1]))
-def test_fraction_free_simplex_matches_the_rational_reference(lp):
-    columns, b = lp
-    as_fractions = ([[Fraction(v) for v in col] for col in columns], [Fraction(v) for v in b])
-    try:
-        expected = reference_feasible_combination(*as_fractions)
-    except ArithmeticError:
-        try:
-            feasible_combination(columns, b)
-        except ArithmeticError:
-            return
-        raise AssertionError("the reference raised, the fraction-free simplex did not")
-    got = feasible_combination(columns, b)
-    assert got == expected
-    assert all(type(v) is Fraction for v in got[1])
-
-
-def test_certificates_equal_the_rational_reference_n4_to_7():
+def test_verdicts_equal_the_rational_reference_n4_to_7():
     for n in range(4, 8):
         for r, _, support in conclusive_supports(n):
-            got = hm_semistable(support, n, r)
-            expected = reference_certificate(support, n, r)
-            assert got == expected and repr(got) == repr(expected), (n, r, sorted(support))
+            expected = reference_combination(support, n, r) is not None
+            assert hm_semistable(support, n, r).semistable == expected, (n, r, sorted(support))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=st.integers(0, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+))
+# no bases; bases of three sizes; a basis inside another
+@example(case=(3, []))
+@example(case=(4, [0b0001, 0b0110, 0b1011]))
+@example(case=(5, [0b00110, 0b01110, 0b10001]))
+def test_rank_table_is_the_largest_intersection_with_a_basis(case):
+    n, bases = case
+    expected = [max(((b & s).bit_count() for b in bases), default=0) for s in range(1 << n)]
+    assert oracle._rank_table(bases, n) == expected
 
 
 def test_verdict_is_edmonds_rank_criterion_n_up_to_6():

@@ -1,4 +1,4 @@
-"""Symmetric group basics: words, descents, cosets, the two orders."""
+"""Symmetric group basics: the group laws, words, descents, cosets, the two orders."""
 
 import doctest
 import itertools
@@ -13,6 +13,8 @@ from conftest import (
     min_coset_reps,
     reduced_word,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquot import weyl
 from torusquot.schubert import all_cells, grassmann_leq, to_permutation
@@ -47,6 +49,25 @@ def test_composition_acts_right_factor_first():
     assert (s1 * s2)(1) == 2
     assert (s1 * s2).images == (2, 3, 1)
     assert (s2 * s1).images == (3, 1, 2)
+
+
+@st.composite
+def permutation_triples(draw):
+    """Three permutations of one S_n, 1 <= n <= 7."""
+    n = draw(st.integers(1, 7))
+    perm = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+    return draw(perm), draw(perm), draw(perm)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(triple=permutation_triples())
+def test_permutation_group_laws(triple):
+    u, v, w = triple
+    e = identity(u.n)
+    assert (u * v) * w == u * (v * w)
+    assert e * u == u == u * e
+    assert u * u.inverse() == e == u.inverse() * u
+    assert all((u * v)(i) == u(v(i)) for i in range(1, u.n + 1))
 
 
 def test_word_length_roundtrip():
