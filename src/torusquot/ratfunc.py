@@ -5,16 +5,27 @@ are gcd-reduced with the monomial order fixed to graded lexicographic
 over the declared variable tuple, so equal values always print the
 same way.  Each value remembers its variable tuple; mixing coordinate
 systems without an explicit substitution is an error.
+
+Every value is reduced by `_fraction` to the form sympy's `cancel`
+returns over QQ: the constructors and `subs` call it, and the
+arithmetic reaches it through `_Reduced`, the element type of every
+field here.  When the numerator or the denominator has one term, their
+gcd is a rational times a monomial, so the reduction needs no
+polynomial gcd (the one-term rule).  The coordinates of both torus
+quotients are Laurent monomials, and `subs` maps a monomial under
+monomial images by an integer linear map on exponent vectors (the
+exponent map), without forming a common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from sympy.polys.domains import QQ
-from sympy.polys.fields import FracField, field as _sym_field
+from sympy.polys.fields import FracElement, FracField, field as _sym_field
 from sympy.polys.orderings import grlex
 
 Names = Tuple[str, ...]
@@ -23,14 +34,72 @@ Scalar = Union[int, Fraction]
 
 @lru_cache(maxsize=None)
 def _field_for(names: Names) -> FracField:
+    """sympy's field over `names`, with `_Reduced` as its element type.
+
+    sympy builds a field's zero, one and generators from `dtype`, and
+    every element it makes afterwards with `raw_new`, so resetting those
+    four is enough for every element of the field to reduce through
+    `_fraction`.  (The per-name attributes such as `fld.x` keep sympy's
+    type; nothing here reads them.)
+    """
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")
-    return _sym_field(list(names), QQ, order=grlex)[0]
+    fld = _sym_field(list(names), QQ, order=grlex)[0]
+    fld.dtype = _Reduced(fld, fld.ring.zero).raw_new
+    fld.zero, fld.one = fld.dtype(fld.ring.zero), fld.dtype(fld.ring.one)
+    fld.gens = fld._gens()
+    return fld
 
 
 def _to_qq(value: Scalar):
     f = Fraction(value)
     return QQ(f.numerator, f.denominator)
+
+
+def _fraction(fld: FracField, num, den):
+    """The element num/den of `fld`, reduced as sympy's `cancel` reduces it.
+
+    If either side has one term, the gcd is a rational times a monomial:
+    every exponent drops by the componentwise minimum over all terms,
+    the coefficients are scaled to jointly primitive integers, and the
+    sign makes the denominator's grlex leading coefficient positive.
+    That is the unique form `cancel` returns over QQ.  Any other pair
+    goes through `fld.new`, which runs the polynomial gcd.
+    """
+    if not num:
+        return fld.zero
+    if len(num) != 1 and len(den) != 1:
+        return fld.new(num, den)
+    shift = tuple(map(min, zip(*num, *den)))
+    coeffs = [*num.values(), *den.values()]
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    if den.LC < 0:
+        content = -content
+    if scale == content == 1 and not any(shift):
+        return fld.raw_new(num, den)
+    scaled = iter(ints)
+    dtype, ldiv = fld.domain.dtype, fld.ring.monomial_ldiv
+
+    def rebuilt(poly):
+        return poly.new([(ldiv(mon, shift), dtype(next(scaled) // content)) for mon in poly])
+
+    return fld.raw_new(rebuilt(num), rebuilt(den))
+
+
+class _Reduced(FracElement):
+    """sympy's field element; its arithmetic reduces through `_fraction`."""
+
+    def new(f, numer, denom):
+        return _fraction(f.field, numer, denom)
+
+    def __hash__(f):
+        # Not the polynomials' cached hashes: sympy's `square` hashes its
+        # result (in `imul_num`'s generator check) before it is complete.
+        if f._hash is None:
+            f._hash = hash((f.field, frozenset(f.numer.items()), frozenset(f.denom.items())))
+        return f._hash
 
 
 class RationalFunction:
@@ -58,7 +127,8 @@ class RationalFunction:
     @classmethod
     def constant(cls, value: Scalar, names: Names) -> "RationalFunction":
         names = tuple(names)
-        return cls(names, _field_for(names).ground_new(_to_qq(value)))
+        fld = _field_for(names)
+        return cls(names, _fraction(fld, fld.ring.ground_new(_to_qq(value)), fld.ring.one))
 
     @classmethod
     def from_terms(
@@ -76,7 +146,7 @@ class RationalFunction:
         )
         if not den:
             raise ZeroDivisionError("zero denominator")
-        return cls(names, fld.new(num, den))
+        return cls(names, _fraction(fld, num, den))
 
     # -- helpers -----------------------------------------------------
 
@@ -137,7 +207,10 @@ class RationalFunction:
             raise TypeError("exponents must be integers")
         if k < 0 and not self.elem:
             raise ZeroDivisionError("zero to a negative power")
-        return RationalFunction(self.names, self.elem ** k)
+        elem = self.elem ** k
+        if elem.denom.LC < 0:  # sympy inverts a negative power without the sign step
+            elem = elem.raw_new(-elem.numer, -elem.denom)
+        return RationalFunction(self.names, elem)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -190,9 +263,14 @@ class RationalFunction:
         Values must all live over one variable tuple (the target).
         Source variables absent from the mapping are sent to the
         same-named target variable; if the target lacks that name the
-        variable must not occur.  The numerator and the denominator are
-        evaluated in the target's polynomial ring and reduced by one
-        cancellation.
+        variable must not occur.
+
+        A one-term-over-one-term source whose occurring variables all go
+        to nonzero one-term-over-one-term images (or to the same-named
+        target variable) goes to c*X**v, with v an integer linear image
+        of the source exponents: the exponent map, with no cancellation.
+        Otherwise the numerator and the denominator are evaluated in the
+        target's polynomial ring and reduced once, by `_fraction`.
         """
         if target_names is None:
             if mapping:
@@ -205,6 +283,10 @@ class RationalFunction:
         numer, denom = self.elem.numer, self.elem.denom
         if not numer:
             return RationalFunction(target_names, fld.zero)
+        if len(numer) == len(denom) == 1:
+            image = _monomial_image(fld, self.names, self.elem, mapping, target_names)
+            if image is not None:
+                return RationalFunction(target_names, image)
         # Image p_i/q_i of variable i, over the common denominator
         # prod q_i**d_i: monomial exponent e contributes p_i**e q_i**(d_i - e).
         factors: List[Tuple[int, list]] = []
@@ -233,7 +315,7 @@ class RationalFunction:
         den = cleared(denom)
         if not den:
             raise ZeroDivisionError("substitution sends the denominator to zero")
-        return RationalFunction(target_names, fld.new(cleared(numer), den))
+        return RationalFunction(target_names, _fraction(fld, cleared(numer), den))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; the denominator must not vanish."""
@@ -273,6 +355,37 @@ def _check_images(mapping: Mapping[str, RationalFunction], source: Names, target
             raise ValueError(f"unknown variable {name!r}")
         if value.names != target:
             raise ValueError("substitution values over mixed variable sets")
+
+
+def _monomial_image(fld: FracField, names: Names, elem, mapping, target: Names):
+    """The exponent map: c*X**v for a one-term-over-one-term `elem`, or None
+    when an occurring variable's image is zero, missing or not one term
+    over one term."""
+    (a, c), = elem.numer.items()
+    (b, d), = elem.denom.items()
+    coeff = c / d
+    v = [0] * len(target)
+    for name, ea, eb in zip(names, a, b):
+        if not (ea or eb):
+            continue
+        e = ea - eb
+        if name in mapping:
+            img = mapping[name].elem
+            if len(img.numer) != 1 or len(img.denom) != 1:
+                return None
+            (u, p), = img.numer.items()
+            (w, q), = img.denom.items()
+            coeff *= (p / q) ** e
+            for j, (uj, wj) in enumerate(zip(u, w)):
+                v[j] += e * (uj - wj)
+        elif name in target:
+            v[target.index(name)] += e
+        else:
+            return None
+    ring = fld.ring
+    num = ring.term_new(tuple(max(x, 0) for x in v), coeff.numerator)
+    den = ring.term_new(tuple(max(-x, 0) for x in v), coeff.denominator)
+    return _fraction(fld, num, den)
 
 
 def _powers(poly, d: int) -> list:

@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+import torusquot.ratfunc as ratfunc
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from torusquot.ratfunc import (
     RationalFunction,
+    _field_for,
+    _fraction,
     compose,
     identity_substitution,
 )
@@ -79,6 +83,28 @@ def images(draw, names):
     if kind == "polynomial":
         return _polynomial(draw, names, 0, 2, 3)
     return RationalFunction.constant(draw(st.integers(-2, 2)), names)
+
+
+@st.composite
+def laurent_monomials(draw, names):
+    """A nonzero rational multiple of a Laurent monomial."""
+    mono = _polynomial(draw, names, -2, 2, 1)
+    assume(not mono.is_zero)
+    return mono / draw(st.integers(1, 3))
+
+
+_X = RationalFunction.variable("x", NAMES)
+THREE = ("x", "y", "z")
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * len(THREE))
+COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+def _poly(terms, shift=(0, 0, 0)):
+    ring = _field_for(THREE).ring
+    return ring.from_dict({
+        tuple(e + s for e, s in zip(mon, shift)): QQ(c.numerator, c.denominator)
+        for mon, c in terms.items()
+    })
 
 
 def _xy():
@@ -201,3 +227,128 @@ def test_subs_calls_no_arithmetic_operator(monkeypatch):
         monkeypatch.setattr(RationalFunction, name, counted)
     assert f.subs(mapping) == expected
     assert called == []
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    single=st.dictionaries(EXPONENTS, COEFFS, min_size=1, max_size=1),
+    other=st.dictionaries(EXPONENTS, COEFFS, max_size=4),
+    shift=EXPONENTS,
+    single_on_top=st.booleans(),
+)
+@example(single={(0, 0, 0): Fraction(3, 2)}, other={(0, 0, 0): Fraction(-9, 4)},
+         shift=(0, 0, 0), single_on_top=True)  # constants, negative denominator
+@example(single={(1, 0, 0): Fraction(1)}, other={}, shift=(0, 0, 0),
+         single_on_top=False)  # zero numerator
+@example(single={(2, 1, 0): Fraction(-4, 3)},
+         other={(1, 1, 1): Fraction(-2), (0, 2, 0): Fraction(6, 5)},
+         shift=(1, 0, 2), single_on_top=True)  # negative leading term, shared factor
+@example(single={(0, 1, 0): Fraction(5)},
+         other={(3, 0, 0): Fraction(10), (1, 1, 1): Fraction(-15, 7), (0, 0, 0): Fraction(1)},
+         shift=(0, 0, 0), single_on_top=False)  # multi-term numerator
+def test_one_term_reduction_is_sympys_cancel(single, other, shift, single_on_top):
+    """`_fraction` without a gcd gives exactly the form `cancel` gives."""
+    num, den = (single, other) if single_on_top and other else (other, single)
+    num, den = _poly(num, shift), _poly(den, shift)
+    fld = _field_for(THREE)
+    got, expected = _fraction(fld, num, den), fld.new(num, den)
+    assert (got.numer, got.denom) == (expected.numer, expected.denom)
+    got, expected = RationalFunction(THREE, got), RationalFunction(THREE, expected)
+    assert hash(got) == hash(expected)
+    assert got.canonical() == expected.canonical()
+
+
+def _counting_new(fld, calls):
+    original = fld.new
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    return counted
+
+
+@PROPERTY
+@given(
+    f=laurent_monomials(NAMES),
+    mapping=st.fixed_dictionaries(
+        {"y": laurent_monomials(TARGET)}, optional={"x": laurent_monomials(TARGET)}
+    ),
+)
+def test_monomial_subs_is_an_exponent_map(f, mapping):
+    """Monomials under nonzero monomial images never reach sympy's cancel,
+    nor the common-denominator path."""
+    expected = reference_subs(f, mapping, TARGET)
+    fld, calls, powers = _field_for(TARGET), [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fld, "new", _counting_new(fld, calls))
+        mp.setattr(ratfunc, "_powers", lambda *args: powers.append(args))
+        got = f.subs(mapping, target_names=TARGET)
+    assert calls == [] and powers == []
+    assert got == expected
+    assert got.canonical() == expected.canonical()
+
+
+def test_arithmetic_reduces_through_the_one_term_rule(monkeypatch):
+    """Every operator result is a `_Reduced`; only a numerator and a
+    denominator with several terms each reach sympy's cancel."""
+    x, y = _xy()
+    fld, calls = _field_for(NAMES), []
+    monkeypatch.setattr(fld, "new", _counting_new(fld, calls))
+    monomial = (2 * x * y / (3 * x ** 2) - x / y) * (x ** 3 / -y) + 1
+    assert calls == []
+    assert monomial.canonical() == "(x**4 - 2/3*x**2*y**2 + y**2)/(y**2)"
+    binomial = (x + y) / (x - y) * (x - y)
+    assert [len(num) == len(den) == 2 for num, den in calls] == [True, True]
+    assert binomial == x + y
+    values = (x, x ** -1, -x, x + 1, x - y, x * y, x / y, 1 / x, 2 - x, monomial, binomial)
+    assert all(isinstance(v.elem, ratfunc._Reduced) for v in values)
+
+
+def test_exponent_map_leaves_the_errors_of_subs():
+    x, y = _xy()
+    u = RationalFunction.variable("u", ("u",))
+    zero = RationalFunction.constant(0, ("u",))
+    assert (x ** 2 / y).subs({"x": zero, "y": u}).is_zero
+    with pytest.raises(ZeroDivisionError, match="denominator to zero"):
+        (x / y ** 2).subs({"x": u, "y": zero})
+    with pytest.raises(ValueError, match="no image"):
+        (x * y).subs({"x": u})
+    v = RationalFunction.variable("v", ("v",))
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        (x / y).subs({"x": u, "y": v})
+
+
+@PROPERTY
+@given(a=rational_functions(NAMES), b=rational_functions(NAMES), c=rational_functions(NAMES))
+@example(a=_X, b=-_X, c=_X)  # (-x)**-1: a negative leading coefficient inverted
+@example(a=_X, b=_X - 1, c=_X)  # (x - 1)**2 through sympy's `square`
+def test_canonical_form_ignores_the_order_of_operations(a, b, c):
+    assume(not c.is_zero)
+    left, right = (a * b) / c, a * (b / c)
+    assert left == right
+    assert left.canonical() == right.canonical()
+    assert hash(left) == hash(right)
+    left, right = (a + b) - c, a - (c - b)
+    assert left.canonical() == right.canonical()
+    assert hash(left) == hash(right)
+    if not b.is_zero:
+        for left, right in (((-b) ** -1, -(b ** -1)), ((-b) ** -2, 1 / (b * b))):
+            assert (left.elem.numer, left.elem.denom) == (right.elem.numer, right.elem.denom)
+            assert hash(left) == hash(right)
+
+
+@PROPERTY
+@given(
+    f=rational_functions(NAMES),
+    first=st.fixed_dictionaries({"x": images(NAMES), "y": images(NAMES)}),
+    second=st.fixed_dictionaries({"y": images(TARGET)}, optional={"x": images(TARGET)}),
+)
+def test_compose_is_substitution_in_turn(f, first, second):
+    try:
+        expected = f.subs(first).subs(second, target_names=TARGET)
+        got = f.subs(compose(second, first), target_names=TARGET)
+    except ZeroDivisionError:
+        assume(False)
+    assert got == expected
+    assert got.canonical() == expected.canonical()

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import cartan_matrix, min_coset_reps, reduced_word, solve_linear
 
 from torusquot.weights import (
@@ -13,7 +15,7 @@ from torusquot.weights import (
     pairing,
     weight,
 )
-from torusquot.weyl import all_permutations, from_word, simple_reflection
+from torusquot.weyl import Permutation, all_permutations, from_word, identity, simple_reflection
 
 
 def q(*vals):
@@ -86,6 +88,23 @@ def test_act_is_a_group_action():
         for i in (1, 2, 3):
             s = simple_reflection(i, n)
             assert act(s * u, chi) == act(s, act(u, chi))
+
+
+@st.composite
+def actions(draw):
+    """Two permutations of one S_n, 2 <= n <= 7, and a weight of rank n - 1."""
+    n = draw(st.integers(2, 7))
+    perm = st.permutations(range(1, n + 1)).map(lambda images: Permutation(tuple(images)))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return draw(perm), draw(perm), weight(draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=actions())
+def test_act_is_a_group_action_on_random_weights(case):
+    u, v, chi = case
+    assert act(u * v, chi) == act(u, act(v, chi))
+    assert act(identity(chi.rank + 1), chi) == chi
 
 
 def test_act_frozen_example():
