@@ -524,8 +524,6 @@ def desk_check(n: int, seed: int = 0, samples: int = 30) -> Iterator[DeskInstanc
     denominator.  The labels in PRINTED_DIVERGENCES record the printed
     statements that fail.
     """
-    if n > 4:
-        raise ValueError("desk checks are sized for n <= 4")
     rng = random.Random(seed)
     yield from _rule_checks(n)
 

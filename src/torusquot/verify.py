@@ -10,7 +10,9 @@ checked case, with ``ok`` None for an inconclusive case, and returns its
 detail lines.  `exhaustive_check` runs it and builds the report: it
 counts the cases, stops at the first failing one and keeps its
 counterexample, and calls a suite inconclusive when a case was
-inconclusive or no case was checked.
+inconclusive or no case was checked.  `_REGISTRY` maps each id to its
+body and, where the cost grows too fast, a limit on ``n`` that the
+runner checks before the body runs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -60,7 +63,7 @@ class CheckReport:
         return payload
 
 
-def _rounding_cases(mode: str, n: int, rs: Sequence[int]) -> Cases:
+def _rounding_cases(mode: str, n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     """Existence and uniqueness of the coset element rounding a
     fundamental weight into the half-open unit window."""
     # ceil(c) == 0 exactly on (-1, 0], floor(c) == 0 exactly on [0, 1)
@@ -82,16 +85,6 @@ def _rounding_cases(mode: str, n: int, rs: Sequence[int]) -> Cases:
     return (f"window {window}, exhaustive over minimal representatives, n={n}",)
 
 
-def _suite_lemma_1_6(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
-    """Unique minimal representative rounding down (window (-1, 0])."""
-    return (yield from _rounding_cases("ceil", n, rs))
-
-
-def _suite_lemma_1_7(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
-    """Unique minimal representative rounding up (window [0, 1))."""
-    return (yield from _rounding_cases("floor", n, rs))
-
-
 def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     """Weight-image order reversal against the cell order, all pairs."""
     for r in rs:
@@ -107,19 +100,9 @@ def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     return (f"all ordered pairs of cells, n={n}, r in {list(rs)}",)
 
 
-# At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest, r = 5,
-# takes 5-6 s.
-LEMMA_2_7_MAX_N = 11
-
-
 def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
     """Gateway criterion versus the sampling oracle, every cell, oracle
     seeds seed, seed + 1 and seed + 2."""
-    if n > LEMMA_2_7_MAX_N:
-        raise ValueError(
-            f"lemma-2.7 samples every cell of Gr(r, n) under three seeds; n={n} is "
-            f"over the limit n <= {LEMMA_2_7_MAX_N}"
-        )
     seeds = [seed, seed + 1, seed + 2]
     gate = {g.a_seq for g in schubert.semistable_cells(n, r)}
     cells = list(schubert.all_cells(n, r))
@@ -191,20 +174,11 @@ def _suite_prop_3_2(n: int = 6) -> Cases:
     )
 
 
-# n = 8 takes about 30 s; the sweep grows like n!, so n = 9 takes minutes.
-LEMMA_4_1_MAX_N = 8
-
-
 def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
     """No escape: a permutation keeping a generic point in its cell lies in
     the subgroup generated by the closure-stabilizing reflections."""
     if n < 4:
         raise ValueError(f"lemma-4.1 needs n >= 4 for a semistable rank-2 cell, got n={n}")
-    if n > LEMMA_4_1_MAX_N:
-        raise ValueError(
-            f"lemma-4.1 walks all n! row permutations per point; n={n} is over "
-            f"the limit n <= {LEMMA_4_1_MAX_N}"
-        )
     rng = random.Random(seed)
     nonzero = [v for v in range(-50, 51) if v]
     for g in schubert.semistable_cells(n, 2):
@@ -379,23 +353,36 @@ def _suite_cor_5_4(n: int = 3) -> Cases:
     )
 
 
-_REGISTRY: Dict[str, Callable[..., Cases]] = {
-    "lemma-1.6": _suite_lemma_1_6,
-    "lemma-1.7": _suite_lemma_1_7,
-    "lemma-1.8": _suite_lemma_1_8,
-    "lemma-2.7": _suite_lemma_2_7,
-    "prop-2.9": _suite_prop_2_9,
-    "lemma-3.1": _suite_lemma_3_1,
-    "prop-3.2": _suite_prop_3_2,
-    "lemma-4.1": _suite_lemma_4_1,
-    "prop-4.2": _suite_prop_4_2,
-    "cor-4.3": _suite_cor_4_3,
-    "cor-4.4": _suite_cor_4_4,
-    "strata": _suite_strata,
-    "lemma-5.1": _suite_lemma_5_1,
-    "thm-5.2": _suite_thm_5_2,
-    "cor-5.3": _suite_cor_5_3,
-    "cor-5.4": _suite_cor_5_4,
+@dataclass(frozen=True)
+class _Suite:
+    body: Callable[..., Cases]
+    max_n: Optional[int] = None  # the largest n the suite accepts; None: no limit
+    why: str = ""  # the work that grows with n, for the refusal message
+
+
+_REGISTRY: Dict[str, _Suite] = {
+    "lemma-1.6": _Suite(partial(_rounding_cases, "ceil")),
+    "lemma-1.7": _Suite(partial(_rounding_cases, "floor")),
+    "lemma-1.8": _Suite(_suite_lemma_1_8),
+    # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
+    # r = 5, takes 5-6 s.
+    "lemma-2.7": _Suite(_suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds"),
+    "prop-2.9": _Suite(_suite_prop_2_9),
+    "lemma-3.1": _Suite(_suite_lemma_3_1),
+    "prop-3.2": _Suite(_suite_prop_3_2),
+    # n = 8 takes about 49 s on a 2-core VM; the sweep grows like n!, so
+    # n = 9 takes minutes.
+    "lemma-4.1": _Suite(_suite_lemma_4_1, 8, "walks all n! row permutations per point"),
+    "prop-4.2": _Suite(_suite_prop_4_2),
+    "cor-4.3": _Suite(_suite_cor_4_3),
+    "cor-4.4": _Suite(_suite_cor_4_4),
+    "strata": _Suite(_suite_strata),
+    "lemma-5.1": _Suite(_suite_lemma_5_1),
+    # On a 2-core VM n = 4 takes about 4 s and n = 5 takes 37 s (93,360 cases),
+    # mostly exact point arithmetic.
+    "thm-5.2": _Suite(_suite_thm_5_2, 4, "desk-checks all n! cells under each of the n generators"),
+    "cor-5.3": _Suite(_suite_cor_5_3),
+    "cor-5.4": _Suite(_suite_cor_5_4),
 }
 
 
@@ -409,7 +396,7 @@ def suite_parameters(name: str) -> Dict[str, object]:
         raise ValueError(
             f"unknown check id {name!r}; available: {', '.join(available_suites())}"
         )
-    return {k: p.default for k, p in inspect.signature(_REGISTRY[name]).parameters.items()}
+    return {k: p.default for k, p in inspect.signature(_REGISTRY[name].body).parameters.items()}
 
 
 def exhaustive_check(name: str, **params: object) -> CheckReport:
@@ -428,7 +415,12 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
             f"it takes {', '.join(defaults)}"
         )
     bound = {k: given.get(k, v) for k, v in defaults.items()}
-    cases = _REGISTRY[name](**bound)
+    suite = _REGISTRY[name]
+    if suite.max_n is not None and bound["n"] > suite.max_n:
+        raise ValueError(
+            f"{name} {suite.why}; n={bound['n']} is over the limit n <= {suite.max_n}"
+        )
+    cases = suite.body(**bound)
     status, checked, details, witness = "pass", 0, (), None
     while True:
         try:

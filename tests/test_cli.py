@@ -1,12 +1,17 @@
 """Front-end behavior: JSON shape, determinism, exit codes."""
 
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusquot
 from torusquot import __version__, verify
@@ -153,11 +158,21 @@ def test_lemma_4_1_refuses_n_over_its_limit(capsys):
 
 
 def test_lemma_2_7_refuses_n_over_its_limit(capsys):
-    limit = verify.LEMMA_2_7_MAX_N
+    limit = verify._REGISTRY["lemma-2.7"].max_n
     code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", str(limit + 1)])
     assert code == 2
     assert out == ""
     assert f"n={limit + 1} is over the limit n <= {limit}" in err
+
+
+def test_thm_5_2_refuses_n_over_its_limit(capsys):
+    code, out, err = _capture(capsys, ["verify", "--suite", "thm-5.2", "--n", "8"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: thm-5.2 desk-checks all n! cells under each of the n generators; "
+        "n=8 is over the limit n <= 4\n"
+    )
 
 
 def test_verify_suite_checking_no_case_exits_one(capsys):
@@ -238,3 +253,72 @@ def test_parser_knows_all_subcommands():
         "verify",
     ):
         assert name in text
+
+
+def _number(draw, top):
+    return str(draw(st.integers(-2, top)))
+
+
+def _numbers(draw, top, min_size=1):
+    return [str(v) for v in draw(st.lists(st.integers(-2, top), min_size=min_size, max_size=4))]
+
+
+def _cell_args(draw):
+    # a strictly increasing sequence, with r its length half the time, so that
+    # valid cells are drawn as well as refused ones
+    a = sorted(draw(st.sets(st.integers(-2, 6), min_size=1, max_size=4)))
+    r = draw(st.one_of(st.just(len(a)), st.integers(-2, 6)))
+    return ["--n", _number(draw, 6), "--r", str(r), "--a", *map(str, a)]
+
+
+def _suite_args(suite, draw):
+    # a suite that takes n always gets --n, so none runs at a larger default
+    takes_n = {"n", "n_min"} & set(verify.suite_parameters(suite))
+    args = ["--suite", suite]
+    if takes_n or draw(st.booleans()):
+        args += ["--n", _number(draw, 3 if suite == "thm-5.2" else 4)]
+    for flag in ("--r", "--seed"):
+        if draw(st.booleans()):
+            args += [flag, _number(draw, 4)]
+    return args
+
+
+# Every drawn input answers in well under a second: the Grassmannian commands
+# at n <= 7 (n <= 6 once a cell is named), the flag commands at n <= 4
+# (flag-quotient at n <= 3), and each suite at n <= 4 (thm-5.2 at n <= 3);
+# the suites without an n run at their defaults.  The whole test takes
+# about 2 s.
+_FUZZ_ARGS = {
+    "tau": lambda draw: ["--n", _number(draw, 7), "--r", _number(draw, 7)],
+    "semistable-cells": lambda draw: ["--n", _number(draw, 7), "--r", _number(draw, 7)],
+    "inversions": _cell_args,
+    "invariants": _cell_args,
+    "act": lambda draw: [*_cell_args(draw), "--gen", _number(draw, 6)],
+    "strata": lambda draw: ["--n", _number(draw, 7)],
+    "flag-negative": lambda draw: ["--n", _number(draw, 4), "--chi", *_numbers(draw, 12)],
+    "flag-quotient": lambda draw: ["--n", _number(draw, 3), "--tau", *_numbers(draw, 4, 0)],
+}
+
+
+def test_fuzz_draws_every_subcommand():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(_FUZZ_ARGS) | {"verify"} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize(
+    "target", sorted(_FUZZ_ARGS) + [f"verify {suite}" for suite in verify.available_suites()]
+)
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_small_input_is_answered_or_refused(target, data):
+    command, _, suite = target.partition(" ")
+    args = _suite_args(suite, data.draw) if suite else _FUZZ_ARGS[command](data.draw)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([command, *args])
+    assert code in (0, 1, 2), args
+    if code == 2:
+        assert out.getvalue() == "", args
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, args
+    else:
+        assert json.loads(out.getvalue())["command"] == command

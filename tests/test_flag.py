@@ -360,6 +360,17 @@ def test_stability_report_records_sign_convention():
     )
 
 
-def test_stability_check_refuses_large_rank():
-    with pytest.raises(ValueError):
-        next(desk_check(5))
+def test_stability_check_refuses_large_rank(monkeypatch):
+    """The size limit is checked before the suite builds a single
+    quotient map or starts the desk check."""
+    ran = []
+
+    def refuse(*args, **kwargs):
+        ran.append(args)
+        raise AssertionError("ran past the size limit")
+
+    monkeypatch.setattr(flag, "pi_tau", refuse)
+    monkeypatch.setattr(flag, "desk_check", refuse)
+    with pytest.raises(ValueError, match="n=5 is over the limit n <= 4"):
+        exhaustive_check("thm-5.2", n=5)
+    assert ran == []

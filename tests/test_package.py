@@ -1,16 +1,21 @@
 """The package holds only code that its commands, suites or other modules
 run; references that only tests use live in ``conftest.py``."""
 
+import argparse
 import ast
+import re
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import torusquot
+from torusquot import verify
+from torusquot.cli import build_parser
 
 # name -> why it stays in src without a package caller
 ALLOWED = {
     "flag_point_semistable": "the benchmark's oracle workload calls it, and "
-    "ROADMAP item 3's thm-5.2-stability suite will",
+    "ROADMAP item 4's thm-5.2-stability suite will",
 }
 
 
@@ -37,3 +42,17 @@ def test_every_public_function_and_class_has_a_package_caller():
         and everywhere[node.name] == Counter(_references(node))[node.name]
     ]
     assert sorted(unreferenced) == sorted(ALLOWED)
+
+
+def _readme_first_column(header):
+    """The first word of every code span in the first column of the README
+    table under ``header``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = takewhile(lambda line: line.startswith("|"), lines[lines.index(header) + 2:])
+    return [span.split()[0] for row in rows for span in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_readme_tables_name_exactly_the_suites_and_subcommands():
+    assert sorted(_readme_first_column("| suite | checks |")) == list(verify.available_suites())
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(_readme_first_column("| subcommand | what it reports |")) == sorted(subparsers.choices)

@@ -1,5 +1,7 @@
 """The named cross-check suites and their registry."""
 
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -103,7 +105,7 @@ def test_runner_stops_at_first_counterexample(monkeypatch):
             yield i != 2, {"case": i}
         return ("all cases hold",)
 
-    monkeypatch.setitem(verify._REGISTRY, "synthetic", synthetic)
+    monkeypatch.setitem(verify._REGISTRY, "synthetic", verify._Suite(synthetic))
     rep = exhaustive_check("synthetic")
     assert rep.status == "fail"
     assert rep.checked == 3
@@ -186,21 +188,37 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
     assert results["counterexample"] == _jsonable(counterexample)
 
 
-def test_lemma_2_7_size_limit_is_checked_before_any_sampling():
-    limit = verify.LEMMA_2_7_MAX_N
-    with pytest.raises(ValueError, match=f"n={limit + 1} is over the limit"):
-        next(verify._suite_lemma_2_7(n=limit + 1))
-    cases = verify._suite_lemma_2_7(n=limit)
-    ok, witness = next(cases)
-    cases.close()
-    assert ok is True and witness["a_seq"] == [0, 1]
+def _check_limit_before_the_body(monkeypatch, name):
+    """With the suite's body replaced by a one-case stub: at the table's
+    limit the stub runs once; one over it, the runner refuses and never
+    calls the stub."""
+    suite = verify._REGISTRY[name]
+    calls = []
+
+    @functools.wraps(suite.body)  # keeps the parameters suite_parameters reads
+    def stub(**bound):
+        calls.append(bound["n"])
+        yield True, None
+        return ()
+
+    monkeypatch.setitem(verify._REGISTRY, name, dataclasses.replace(suite, body=stub))
+    limit = suite.max_n
+    with pytest.raises(ValueError) as refused:
+        exhaustive_check(name, n=limit + 1)
+    assert str(refused.value) == f"{name} {suite.why}; n={limit + 1} is over the limit n <= {limit}"
+    assert calls == []
+    assert exhaustive_check(name, n=limit).ok
+    assert calls == [limit]
 
 
-def test_lemma_4_1_size_limit_is_checked_before_the_sweep():
-    limit = verify.LEMMA_4_1_MAX_N
-    with pytest.raises(ValueError, match=f"n={limit + 1} is over the limit"):
-        next(verify._suite_lemma_4_1(n=limit + 1))
-    cases = verify._suite_lemma_4_1(n=limit)
-    ok, witness = next(cases)
-    cases.close()
-    assert ok is True and witness["sigma"] == list(range(1, limit + 1))
+def test_lemma_2_7_size_limit_is_checked_before_any_sampling(monkeypatch):
+    _check_limit_before_the_body(monkeypatch, "lemma-2.7")
+
+
+def test_lemma_4_1_size_limit_is_checked_before_the_sweep(monkeypatch):
+    _check_limit_before_the_body(monkeypatch, "lemma-4.1")
+
+
+def test_thm_5_2_size_limit_is_checked_before_the_desk_check(monkeypatch):
+    _check_limit_before_the_body(monkeypatch, "thm-5.2")
+
