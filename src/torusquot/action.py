@@ -86,30 +86,28 @@ def action_case(k: int, g: GrassmannElement) -> Tuple[str, int]:
     (column swap below block p), ``pre-block-swap`` (s_{a_p - 1}),
     ``row-swap`` (s_{a_p}, previous block adjacent), ``inversion``
     (s_{a_p}, previous block distant or p = 1), ``outside`` (indices
-    past every block; the action is trivial).
+    past every block; the action is trivial).  An index outside 1..n-1
+    or not in ``stabilizer_generators(g)`` is refused.
     """
     a = g.a_seq
     r = g.r
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"simple index {k} out of range for n={g.n}")
+    if k not in stabilizer_generators(g):
+        raise ValueError(f"cell not stable under s_{k}")
     if k in a:
         p = a.index(k) + 1
         if p >= 2 and a[p - 2] == k - 1:
             return "row-swap", p
         return "inversion", p
-    for p in range(1, r + 1):
-        if k == a[p - 1] - 1:
-            if p >= 2 and a[p - 2] == a[p - 1] - 2:
-                raise ValueError(f"cell not stable under s_{k}")
-            return "pre-block-swap", p
+    if k + 1 in a:
+        return "pre-block-swap", a.index(k + 1) + 1
     if k <= a[0] - 2:
         return "head-swap", 0
     for p in range(1, r):
         if a[p - 1] + 2 <= k <= a[p] - 2:
             return "gap-swap", p
-    if k >= a[r - 1] + 2:
-        return "outside", r
-    raise ValueError(f"cell not stable under s_{k}")
+    return "outside", r
 
 
 # ---------------------------------------------------------------------------

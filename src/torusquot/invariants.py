@@ -180,8 +180,6 @@ def verify_kernel_basis(arr: InversionArray) -> KernelReport:
     g = arr.g
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
     weights = position_weights(arr)
-    if not weights:
-        return KernelReport(g.n, g.r, g.a_seq, 0, expected, True, expected == 0)
     mat = [list(row) for row in zip(*weights)]
     kernel = linalg.integer_kernel_basis(mat)
     ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]

@@ -66,26 +66,22 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
+    # Every column operation acts on A stacked over the identity, so the
+    # top rows become H and the bottom rows accumulate U.
     h = [[int(x) for x in row] for row in a]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    h += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def swap(c1: int, c2: int) -> None:
-        for r in range(nrows):
-            h[r][c1], h[r][c2] = h[r][c2], h[r][c1]
-        for r in range(ncols):
-            u[r][c1], u[r][c2] = u[r][c2], u[r][c1]
+        for row in h:
+            row[c1], row[c2] = row[c2], row[c1]
 
     def addmul(dst: int, src: int, f: int) -> None:
-        for r in range(nrows):
-            h[r][dst] += f * h[r][src]
-        for r in range(ncols):
-            u[r][dst] += f * u[r][src]
+        for row in h:
+            row[dst] += f * row[src]
 
     def negate(c: int) -> None:
-        for r in range(nrows):
-            h[r][c] = -h[r][c]
-        for r in range(ncols):
-            u[r][c] = -u[r][c]
+        for row in h:
+            row[c] = -row[c]
 
     pivots = []
     col = 0
@@ -121,15 +117,13 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
             q = h[row][c] // h[row][col]
             if q:
                 addmul(c, col, -q)
-    return h, u
+    return h[:nrows], h[nrows:]
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
     """A basis of the lattice {x integral : A x = 0}."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    if nrows == 0:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     h, u = hnf_columns(a)
     basis = []
     for c in range(ncols):

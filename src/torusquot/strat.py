@@ -60,30 +60,19 @@ def strata(n: int) -> List[StratumDescriptor]:
     floor((n-1)/2) + 1.
     """
     m = closed_parameter(n)
-    out = [
+    params = [(0, m)] + [(i, m + i - 1) for i in range(1, (n - 1) // 2 + 1)]
+    return [
         StratumDescriptor(
-            index=0,
-            cell_parameter=m,
-            group_order=factorial(m + 1),
-            ambient=f"projective space of a Cartan subalgebra h_{m}",
-            dimension=m - 1,
-            kind="closed",
+            index=i,
+            cell_parameter=mp,
+            group_order=factorial(mp + 1),
+            ambient=f"root-hyperplane complement V_{mp}" if i
+            else f"projective space of a Cartan subalgebra h_{mp}",
+            dimension=mp - 1,
+            kind="open" if i else "closed",
         )
+        for i, mp in params
     ]
-    t = (n - 1) // 2
-    for i in range(1, t + 1):
-        mp = m + i - 1
-        out.append(
-            StratumDescriptor(
-                index=i,
-                cell_parameter=mp,
-                group_order=factorial(mp + 1),
-                ambient=f"root-hyperplane complement V_{mp}",
-                dimension=mp - 1,
-                kind="open",
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,15 @@ def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
     return details
 
 
+def _check_grassmannian(name: str, n: int) -> None:
+    """Refuse n < 2: no G_{r,n} with 1 <= r <= n - 1 exists."""
+    if n < 2:
+        raise ValueError(f"{name} needs n >= 2 for a Grassmannian G_(r,n), got n={n}")
+
+
 def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
     """Cross-ratio exponents are a certified basis of the weight-zero lattice."""
+    _check_grassmannian("prop-2.9", n)
     for r in rs:
         if r > n - 2:
             continue
@@ -138,6 +145,7 @@ def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
 
 def _suite_lemma_3_1(n: int = 6) -> Cases:
     """Closure-stabilizing reflections against the subset-bump oracle."""
+    _check_grassmannian("lemma-3.1", n)
     for r in range(1, n):
         for g in schubert.all_cells(n, r):
             top = frozenset(a + 1 for a in g.a_seq)
@@ -151,6 +159,7 @@ def _suite_lemma_3_1(n: int = 6) -> Cases:
 
 def _suite_prop_3_2(n: int = 6) -> Cases:
     """Coordinate actions: involutions, invariant re-expression, closed forms."""
+    _check_grassmannian("prop-3.2", n)
     for r in range(2, n - 1):
         for g in schubert.semistable_cells(n, r):
             ident = identity_substitution(action.x_names(g))

@@ -40,23 +40,9 @@ class Weight:
     def rank(self) -> int:
         return len(self.coeffs)
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def _check(self, other: "Weight") -> None:
-        if self.rank != other.rank:
-            raise ValueError("dimension mismatch")
-
 
 def weight(coeffs: Iterable) -> Weight:
     return Weight(tuple(Q(c) for c in coeffs))
-
-
-def simple_root(i: int, rank: int) -> Weight:
-    if not 1 <= i <= rank:
-        raise ValueError(f"simple root index {i} out of range for rank {rank}")
-    return Weight(tuple(Q(1) if j == i else Q(0) for j in range(1, rank + 1)))
 
 
 def pairing(chi: Weight, j: int) -> Q:
@@ -92,19 +78,6 @@ def act(w: Permutation, chi: Weight) -> Weight:
     return Weight(tuple(accumulate(eps[:-1])))
 
 
-def height(chi: Weight) -> Q:
-    """Sum of the simple-root coefficients."""
-    return sum(chi.coeffs, Q(0))
-
-
-def _extremal_target(omega: Weight, mode: str) -> Weight:
-    if mode == "ceil":
-        return Weight(tuple(m - math.ceil(m) for m in omega.coeffs))
-    if mode == "floor":
-        return Weight(tuple(m - math.floor(m) for m in omega.coeffs))
-    raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
-
-
 def minuscule_floor_element(omega: Weight, mode: str = "ceil") -> Permutation:
     """The unique minimal-coset element moving omega to its rounded image.
 
@@ -112,24 +85,22 @@ def minuscule_floor_element(omega: Weight, mode: str = "ceil") -> Permutation:
     in (-1, 0]; for ``mode='floor'`` it has m_i - floor(m_i) in [0, 1).
     Requires omega minuscule (all coroot pairings along the orbit stay
     in {-1, 0, 1}); each step subtracts one simple root, choosing the
-    smallest qualifying index.
+    smallest index whose coefficient is still above the target and whose
+    pairing is 1; if none qualifies before the target, the descent stalls.
     """
-    target = _extremal_target(omega, mode)
+    if mode not in ("ceil", "floor"):
+        raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
+    rounded = math.ceil if mode == "ceil" else math.floor
+    target = tuple(m - rounded(m) for m in omega.coeffs)
     n = omega.rank + 1
     w = identity(n)
     chi = omega
-    steps = height(chi - target)
-    if steps != int(steps):
-        raise ValueError("omega is not in the root-translate of its rounding")
-    for _ in range(int(steps)):
-        moved = False
-        for i in range(1, omega.rank + 1):
-            if chi.coeffs[i - 1] > target.coeffs[i - 1] and pairing(chi, i) == 1:
-                chi = chi - simple_root(i, omega.rank)
-                w = simple_reflection(i, n) * w
-                moved = True
+    while chi.coeffs != target:
+        for i in range(1, n):
+            if chi.coeffs[i - 1] > target[i - 1] and pairing(chi, i) == 1:
                 break
-        if not moved:
+        else:
             raise ValueError("descent stalled; weight is not minuscule")
-    assert chi == target
+        chi = Weight(tuple(c - 1 if j == i else c for j, c in enumerate(chi.coeffs, start=1)))
+        w = simple_reflection(i, n) * w
     return w

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,18 @@ def from_word(word: Iterable[int], n: int) -> Permutation:
     return w
 
 
+def _blocks(I: Iterable[int], n: int) -> List[range]:
+    """The runs of positions 1..n joined by the indices in I, left to right.
+
+    Index i joins positions i and i+1, so each position not in I ends a run.
+    """
+    iset = sorted(set(I))
+    if any(not 1 <= i <= n - 1 for i in iset):
+        raise ValueError(f"index set {iset} out of range for S_{n}")
+    ends = [i for i in range(1, n + 1) if i not in iset]
+    return [range(lo + 1, hi + 1) for lo, hi in zip([0] + ends, ends)]
+
+
 def longest_element(I: Iterable[int], n: int) -> Permutation:
     """Longest element of the parabolic subgroup W_I of S_n.
 
@@ -82,19 +94,7 @@ def longest_element(I: Iterable[int], n: int) -> Permutation:
     >>> longest_element([1, 3], 4).images
     (2, 1, 4, 3)
     """
-    iset = sorted(set(I))
-    if any(not 1 <= i <= n - 1 for i in iset):
-        raise ValueError(f"index set {iset} out of range for S_{n}")
-    images = list(range(1, n + 1))
-    run: list[int] = []
-    for i in iset + [None]:  # type: ignore[list-item]
-        if run and (i is None or i != run[-1] + 1):
-            lo, hi = run[0], run[-1] + 1  # positions lo..hi get reversed
-            images[lo - 1 : hi] = images[lo - 1 : hi][::-1]
-            run = []
-        if i is not None:
-            run.append(i)
-    return Permutation(tuple(images))
+    return Permutation(tuple(i for block in _blocks(I, n) for i in reversed(block)))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:
@@ -107,16 +107,8 @@ def parabolic_elements(I: Iterable[int], n: int) -> Iterator[Permutation]:
 
     W_I is the product of the symmetric groups on the blocks of
     positions joined by I, so each element permutes every block within
-    itself; the last position always closes a block.
+    itself.
     """
-    iset = sorted(set(I))
-    if any(not 1 <= i <= n - 1 for i in iset):
-        raise ValueError(f"index set {iset} out of range for S_{n}")
-    blocks = []
-    start = 1
-    for i in range(1, n + 1):
-        if i not in iset:
-            blocks.append(itertools.permutations(range(start, i + 1)))
-            start = i + 1
+    blocks = [itertools.permutations(block) for block in _blocks(I, n)]
     for parts in itertools.product(*blocks):
         yield Permutation(tuple(itertools.chain.from_iterable(parts)))

@@ -7,6 +7,7 @@ import pytest
 from conftest import coordinates_of_matrix
 
 from torusquot.action import (
+    action_case,
     adjoint_torus_action,
     check_equivariance,
     closed_y_action,
@@ -186,3 +187,35 @@ def test_compose_raises_as_subs_does_on_bare_images():
         compose({"x": u, "y": x}, {"x": y})
     with pytest.raises(ValueError, match="no image provided for occurring variable 'y'"):
         compose({"x": u}, {"x": y})
+
+
+def test_every_action_case_label_passes_the_prop_3_2_conditions():
+    """Every stabilizing generator of three n = 8 cells, whose s_5, s_4 and
+    s_3 are the first gap-swap instances, and of the cell (2, 4) at n = 7,
+    where s_6 lies past every block: the coordinate action is an
+    involution, re-expresses in the invariants, matches the closed form,
+    and the outside case is the identity."""
+    gap_swaps = {
+        GrassmannElement(8, 2, (3, 7)): 5,
+        GrassmannElement(8, 3, (2, 6, 7)): 4,
+        GrassmannElement(8, 4, (1, 5, 6, 7)): 3,
+    }
+    outside = GrassmannElement(7, 2, (2, 4))
+    labels = set()
+    for g in [*gap_swaps, outside]:
+        ident = identity_substitution(x_names(g))
+        yident = identity_substitution(y_names(g))
+        for k in sorted(stabilizer_generators(g)):
+            label, _ = action_case(k, g)
+            labels.add(label)
+            sub = x_action(k, g)
+            ysub = y_action_substitution(k, g)
+            assert compose(sub, sub) == ident, (g, k)
+            assert ysub == closed_y_action(k, g), (g, k)
+            assert compose(ysub, ysub) == yident, (g, k)
+    for g, k in gap_swaps.items():
+        assert action_case(k, g) == ("gap-swap", 1)
+    assert action_case(6, outside) == ("outside", 2)
+    assert x_action(6, outside) == identity_substitution(x_names(outside))
+    assert closed_y_action(6, outside) == identity_substitution(y_names(outside))
+    assert labels == {"head-swap", "gap-swap", "pre-block-swap", "row-swap", "inversion", "outside"}

@@ -175,6 +175,15 @@ def test_thm_5_2_refuses_n_over_its_limit(capsys):
     )
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+@pytest.mark.parametrize("suite", ["lemma-3.1", "prop-2.9", "prop-3.2"])
+def test_grassmannian_suites_refuse_n_below_two(capsys, suite, n):
+    code, out, err = _capture(capsys, ["verify", "--suite", suite, "--n", str(n)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {suite} needs n >= 2 for a Grassmannian G_(r,n), got n={n}\n"
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1
@@ -191,6 +200,19 @@ def test_act_emits_closed_form_and_check(capsys):
     doc = json.loads(out)
     assert doc["results"]["action"] == {"Y_1_1": "-Y_1_1 + 1"}
     assert doc["checks"] == [{"name": "involution", "status": "pass"}]
+
+
+def test_inversions_worked_example(capsys):
+    code, out, _ = _capture(capsys, ["inversions", "--n", "6", "--r", "3", "--a", "2", "4", "5"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["count"] == 8
+    assert results["labels"] == [[1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 1], [3, 2], [3, 3]]
+    assert results["intervals"] == {
+        "X_1_1": [1, 2], "X_1_2": [2, 2],
+        "X_2_1": [1, 4], "X_2_2": [2, 4], "X_2_3": [4, 4],
+        "X_3_1": [1, 5], "X_3_2": [2, 5], "X_3_3": [4, 5],
+    }
 
 
 def test_flag_quotient_empty_word_is_a_point(capsys):

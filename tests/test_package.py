@@ -3,6 +3,9 @@ run; references that only tests use live in ``conftest.py``."""
 
 import argparse
 import ast
+import doctest
+import importlib
+import pkgutil
 import re
 from collections import Counter
 from itertools import takewhile
@@ -56,3 +59,13 @@ def test_readme_tables_name_exactly_the_suites_and_subcommands():
     assert sorted(_readme_first_column("| suite | checks |")) == list(verify.available_suites())
     (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(_readme_first_column("| subcommand | what it reports |")) == sorted(subparsers.choices)
+
+
+def test_source_doctests_pass():
+    """The examples in the package's docstrings run and hold."""
+    modules = [torusquot] + [
+        importlib.import_module(f"torusquot.{m.name}") for m in pkgutil.iter_modules(torusquot.__path__)
+    ]
+    results = [doctest.testmod(module) for module in modules]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) > 0
