@@ -24,8 +24,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 from .invariants import InvariantLattice, monomial_weight, reexpress, root_weight
 from .linalg import column_echelon
 from .ratfunc import Names, RationalFunction, Substitution
-from .weights import Weight, act, weight
-from .weyl import Permutation, all_permutations, from_word, longest_element, parabolic_elements
+from .weyl import Permutation, from_word, longest_element, parabolic_elements
 
 Root = Tuple[int, int]  # interval [j, k] <-> alpha_j + ... + alpha_k
 CellPoint = Tuple[Permutation, Dict[Root, object]]  # cell and coordinates
@@ -98,24 +97,40 @@ class RegularDominantChar:
         ):
             raise ValueError("coefficients must be positive and strictly increasing")
 
-    def weight(self) -> Weight:
-        return weight([Fraction(c) for c in self.coeffs])
-
 
 def negative_elements(chi: RegularDominantChar) -> Set[Permutation]:
     """All w in S_{n+1} sending chi to a nonpositive root combination.
 
-    Computed directly from the reflection action and independently as
-    the coset family {c tau : tau fixes the last letter}; the two must
-    agree, and a mismatch raises.
+    w moves the eps-coordinate e_j = m_j - m_{j-1} of chi (e_{n+1} = -m_n)
+    to position w(j), and coefficient k of w(chi) is the prefix sum over
+    positions 1..k.  A depth-first search in integers fills positions
+    1..n+1 in turn with an unused e_j and cuts a branch as soon as a
+    prefix sum is positive, so it finds every such w and only those.
+    Since chi is positive and strictly increasing, e_{n+1} is its only
+    negative entry and must come first: w(n+1) = 1.  After it a prefix
+    sum is -m_n plus a partial sum of e_1..e_n, never positive, so all n!
+    orders of the rest survive (Lemma 5.1).
+
+    The result is compared with the coset family {c tau : tau fixes the
+    last letter}; a mismatch raises.
     """
     n = chi.rank
-    target = chi.weight()
-    direct = {
-        w
-        for w in all_permutations(n + 1)
-        if all(c <= 0 for c in act(w, target).coeffs)
-    }
+    m = (0,) + chi.coeffs
+    eps = [m[j] - m[j - 1] for j in range(1, n + 1)] + [-m[n]]
+    images = [0] * (n + 1)  # images[j - 1] = w(j), 0 while unplaced
+    direct: Set[Permutation] = set()
+
+    def place(position: int, prefix: int) -> None:
+        if position > n + 1:
+            direct.add(Permutation(tuple(images)))
+            return
+        for j, e in enumerate(eps):
+            if not images[j] and prefix + e <= 0:
+                images[j] = position
+                place(position + 1, prefix + e)
+                images[j] = 0
+
+    place(1, 0)
     c = cyclic_element(n)
     coset = {c * tau for tau in subgroup_fixing_last(n)}
     if direct != coset:

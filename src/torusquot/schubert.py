@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .weyl import Permutation
-from .weights import fundamental_weight, minuscule_floor_element
 
 Interval = Tuple[int, int]  # (j, k) stands for alpha_j + ... + alpha_k
 
@@ -70,17 +69,6 @@ def to_permutation(g: GrassmannElement) -> Permutation:
     return Permutation(tuple(head + tail))
 
 
-def from_permutation(w: Permutation, r: int) -> GrassmannElement:
-    """Inverse of :func:`to_permutation`; requires w minimal for W_{I_r}."""
-    n = w.n
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"r={r} out of range for n={n}")
-    for i in range(1, n):
-        if i != r and w(i) > w(i + 1):
-            raise ValueError(f"{w!r} is not increasing away from position {r}")
-    return GrassmannElement(n, r, tuple(w(j) - 1 for j in range(1, r + 1)))
-
-
 def cell_length(g: GrassmannElement) -> int:
     return sum(aj - j + 1 for j, aj in enumerate(g.a_seq, start=1) if aj >= j)
 
@@ -121,21 +109,37 @@ def tau_r_closed_form(n: int, r: int) -> GrassmannElement:
 
 
 def tau_r(n: int, r: int) -> GrassmannElement:
-    """Minimal cell whose closure meets the semistable locus.
+    """Minimal cell whose closure meets the semistable locus: the least w
+    in W^{I_r} moving omega_r to a nonpositive weight.
 
-    Computed as the unique minimal-coset element moving n omega_r to a
-    nonpositive weight (descent algorithm).
+    omega_r has eps-coordinates 1 - r/n at 1..r and -r/n at r+1..n, and w
+    moves the j-th of them to position w(j), so coefficient k of
+    w(omega_r) is the prefix sum #{j : a_j < k} - k r / n.  The count
+    steps up only at k = a_j + 1, so every coefficient is <= 0 exactly
+    when j <= (a_j + 1) r / n for every j, that is a_j >= ceil(j n / r) - 1.
+    The least such a is tau_r, and the semistable cells are the a above it
+    componentwise.  This equals the rounding descent
+    ``weights.minuscule_floor_element`` in ``ceil`` mode; the tests check
+    every pair with n <= 30.
+
+    >>> tau_r(7, 3).a_seq
+    (2, 4, 6)
     """
     if not 2 <= r <= n - 2:
         raise ValueError(f"need 2 <= r <= n - 2, got n={n}, r={r}")
-    w = minuscule_floor_element(fundamental_weight(r, n), mode="ceil")
-    return from_permutation(w, r)
+    return GrassmannElement(n, r, tuple(-(j * n // -r) - 1 for j in range(1, r + 1)))
 
 
 def semistable_cells(n: int, r: int) -> List[GrassmannElement]:
-    """All cells of G_{r,n} containing semistable points: those above tau_r."""
-    tau = tau_r(n, r)
-    return [g for g in all_cells(n, r) if grassmann_leq(tau, g)]
+    """All cells of G_{r,n} containing semistable points: the up-set of
+    tau_r, in lexicographic order.  Entry a_j runs from
+    max(tau_j, a_{j-1} + 1) to n - r + j - 1, so every prefix extends to
+    a cell and the cost is in proportion to the answer."""
+    seqs: List[Tuple[int, ...]] = [()]
+    for j, low in enumerate(tau_r(n, r).a_seq):
+        top = n - r + j
+        seqs = [a + (x,) for a in seqs for x in range(max(low, a[-1] + 1 if a else 0), top + 1)]
+    return [GrassmannElement(n, r, a) for a in seqs]
 
 
 @dataclass(frozen=True)

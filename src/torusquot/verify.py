@@ -386,7 +386,11 @@ _REGISTRY: Dict[str, _Suite] = {
     "cor-4.3": _Suite(_suite_cor_4_3),
     "cor-4.4": _Suite(_suite_cor_4_4),
     "strata": _Suite(_suite_strata),
-    "lemma-5.1": _Suite(_suite_lemma_5_1),
+    # n = 8 takes about 2.4 s on a 2-core VM and n = 9 about 20 s: each
+    # family has n! elements.
+    "lemma-5.1": _Suite(
+        _suite_lemma_5_1, 8, "enumerates all n! elements of both families for each of three characters"
+    ),
     # On a 2-core VM n = 4 takes about 4 s and n = 5 takes 37 s (93,360 cases),
     # mostly exact point arithmetic.
     "thm-5.2": _Suite(_suite_thm_5_2, 4, "desk-checks all n! cells under each of the n generators"),

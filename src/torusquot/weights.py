@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import accumulate
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from .weyl import Permutation, identity, simple_reflection
 
@@ -39,10 +39,6 @@ class Weight:
     @property
     def rank(self) -> int:
         return len(self.coeffs)
-
-
-def weight(coeffs: Iterable) -> Weight:
-    return Weight(tuple(Q(c) for c in coeffs))
 
 
 def pairing(chi: Weight, j: int) -> Q:

@@ -14,11 +14,19 @@ against.  None of these is called by the package itself.
   weak order) and ``bruhat_leq_classical`` the usual subword order.  The
   main path orders Grassmannian cells by ``schubert.grassmann_leq``; the
   tests check that all three orders agree on Grassmannian quotients.
-- ``tau_r_ceil_form`` and ``has_semistable``: the evenly spread form of
-  the minimal semistable cell and the gateway test for one cell.
+- ``from_permutation``: the a-sequence of a minimal representative, the
+  reader that turns the rounding descent into a cell for the ``tau_r``
+  comparison.
+- ``has_semistable`` and ``semistable_cells_by_scan``: the gateway test
+  for one cell, and every cell of ``all_cells`` filtered by it, the
+  reference for ``semistable_cells``' up-set enumeration.
 - ``subset_leq``: the componentwise order on column sets.
 - ``coordinates_of_matrix``: cell coordinates read back from a matrix,
   the reference for the Prop 3.2 row-swap test.
+- ``weight`` and ``negative_elements_by_scan``: a weight from any
+  rationals, and the w in S_{n+1} found by acting on a character with
+  every permutation, the reference for ``flag.negative_elements``'
+  pruned search.
 - ``weight_image``, ``flag_cell_of`` and
   ``reference_flag_point_semistable``: the Hilbert-Mumford test for a
   full flag by enumeration of all N! row permutations, each reduced to
@@ -28,10 +36,11 @@ against.  None of these is called by the package itself.
 
 import itertools
 from fractions import Fraction as Q
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from torusquot.linalg import column_echelon
-from torusquot.schubert import GrassmannElement, grassmann_leq, row_starts, tau_r
+from torusquot.schubert import GrassmannElement, all_cells, grassmann_leq, row_starts, tau_r
+from torusquot.weights import Weight, act
 from torusquot.weyl import Permutation, all_permutations, simple_reflection
 
 ACCEPTANCE_LINES = []
@@ -190,19 +199,25 @@ def min_coset_reps(I: Iterable[int], n: int) -> Iterator[Permutation]:
 # Grassmannian cells
 
 
-def tau_r_ceil_form(n: int, r: int) -> GrassmannElement:
-    """Minimal semistable cell as evenly spread rounding: a_i = ceil(i n / r) - 1.
-
-    Equivalently w([1, r]) = {ceil(j n / r) : j = 1..r}, the column set
-    whose running count matches floor(k r / n) at every k.  Tests verify
-    this agrees with the descent computation exhaustively.
-    """
-    return GrassmannElement(n, r, tuple(-(i * n // -r) - 1 for i in range(1, r + 1)))
+def from_permutation(w: Permutation, r: int) -> GrassmannElement:
+    """Inverse of ``schubert.to_permutation``; requires w minimal for W_{I_r}."""
+    n = w.n
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"r={r} out of range for n={n}")
+    for i in range(1, n):
+        if i != r and w(i) > w(i + 1):
+            raise ValueError(f"{w!r} is not increasing away from position {r}")
+    return GrassmannElement(n, r, tuple(w(j) - 1 for j in range(1, r + 1)))
 
 
 def has_semistable(g: GrassmannElement) -> bool:
     """True iff the cell of g contains a semistable point (tau_r <= g)."""
     return grassmann_leq(tau_r(g.n, g.r), g)
+
+
+def semistable_cells_by_scan(n: int, r: int) -> List[GrassmannElement]:
+    """Every cell of G_{r,n} tested against tau_r, in lexicographic order."""
+    return [g for g in all_cells(n, r) if has_semistable(g)]
 
 
 def subset_leq(s: Tuple[int, ...], t: Tuple[int, ...]) -> bool:
@@ -236,7 +251,22 @@ def coordinates_of_matrix(
 
 
 # ---------------------------------------------------------------------------
-# full flags: pivot cells, weight images and the N! Hilbert-Mumford test
+# full flags: the negative set, pivot cells, weight images and the N!
+# Hilbert-Mumford test
+
+
+def weight(coeffs: Iterable) -> Weight:
+    return Weight(tuple(Q(c) for c in coeffs))
+
+
+def negative_elements_by_scan(coeffs: Sequence[int]) -> Set[Permutation]:
+    """Every w in S_{n+1} whose image of chi = sum m_i alpha_i is nonpositive."""
+    chi = weight(coeffs)
+    return {
+        w
+        for w in all_permutations(chi.rank + 1)
+        if all(c <= 0 for c in act(w, chi).coeffs)
+    }
 
 
 def weight_image(w: Permutation, coeffs: Sequence[Q]) -> Tuple[Q, ...]:

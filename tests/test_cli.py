@@ -175,6 +175,16 @@ def test_thm_5_2_refuses_n_over_its_limit(capsys):
     )
 
 
+def test_lemma_5_1_refuses_n_over_its_limit(capsys):
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-5.1", "--n", "9"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: lemma-5.1 enumerates all n! elements of both families for each of "
+        "three characters; n=9 is over the limit n <= 8\n"
+    )
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize("suite", ["lemma-3.1", "prop-2.9", "prop-3.2"])
 def test_grassmannian_suites_refuse_n_below_two(capsys, suite, n):

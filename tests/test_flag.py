@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from conftest import length
+from conftest import length, negative_elements_by_scan
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusquot import flag, oracle
 from torusquot.flag import (
@@ -129,6 +132,30 @@ def test_negative_elements_rank_five_is_the_coset_family():
     c = cyclic_element(5)
     assert elements == {c * tau for tau in subgroup_fixing_last(5)}
     assert len(elements) == 120
+
+
+@st.composite
+def regular_dominant_chars(draw):
+    """A positive strictly increasing character of rank 1 to 6."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return RegularDominantChar(n, tuple(accumulate(steps)))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(chi=regular_dominant_chars())
+def test_negative_elements_are_the_scan_of_every_permutation(chi):
+    """The pruned search finds what acting with all of S_{n+1} finds, and
+    every element sends n + 1 to 1."""
+    elements = negative_elements(chi)
+    assert elements == negative_elements_by_scan(chi.coeffs)
+    assert {w(chi.rank + 1) for w in elements} == {1}
+
+
+def test_negative_elements_raise_when_the_coset_family_disagrees(monkeypatch):
+    monkeypatch.setattr(flag, "subgroup_fixing_last", lambda n: [])
+    with pytest.raises(ArithmeticError, match="disagree with the coset description"):
+        negative_elements(RegularDominantChar(3, (1, 2, 3)))
 
 
 def test_regular_dominant_char_validation():

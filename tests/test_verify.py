@@ -222,3 +222,7 @@ def test_lemma_4_1_size_limit_is_checked_before_the_sweep(monkeypatch):
 def test_thm_5_2_size_limit_is_checked_before_the_desk_check(monkeypatch):
     _check_limit_before_the_body(monkeypatch, "thm-5.2")
 
+
+def test_lemma_5_1_size_limit_is_checked_before_either_family(monkeypatch):
+    _check_limit_before_the_body(monkeypatch, "lemma-5.1")
+

@@ -6,15 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import cartan_matrix, min_coset_reps, reduced_word, solve_linear
+from conftest import cartan_matrix, min_coset_reps, reduced_word, solve_linear, weight
 
-from torusquot.weights import (
-    act,
-    fundamental_weight,
-    minuscule_floor_element,
-    pairing,
-    weight,
-)
+from torusquot.weights import act, fundamental_weight, minuscule_floor_element, pairing
 from torusquot.weyl import Permutation, all_permutations, from_word, identity, simple_reflection
 
 
