@@ -6,15 +6,22 @@ over the declared variable tuple, so equal values always print the
 same way.  Each value remembers its variable tuple; mixing coordinate
 systems without an explicit substitution is an error.
 
-Every value is reduced by `_fraction` to the form sympy's `cancel`
-returns over QQ: the constructors and `subs` call it, and the
-arithmetic reaches it through `_Reduced`, the element type of every
-field here.  When the numerator or the denominator has one term, their
-gcd is a rational times a monomial, so the reduction needs no
-polynomial gcd (the one-term rule).  The coordinates of both torus
-quotients are Laurent monomials, and `subs` maps a monomial under
-monomial images by an integer linear map on exponent vectors (the
-exponent map), without forming a common denominator.
+The fields are built over the integers: a value is a numerator and a
+denominator with jointly primitive integer coefficients and a positive
+denominator leading coefficient, the form sympy's `cancel` returns over
+QQ, held with Python ints.  Scalars are `int` or `Fraction`; anything
+inexact is refused with `TypeError`.
+
+Every value is reduced by `_fraction`: the constructors and `subs` call
+it, and the arithmetic reaches it through `_Reduced`, the element type
+of every field here.  When the numerator or the denominator has one
+term, their gcd is an integer times a monomial, so the reduction needs
+no polynomial gcd (the one-term rule).  Two binomials need none either
+when they are associates or both irreducible (the two-term rule, argued
+at `_fraction`).  The coordinates of both torus quotients are Laurent
+monomials, and `subs` maps a monomial under monomial images by an
+integer linear map on exponent vectors (the exponent map), without
+forming a common denominator.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import ZZ
 from sympy.polys.fields import FracElement, FracField, field as _sym_field
 from sympy.polys.orderings import grlex
 
@@ -34,7 +41,7 @@ Scalar = Union[int, Fraction]
 
 @lru_cache(maxsize=None)
 def _field_for(names: Names) -> FracField:
-    """sympy's field over `names`, with `_Reduced` as its element type.
+    """sympy's field over `names` with integer coefficients and `_Reduced` elements.
 
     sympy builds a field's zero, one and generators from `dtype`, and
     every element it makes afterwards with `raw_new`, so resetting those
@@ -44,48 +51,84 @@ def _field_for(names: Names) -> FracField:
     """
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")
-    fld = _sym_field(list(names), QQ, order=grlex)[0]
+    fld = _sym_field(list(names), ZZ, order=grlex)[0]
     fld.dtype = _Reduced(fld, fld.ring.zero).raw_new
     fld.zero, fld.one = fld.dtype(fld.ring.zero), fld.dtype(fld.ring.one)
     fld.gens = fld._gens()
     return fld
 
 
-def _to_qq(value: Scalar):
-    f = Fraction(value)
-    return QQ(f.numerator, f.denominator)
+def _exact(value) -> Fraction:
+    """`value` as a `Fraction`; floats, strings and other inexact scalars are refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
 
 
 def _fraction(fld: FracField, num, den):
     """The element num/den of `fld`, reduced as sympy's `cancel` reduces it.
 
-    If either side has one term, the gcd is a rational times a monomial:
-    every exponent drops by the componentwise minimum over all terms,
-    the coefficients are scaled to jointly primitive integers, and the
-    sign makes the denominator's grlex leading coefficient positive.
-    That is the unique form `cancel` returns over QQ.  Any other pair
-    goes through `fld.new`, which runs the polynomial gcd.
+    `cancel` divides by the gcd and makes the denominator's grlex leading
+    coefficient positive; over ZZ the result has jointly primitive
+    coefficients, and it is unique.  When that gcd is an integer times a
+    monomial, the reduction needs no polynomial gcd: every exponent drops
+    by the componentwise minimum over all terms, the coefficients are
+    divided by their gcd, and the sign fixes the leading coefficient.
+
+    The gcd is of that kind when either side has one term (the one-term
+    rule), and for two binomials that pass the two-term rule.  Write a
+    binomial as X**g * B with g the componentwise minimum of its two
+    exponents, so that B = a*X**u + b*X**v with u, v of disjoint support.
+    - If num = a*X**m + a'*X**m' and den = b*X**n + b'*X**n' with
+      m' - m = n' - n and a'/a = b'/b, their parts B are associates, and
+      num/den = (a*X**m)/(b*X**n); the one-term rule finishes.
+    - Otherwise, when both parts B are irreducible, they are coprime (two
+      irreducibles that are not associates), so the gcd is an integer
+      times a monomial.  B is irreducible when some exponent of u or v is
+      1, i.e. the two exponents of a variable x differ by one: then
+      B = A*x + C with A, C monomials times integers sharing no variable,
+      so B has degree one in x and is primitive in x.  In a factorisation
+      of B one factor is free of x; it divides A and C, so it is a
+      constant (Gauss's lemma).
+    Any other pair goes through `fld.new`, which runs the polynomial gcd.
     """
     if not num:
         return fld.zero
-    if len(num) != 1 and len(den) != 1:
+    if len(num) == len(den) == 2:
+        pair = _two_term_rule(num, den)
+        if pair is None:
+            return fld.new(num, den)
+        num, den = pair
+    elif len(num) != 1 and len(den) != 1:
         return fld.new(num, den)
     shift = tuple(map(min, zip(*num, *den)))
-    coeffs = [*num.values(), *den.values()]
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    content = gcd(*ints)
+    content = gcd(*num.values(), *den.values())
     if den.LC < 0:
         content = -content
-    if scale == content == 1 and not any(shift):
+    if content == 1 and not any(shift):
         return fld.raw_new(num, den)
-    scaled = iter(ints)
-    dtype, ldiv = fld.domain.dtype, fld.ring.monomial_ldiv
+    ldiv = fld.ring.monomial_ldiv
 
     def rebuilt(poly):
-        return poly.new([(ldiv(mon, shift), dtype(next(scaled) // content)) for mon in poly])
+        return poly.new([(ldiv(mon, shift), c // content) for mon, c in poly.items()])
 
     return fld.raw_new(rebuilt(num), rebuilt(den))
+
+
+def _two_term_rule(num, den):
+    """For binomials num and den: one term over one term if they are
+    associates, the pair itself if both are irreducible, else None
+    (see `_fraction`)."""
+    (m, a), (m2, a2) = num.items()
+    (n, b), (n2, b2) = den.items()
+    step, den_step = ([y - x for x, y in zip(p, q)] for p, q in ((m, m2), (n, n2)))
+    if den_step == [-x for x in step]:
+        (n, b), (n2, b2), den_step = (n2, b2), (n, b), step
+    if den_step == step and a2 * b == a * b2:
+        return num.ring.term_new(m, a), den.ring.term_new(n, b)
+    if 1 in map(abs, step) and 1 in map(abs, den_step):
+        return num, den
+    return None
 
 
 class _Reduced(FracElement):
@@ -128,7 +171,9 @@ class RationalFunction:
     def constant(cls, value: Scalar, names: Names) -> "RationalFunction":
         names = tuple(names)
         fld = _field_for(names)
-        return cls(names, _fraction(fld, fld.ring.ground_new(_to_qq(value)), fld.ring.one))
+        value = _exact(value)
+        ring = fld.ring
+        return cls(names, _fraction(fld, ring(value.numerator), ring(value.denominator)))
 
     @classmethod
     def from_terms(
@@ -140,8 +185,10 @@ class RationalFunction:
         """The reduced quotient of two polynomials given as exponent -> coefficient."""
         names = tuple(names)
         fld = _field_for(names)
+        numer, denom = ({mon: _exact(c) for mon, c in terms.items()} for terms in (numer, denom))
+        scale = lcm(*(c.denominator for terms in (numer, denom) for c in terms.values()))
         num, den = (
-            fld.ring.from_dict({mon: _to_qq(c) for mon, c in terms.items()})
+            fld.ring.from_dict({mon: int(c * scale) for mon, c in terms.items()})
             for terms in (numer, denom)
         )
         if not den:
@@ -233,16 +280,10 @@ class RationalFunction:
 
     def numer_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
         """Numerator terms, graded-lex descending, exact coefficients."""
-        return [
-            (tuple(mon), Fraction(int(c.numerator), int(c.denominator)))
-            for mon, c in self.elem.numer.terms()
-        ]
+        return [(tuple(mon), Fraction(c)) for mon, c in self.elem.numer.terms()]
 
     def denom_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
-        return [
-            (tuple(mon), Fraction(int(c.numerator), int(c.denominator)))
-            for mon, c in self.elem.denom.terms()
-        ]
+        return [(tuple(mon), Fraction(c)) for mon, c in self.elem.denom.terms()]
 
     def uses(self, name: str) -> bool:
         """Whether the variable occurs in the reduced fraction."""
@@ -326,7 +367,7 @@ class RationalFunction:
                     raise ValueError(f"no value for occurring variable {name!r}")
                 point.append(Fraction(0))
             else:
-                point.append(Fraction(values[name]))
+                point.append(_exact(values[name]))
         num = _eval_poly_scalar(self.elem.numer, point)
         den = _eval_poly_scalar(self.elem.denom, point)
         if den == 0:
@@ -339,12 +380,12 @@ class RationalFunction:
         """Deterministic string: denominator scaled to leading coefficient 1."""
         if self.is_zero:
             return "0"
-        lc = Fraction(int(self.elem.denom.LC.numerator), int(self.elem.denom.LC.denominator))
-        num = _poly_str(self.numer_terms(), self.names, Fraction(1) / lc)
+        lc = self.elem.denom.LC
+        num = _poly_str(self.numer_terms(), self.names, Fraction(1, lc))
         den_terms = self.denom_terms()
         if len(den_terms) == 1 and den_terms[0][0] == (0,) * len(self.names):
             return num  # constant denominator folds into the numerator
-        den = _poly_str(den_terms, self.names, Fraction(1) / lc)
+        den = _poly_str(den_terms, self.names, Fraction(1, lc))
         return f"({num})/({den})"
 
 
@@ -363,7 +404,7 @@ def _monomial_image(fld: FracField, names: Names, elem, mapping, target: Names):
     over one term."""
     (a, c), = elem.numer.items()
     (b, d), = elem.denom.items()
-    coeff = c / d
+    coeff = Fraction(c, d)
     v = [0] * len(target)
     for name, ea, eb in zip(names, a, b):
         if not (ea or eb):
@@ -375,7 +416,7 @@ def _monomial_image(fld: FracField, names: Names, elem, mapping, target: Names):
                 return None
             (u, p), = img.numer.items()
             (w, q), = img.denom.items()
-            coeff *= (p / q) ** e
+            coeff *= Fraction(p, q) ** e
             for j, (uj, wj) in enumerate(zip(u, w)):
                 v[j] += e * (uj - wj)
         elif name in target:
@@ -399,7 +440,7 @@ def _powers(poly, d: int) -> list:
 def _eval_poly_scalar(poly, point: List[Fraction]) -> Fraction:
     total = Fraction(0)
     for mon, coeff in poly.terms():
-        term = Fraction(int(coeff.numerator), int(coeff.denominator))
+        term = coeff
         for v, e in zip(point, mon):
             if e:
                 term *= v ** e

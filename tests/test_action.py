@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import coordinates_of_matrix
+from sympy.polys.fields import FracField
 
 from torusquot.action import (
     action_case,
@@ -106,6 +107,25 @@ def test_y_action_is_involution_on_semistable_cells_n5():
         for k in sorted(stabilizer_generators(g)):
             sub = y_action_substitution(k, g)
             assert compose(sub, sub) == ident
+
+
+def test_y_actions_need_no_polynomial_gcd(monkeypatch):
+    """Through n = 7, both Y actions of every semistable cell reduce each
+    fraction by the one- or two-term rule, never by sympy's gcd."""
+    original, calls = FracField.new, []
+
+    def counted(fld, *args):
+        calls.append(args)
+        return original(fld, *args)
+
+    monkeypatch.setattr(FracField, "new", counted)
+    for n in range(4, 8):
+        for r in range(2, n - 1):
+            for g in semistable_cells(n, r):
+                for k in sorted(stabilizer_generators(g)):
+                    y_action_substitution(k, g)
+                    closed_y_action(k, g)
+    assert calls == []
 
 
 def test_r2_rules_frozen():

@@ -1,12 +1,15 @@
 """Exact rational-function field: arithmetic, canonical forms, substitution."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import torusquot.ratfunc as ratfunc
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.fields import field
+from sympy.polys.orderings import grlex
 
 from torusquot.ratfunc import (
     RationalFunction,
@@ -99,12 +102,26 @@ EXPONENTS = st.tuples(*[st.integers(0, 3)] * len(THREE))
 COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 
 
-def _poly(terms, shift=(0, 0, 0)):
+BINOMIALS = st.dictionaries(EXPONENTS, st.integers(-6, 6).filter(bool), min_size=2, max_size=2)
+QQ_FIELD = field(list(THREE), QQ, order=grlex)[0]
+
+
+def _shifted(terms, shift):
+    return {tuple(e + s for e, s in zip(mon, shift)): c for mon, c in terms.items()}
+
+
+def _polys(num, den):
+    """num and den as polynomials of THREE's integer ring, both scaled by the
+    lcm of their coefficients' denominators, so that num/den is unchanged."""
     ring = _field_for(THREE).ring
-    return ring.from_dict({
-        tuple(e + s for e, s in zip(mon, shift)): QQ(c.numerator, c.denominator)
-        for mon, c in terms.items()
-    })
+    scale = lcm(*(Fraction(c).denominator for c in (*num.values(), *den.values())))
+    return tuple(
+        ring.from_dict({mon: int(c * scale) for mon, c in terms.items()}) for terms in (num, den)
+    )
+
+
+def _coefficients(poly):
+    return {mon: Fraction(int(c.numerator), int(c.denominator)) for mon, c in poly.items()}
 
 
 def _xy():
@@ -247,9 +264,49 @@ def test_subs_calls_no_arithmetic_operator(monkeypatch):
          other={(3, 0, 0): Fraction(10), (1, 1, 1): Fraction(-15, 7), (0, 0, 0): Fraction(1)},
          shift=(0, 0, 0), single_on_top=False)  # multi-term numerator
 def test_one_term_reduction_is_sympys_cancel(single, other, shift, single_on_top):
-    """`_fraction` without a gcd gives exactly the form `cancel` gives."""
+    """`_fraction` without a gcd gives exactly the form `cancel` gives, and
+    the integer coefficients are those `cancel` gives over QQ."""
     num, den = (single, other) if single_on_top and other else (other, single)
-    num, den = _poly(num, shift), _poly(den, shift)
+    num, den = _shifted(num, shift), _shifted(den, shift)
+    over_qq = QQ_FIELD.new(*(
+        QQ_FIELD.ring.from_dict({mon: QQ(c.numerator, c.denominator) for mon, c in terms.items()})
+        for terms in (num, den)
+    ))
+    num, den = _polys(num, den)
+    fld = _field_for(THREE)
+    got, expected = _fraction(fld, num, den), fld.new(num, den)
+    assert (got.numer, got.denom) == (expected.numer, expected.denom)
+    assert all(type(c) is int for poly in (got.numer, got.denom) for c in poly.values())
+    assert (_coefficients(got.numer), _coefficients(got.denom)) == (
+        _coefficients(over_qq.numer), _coefficients(over_qq.denom)
+    )
+    got, expected = RationalFunction(THREE, got), RationalFunction(THREE, expected)
+    assert hash(got) == hash(expected)
+    assert got.canonical() == expected.canonical()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    num=BINOMIALS,
+    den=BINOMIALS,
+    num_shift=EXPONENTS,
+    den_shift=EXPONENTS,
+    associate=st.sampled_from([0, 0, 1, -1, 3, -2]),
+)
+@example(num={(1, 0, 0): 1, (0, 1, 0): -1}, den={(1, 0, 0): -2, (0, 1, 0): 2},
+         num_shift=(0, 0, 1), den_shift=(1, 0, 0), associate=0)  # associate pair
+@example(num={(1, 0, 0): 1, (0, 1, 0): -1}, den={(2, 0, 0): 1, (0, 2, 0): -1},
+         num_shift=(0, 0, 0), den_shift=(0, 0, 0), associate=0)  # (x - y)/(x**2 - y**2)
+@example(num={(2, 0, 0): 1, (0, 2, 0): -1}, den={(2, 0, 0): 1, (0, 2, 0): 1},
+         num_shift=(0, 0, 0), den_shift=(0, 0, 0), associate=0)  # (x**2 - y**2)/(x**2 + y**2)
+@example(num={(0, 0, 1): 2, (1, 1, 0): -2}, den={(1, 1, 0): 1, (0, 0, 1): -1},
+         num_shift=(0, 0, 0), den_shift=(0, 0, 0), associate=0)  # (2z - 2xy)/(xy - z)
+def test_two_term_reduction_is_sympys_cancel(num, den, num_shift, den_shift, associate):
+    """Binomial over binomial: `_fraction` gives exactly the form `cancel`
+    gives, for associates, coprime irreducibles and the pairs left to it."""
+    if associate:
+        den = {mon: associate * c for mon, c in num.items()}
+    num, den = _polys(_shifted(num, num_shift), _shifted(den, den_shift))
     fld = _field_for(THREE)
     got, expected = _fraction(fld, num, den), fld.new(num, den)
     assert (got.numer, got.denom) == (expected.numer, expected.denom)
@@ -289,9 +346,45 @@ def test_monomial_subs_is_an_exponent_map(f, mapping):
     assert got.canonical() == expected.canonical()
 
 
+def test_exponent_map_keeps_large_coefficients_exact():
+    """Coefficients beyond a float's precision survive the exponent map,
+    under images with negative exponents."""
+    x, y = _xy()
+    u, v = (RationalFunction.variable(name, TARGET) for name in TARGET)
+    f = Fraction(3 ** 40, 7 ** 40) * x ** 2 / y ** 3
+    cx, cy = Fraction(-5 ** 30, 11 ** 20), Fraction(7 ** 13, 2 ** 70)
+    mapping = {"x": cx * u ** -2 * v, "y": cy / v ** 3}
+    expected = reference_subs(f, mapping, TARGET)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfunc, "_powers", None)  # the common-denominator path would call it
+        got = f.subs(mapping, target_names=TARGET)
+    assert got == expected
+    assert got.canonical() == expected.canonical()
+    assert got == Fraction(3 ** 40, 7 ** 40) * cx ** 2 / cy ** 3 * u ** -4 * v ** 11
+
+
+def test_inexact_scalars_are_refused():
+    x, _ = _xy()
+    for bad in (0.1, 0.5, "1/3"):
+        with pytest.raises(TypeError):
+            RationalFunction.constant(bad, NAMES)
+        with pytest.raises(TypeError):
+            RationalFunction.from_terms(NAMES, {(1, 0): bad}, {(0, 0): 1})
+        with pytest.raises(TypeError):
+            RationalFunction.from_terms(NAMES, {(1, 0): 1}, {(0, 0): bad})
+        with pytest.raises(TypeError):
+            x.evaluate({"x": bad, "y": 1})
+        with pytest.raises(TypeError):
+            x + bad
+    third = RationalFunction.constant(Fraction(1, 3), NAMES)
+    assert third.evaluate({"x": 0, "y": Fraction(1, 2)}) == Fraction(1, 3)
+    assert RationalFunction.from_terms(NAMES, {(1, 0): Fraction(1, 2)}, {(0, 0): 3}) == x / 6
+
+
 def test_arithmetic_reduces_through_the_one_term_rule(monkeypatch):
     """Every operator result is a `_Reduced`; only a numerator and a
-    denominator with several terms each reach sympy's cancel."""
+    denominator with several terms each, not both irreducible binomials,
+    reach sympy's cancel."""
     x, y = _xy()
     fld, calls = _field_for(NAMES), []
     monkeypatch.setattr(fld, "new", _counting_new(fld, calls))
@@ -299,7 +392,8 @@ def test_arithmetic_reduces_through_the_one_term_rule(monkeypatch):
     assert calls == []
     assert monomial.canonical() == "(x**4 - 2/3*x**2*y**2 + y**2)/(y**2)"
     binomial = (x + y) / (x - y) * (x - y)
-    assert [len(num) == len(den) == 2 for num, den in calls] == [True, True]
+    gx, gy = fld.ring.gens
+    assert calls == [(gx ** 2 - gy ** 2, gx - gy)]  # x**2 - y**2 has no exponent step of 1
     assert binomial == x + y
     values = (x, x ** -1, -x, x + 1, x - y, x * y, x / y, 1 / x, 2 - x, monomial, binomial)
     assert all(isinstance(v.elem, ratfunc._Reduced) for v in values)
