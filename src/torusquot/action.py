@@ -21,8 +21,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantLattice,
+    induced_action,
     position_weights,
-    reexpress,
     y_exponent,
     y_labels,
 )
@@ -167,20 +167,7 @@ def x_action(k: int, g: GrassmannElement) -> Substitution:
 
 
 # ---------------------------------------------------------------------------
-# moving between X and Y coordinates
-
-
-def y_to_x(g: GrassmannElement) -> Substitution:
-    """Each cross-ratio Y_{i,j} as a Laurent monomial in the X's."""
-    lattice = invariant_lattice(g)
-    return {
-        name: RationalFunction.from_terms(
-            lattice.x_names,
-            {tuple(max(e, 0) for e in exps): 1},
-            {tuple(max(-e, 0) for e in exps): 1},
-        )
-        for name, exps in zip(lattice.y_names, lattice.generators)
-    }
+# the induced action on the Y coordinates
 
 
 @lru_cache(maxsize=None)
@@ -191,16 +178,10 @@ def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
     return InvariantLattice(x_names(g), position_weights(arr), y_names(g), gens, sign=1)
 
 
-def reexpress_in_y(f: RationalFunction, g: GrassmannElement) -> RationalFunction:
-    """Rewrite a torus-invariant rational function of the X's in the Y's."""
-    return reexpress(f, invariant_lattice(g))
-
-
 def y_action_substitution(k: int, g: GrassmannElement) -> Substitution:
     """Action of s_k on the Y's, via the X level: each Y's X monomial is
     moved by s_k and re-expressed in the Y's."""
-    xsub = x_action(k, g)
-    return {name: reexpress_in_y(mono.subs(xsub), g) for name, mono in y_to_x(g).items()}
+    return induced_action(invariant_lattice(g), x_action(k, g))
 
 
 def closed_y_action(k: int, g: GrassmannElement) -> Substitution:

@@ -10,6 +10,7 @@ errors (diagnostics go to standard error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -85,7 +86,7 @@ def _cmd_inversions(args: argparse.Namespace) -> int:
     g = _cell(args.n, args.r, args.a)
     arr = schubert.inversion_array(g)
     intervals = {
-        f"X_{i}_{j}": list(arr.root_at(i, j)) for i, j in arr.positions()
+        name: list(arr.root_at(i, j)) for name, (i, j) in zip(action.x_names(g), arr.positions())
     }
     results = {
         "count": len(intervals),
@@ -98,13 +99,10 @@ def _cmd_inversions(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     g = _cell(args.n, args.r, args.a)
     arr = schubert.inversion_array(g)
-    positions = arr.positions()
-    monomials = {}
-    for i, j in invariants.y_labels(arr):
-        vec = invariants.y_exponent(arr, i, j)
-        monomials[f"Y_{i}_{j}"] = {
-            f"X_{p}_{q}": e for (p, q), e in zip(positions, vec) if e
-        }
+    monomials = {
+        name: {x: e for x, e in zip(action.x_names(g), invariants.y_exponent(arr, i, j)) if e}
+        for name, (i, j) in zip(action.y_names(g), invariants.y_labels(arr))
+    }
     rep = invariants.verify_kernel_basis(arr)
     check: Check = {"name": "kernel-basis", "status": "pass" if rep.ok else "fail"}
     if not rep.ok:
@@ -137,17 +135,7 @@ def _cmd_strata(args: argparse.Namespace) -> int:
     rep = strat.strata_report(args.n)
     results = {
         "divergences": list(rep.divergences),
-        "strata": [
-            {
-                "ambient": d.ambient,
-                "cell_parameter": d.cell_parameter,
-                "dimension": d.dimension,
-                "group_order": d.group_order,
-                "index": d.index,
-                "kind": d.kind,
-            }
-            for d in rep.descriptors
-        ],
+        "strata": [dataclasses.asdict(d) for d in rep.descriptors],
     }
     return _emit_flags(args, results, [])
 
@@ -207,13 +195,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _emit("verify", shown, rep.to_payload(), [check], args.seed or 0)
 
 
-def _int_arg(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusquot",
@@ -240,19 +221,19 @@ def build_parser() -> argparse.ArgumentParser:
             "interval roots labelling the coordinates of a cell")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=_int_arg, nargs="+", required=True,
+    p.add_argument("--a", type=int, nargs="+", required=True,
                    metavar="A", help="cell parameter sequence")
 
     p = add("invariants", _cmd_invariants,
             "cross-ratio generators of the torus-invariant field")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=_int_arg, nargs="+", required=True, metavar="A")
+    p.add_argument("--a", type=int, nargs="+", required=True, metavar="A")
 
     p = add("act", _cmd_act, "closed-form generator action on the invariants")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=_int_arg, nargs="+", required=True, metavar="A")
+    p.add_argument("--a", type=int, nargs="+", required=True, metavar="A")
     p.add_argument("--gen", type=int, required=True,
                    help="index of the simple reflection")
 
@@ -262,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("flag-negative", _cmd_flag_negative,
             "elements sending a dominant character to nonpositive weights")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chi", type=_int_arg, nargs="+", required=True,
+    p.add_argument("--chi", type=int, nargs="+", required=True,
                    metavar="C", help="strictly increasing positive coefficients")
 
     p = add("flag-quotient", _cmd_flag_quotient,
             "torus-invariant coordinates of a semistable flag cell")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=_int_arg, nargs="*", required=True,
+    p.add_argument("--tau", type=int, nargs="*", required=True,
                    metavar="W", help="word for the cell parameter (may be empty)")
 
     p = add("verify", _cmd_verify, "run a named verification suite")

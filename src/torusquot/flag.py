@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .invariants import InvariantLattice, monomial_weight, reexpress, root_weight
+from .invariants import InvariantLattice, induced_action, monomial_weight, root_weight
 from .linalg import column_echelon
 from .ratfunc import Names, RationalFunction, Substitution
 from .weyl import Permutation, from_word, longest_element, parabolic_elements
@@ -149,14 +149,6 @@ def cell_parameter(w: Permutation) -> Permutation:
     return tau
 
 
-def restrict_to_first(tau: Permutation) -> Permutation:
-    """Drop the fixed last letter: S_{n+1} element fixing n+1 -> S_n."""
-    n = tau.n - 1
-    if tau(n + 1) != n + 1:
-        raise ValueError("element moves the last letter")
-    return Permutation(tau.images[:n])
-
-
 def inversion_roots(w: Permutation) -> Tuple[Root, ...]:
     """R+(w^{-1}) as intervals, in the fixed decreasing order."""
     winv = w.inverse()
@@ -277,8 +269,7 @@ def pi_point(
     Y_{j-1,k-1} = -X_beta X_{[1,j-1]} / X_{[1,k]} for every inversion root
     beta = [j, k] with j >= 2; the scalar type is the coordinates' own.
     """
-    tau = cell_parameter(w)
-    small = restrict_to_first(tau)
+    small = Permutation(cell_parameter(w).images[:-1])  # drop the fixed last letter
     out: Dict[Root, object] = {}
     for beta, v in coords.items():
         j, k = beta
@@ -325,12 +316,12 @@ def s1_y_action(f: RationalFunction) -> RationalFunction:
 # symbolic generator actions
 
 
-def symbolic_coords(w: Permutation) -> Dict[Root, RationalFunction]:
-    names = flag_x_names(w)
-    return {
-        r: RationalFunction.variable(f"X_{r[0]}_{r[1]}", names)
-        for r in inversion_roots(w)
-    }
+def symbolic_coords(w: Permutation, letter: str = "X") -> Dict[Root, RationalFunction]:
+    """The generic point of the cell of w: one variable letter_j_k per
+    inversion root [j, k]."""
+    roots = inversion_roots(w)
+    names = tuple(f"{letter}_{j}_{k}" for j, k in roots)
+    return {r: RationalFunction.variable(name, names) for r, name in zip(roots, names)}
 
 
 def top_cell(n: int) -> Permutation:
@@ -359,42 +350,26 @@ def flag_lattice(n: int) -> InvariantLattice:
     return InvariantLattice(names, weights, flag_y_names(n - 1), tuple(gens), sign=-1)
 
 
-def flag_reexpress_in_y(f: RationalFunction, n: int) -> RationalFunction:
-    """Rewrite an invariant function of the full cell's X's in the Y's."""
-    return reexpress(f, flag_lattice(n))
+def _moved_generic_point(i: int, w0: Permutation, letter: str) -> Substitution:
+    """The generic point of the full cell w0 moved by s_i, as the
+    substitution sending each coordinate letter_j_k to its image."""
+    w2, coords = move_point(i, w0, symbolic_coords(w0, letter))
+    if w2 != w0:
+        raise ArithmeticError("generic point left the full cell")
+    return {f"{letter}_{j}_{k}": v for (j, k), v in coords.items()}
 
 
 def quotient_generator_action(i: int, n: int) -> Substitution:
-    """Induced action of s_i on the quotient coordinates, symbolically.
-
-    Pushes the generic point of the full cell through s_i, applies the
-    quotient map, and re-expresses each coordinate of the image in the
-    Y's of the source.
-    """
-    w0 = top_cell(n)
-    w2, coords2 = move_point(i, w0, symbolic_coords(w0))
-    if w2 != w0:
-        raise ArithmeticError("generic point left the full cell")
-    small, yvals = pi_point(w2, coords2)
-    return {
-        f"Y_{a}_{b}": flag_reexpress_in_y(yvals[(a, b)], n)
-        for a, b in inversion_roots(small)
-    }
+    """Induced action of s_i on the quotient coordinates, symbolically:
+    each coordinate's X monomial at the generic point of the full cell
+    moved by s_i, re-expressed in the Y's."""
+    return induced_action(flag_lattice(n), _moved_generic_point(i, top_cell(n), "X"))
 
 
 def small_generator_action(j: int, n: int) -> Substitution:
     """Direct action of s_j on the full cell of the smaller flag variety,
     with coordinates named Y to match the quotient side."""
-    w0 = longest_element(range(1, n), n)
-    ynames = flag_y_names(n - 1)
-    coords = {
-        r: RationalFunction.variable(f"Y_{r[0]}_{r[1]}", ynames)
-        for r in inversion_roots(w0)
-    }
-    w2, coords2 = move_point(j, w0, coords)
-    if w2 != w0:
-        raise ArithmeticError("generic point left the full cell")
-    return {f"Y_{a}_{b}": coords2[(a, b)] for a, b in inversion_roots(w0)}
+    return _moved_generic_point(j, longest_element(range(1, n), n), "Y")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ monomials form a lattice.  Both the Grassmannian cells and the full flag
 cell coordinatize their torus quotient by a basis of it: the cross-ratio
 generators Y_{i,j} below, certified to be a basis by exact integer
 linear algebra, and the flag quotient coordinates.  `reexpress` rewrites
-an invariant rational function in either basis.
+an invariant rational function in either basis, and `induced_action`
+gives the action that a substitution of the X's induces on the Y's.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from . import linalg
-from .ratfunc import Names, RationalFunction
+from .ratfunc import Names, RationalFunction, Substitution
 from .schubert import Interval, InversionArray
 
 Exponents = Tuple[int, ...]
@@ -147,6 +148,24 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
         for terms in zs
     )
     return RationalFunction.from_terms(ynames, num_y, den_y)
+
+
+def y_monomials(lattice: InvariantLattice) -> Substitution:
+    """Each quotient coordinate Y as ``sign`` times its X monomial."""
+    return {
+        name: RationalFunction.from_terms(
+            lattice.x_names,
+            {tuple(max(e, 0) for e in exps): lattice.sign},
+            {tuple(max(-e, 0) for e in exps): 1},
+        )
+        for name, exps in zip(lattice.y_names, lattice.generators)
+    }
+
+
+def induced_action(lattice: InvariantLattice, xsub: Substitution) -> Substitution:
+    """The action on the Y's induced by the substitution `xsub` of the X's:
+    each Y's monomial moved by `xsub` and re-expressed in the Y's."""
+    return {name: reexpress(mono.subs(xsub), lattice) for name, mono in y_monomials(lattice).items()}
 
 
 @dataclass(frozen=True)

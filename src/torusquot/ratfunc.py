@@ -18,7 +18,9 @@ of every field here.  When the numerator or the denominator has one
 term, their gcd is an integer times a monomial, so the reduction needs
 no polynomial gcd (the one-term rule).  Two binomials need none either
 when they are associates or both irreducible (the two-term rule, argued
-at `_fraction`).  The coordinates of both torus quotients are Laurent
+at `_fraction`).  `subs` sends a bare variable to its image with no
+arithmetic (the bare-variable rule), so `compose` is `subs` applied to
+each image in turn.  The coordinates of both torus quotients are Laurent
 monomials, and `subs` maps a monomial under monomial images by an
 integer linear map on exponent vectors (the exponent map), without
 forming a common denominator.
@@ -306,6 +308,8 @@ class RationalFunction:
         same-named target variable; if the target lacks that name the
         variable must not occur.
 
+        A source that is one bare variable goes to its image itself, with
+        no arithmetic: the mapped value, or the same-named target variable.
         A one-term-over-one-term source whose occurring variables all go
         to nonzero one-term-over-one-term images (or to the same-named
         target variable) goes to c*X**v, with v an integer linear image
@@ -320,8 +324,15 @@ class RationalFunction:
                 target_names = self.names
         target_names = tuple(target_names)
         _check_images(mapping, self.names, target_names)
-        fld = _field_for(target_names)
         numer, denom = self.elem.numer, self.elem.denom
+        if denom.is_one and numer.is_generator:
+            var = self.names[numer.ring.gens.index(numer)]
+            if var in mapping:
+                return mapping[var]
+            if var not in target_names:
+                raise ValueError(f"no image provided for occurring variable {var!r}")
+            return RationalFunction.variable(var, target_names)
+        fld = _field_for(target_names)
         if not numer:
             return RationalFunction(target_names, fld.zero)
         if len(numer) == len(denom) == 1:
@@ -478,30 +489,7 @@ def identity_substitution(names: Names) -> Substitution:
 
 
 def compose(second: Substitution, first: Substitution) -> Substitution:
-    """The substitution applying `first`, then `second`, to each variable.
-
-    An image of `first` that is a bare variable v becomes `second[v]`, or
-    the same-named target variable, without a `subs` call; every other
-    image goes through `subs`.  The mapping is checked as `subs` checks
-    it, once per variable tuple of `first`, so the bare images raise the
-    same `ValueError`s.
-    """
-    checked = set()
-    out: Substitution = {}
-    for name, value in first.items():
-        target = next(iter(second.values())).names if second else value.names
-        if value.names not in checked:
-            _check_images(second, value.names, target)
-            checked.add(value.names)
-        elem = value.elem
-        if not (elem.denom.is_one and elem.numer.is_generator):
-            out[name] = value.subs(second)
-            continue
-        var = value.names[elem.numer.ring.gens.index(elem.numer)]
-        if var in second:
-            out[name] = second[var]
-        elif var in target:
-            out[name] = RationalFunction.variable(var, target)
-        else:
-            raise ValueError(f"no image provided for occurring variable {var!r}")
-    return out
+    """The substitution applying `first`, then `second`, to each variable:
+    `subs` on each image of `first`, so a bare-variable image becomes its
+    image under `second` with no arithmetic."""
+    return {name: value.subs(second) for name, value in first.items()}

@@ -11,8 +11,9 @@ detail lines.  `exhaustive_check` runs it and builds the report: it
 counts the cases, stops at the first failing one and keeps its
 counterexample, and calls a suite inconclusive when a case was
 inconclusive or no case was checked.  `_REGISTRY` maps each id to its
-body and, where the cost grows too fast, a limit on ``n`` that the
-runner checks before the body runs.
+body and, where they apply, the least ``n`` the suite's objects exist
+for and a limit on ``n`` where the cost grows too fast; the runner
+checks both before the body runs.
 """
 
 from __future__ import annotations
@@ -122,15 +123,8 @@ def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
     return details
 
 
-def _check_grassmannian(name: str, n: int) -> None:
-    """Refuse n < 2: no G_{r,n} with 1 <= r <= n - 1 exists."""
-    if n < 2:
-        raise ValueError(f"{name} needs n >= 2 for a Grassmannian G_(r,n), got n={n}")
-
-
 def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
     """Cross-ratio exponents are a certified basis of the weight-zero lattice."""
-    _check_grassmannian("prop-2.9", n)
     for r in rs:
         if r > n - 2:
             continue
@@ -145,7 +139,6 @@ def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
 
 def _suite_lemma_3_1(n: int = 6) -> Cases:
     """Closure-stabilizing reflections against the subset-bump oracle."""
-    _check_grassmannian("lemma-3.1", n)
     for r in range(1, n):
         for g in schubert.all_cells(n, r):
             top = frozenset(a + 1 for a in g.a_seq)
@@ -159,7 +152,6 @@ def _suite_lemma_3_1(n: int = 6) -> Cases:
 
 def _suite_prop_3_2(n: int = 6) -> Cases:
     """Coordinate actions: involutions, invariant re-expression, closed forms."""
-    _check_grassmannian("prop-3.2", n)
     for r in range(2, n - 1):
         for g in schubert.semistable_cells(n, r):
             ident = identity_substitution(action.x_names(g))
@@ -186,8 +178,6 @@ def _suite_prop_3_2(n: int = 6) -> Cases:
 def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
     """No escape: a permutation keeping a generic point in its cell lies in
     the subgroup generated by the closure-stabilizing reflections."""
-    if n < 4:
-        raise ValueError(f"lemma-4.1 needs n >= 4 for a semistable rank-2 cell, got n={n}")
     rng = random.Random(seed)
     nonzero = [v for v in range(-50, 51) if v]
     for g in schubert.semistable_cells(n, 2):
@@ -350,7 +340,6 @@ def _suite_cor_5_3(n: int = 3) -> Cases:
 
 def _suite_cor_5_4(n: int = 3) -> Cases:
     """Higher generators act on the quotient as on the smaller flag variety."""
-    flag.check_rank(n)
     for i in range(2, n + 1):
         ident, induced = _sign_dropped_action(i, n)
         direct = flag.small_generator_action(i - 1, n)
@@ -367,6 +356,14 @@ class _Suite:
     body: Callable[..., Cases]
     max_n: Optional[int] = None  # the largest n the suite accepts; None: no limit
     why: str = ""  # the work that grows with n, for the refusal message
+    min_n: Optional[int] = None  # the least n the suite accepts; None: no floor
+    needs: str = ""  # what an n below min_n lacks, for the refusal message
+
+
+# Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, and each
+# flag variety GL_(n+1)/B needs a simple root.
+_GRASSMANNIAN = {"min_n": 2, "needs": "a Grassmannian G_(r,n)"}
+_FLAG = {"min_n": 1, "needs": "a flag variety GL_(n+1)/B"}
 
 
 _REGISTRY: Dict[str, _Suite] = {
@@ -376,12 +373,15 @@ _REGISTRY: Dict[str, _Suite] = {
     # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
     # r = 5, takes 5-6 s.
     "lemma-2.7": _Suite(_suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds"),
-    "prop-2.9": _Suite(_suite_prop_2_9),
-    "lemma-3.1": _Suite(_suite_lemma_3_1),
-    "prop-3.2": _Suite(_suite_prop_3_2),
+    "prop-2.9": _Suite(_suite_prop_2_9, **_GRASSMANNIAN),
+    "lemma-3.1": _Suite(_suite_lemma_3_1, **_GRASSMANNIAN),
+    "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),
     # n = 8 takes about 49 s on a 2-core VM; the sweep grows like n!, so
     # n = 9 takes minutes.
-    "lemma-4.1": _Suite(_suite_lemma_4_1, 8, "walks all n! row permutations per point"),
+    "lemma-4.1": _Suite(
+        _suite_lemma_4_1, 8, "walks all n! row permutations per point",
+        min_n=4, needs="a semistable rank-2 cell",
+    ),
     "prop-4.2": _Suite(_suite_prop_4_2),
     "cor-4.3": _Suite(_suite_cor_4_3),
     "cor-4.4": _Suite(_suite_cor_4_4),
@@ -389,13 +389,16 @@ _REGISTRY: Dict[str, _Suite] = {
     # n = 8 takes about 2.4 s on a 2-core VM and n = 9 about 20 s: each
     # family has n! elements.
     "lemma-5.1": _Suite(
-        _suite_lemma_5_1, 8, "enumerates all n! elements of both families for each of three characters"
+        _suite_lemma_5_1, 8, "enumerates all n! elements of both families for each of three characters",
+        **_FLAG,
     ),
     # On a 2-core VM n = 4 takes about 4 s and n = 5 takes 37 s (93,360 cases),
     # mostly exact point arithmetic.
-    "thm-5.2": _Suite(_suite_thm_5_2, 4, "desk-checks all n! cells under each of the n generators"),
-    "cor-5.3": _Suite(_suite_cor_5_3),
-    "cor-5.4": _Suite(_suite_cor_5_4),
+    "thm-5.2": _Suite(
+        _suite_thm_5_2, 4, "desk-checks all n! cells under each of the n generators", **_FLAG
+    ),
+    "cor-5.3": _Suite(_suite_cor_5_3, **_FLAG),
+    "cor-5.4": _Suite(_suite_cor_5_4, **_FLAG),
 }
 
 
@@ -429,6 +432,8 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
         )
     bound = {k: given.get(k, v) for k, v in defaults.items()}
     suite = _REGISTRY[name]
+    if suite.min_n is not None and bound["n"] < suite.min_n:
+        raise ValueError(f"{name} needs n >= {suite.min_n} for {suite.needs}, got n={bound['n']}")
     if suite.max_n is not None and bound["n"] > suite.max_n:
         raise ValueError(
             f"{name} {suite.why}; n={bound['n']} is over the limit n <= {suite.max_n}"

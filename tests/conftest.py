@@ -334,6 +334,23 @@ def reference_flag_point_semistable(mat: List[List[Q]], coeffs: Sequence[Q]) -> 
     return True
 
 
+def reference_quotient_generator_action(i: int, n: int) -> Dict[str, object]:
+    """The induced action of s_i on the flag quotient coordinates by the
+    point route: the quotient map of the full cell's generic point moved by
+    s_i, each coordinate re-expressed in the Y's of the source."""
+    from torusquot import flag
+    from torusquot.invariants import reexpress
+
+    w0 = flag.top_cell(n)
+    w2, coords = flag.move_point(i, w0, flag.symbolic_coords(w0))
+    assert w2 == w0
+    small, yvals = flag.pi_point(w2, coords)
+    return {
+        f"Y_{a}_{b}": reexpress(yvals[(a, b)], flag.flag_lattice(n))
+        for a, b in flag.inversion_roots(small)
+    }
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

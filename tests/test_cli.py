@@ -122,6 +122,14 @@ def test_flag_family_refuses_n_below_one(capsys, argv):
     assert "needs n >= 1" in err
 
 
+@pytest.mark.parametrize("suite", ["lemma-5.1", "thm-5.2", "cor-5.3", "cor-5.4"])
+def test_flag_suites_refuse_n_below_one_by_name(capsys, suite):
+    code, out, err = _capture(capsys, ["verify", "--suite", suite, "--n", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {suite} needs n >= 1 for a flag variety GL_(n+1)/B, got n=0\n"
+
+
 @pytest.mark.parametrize("command", ["tau", "semistable-cells"])
 def test_grassmannian_commands_refuse_r_out_of_range(capsys, command):
     code, out, err = _capture(capsys, [command, "--n", "1", "--r", "2"])
@@ -245,6 +253,27 @@ def test_usage_error_exits_two(capsys):
         run(["tau", "--n", "5"])
     assert exc.value.code == 2
     assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inversions", "--n", "6", "--r", "3", "--a", "2", "x", "5"],
+        ["invariants", "--n", "6", "--r", "2", "--a", "x", "5"],
+        ["act", "--n", "6", "--r", "2", "--a", "4", "x", "--gen", "1"],
+        ["flag-negative", "--n", "2", "--chi", "1", "x"],
+        ["flag-quotient", "--n", "3", "--tau", "1", "x"],
+    ],
+)
+def test_non_integer_list_argument_is_a_usage_error(capsys, argv):
+    flag = next(a for a in reversed(argv[: argv.index("x")]) if a.startswith("--"))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: torusquot {argv[0]} ")
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: 'x'\n")
 
 
 def test_domain_error_exits_two(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from conftest import length, negative_elements_by_scan
+from conftest import length, negative_elements_by_scan, reference_quotient_generator_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from torusquot.flag import (
     decompose_point,
     desk_check,
     flag_lattice,
-    flag_reexpress_in_y,
     flag_y_names,
     inversion_roots,
     negative_elements,
@@ -26,7 +25,6 @@ from torusquot.flag import (
     pi_tau,
     point_matrix,
     reflect_root,
-    restrict_to_first,
     root_order,
     root_weight,
     s1_y_action,
@@ -37,10 +35,10 @@ from torusquot.flag import (
     top_cell,
     torus_scale,
 )
-from torusquot.invariants import ReexpressionError
+from torusquot.invariants import ReexpressionError, reexpress, y_monomials
 from torusquot.ratfunc import RationalFunction
 from torusquot.verify import exhaustive_check
-from torusquot.weyl import all_permutations, from_word, longest_element
+from torusquot.weyl import Permutation, all_permutations, from_word, longest_element
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +105,7 @@ def test_cell_parameter_splits_off_cycle():
     for tau in subgroup_fixing_last(3):
         w = c * tau
         assert cell_parameter(w) == tau
-        assert restrict_to_first(tau).n == 3
+        assert pi_point(w, symbolic_coords(w))[0] == Permutation(tau.images[:3])
 
 
 def test_cell_parameter_rejects_other_cells():
@@ -227,6 +225,7 @@ def test_pi_tau_on_the_full_cell_is_the_flag_lattice_basis(n):
     lattice = flag_lattice(n)
     exprs = pi_tau(longest_element(range(1, n), n + 1), n)
     assert tuple(exprs) == lattice.y_names
+    assert exprs == y_monomials(lattice)
     for expr, gen in zip(exprs.values(), lattice.generators):
         assert expr.names == lattice.x_names
         [(num, a)], [(den, b)] = expr.numer_terms(), expr.denom_terms()
@@ -326,10 +325,16 @@ def test_reexpress_in_y_roundtrip():
     coords = symbolic_coords(w0)
     # the signed cross-ratio -X_1_1 X_2_2 / X_1_2 IS the quotient coordinate
     f = -coords[(1, 1)] * coords[(2, 2)] / coords[(1, 2)]
-    assert flag_reexpress_in_y(f, n).canonical() == "Y_1_1"
-    assert flag_reexpress_in_y(f * f, n).canonical() == "Y_1_1**2"
+    assert reexpress(f, flag_lattice(n)).canonical() == "Y_1_1"
+    assert reexpress(f * f, flag_lattice(n)).canonical() == "Y_1_1**2"
     with pytest.raises(ReexpressionError):
-        flag_reexpress_in_y(coords[(1, 1)], n)  # weight nonzero
+        reexpress(coords[(1, 1)], flag_lattice(n))  # weight nonzero
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quotient_generator_action_matches_the_point_route(n):
+    for i in range(1, n + 1):
+        assert flag.quotient_generator_action(i, n) == reference_quotient_generator_action(i, n)
 
 
 def test_swap_rows_keeps_generic_top_cell_point_in_cell():

@@ -188,10 +188,9 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
     assert results["counterexample"] == _jsonable(counterexample)
 
 
-def _check_limit_before_the_body(monkeypatch, name):
-    """With the suite's body replaced by a one-case stub: at the table's
-    limit the stub runs once; one over it, the runner refuses and never
-    calls the stub."""
+def _stub_body(monkeypatch, name):
+    """Replace the suite's body by a one-case stub; returns the suite's
+    record and the list of the n each stub call received."""
     suite = verify._REGISTRY[name]
     calls = []
 
@@ -202,6 +201,13 @@ def _check_limit_before_the_body(monkeypatch, name):
         return ()
 
     monkeypatch.setitem(verify._REGISTRY, name, dataclasses.replace(suite, body=stub))
+    return suite, calls
+
+
+def _check_limit_before_the_body(monkeypatch, name):
+    """With the suite's body stubbed: at the table's limit the stub runs
+    once; one over it, the runner refuses and never calls the stub."""
+    suite, calls = _stub_body(monkeypatch, name)
     limit = suite.max_n
     with pytest.raises(ValueError) as refused:
         exhaustive_check(name, n=limit + 1)
@@ -209,6 +215,27 @@ def _check_limit_before_the_body(monkeypatch, name):
     assert calls == []
     assert exhaustive_check(name, n=limit).ok
     assert calls == [limit]
+
+
+LEAST_N = {
+    "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4,
+    "lemma-5.1": 1, "thm-5.2": 1, "cor-5.3": 1, "cor-5.4": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_N))
+def test_least_n_is_checked_before_the_body(monkeypatch, name):
+    """With the suite's body stubbed: at the record's least n the stub
+    runs once; one below it, the runner refuses and never calls the stub."""
+    suite, calls = _stub_body(monkeypatch, name)
+    least = LEAST_N[name]
+    assert suite.min_n == least
+    with pytest.raises(ValueError) as refused:
+        exhaustive_check(name, n=least - 1)
+    assert str(refused.value) == f"{name} needs n >= {least} for {suite.needs}, got n={least - 1}"
+    assert calls == []
+    assert exhaustive_check(name, n=least).ok
+    assert calls == [least]
 
 
 def test_lemma_2_7_size_limit_is_checked_before_any_sampling(monkeypatch):
