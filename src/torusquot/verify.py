@@ -358,6 +358,7 @@ class _Suite:
     why: str = ""  # the work that grows with n, for the refusal message
     min_n: Optional[int] = None  # the least n the suite accepts; None: no floor
     needs: str = ""  # what an n below min_n lacks, for the refusal message
+    floor_param: str = "n"  # the parameter that min_n bounds
 
 
 # Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, and each
@@ -372,7 +373,10 @@ _REGISTRY: Dict[str, _Suite] = {
     "lemma-1.8": _Suite(_suite_lemma_1_8),
     # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
     # r = 5, takes 5-6 s.
-    "lemma-2.7": _Suite(_suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds"),
+    "lemma-2.7": _Suite(
+        _suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds",
+        min_n=4, needs="a rank r with 2 <= r <= n - 2",
+    ),
     "prop-2.9": _Suite(_suite_prop_2_9, **_GRASSMANNIAN),
     "lemma-3.1": _Suite(_suite_lemma_3_1, **_GRASSMANNIAN),
     "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),
@@ -385,7 +389,10 @@ _REGISTRY: Dict[str, _Suite] = {
     "prop-4.2": _Suite(_suite_prop_4_2),
     "cor-4.3": _Suite(_suite_cor_4_3),
     "cor-4.4": _Suite(_suite_cor_4_4),
-    "strata": _Suite(_suite_strata),
+    "strata": _Suite(
+        _suite_strata, min_n=4, needs="the stratified torus-normalizer quotient of G_(2,n)",
+        floor_param="n_min",
+    ),
     # n = 8 takes about 2.4 s on a 2-core VM and n = 9 about 20 s: each
     # family has n! elements.
     "lemma-5.1": _Suite(
@@ -432,8 +439,11 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
         )
     bound = {k: given.get(k, v) for k, v in defaults.items()}
     suite = _REGISTRY[name]
-    if suite.min_n is not None and bound["n"] < suite.min_n:
-        raise ValueError(f"{name} needs n >= {suite.min_n} for {suite.needs}, got n={bound['n']}")
+    least = suite.floor_param
+    if suite.min_n is not None and bound[least] < suite.min_n:
+        raise ValueError(
+            f"{name} needs {least} >= {suite.min_n} for {suite.needs}, got {least}={bound[least]}"
+        )
     if suite.max_n is not None and bound["n"] > suite.max_n:
         raise ValueError(
             f"{name} {suite.why}; n={bound['n']} is over the limit n <= {suite.max_n}"

@@ -30,6 +30,13 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
+    @classmethod
+    def _unchecked(cls, images: Tuple[int, ...]) -> "Permutation":
+        """`images`, a permutation by construction, without the check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -40,13 +47,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
+        return Permutation._unchecked(tuple(self.images[j - 1] for j in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(tuple(inv))
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
@@ -99,7 +106,7 @@ def longest_element(I: Iterable[int], n: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     for img in itertools.permutations(range(1, n + 1)):
-        yield Permutation(img)
+        yield Permutation._unchecked(img)
 
 
 def parabolic_elements(I: Iterable[int], n: int) -> Iterator[Permutation]:
@@ -111,4 +118,4 @@ def parabolic_elements(I: Iterable[int], n: int) -> Iterator[Permutation]:
     """
     blocks = [itertools.permutations(block) for block in _blocks(I, n)]
     for parts in itertools.product(*blocks):
-        yield Permutation(tuple(itertools.chain.from_iterable(parts)))
+        yield Permutation._unchecked(tuple(itertools.chain.from_iterable(parts)))

@@ -32,11 +32,25 @@ against.  None of these is called by the package itself.
   full flag by enumeration of all N! row permutations, each reduced to
   its pivot cell with ``Fraction``s; the reference for the oracle's
   flag-matroid rank inequalities.
+- ``sympy_field``, ``sympy_value``, ``sympy_pow``, ``sympy_subs``,
+  ``sympy_evaluate``, ``sympy_canonical`` and ``sympy_coefficients``:
+  rational functions as elements of sympy's ``field(names, QQ,
+  order=grlex)``, printed by sympy; the reference for ``ratfunc``'s
+  native arithmetic.
+- ``count_fallbacks``: the pairs that reach ``ratfunc._cancel``, the one
+  reduction that runs a polynomial gcd.
 """
 
+import contextlib
 import itertools
 from fractions import Fraction as Q
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from math import prod
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
+from sympy.polys.orderings import grlex
 
 from torusquot.linalg import column_echelon
 from torusquot.schubert import GrassmannElement, all_cells, grassmann_leq, row_starts, tau_r
@@ -349,6 +363,89 @@ def reference_quotient_generator_action(i: int, n: int) -> Dict[str, object]:
         f"Y_{a}_{b}": reexpress(yvals[(a, b)], flag.flag_lattice(n))
         for a, b in flag.inversion_roots(small)
     }
+
+
+# ---------------------------------------------------------------------------
+# rational functions in sympy's field over QQ
+
+
+def sympy_field(names: Sequence[str]):
+    """sympy's field of rational functions over QQ in `names`, grlex order."""
+    return field(list(names), QQ, order=grlex)[0]
+
+
+def sympy_value(fld, numer: Mapping[Tuple[int, ...], Q], denom: Mapping[Tuple[int, ...], Q]):
+    """numer/denom in `fld`, from exponent -> coefficient maps."""
+    num, den = (
+        fld.ring.from_dict({mon: QQ(c.numerator, c.denominator) for mon, c in terms.items()})
+        for terms in (numer, denom)
+    )
+    return fld(num) / fld(den)
+
+
+def sympy_pow(value, k: int):
+    """value**k; a negative power as a quotient, since sympy's own negative
+    power leaves the denominator's leading coefficient unnormalised."""
+    return value ** k if k >= 0 else value.field.one / value ** -k
+
+
+def _sympy_poly_at(poly, images, one):
+    total = one * 0
+    for mon, c in poly.terms():
+        term = one * c
+        for img, e in zip(images, mon):
+            if e:  # sympy refuses 0**0
+                term *= img ** e
+        total += term
+    return total
+
+
+def sympy_subs(value, images: Sequence, target):
+    """`value` with generator i sent to images[i], all in the field `target`;
+    a denominator sent to zero raises ZeroDivisionError."""
+    den = _sympy_poly_at(value.denom, images, target.one)
+    if not den:
+        raise ZeroDivisionError("substitution sends the denominator to zero")
+    return _sympy_poly_at(value.numer, images, target.one) / den
+
+
+def sympy_evaluate(value, point: Sequence[Q]) -> Q:
+    """`value` at `point`, term by term in ``Fraction``s."""
+    num, den = (
+        sum(c * prod((v ** e for v, e in zip(point, mon)), start=Q(1))
+            for mon, c in sympy_coefficients(poly).items())
+        for poly in (value.numer, value.denom)
+    )
+    if den == 0:
+        raise ZeroDivisionError("denominator vanishes at the point")
+    return num / den
+
+
+def sympy_coefficients(poly) -> Dict[Tuple[int, ...], Q]:
+    return {mon: Q(int(c.numerator), int(c.denominator)) for mon, c in poly.items()}
+
+
+def sympy_canonical(value) -> str:
+    """sympy's printing of `value` with the denominator scaled to leading
+    coefficient 1: the numerator alone when the denominator is 1, else
+    both sides in parentheses."""
+    if not value:
+        return "0"
+    lc = value.denom.LC
+    num, den = value.numer.quo_ground(lc), value.denom.quo_ground(lc)
+    return str(num) if den == 1 else f"({num})/({den})"
+
+
+@contextlib.contextmanager
+def count_fallbacks():
+    """The (numerator, denominator) pairs passed to ``ratfunc._cancel``
+    inside the block, in order."""
+    from torusquot import ratfunc
+
+    calls, original = [], ratfunc._cancel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfunc, "_cancel", lambda *pair: calls.append(pair) or original(*pair))
+        yield calls
 
 
 def pytest_terminal_summary(terminalreporter):

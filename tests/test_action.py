@@ -4,8 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import coordinates_of_matrix
-from sympy.polys.fields import FracField
+from conftest import coordinates_of_matrix, count_fallbacks
 
 from torusquot import ratfunc
 from torusquot.action import (
@@ -110,22 +109,16 @@ def test_y_action_is_involution_on_semistable_cells_n5():
             assert compose(sub, sub) == ident
 
 
-def test_y_actions_need_no_polynomial_gcd(monkeypatch):
+def test_y_actions_need_no_polynomial_gcd():
     """Through n = 7, both Y actions of every semistable cell reduce each
-    fraction by the one- or two-term rule, never by sympy's gcd."""
-    original, calls = FracField.new, []
-
-    def counted(fld, *args):
-        calls.append(args)
-        return original(fld, *args)
-
-    monkeypatch.setattr(FracField, "new", counted)
-    for n in range(4, 8):
-        for r in range(2, n - 1):
-            for g in semistable_cells(n, r):
-                for k in sorted(stabilizer_generators(g)):
-                    y_action_substitution(k, g)
-                    closed_y_action(k, g)
+    fraction by the one- or two-term rule, never by the fallback's gcd."""
+    with count_fallbacks() as calls:
+        for n in range(4, 8):
+            for r in range(2, n - 1):
+                for g in semistable_cells(n, r):
+                    for k in sorted(stabilizer_generators(g)):
+                        y_action_substitution(k, g)
+                        closed_y_action(k, g)
     assert calls == []
 
 

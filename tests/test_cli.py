@@ -165,6 +165,26 @@ def test_lemma_4_1_refuses_n_over_its_limit(capsys):
     assert "n=9 is over the limit n <= 8" in err
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_lemma_2_7_refuses_n_below_four_by_name(capsys, n):
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", str(n)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: lemma-2.7 needs n >= 4 for a rank r with 2 <= r <= n - 2, got n={n}\n"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_strata_refuses_n_below_four_by_name(capsys, n):
+    """`--n` sets `n_min`, the parameter the suite's floor reads."""
+    code, out, err = _capture(capsys, ["verify", "--suite", "strata", "--n", str(n)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: strata needs n_min >= 4 for the stratified torus-normalizer quotient "
+        f"of G_(2,n), got n_min={n}\n"
+    )
+
+
 def test_lemma_2_7_refuses_n_over_its_limit(capsys):
     limit = verify._REGISTRY["lemma-2.7"].max_n
     code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", str(limit + 1)])

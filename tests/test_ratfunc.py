@@ -5,15 +5,23 @@ from math import lcm
 
 import pytest
 import torusquot.ratfunc as ratfunc
+from conftest import (
+    count_fallbacks,
+    sympy_canonical,
+    sympy_coefficients,
+    sympy_evaluate,
+    sympy_field,
+    sympy_pow,
+    sympy_subs,
+    sympy_value,
+)
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
-from sympy.polys.fields import field
-from sympy.polys.orderings import grlex
 
 from torusquot.ratfunc import (
     RationalFunction,
-    _field_for,
+    _cancel,
     _fraction,
     compose,
     identity_substitution,
@@ -103,7 +111,7 @@ COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 
 
 BINOMIALS = st.dictionaries(EXPONENTS, st.integers(-6, 6).filter(bool), min_size=2, max_size=2)
-QQ_FIELD = field(list(THREE), QQ, order=grlex)[0]
+QQ_FIELD = sympy_field(THREE)
 
 
 def _shifted(terms, shift):
@@ -111,17 +119,14 @@ def _shifted(terms, shift):
 
 
 def _polys(num, den):
-    """num and den as polynomials of THREE's integer ring, both scaled by the
-    lcm of their coefficients' denominators, so that num/den is unchanged."""
-    ring = _field_for(THREE).ring
+    """num and den as integer coefficient maps, both scaled by the lcm of
+    their coefficients' denominators, so that num/den is unchanged."""
     scale = lcm(*(Fraction(c).denominator for c in (*num.values(), *den.values())))
-    return tuple(
-        ring.from_dict({mon: int(c * scale) for mon, c in terms.items()}) for terms in (num, den)
-    )
+    return tuple({mon: int(c * scale) for mon, c in terms.items()} for terms in (num, den))
 
 
-def _coefficients(poly):
-    return {mon: Fraction(int(c.numerator), int(c.denominator)) for mon, c in poly.items()}
+def _as_fractions(poly):
+    return {mon: Fraction(c) for mon, c in poly.items()}
 
 
 def _xy():
@@ -264,23 +269,23 @@ def test_subs_calls_no_arithmetic_operator(monkeypatch):
          other={(3, 0, 0): Fraction(10), (1, 1, 1): Fraction(-15, 7), (0, 0, 0): Fraction(1)},
          shift=(0, 0, 0), single_on_top=False)  # multi-term numerator
 def test_one_term_reduction_is_sympys_cancel(single, other, shift, single_on_top):
-    """`_fraction` without a gcd gives exactly the form `cancel` gives, and
-    the integer coefficients are those `cancel` gives over QQ."""
+    """`_fraction` reduces without the fallback and gives exactly the form
+    the fallback, sympy's `cancel` over ZZ, gives; the integer coefficients
+    are those `cancel` gives over QQ."""
     num, den = (single, other) if single_on_top and other else (other, single)
     num, den = _shifted(num, shift), _shifted(den, shift)
-    over_qq = QQ_FIELD.new(*(
-        QQ_FIELD.ring.from_dict({mon: QQ(c.numerator, c.denominator) for mon, c in terms.items()})
-        for terms in (num, den)
-    ))
+    over_qq = sympy_value(QQ_FIELD, num, den)
     num, den = _polys(num, den)
-    fld = _field_for(THREE)
-    got, expected = _fraction(fld, num, den), fld.new(num, den)
-    assert (got.numer, got.denom) == (expected.numer, expected.denom)
-    assert all(type(c) is int for poly in (got.numer, got.denom) for c in poly.values())
-    assert (_coefficients(got.numer), _coefficients(got.denom)) == (
-        _coefficients(over_qq.numer), _coefficients(over_qq.denom)
+    with count_fallbacks() as calls:
+        got = _fraction(num, den)
+    assert calls == []
+    expected = _cancel(num, den)
+    assert got == expected
+    assert all(type(c) is int for poly in got for c in poly.values())
+    assert tuple(map(_as_fractions, got)) == (
+        sympy_coefficients(over_qq.numer), sympy_coefficients(over_qq.denom)
     )
-    got, expected = RationalFunction(THREE, got), RationalFunction(THREE, expected)
+    got, expected = RationalFunction(THREE, *got), RationalFunction(THREE, *expected)
     assert hash(got) == hash(expected)
     assert got.canonical() == expected.canonical()
 
@@ -302,27 +307,22 @@ def test_one_term_reduction_is_sympys_cancel(single, other, shift, single_on_top
 @example(num={(0, 0, 1): 2, (1, 1, 0): -2}, den={(1, 1, 0): 1, (0, 0, 1): -1},
          num_shift=(0, 0, 0), den_shift=(0, 0, 0), associate=0)  # (2z - 2xy)/(xy - z)
 def test_two_term_reduction_is_sympys_cancel(num, den, num_shift, den_shift, associate):
-    """Binomial over binomial: `_fraction` gives exactly the form `cancel`
-    gives, for associates, coprime irreducibles and the pairs left to it."""
+    """Binomial over binomial: `_fraction` gives exactly the form the
+    fallback gives, for associates, coprime irreducibles and the pairs left
+    to it, and reaches the fallback for none of the first two kinds."""
     if associate:
         den = {mon: associate * c for mon, c in num.items()}
+    irreducible = all(1 in (abs(y - x) for x, y in zip(*poly)) for poly in (num, den))
     num, den = _polys(_shifted(num, num_shift), _shifted(den, den_shift))
-    fld = _field_for(THREE)
-    got, expected = _fraction(fld, num, den), fld.new(num, den)
-    assert (got.numer, got.denom) == (expected.numer, expected.denom)
-    got, expected = RationalFunction(THREE, got), RationalFunction(THREE, expected)
+    with count_fallbacks() as calls:
+        got = _fraction(num, den)
+    if associate or irreducible:
+        assert calls == []
+    expected = _cancel(num, den)
+    assert got == expected
+    got, expected = RationalFunction(THREE, *got), RationalFunction(THREE, *expected)
     assert hash(got) == hash(expected)
     assert got.canonical() == expected.canonical()
-
-
-def _counting_new(fld, calls):
-    original = fld.new
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    return counted
 
 
 @PROPERTY
@@ -333,14 +333,15 @@ def _counting_new(fld, calls):
     ),
 )
 def test_monomial_subs_is_an_exponent_map(f, mapping):
-    """Monomials under nonzero monomial images never reach sympy's cancel,
-    nor the common-denominator path."""
-    expected = reference_subs(f, mapping, TARGET)
-    fld, calls, powers = _field_for(TARGET), [], []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fld, "new", _counting_new(fld, calls))
-        mp.setattr(ratfunc, "_powers", lambda *args: powers.append(args))
-        got = f.subs(mapping, target_names=TARGET)
+    """Monomials under nonzero monomial images never reach the fallback,
+    nor the common-denominator path; nor does the monomial arithmetic of
+    the per-product reference."""
+    powers = []
+    with count_fallbacks() as calls:
+        expected = reference_subs(f, mapping, TARGET)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ratfunc, "_powers", lambda *args: powers.append(args))
+            got = f.subs(mapping, target_names=TARGET)
     assert calls == [] and powers == []
     assert got == expected
     assert got.canonical() == expected.canonical()
@@ -381,22 +382,22 @@ def test_inexact_scalars_are_refused():
     assert RationalFunction.from_terms(NAMES, {(1, 0): Fraction(1, 2)}, {(0, 0): 3}) == x / 6
 
 
-def test_arithmetic_reduces_through_the_one_term_rule(monkeypatch):
-    """Every operator result is a `_Reduced`; only a numerator and a
-    denominator with several terms each, not both irreducible binomials,
-    reach sympy's cancel."""
+def test_arithmetic_reduces_through_the_one_term_rule():
+    """Every operator result is already in the fallback's reduced form;
+    only a numerator and a denominator with several terms each, not both
+    irreducible binomials, reach the fallback."""
     x, y = _xy()
-    fld, calls = _field_for(NAMES), []
-    monkeypatch.setattr(fld, "new", _counting_new(fld, calls))
-    monomial = (2 * x * y / (3 * x ** 2) - x / y) * (x ** 3 / -y) + 1
-    assert calls == []
+    with count_fallbacks() as calls:
+        monomial = (2 * x * y / (3 * x ** 2) - x / y) * (x ** 3 / -y) + 1
+        assert calls == []
+        product = (x + y) / (x - y) * (x - y)
+        quotient = (x ** 2 - y ** 2) / (x - y)
+    # x**2 - y**2 has no exponent step of 1
+    assert calls == [({(2, 0): 1, (0, 2): -1}, {(1, 0): 1, (0, 1): -1})] * 2
     assert monomial.canonical() == "(x**4 - 2/3*x**2*y**2 + y**2)/(y**2)"
-    binomial = (x + y) / (x - y) * (x - y)
-    gx, gy = fld.ring.gens
-    assert calls == [(gx ** 2 - gy ** 2, gx - gy)]  # x**2 - y**2 has no exponent step of 1
-    assert binomial == x + y
-    values = (x, x ** -1, -x, x + 1, x - y, x * y, x / y, 1 / x, 2 - x, monomial, binomial)
-    assert all(isinstance(v.elem, ratfunc._Reduced) for v in values)
+    assert product == quotient == x + y
+    values = (x, x ** -1, -x, x + 1, x - y, x * y, x / y, 1 / x, 2 - x, monomial, product, quotient)
+    assert all((v.numer, v.denom) == _cancel(v.numer, v.denom) for v in values)
 
 
 def test_exponent_map_leaves_the_errors_of_subs():
@@ -428,7 +429,7 @@ def test_canonical_form_ignores_the_order_of_operations(a, b, c):
     assert hash(left) == hash(right)
     if not b.is_zero:
         for left, right in (((-b) ** -1, -(b ** -1)), ((-b) ** -2, 1 / (b * b))):
-            assert (left.elem.numer, left.elem.denom) == (right.elem.numer, right.elem.denom)
+            assert (left.numer, left.denom) == (right.numer, right.denom)
             assert hash(left) == hash(right)
 
 
@@ -446,3 +447,88 @@ def test_compose_is_substitution_in_turn(f, first, second):
         assume(False)
     assert got == expected
     assert got.canonical() == expected.canonical()
+
+
+
+# -- the native arithmetic against sympy's field over QQ ----------------------
+
+FIELDS = ((), ("x",), ("x", "y"), ("x", "y", "z"))
+SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def recipes(draw, k):
+    """Numerator and denominator coefficient maps over k variables: one to
+    three terms a side with exponents up to 2, or a constant."""
+    if draw(st.integers(0, 3)) == 0:
+        return {(0,) * k: draw(SMALL_FRACTIONS)}, {(0,) * k: Fraction(1)}
+    exps = st.tuples(*[st.integers(0, 2)] * k)
+    numer, denom = (
+        draw(st.dictionaries(exps, SMALL_FRACTIONS, min_size=1, max_size=3)) for _ in range(2)
+    )
+    assume(any(denom.values()))
+    return numer, denom
+
+
+def _both(names, recipe):
+    """The recipe as a native value and as an element of sympy's field."""
+    return RationalFunction.from_terms(names, *recipe), sympy_value(sympy_field(names), *recipe)
+
+
+def _assert_matches(got, expected):
+    """Byte-identical canonical strings, equal coefficient maps, and the
+    terms in sympy's grlex order."""
+    assert got.canonical() == sympy_canonical(expected)
+    assert (_as_fractions(got.numer), _as_fractions(got.denom)) == (
+        sympy_coefficients(expected.numer), sympy_coefficients(expected.denom)
+    )
+    for terms, poly in ((got.numer_terms(), expected.numer), (got.denom_terms(), expected.denom)):
+        assert [mon for mon, _ in terms] == [mon for mon, _ in poly.terms()]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(data=st.data())
+def test_arithmetic_matches_the_sympy_reference(data):
+    names = data.draw(st.sampled_from(FIELDS), label="names")
+    (a, ra), (b, rb) = (_both(names, data.draw(recipes(len(names)))) for _ in range(2))
+    c = data.draw(SMALL_FRACTIONS, label="scalar")
+    k = data.draw(st.integers(-3, 3), label="k")
+    rc = ra.field(QQ(c.numerator, c.denominator))
+    pairs = [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+             (a + c, ra + rc), (c - a, rc - ra), (c * a, rc * ra)]
+    if not b.is_zero:
+        pairs += [(a / b, ra / rb), (c / b, rc / rb)]
+    if k > 0 or not a.is_zero:  # sympy refuses 0**0
+        pairs.append((a ** k, sympy_pow(ra, k)))
+    for got, expected in pairs:
+        _assert_matches(got, expected)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(data=st.data())
+def test_subs_and_evaluate_match_the_sympy_reference(data):
+    names = data.draw(st.sampled_from(FIELDS), label="names")
+    target = data.draw(st.sampled_from(FIELDS), label="target")
+    f, rf = _both(names, data.draw(recipes(len(names))))
+    mapping, images, fld = {}, [], sympy_field(target)
+    for name in names:
+        if name in target and data.draw(st.booleans(), label=f"{name} to itself"):
+            images.append(fld.gens[target.index(name)])
+        else:
+            mapping[name], image = _both(target, data.draw(recipes(len(target))))
+            images.append(image)
+    try:
+        expected = sympy_subs(rf, images, fld)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.subs(mapping, target_names=target)
+    else:
+        _assert_matches(f.subs(mapping, target_names=target), expected)
+    point = [data.draw(SMALL_FRACTIONS) for _ in names]
+    try:
+        value = sympy_evaluate(rf, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate(dict(zip(names, point)))
+    else:
+        assert f.evaluate(dict(zip(names, point))) == value

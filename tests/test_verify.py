@@ -190,13 +190,14 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
 
 def _stub_body(monkeypatch, name):
     """Replace the suite's body by a one-case stub; returns the suite's
-    record and the list of the n each stub call received."""
+    record and the list of the values of the floor's parameter (``n`` for
+    all but ``strata``) each stub call received."""
     suite = verify._REGISTRY[name]
     calls = []
 
     @functools.wraps(suite.body)  # keeps the parameters suite_parameters reads
     def stub(**bound):
-        calls.append(bound["n"])
+        calls.append(bound[suite.floor_param])
         yield True, None
         return ()
 
@@ -218,7 +219,7 @@ def _check_limit_before_the_body(monkeypatch, name):
 
 
 LEAST_N = {
-    "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4,
+    "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4, "lemma-2.7": 4, "strata": 4,
     "lemma-5.1": 1, "thm-5.2": 1, "cor-5.3": 1, "cor-5.4": 1,
 }
 
@@ -228,13 +229,15 @@ def test_least_n_is_checked_before_the_body(monkeypatch, name):
     """With the suite's body stubbed: at the record's least n the stub
     runs once; one below it, the runner refuses and never calls the stub."""
     suite, calls = _stub_body(monkeypatch, name)
-    least = LEAST_N[name]
+    least, param = LEAST_N[name], suite.floor_param
     assert suite.min_n == least
     with pytest.raises(ValueError) as refused:
-        exhaustive_check(name, n=least - 1)
-    assert str(refused.value) == f"{name} needs n >= {least} for {suite.needs}, got n={least - 1}"
+        exhaustive_check(name, **{param: least - 1})
+    assert str(refused.value) == (
+        f"{name} needs {param} >= {least} for {suite.needs}, got {param}={least - 1}"
+    )
     assert calls == []
-    assert exhaustive_check(name, n=least).ok
+    assert exhaustive_check(name, **{param: least}).ok
     assert calls == [least]
 
 

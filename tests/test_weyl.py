@@ -31,6 +31,8 @@ from torusquot.weyl import (
 
 def test_one_line_validation():
     with pytest.raises(ValueError):
+        Permutation((1, 1))
+    with pytest.raises(ValueError):
         Permutation((1, 1, 3))
     with pytest.raises(ValueError):
         Permutation((0, 1, 2))
@@ -68,6 +70,24 @@ def test_permutation_group_laws(triple):
     assert e * u == u == u * e
     assert u * u.inverse() == e == u.inverse() * u
     assert all((u * v)(i) == u(v(i)) for i in range(1, u.n + 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(triple=permutation_triples(), indices=st.sets(st.integers(1, 6)))
+def test_unchecked_results_equal_their_validated_rebuilds(triple, indices):
+    """Products, inverses, parabolic elements and the enumeration of S_n
+    skip the constructor's check; each equals the permutation that the
+    checked constructor builds from its images."""
+    u, v, w = triple
+    n = u.n
+    built = [u * v, v * w * u, u.inverse(), (u * w).inverse()]
+    built += parabolic_elements([i for i in indices if i < n], n)
+    if n <= 5:
+        built += all_permutations(n)
+    for p in built:
+        rebuilt = Permutation(tuple(p.images))
+        assert rebuilt == p and hash(rebuilt) == hash(p)
+        assert type(p.images) is tuple and p.n == n
 
 
 def test_word_length_roundtrip():
