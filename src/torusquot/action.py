@@ -349,7 +349,7 @@ def _standard_rep_substitution(k: int, m: int) -> Tuple[Tuple[str, RationalFunct
     out = []
     for i in range(1, m):
         zi = (xs[f"x_{i}"] - xs[f"x_{m + 1}"]) / (xs[f"x_{m}"] - xs[f"x_{m + 1}"])
-        img = zi.subs(swap).subs(slice_sub, target_names=znames)
+        img = zi.subs(swap).subs(slice_sub)
         out.append((f"Z_{i}", img))
     return tuple(out)
 
@@ -427,7 +427,7 @@ def check_equivariance(m: int) -> EquivarianceReport:
     for k in range(1, m + 1):
         for i in range(1, m):
             yi = RationalFunction.variable(f"Y_{i}", ynames)
-            lhs = r2_action(k, m, yi).subs(rename, target_names=znames)
+            lhs = r2_action(k, m, yi).subs(rename)
             rhs = standard_rep_action(
                 k, m, RationalFunction.variable(f"Z_{i}", znames)
             )

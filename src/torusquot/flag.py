@@ -253,8 +253,7 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
     weights = tuple(root_weight(r, n) for r in inversion_roots(w))
     out: Dict[str, RationalFunction] = {}
     for (a, b), expr in pi_point(w, symbolic_coords(w))[1].items():
-        monomials = expr.numer_terms() + expr.denom_terms()
-        wts = {monomial_weight(mono, weights) for mono, _ in monomials}
+        wts = {monomial_weight(mono, weights) for mono in (*expr.numer, *expr.denom)}
         if len(wts) != 1:
             raise ArithmeticError(f"quotient coordinate Y_{a}_{b} mixes weights {sorted(wts)}")
         out[f"Y_{a}_{b}"] = expr

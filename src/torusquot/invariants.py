@@ -107,28 +107,27 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     Requires numerator and denominator to be weight-homogeneous of a
     common weight (true for any invariant after gcd reduction, since
     distinct monomial weights cannot cancel); each monomial is then a
-    weight-zero multiple of the denominator's leading monomial, whose
+    weight-zero multiple of a denominator monomial, the pivot, whose
     exponents z in the generator lattice the left inverse gives and the
     generators confirm.  The Y monomial with exponents z stands for
     sign**sum(z) times its X monomial; all of them are shifted by a
     common Y monomial so that numerator and denominator are polynomials.
+    That shift cancels the choice of pivot.
     """
     if f.names != lattice.x_names:
         raise ValueError("expected a function of this cell's X coordinates")
     ynames = lattice.y_names
     if f.is_zero:
         return RationalFunction.constant(0, ynames)
-    num, den = f.numer_terms(), f.denom_terms()
-    wn, wd = (
-        {monomial_weight(m, lattice.weights) for m, _ in terms} for terms in (num, den)
-    )
+    num, den = f.numer, f.denom
+    wn, wd = ({monomial_weight(m, lattice.weights) for m in terms} for terms in (num, den))
     if len(wn) > 1:
         raise ReexpressionError("numerator is not weight-homogeneous")
     if len(wd) > 1:
         raise ReexpressionError("denominator is not weight-homogeneous")
     if wn != wd:
         raise ReexpressionError("function has nonzero torus weight")
-    pivot = den[0][0]
+    pivot = next(iter(den))
 
     def y_exponents(mono: Exponents) -> Exponents:
         shift = [e - p for e, p in zip(mono, pivot)]
@@ -138,7 +137,7 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
             raise ReexpressionError("monomial outside the invariant lattice")
         return z
 
-    zs = [[(y_exponents(m), c) for m, c in terms] for terms in (num, den)]
+    zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
     low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
     num_y, den_y = (
         {

@@ -14,12 +14,18 @@ polynomial gcd (the one-term rule).  Two binomials need none either when
 they are associates or both irreducible (the two-term rule, argued at
 `_fraction`).  Any other pair goes to `_cancel`, the one place sympy is
 called: its polynomial gcd over ZZ.  On the benchmark's `symbolic` op
-list (seed 1) that happens 8 times per pass.  `subs` sends a bare
+list (seed 1) that happens 8 times per pass.
+
+A substitution is a total map: every variable that occurs in the source
+needs an image, and the images share one variable tuple, the target.  No
+variable is carried over by name, since the Grassmannian and the flag
+quotient coordinates share names such as `Y_1_1`.  `subs` sends a bare
 variable to its image with no arithmetic (the bare-variable rule), so
 `compose` is `subs` applied to each image in turn.  The coordinates of
 both torus quotients are Laurent monomials, and `subs` maps a monomial
 under monomial images by an integer linear map on exponent vectors (the
-exponent map), without forming a common denominator.
+exponent map), without forming a common denominator.  Callers read a
+value through its `names`, `numer` and `denom`.
 
 sympy is imported with this module, not inside `_cancel`: the benchmark
 reads the `sympy` line of `python -X importtime -c "import torusquot.cli"`
@@ -204,9 +210,14 @@ class RationalFunction:
     @classmethod
     def from_terms(cls, names: Names, numer: Mapping[Monomial, Scalar],
                    denom: Mapping[Monomial, Scalar]) -> "RationalFunction":
-        """The reduced quotient of two polynomials given as exponent -> coefficient."""
+        """The reduced quotient of two polynomials given as exponent -> coefficient.
+
+        Each exponent tuple has one nonnegative entry per name."""
         names = tuple(names)
         _field_for(names)
+        for mon in (*numer, *denom):
+            if len(mon) != len(names) or min(mon, default=0) < 0:
+                raise ValueError(f"monomial {mon} is not {len(names)} nonnegative exponents")
         numer, denom = ({mon: _exact(c) for mon, c in terms.items()} for terms in (numer, denom))
         scale = lcm(*(c.denominator for terms in (numer, denom) for c in terms.values()))
         num, den = ({mon: int(c * scale) for mon, c in terms.items() if c}
@@ -311,13 +322,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.numer
 
-    def numer_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
-        """Numerator terms, graded-lex descending, exact coefficients."""
-        return [(mon, Fraction(c)) for mon, c in _terms(self.numer)]
-
-    def denom_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
-        return [(mon, Fraction(c)) for mon, c in _terms(self.denom)]
-
     def uses(self, name: str) -> bool:
         """Whether the variable occurs in the reduced fraction."""
         i = self.names.index(name)
@@ -325,62 +329,43 @@ class RationalFunction:
 
     # -- substitution and evaluation ----------------------------------
 
-    def subs(self, mapping: Mapping[str, "RationalFunction"],
-             target_names: Optional[Names] = None) -> "RationalFunction":
-        """Image under the map sending each named variable to its value.
+    def subs(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
+        """Image under the total map sending each named variable to its value.
 
-        Values must all live over one variable tuple (the target).
-        Source variables absent from the mapping are sent to the
-        same-named target variable; if the target lacks that name the
-        variable must not occur.
+        Every variable that occurs in the source needs an image, and the
+        images all live over one variable tuple, the target; an empty map
+        leaves a constant over its own tuple.
 
         A source that is one bare variable goes to its image itself, with
-        no arithmetic: the mapped value, or the same-named target variable.
-        A one-term-over-one-term source whose occurring variables all go
-        to nonzero one-term-over-one-term images (or to the same-named
-        target variable) goes to c*X**v, with v an integer linear image
-        of the source exponents: the exponent map, with no cancellation.
-        Otherwise the numerator and the denominator are evaluated as
-        polynomials over the target and reduced once, by `_fraction`.
+        no arithmetic.  A one-term-over-one-term source whose occurring
+        variables all go to nonzero one-term-over-one-term images goes to
+        c*X**v, with v an integer linear image of the source exponents:
+        the exponent map, with no cancellation.  Otherwise the numerator
+        and the denominator are evaluated as polynomials over the target
+        and reduced once, by `_fraction`.
         """
-        if target_names is None:
-            target_names = next(iter(mapping.values())).names if mapping else self.names
-        target_names = tuple(target_names)
-        _check_images(mapping, self.names, target_names)
+        target = next(iter(mapping.values())).names if mapping else self.names
+        _check_images(mapping, self, target)
         numer, denom = self.numer, self.denom
+        if not numer:
+            return RationalFunction.constant(0, target)
         if len(numer) == len(denom) == 1:
             (mon, c), = numer.items()
             if c == 1 and sum(mon) == 1 and denom == {(0,) * len(mon): 1}:
-                var = self.names[mon.index(1)]
-                if var in mapping:
-                    return mapping[var]
-                if var not in target_names:
-                    raise ValueError(f"no image provided for occurring variable {var!r}")
-                return RationalFunction.variable(var, target_names)
-        gens = _field_for(target_names)
-        if not numer:
-            return RationalFunction.constant(0, target_names)
-        if len(numer) == len(denom) == 1:
-            image = _monomial_image(self, mapping, target_names)
+                return mapping[self.names[mon.index(1)]]
+            image = _monomial_image(self, mapping, target)
             if image is not None:
                 return image
         # Image p_i/q_i of variable i, over the common denominator
         # prod q_i**d_i: monomial exponent e contributes p_i**e q_i**(d_i - e).
-        zero = (0,) * len(target_names)
+        zero = (0,) * len(target)
         one = {zero: 1}
         factors: List[Tuple[int, List[Poly]]] = []
         degrees = map(max, zip(*numer, *denom))
         for i, (name, d) in enumerate(zip(self.names, degrees)):
-            if not d:
-                continue
-            if name in mapping:
-                p, q = mapping[name].numer, mapping[name].denom
-            elif name in target_names:
-                p, q = {gens[target_names.index(name)]: 1}, one
-            else:
-                raise ValueError(f"no image provided for occurring variable {name!r}")
-            p, q = _powers(p, d, one), _powers(q, d, one)
-            factors.append((i, [_mul(p[e], q[d - e]) for e in range(d + 1)]))
+            if d:
+                p, q = _powers(mapping[name].numer, d, one), _powers(mapping[name].denom, d, one)
+                factors.append((i, [_mul(p[e], q[d - e]) for e in range(d + 1)]))
 
         def cleared(poly: Poly) -> Poly:
             total: Poly = {}
@@ -394,7 +379,7 @@ class RationalFunction:
         den = cleared(denom)
         if not den:
             raise ZeroDivisionError("substitution sends the denominator to zero")
-        return RationalFunction(target_names, *_fraction(cleared(numer), den))
+        return RationalFunction(target, *_fraction(cleared(numer), den))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; the denominator must not vanish."""
@@ -423,20 +408,25 @@ class RationalFunction:
         return f"({num})/({den})"
 
 
-def _check_images(mapping: Mapping[str, RationalFunction], source: Names, target: Names) -> None:
-    """Every mapped name must be a source variable, every image over `target`."""
+def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction,
+                  target: Names) -> None:
+    """Every mapped name must be a variable of `f`, every image over
+    `target`, and every variable occurring in `f` mapped."""
     for name, value in mapping.items():
-        if name not in source:
+        if name not in f.names:
             raise ValueError(f"unknown variable {name!r}")
         if value.names != target:
             raise ValueError("substitution values over mixed variable sets")
+    for name in f.names:
+        if name not in mapping and f.uses(name):
+            raise ValueError(f"no image provided for occurring variable {name!r}")
 
 
 def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[RationalFunction]:
     """The exponent map: c*X**v for a one-term-over-one-term `f`, or None
-    when an occurring variable's image is zero, missing or not one term
-    over one term.  c*X**v is reduced as built: the numerator and the
-    denominator share no variable, and c is a `Fraction`."""
+    when an occurring variable's image is zero or not one term over one
+    term.  c*X**v is reduced as built: the numerator and the denominator
+    share no variable, and c is a `Fraction`."""
     (a, c), = f.numer.items()
     (b, d), = f.denom.items()
     v = [0] * len(target)
@@ -444,19 +434,14 @@ def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[Rat
         if not (ea or eb):
             continue
         e = ea - eb
-        if name in mapping:
-            img = mapping[name]
-            if len(img.numer) != 1 or len(img.denom) != 1:
-                return None
-            (u, p), = img.numer.items()
-            (w, q), = img.denom.items()
-            c, d = (c * p ** e, d * q ** e) if e > 0 else (c * q ** -e, d * p ** -e)
-            for j, (uj, wj) in enumerate(zip(u, w)):
-                v[j] += e * (uj - wj)
-        elif name in target:
-            v[target.index(name)] += e
-        else:
+        img = mapping[name]
+        if len(img.numer) != 1 or len(img.denom) != 1:
             return None
+        (u, p), = img.numer.items()
+        (w, q), = img.denom.items()
+        c, d = (c * p ** e, d * q ** e) if e > 0 else (c * q ** -e, d * p ** -e)
+        for j, (uj, wj) in enumerate(zip(u, w)):
+            v[j] += e * (uj - wj)
     coeff = Fraction(c, d)
     num = {tuple(max(x, 0) for x in v): coeff.numerator}
     return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): coeff.denominator})

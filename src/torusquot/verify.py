@@ -204,7 +204,7 @@ def _suite_prop_4_2(ms: Sequence[int] = (2, 3, 4)) -> Cases:
             for k in sorted(action.stabilizer_generators(g)):
                 general = action.y_action_substitution(k, g)
                 for j in range(1, m):
-                    lhs = general[f"Y_1_{j}"].subs(bridge, target_names=names)
+                    lhs = general[f"Y_1_{j}"].subs(bridge)
                     rhs = action.r2_action(k, m, RationalFunction.variable(f"Y_{j}", names), n=n)
                     yield lhs == rhs, {"m": m, "n": n, "k": k, "variable": f"Y_{j}"}
                 for j in range(1, m):
@@ -368,9 +368,9 @@ _FLAG = {"min_n": 1, "needs": "a flag variety GL_(n+1)/B"}
 
 
 _REGISTRY: Dict[str, _Suite] = {
-    "lemma-1.6": _Suite(partial(_rounding_cases, "ceil")),
-    "lemma-1.7": _Suite(partial(_rounding_cases, "floor")),
-    "lemma-1.8": _Suite(_suite_lemma_1_8),
+    "lemma-1.6": _Suite(partial(_rounding_cases, "ceil"), **_GRASSMANNIAN),
+    "lemma-1.7": _Suite(partial(_rounding_cases, "floor"), **_GRASSMANNIAN),
+    "lemma-1.8": _Suite(_suite_lemma_1_8, **_GRASSMANNIAN),
     # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
     # r = 5, takes 5-6 s.
     "lemma-2.7": _Suite(

@@ -214,7 +214,9 @@ def test_lemma_5_1_refuses_n_over_its_limit(capsys):
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
-@pytest.mark.parametrize("suite", ["lemma-3.1", "prop-2.9", "prop-3.2"])
+@pytest.mark.parametrize(
+    "suite", ["lemma-1.6", "lemma-1.7", "lemma-1.8", "lemma-3.1", "prop-2.9", "prop-3.2"]
+)
 def test_grassmannian_suites_refuse_n_below_two(capsys, suite, n):
     code, out, err = _capture(capsys, ["verify", "--suite", suite, "--n", str(n)])
     assert code == 2

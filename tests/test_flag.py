@@ -228,7 +228,7 @@ def test_pi_tau_on_the_full_cell_is_the_flag_lattice_basis(n):
     assert exprs == y_monomials(lattice)
     for expr, gen in zip(exprs.values(), lattice.generators):
         assert expr.names == lattice.x_names
-        [(num, a)], [(den, b)] = expr.numer_terms(), expr.denom_terms()
+        [(num, a)], [(den, b)] = expr.numer.items(), expr.denom.items()
         assert a / b == lattice.sign
         assert tuple(p - q for p, q in zip(num, den)) == gen
 

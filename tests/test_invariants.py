@@ -104,7 +104,7 @@ def test_grassmann_reexpression_round_trip(n, r, a):
     for _ in range(4):
         f = _random_invariant(action.y_names(g), rng)
         lattice = action.invariant_lattice(g)
-        fx = f.subs(y_monomials(lattice), target_names=lattice.x_names)
+        fx = f.subs(y_monomials(lattice))
         assert reexpress(fx, lattice) == f
 
 
@@ -117,7 +117,8 @@ def test_flag_reexpression_round_trip_keeps_the_sign(n):
     rng = random.Random(n)
     for _ in range(4):
         f = _random_invariant(flag.flag_y_names(n - 1), rng)
-        fx = f.subs(to_x, target_names=flag.flag_x_names(w0))
+        fx = f.subs(to_x)
+        assert fx.names == flag.flag_x_names(w0)
         assert reexpress(fx, flag.flag_lattice(n)) == f
 
 
@@ -134,10 +135,12 @@ def test_grassmann_reexpression_refuses_non_invariants():
 
 
 def reference_reexpress(f, lattice):
-    """One exact rational solve per monomial and a field product per Y."""
+    """One exact rational solve per monomial and a field product per Y,
+    pivoting on the lex-least denominator monomial (`reexpress` may pivot
+    on any of them)."""
     ynames = lattice.y_names
-    num, den = f.numer_terms(), f.denom_terms()
-    pivot = den[0][0]
+    num, den = f.numer, f.denom
+    pivot = min(den)
     mat = [[v[t] for v in lattice.generators] for t in range(len(pivot))]
 
     def image(mono, coeff):
@@ -157,7 +160,7 @@ def reference_reexpress(f, lattice):
 
     def evaluate(terms):
         total = RationalFunction.constant(0, ynames)
-        for mono, coeff in terms:
+        for mono, coeff in terms.items():
             total = total + image(mono, coeff)
         return total
 
@@ -188,7 +191,7 @@ LATTICES = {
 def test_reexpress_matches_the_solve_linear_reference(case, seed):
     lattice, to_x = LATTICES[case]
     f = _random_invariant(lattice.y_names, random.Random(seed))
-    fx = f.subs(to_x, target_names=lattice.x_names)
+    fx = f.subs(to_x)
     got = reexpress(fx, lattice)
     assert got == reference_reexpress(fx, lattice) == f
     assert got.canonical() == f.canonical()

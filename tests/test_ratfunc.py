@@ -23,6 +23,7 @@ from torusquot.ratfunc import (
     RationalFunction,
     _cancel,
     _fraction,
+    _terms,
     compose,
     identity_substitution,
 )
@@ -39,29 +40,24 @@ PROPERTY = settings(
 )
 
 
-def reference_subs(f, mapping, target_names):
+def reference_subs(f, mapping):
     """Substitution with a cancellation after every product and sum."""
-    images = [
-        mapping[name] if name in mapping
-        else RationalFunction.variable(name, target_names) if name in target_names
-        else RationalFunction.constant(0, target_names)
-        for name in f.names
-    ]
+    target = next(iter(mapping.values())).names
 
-    def evaluate(terms):
-        total = RationalFunction.constant(0, target_names)
-        for mon, coeff in terms:
-            term = RationalFunction.constant(coeff, target_names)
-            for img, e in zip(images, mon):
+    def evaluate(poly):
+        total = RationalFunction.constant(0, target)
+        for mon, coeff in poly.items():
+            term = RationalFunction.constant(coeff, target)
+            for name, e in zip(f.names, mon):
                 if e:
-                    term = term * img ** e
+                    term = term * mapping[name] ** e
             total = total + term
         return total
 
-    den = evaluate(f.denom_terms())
+    den = evaluate(f.denom)
     if den.is_zero:
         raise ZeroDivisionError("substitution sends the denominator to zero")
-    return evaluate(f.numer_terms()) / den
+    return evaluate(f.numer) / den
 
 
 def _polynomial(draw, names, low, high, max_terms):
@@ -105,6 +101,8 @@ def laurent_monomials(draw, names):
 
 
 _X = RationalFunction.variable("x", NAMES)
+# x of the target: the image a map spells out to keep x
+TARGET_X = RationalFunction.variable("x", TARGET)
 THREE = ("x", "y", "z")
 EXPONENTS = st.tuples(*[st.integers(0, 3)] * len(THREE))
 COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
@@ -176,17 +174,50 @@ def test_subs_renames_and_composes():
     x, y = _xy()
     target = ("u",)
     u = RationalFunction.variable("u", target)
-    image = (x / y).subs({"x": u + 1, "y": u - 1}, target_names=target)
+    image = (x / y).subs({"x": u + 1, "y": u - 1})
+    assert image.names == target
     assert image == (u + 1) / (u - 1)
 
 
 def test_subs_missing_image_only_matters_if_used():
+    """The target is the images' tuple; an unmapped variable that does
+    not occur needs no image, one that occurs is refused by name."""
     x, y = _xy()
-    f = x + 1
-    out = f.subs({"x": RationalFunction.variable("x", ("x",))}, target_names=("x",))
+    keep = {"x": RationalFunction.variable("x", ("x",))}
+    out = (x + 1).subs(keep)
     assert out.names == ("x",)
-    with pytest.raises(ValueError):
-        (x + y).subs({"x": RationalFunction.variable("x", ("x",))}, target_names=("x",))
+    assert out == keep["x"] + 1
+    with pytest.raises(ValueError, match="no image provided for occurring variable 'y'"):
+        (x + y).subs(keep)
+
+
+def test_empty_map_leaves_a_constant_over_its_own_tuple():
+    third = RationalFunction.constant(Fraction(1, 3), NAMES)
+    for c in (third, RationalFunction.constant(0, NAMES)):
+        out = c.subs({})
+        assert out.names == NAMES
+        assert out == c
+    x, _ = _xy()
+    with pytest.raises(ValueError, match="no image provided for occurring variable 'x'"):
+        (x + 1).subs({})
+
+
+# Grassmannian and flag quotient coordinates share names such as Y_1_1.
+GRASSMANN_Y, FLAG_Y = ("Y_1_1", "Y_1_2"), ("Y_1_1", "Y_2_1")
+
+
+@pytest.mark.parametrize("path", ["bare variable", "exponent map", "common denominator"])
+def test_subs_never_keeps_a_variable_by_name(path):
+    """A map missing an occurring variable is refused by name, even when
+    the target has a variable of that name, on each path of `subs`."""
+    a, b = (RationalFunction.variable(name, GRASSMANN_Y) for name in GRASSMANN_Y)
+    source = {"bare variable": a, "exponent map": 2 * a / b ** 2,
+              "common denominator": (a + b) / (a - 1)}[path]
+    mapping = {"Y_1_2": RationalFunction.variable("Y_2_1", FLAG_Y)}
+    with pytest.raises(ValueError, match="no image provided for occurring variable 'Y_1_1'"):
+        source.subs(mapping)
+    mapping["Y_1_1"] = RationalFunction.variable("Y_1_1", FLAG_Y)
+    assert source.subs(mapping) == reference_subs(source, mapping)
 
 
 def test_substitution_composition_order():
@@ -211,22 +242,24 @@ def test_zero_denominator_substitution_rejected():
     x, y = _xy()
     u = RationalFunction.variable("u", ("u",))
     with pytest.raises(ZeroDivisionError, match="denominator to zero"):
-        (x / (x - y)).subs({"x": u, "y": u}, target_names=("u",))
+        (x / (x - y)).subs({"x": u, "y": u})
 
 
 @PROPERTY
 @given(
     f=rational_functions(NAMES),
-    mapping=st.fixed_dictionaries({"y": images(TARGET)}, optional={"x": images(TARGET)}),
+    mapping=st.fixed_dictionaries(
+        {"x": st.just(TARGET_X) | images(TARGET), "y": images(TARGET)}
+    ),
 )
 def test_subs_matches_the_per_product_reference(f, mapping):
     try:
-        expected = reference_subs(f, mapping, TARGET)
+        expected = reference_subs(f, mapping)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            f.subs(mapping, target_names=TARGET)
+            f.subs(mapping)
         return
-    got = f.subs(mapping, target_names=TARGET)
+    got = f.subs(mapping)
     assert got == expected
     assert hash(got) == hash(expected)
     assert got.canonical() == expected.canonical()
@@ -237,7 +270,7 @@ def test_subs_calls_no_arithmetic_operator(monkeypatch):
     u, v = (RationalFunction.variable(name, ("u", "v")) for name in ("u", "v"))
     f = (x ** 2 - 3 * y) / (x * y + 1)
     mapping = {"x": u / (v + 1), "y": u * v ** 2 - 2}
-    expected = reference_subs(f, mapping, ("u", "v"))
+    expected = reference_subs(f, mapping)
     called = []
     for name in ARITHMETIC:
         original = vars(RationalFunction)[name]
@@ -329,7 +362,7 @@ def test_two_term_reduction_is_sympys_cancel(num, den, num_shift, den_shift, ass
 @given(
     f=laurent_monomials(NAMES),
     mapping=st.fixed_dictionaries(
-        {"y": laurent_monomials(TARGET)}, optional={"x": laurent_monomials(TARGET)}
+        {"x": st.just(TARGET_X) | laurent_monomials(TARGET), "y": laurent_monomials(TARGET)}
     ),
 )
 def test_monomial_subs_is_an_exponent_map(f, mapping):
@@ -338,10 +371,10 @@ def test_monomial_subs_is_an_exponent_map(f, mapping):
     the per-product reference."""
     powers = []
     with count_fallbacks() as calls:
-        expected = reference_subs(f, mapping, TARGET)
+        expected = reference_subs(f, mapping)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ratfunc, "_powers", lambda *args: powers.append(args))
-            got = f.subs(mapping, target_names=TARGET)
+            got = f.subs(mapping)
     assert calls == [] and powers == []
     assert got == expected
     assert got.canonical() == expected.canonical()
@@ -355,10 +388,10 @@ def test_exponent_map_keeps_large_coefficients_exact():
     f = Fraction(3 ** 40, 7 ** 40) * x ** 2 / y ** 3
     cx, cy = Fraction(-5 ** 30, 11 ** 20), Fraction(7 ** 13, 2 ** 70)
     mapping = {"x": cx * u ** -2 * v, "y": cy / v ** 3}
-    expected = reference_subs(f, mapping, TARGET)
+    expected = reference_subs(f, mapping)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratfunc, "_powers", None)  # the common-denominator path would call it
-        got = f.subs(mapping, target_names=TARGET)
+        got = f.subs(mapping)
     assert got == expected
     assert got.canonical() == expected.canonical()
     assert got == Fraction(3 ** 40, 7 ** 40) * cx ** 2 / cy ** 3 * u ** -4 * v ** 11
@@ -380,6 +413,17 @@ def test_inexact_scalars_are_refused():
     third = RationalFunction.constant(Fraction(1, 3), NAMES)
     assert third.evaluate({"x": 0, "y": Fraction(1, 2)}) == Fraction(1, 3)
     assert RationalFunction.from_terms(NAMES, {(1, 0): Fraction(1, 2)}, {(0, 0): 3}) == x / 6
+
+
+@pytest.mark.parametrize("names,numer,denom", [
+    (NAMES, {(1,): 1}, {(0, 0): 1}),  # too short: it would add as a second x
+    (NAMES, {(1, 0): 1}, {(0, 0, 0): 1}),  # too long
+    (("x",), {(-1,): 1}, {(0,): 1}),  # negative: the one-term shift would make it 1/x
+    (NAMES, {(1, 0): 1}, {(0, -2): 1}),
+])
+def test_from_terms_refuses_malformed_monomials(names, numer, denom):
+    with pytest.raises(ValueError, match="nonnegative exponents"):
+        RationalFunction.from_terms(names, numer, denom)
 
 
 def test_arithmetic_reduces_through_the_one_term_rule():
@@ -437,12 +481,12 @@ def test_canonical_form_ignores_the_order_of_operations(a, b, c):
 @given(
     f=rational_functions(NAMES),
     first=st.fixed_dictionaries({"x": images(NAMES), "y": images(NAMES)}),
-    second=st.fixed_dictionaries({"y": images(TARGET)}, optional={"x": images(TARGET)}),
+    second=st.fixed_dictionaries({"x": st.just(TARGET_X) | images(TARGET), "y": images(TARGET)}),
 )
 def test_compose_is_substitution_in_turn(f, first, second):
     try:
-        expected = f.subs(first).subs(second, target_names=TARGET)
-        got = f.subs(compose(second, first), target_names=TARGET)
+        expected = f.subs(first).subs(second)
+        got = f.subs(compose(second, first))
     except ZeroDivisionError:
         assume(False)
     assert got == expected
@@ -482,8 +526,8 @@ def _assert_matches(got, expected):
     assert (_as_fractions(got.numer), _as_fractions(got.denom)) == (
         sympy_coefficients(expected.numer), sympy_coefficients(expected.denom)
     )
-    for terms, poly in ((got.numer_terms(), expected.numer), (got.denom_terms(), expected.denom)):
-        assert [mon for mon, _ in terms] == [mon for mon, _ in poly.terms()]
+    for mine, poly in ((got.numer, expected.numer), (got.denom, expected.denom)):
+        assert [mon for mon, _ in _terms(mine)] == [mon for mon, _ in poly.terms()]
 
 
 @settings(PROPERTY, max_examples=150)
@@ -508,11 +552,13 @@ def test_arithmetic_matches_the_sympy_reference(data):
 @given(data=st.data())
 def test_subs_and_evaluate_match_the_sympy_reference(data):
     names = data.draw(st.sampled_from(FIELDS), label="names")
-    target = data.draw(st.sampled_from(FIELDS), label="target")
+    # an empty map leaves a value over its own tuple
+    target = data.draw(st.sampled_from(FIELDS), label="target") if names else ()
     f, rf = _both(names, data.draw(recipes(len(names))))
     mapping, images, fld = {}, [], sympy_field(target)
     for name in names:
         if name in target and data.draw(st.booleans(), label=f"{name} to itself"):
+            mapping[name] = RationalFunction.variable(name, target)
             images.append(fld.gens[target.index(name)])
         else:
             mapping[name], image = _both(target, data.draw(recipes(len(target))))
@@ -521,9 +567,9 @@ def test_subs_and_evaluate_match_the_sympy_reference(data):
         expected = sympy_subs(rf, images, fld)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            f.subs(mapping, target_names=target)
+            f.subs(mapping)
     else:
-        _assert_matches(f.subs(mapping, target_names=target), expected)
+        _assert_matches(f.subs(mapping), expected)
     point = [data.draw(SMALL_FRACTIONS) for _ in names]
     try:
         value = sympy_evaluate(rf, point)

@@ -219,7 +219,7 @@ def _check_limit_before_the_body(monkeypatch, name):
 
 
 LEAST_N = {
-    "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4, "lemma-2.7": 4, "strata": 4,
+    "lemma-1.6": 2, "lemma-1.7": 2, "lemma-1.8": 2, "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4, "lemma-2.7": 4, "strata": 4,
     "lemma-5.1": 1, "thm-5.2": 1, "cor-5.3": 1, "cor-5.4": 1,
 }
 
