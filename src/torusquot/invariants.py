@@ -9,18 +9,24 @@ generators Y_{i,j} below, certified to be a basis by exact integer
 linear algebra, and the flag quotient coordinates.  `reexpress` rewrites
 an invariant rational function in either basis, and `induced_action`
 gives the action that a substitution of the X's induces on the Y's.
+
+All of it is integer work in proportion to the nonzero entries: a weight
+skips the zero exponents, a lattice keeps the nonzero entries of each
+left-inverse column and the support of each generator, and it builds its
+Y monomials once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .ratfunc import Names, RationalFunction, Substitution
 from .schubert import Interval, InversionArray
 
 Exponents = Tuple[int, ...]
+_Sparse = Tuple[Tuple[int, int], ...]  # (index, nonzero entry) pairs
 
 
 def root_weight(root: Interval, rank: int) -> Exponents:
@@ -34,8 +40,13 @@ def position_weights(arr: InversionArray) -> Tuple[Exponents, ...]:
 
 
 def monomial_weight(exps: Exponents, weights: Tuple[Exponents, ...]) -> Exponents:
-    """Torus weight of the Laurent monomial with these exponents."""
-    return tuple(sum(e * c for e, c in zip(exps, row)) for row in zip(*weights))
+    """Torus weight of the Laurent monomial with these exponents; a zero
+    exponent adds nothing, so only the occurring coordinates are read."""
+    total = [0] * len(weights[0]) if weights else []
+    for e, row in zip(exps, weights):
+        if e:
+            total = [t + e * c for t, c in zip(total, row)]
+    return tuple(total)
 
 
 def y_labels(arr: InversionArray) -> List[Tuple[int, int]]:
@@ -69,6 +80,12 @@ class InvariantLattice:
     integer row per generator, pairing to 1 with it and to 0 with the
     others; construction raises ``ValueError`` when none exists, that is
     when the generators are not a basis of a saturated lattice.
+
+    Two sparse views are derived with it: for each X position, the
+    nonzero entries of its left-inverse column, and for each generator,
+    its support (four positions for a cross-ratio, three for a flag
+    coordinate).  The Y monomials are built on first use.  None of these
+    fields takes part in equality, hashing or the repr.
     """
 
     x_names: Names
@@ -77,9 +94,22 @@ class InvariantLattice:
     generators: Tuple[Exponents, ...]
     sign: int
     left_inverse: Tuple[Exponents, ...] = field(init=False, repr=False, compare=False)
+    _inverse_columns: Tuple[_Sparse, ...] = field(init=False, repr=False, compare=False)
+    _supports: Tuple[_Sparse, ...] = field(init=False, repr=False, compare=False)
+    _y_monomials: Optional[Substitution] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_inverse", _left_inverse(self.generators))
+        inverse = _left_inverse(self.generators)
+        columns = tuple(
+            tuple((a, row[t]) for a, row in enumerate(inverse) if row[t])
+            for t in range(len(self.x_names))
+        )
+        supports = tuple(tuple((t, e) for t, e in enumerate(v) if e) for v in self.generators)
+        object.__setattr__(self, "left_inverse", inverse)
+        object.__setattr__(self, "_inverse_columns", columns)
+        object.__setattr__(self, "_supports", supports)
 
 
 def _left_inverse(generators: Tuple[Exponents, ...]) -> Tuple[Exponents, ...]:
@@ -128,14 +158,23 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     if wn != wd:
         raise ReexpressionError("function has nonzero torus weight")
     pivot = next(iter(den))
+    columns, supports = lattice._inverse_columns, lattice._supports
 
     def y_exponents(mono: Exponents) -> Exponents:
         shift = [e - p for e, p in zip(mono, pivot)]
-        z = tuple(sum(a * b for a, b in zip(row, shift)) for row in lattice.left_inverse)
-        back = [sum(c * v[t] for c, v in zip(z, lattice.generators)) for t in range(len(shift))]
+        z = [0] * len(supports)
+        for column, s in zip(columns, shift):
+            if s:
+                for a, entry in column:
+                    z[a] += entry * s
+        back = [0] * len(shift)
+        for support, c in zip(supports, z):
+            if c:
+                for t, e in support:
+                    back[t] += c * e
         if back != shift:
             raise ReexpressionError("monomial outside the invariant lattice")
-        return z
+        return tuple(z)
 
     zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
     low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
@@ -150,15 +189,20 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
 
 
 def y_monomials(lattice: InvariantLattice) -> Substitution:
-    """Each quotient coordinate Y as ``sign`` times its X monomial."""
-    return {
-        name: RationalFunction.from_terms(
-            lattice.x_names,
-            {tuple(max(e, 0) for e in exps): lattice.sign},
-            {tuple(max(-e, 0) for e in exps): 1},
-        )
-        for name, exps in zip(lattice.y_names, lattice.generators)
-    }
+    """Each quotient coordinate Y as ``sign`` times its X monomial.
+
+    They are built once per lattice; each call returns a fresh dict."""
+    if lattice._y_monomials is None:
+        monomials = {
+            name: RationalFunction.from_terms(
+                lattice.x_names,
+                {tuple(max(e, 0) for e in exps): lattice.sign},
+                {tuple(max(-e, 0) for e in exps): 1},
+            )
+            for name, exps in zip(lattice.y_names, lattice.generators)
+        }
+        object.__setattr__(lattice, "_y_monomials", monomials)
+    return dict(lattice._y_monomials)
 
 
 def induced_action(lattice: InvariantLattice, xsub: Substitution) -> Substitution:

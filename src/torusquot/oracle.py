@@ -66,12 +66,18 @@ def sample_cell_matrix(
     value is drawn per inversion position, kept or not, so the random
     stream does not depend on r.
     """
-    n = w.n
+    return _sample_matrix(w, r, inversion_positions(w), rng)
+
+
+def _sample_matrix(
+    w: Permutation, r: int, positions: List[Tuple[int, int]], rng: random.Random
+) -> List[List[int]]:
+    """`sample_cell_matrix` with the inversion positions of w^{-1} given."""
     column = {w(k): k - 1 for k in range(1, r + 1)}
-    mat = [[0] * r for _ in range(n)]
+    mat = [[0] * r for _ in range(w.n)]
     for j, k in column.items():
         mat[j - 1][k] = 1
-    for i, j in inversion_positions(w):
+    for i, j in positions:
         x = 0
         while x == 0:
             x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
@@ -130,9 +136,10 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
     EXTRA_DRAWS further attempts before giving up.
     """
     draws: List[FrozenSet[Subset]] = []
+    positions = inversion_positions(w)
     for k in range(3 + EXTRA_DRAWS):
         rng = random.Random(1_000_003 * seed + k)
-        draws.append(minor_support(sample_cell_matrix(w, r, rng), w.n, r))
+        draws.append(minor_support(_sample_matrix(w, r, positions, rng), w.n, r))
         if len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]:
             return SupportReport(draws[-1], tuple(draws), True)
     return SupportReport(None, tuple(draws), False)

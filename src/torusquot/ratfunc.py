@@ -24,8 +24,12 @@ variable to its image with no arithmetic (the bare-variable rule), so
 `compose` is `subs` applied to each image in turn.  The coordinates of
 both torus quotients are Laurent monomials, and `subs` maps a monomial
 under monomial images by an integer linear map on exponent vectors (the
-exponent map), without forming a common denominator.  Callers read a
-value through its `names`, `numer` and `denom`.
+exponent map), without forming a common denominator.  An image must be a
+`RationalFunction`; a scalar is refused by type.  `evaluate` works in
+integers too: with the point's denominators cleared, each side is an
+integer sum, and the value is one `Fraction` of the two.  A constant
+equals its scalar and hashes as its `Fraction`.  Callers read a value
+through its `names`, `numer` and `denom`.
 
 sympy is imported with this module, not inside `_cancel`: the benchmark
 reads the `sympy` line of `python -X importtime -c "import torusquot.cli"`
@@ -311,7 +315,11 @@ class RationalFunction:
         return (self.names, self.numer, self.denom) == (other.names, other.numer, other.denom)
 
     def __hash__(self) -> int:
-        return hash((self.names, frozenset(self.numer.items()), frozenset(self.denom.items())))
+        """A constant hashes as the `Fraction` it equals."""
+        numer, denom = self.numer, self.denom
+        if not any(map(any, (*numer, *denom))):
+            return hash(Fraction(sum(numer.values()), sum(denom.values())))
+        return hash((self.names, frozenset(numer.items()), frozenset(denom.items())))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.canonical()!r})"
@@ -344,8 +352,7 @@ class RationalFunction:
         and the denominator are evaluated as polynomials over the target
         and reduced once, by `_fraction`.
         """
-        target = next(iter(mapping.values())).names if mapping else self.names
-        _check_images(mapping, self, target)
+        target = _check_images(mapping, self)
         numer, denom = self.numer, self.denom
         if not numer:
             return RationalFunction.constant(0, target)
@@ -382,19 +389,37 @@ class RationalFunction:
         return RationalFunction(target, *_fraction(cleared(numer), den))
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point; the denominator must not vanish."""
-        point = []
-        for name in self.names:
+        """Exact value at a rational point, as a `Fraction`.
+
+        Every mapped name must be a variable, and every occurring variable
+        needs a value; the denominator must not vanish there.  With
+        x_i = p_i/q_i and d_i the largest exponent of x_i on either side,
+        both sides are multiplied by prod q_i**d_i, so each is the integer
+        sum of c * prod p_i**e * q_i**(d_i - e), and the value is one
+        `Fraction` of the two.
+        """
+        for name, value in values.items():
+            if name not in self.names:
+                raise ValueError(f"unknown variable {name!r}")
+            _exact(value)
+        numer, denom = self.numer, self.denom
+        factors: List[Tuple[int, List[int]]] = []
+        for i, (name, d) in enumerate(zip(self.names, map(max, zip(*numer, *denom)))):
+            if not d:
+                continue
             if name not in values:
-                if self.uses(name):
-                    raise ValueError(f"no value for occurring variable {name!r}")
-                point.append(Fraction(0))
-            else:
-                point.append(_exact(values[name]))
-        num, den = (_eval_poly_scalar(poly, point) for poly in (self.numer, self.denom))
+                raise ValueError(f"no value for occurring variable {name!r}")
+            p, q = values[name].numerator, values[name].denominator
+            factors.append((i, [p ** e * q ** (d - e) for e in range(d + 1)]))
+
+        def cleared(poly: Poly) -> int:
+            return sum(c * prod(by_exponent[mon[i]] for i, by_exponent in factors)
+                       for mon, c in poly.items())
+
+        den = cleared(denom)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the point")
-        return num / den
+        return Fraction(cleared(numer), den)
 
     def canonical(self) -> str:
         """Deterministic string: denominator scaled to leading coefficient 1."""
@@ -408,18 +433,27 @@ class RationalFunction:
         return f"({num})/({den})"
 
 
-def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction,
-                  target: Names) -> None:
-    """Every mapped name must be a variable of `f`, every image over
-    `target`, and every variable occurring in `f` mapped."""
+def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction) -> Names:
+    """The target of `mapping` as a substitution in `f`: the images' shared
+    variable tuple, or `f`'s own for an empty map.  Every image must be a
+    `RationalFunction`, every mapped name a variable of `f`, every image
+    over the target, and every variable occurring in `f` mapped."""
+    target = None
     for name, value in mapping.items():
+        if not isinstance(value, RationalFunction):
+            raise TypeError(
+                f"image of {name!r} must be a RationalFunction, got {type(value).__name__}"
+            )
         if name not in f.names:
             raise ValueError(f"unknown variable {name!r}")
-        if value.names != target:
+        if target is None:
+            target = value.names
+        elif value.names != target:
             raise ValueError("substitution values over mixed variable sets")
     for name in f.names:
         if name not in mapping and f.uses(name):
             raise ValueError(f"no image provided for occurring variable {name!r}")
+    return f.names if target is None else target
 
 
 def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[RationalFunction]:
@@ -445,11 +479,6 @@ def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[Rat
     coeff = Fraction(c, d)
     num = {tuple(max(x, 0) for x in v): coeff.numerator}
     return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): coeff.denominator})
-
-
-def _eval_poly_scalar(poly: Poly, point: List[Fraction]) -> Fraction:
-    terms = (c * prod(v ** e for v, e in zip(point, mon) if e) for mon, c in poly.items())
-    return sum(terms, Fraction(0))
 
 
 def _poly_str(terms, names: Names, lc: int) -> str:

@@ -245,6 +245,29 @@ def test_zero_denominator_substitution_rejected():
         (x / (x - y)).subs({"x": u, "y": u})
 
 
+@pytest.mark.parametrize("mapping,kind", [
+    ({"x": 2}, "int"),
+    ({"x": Fraction(1, 2)}, "Fraction"),
+    ({"x": _X, "y": 3}, "int"),
+])
+def test_subs_refuses_scalar_images_by_type(mapping, kind):
+    """An image must be a value over the target, not a scalar; the
+    refusal names the type before any image's variables are read."""
+    with pytest.raises(TypeError, match=f"must be a RationalFunction, got {kind}$"):
+        _X.subs(mapping)
+
+
+def test_evaluate_refuses_unknown_names_as_subs_does():
+    x, y = _xy()
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        x.evaluate({"x": 1, "z": 5})
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        x.subs({"x": x, "z": y})
+    with pytest.raises(ValueError, match="no value for occurring variable 'y'"):
+        (x * y).evaluate({"x": 1})
+    assert (x + 1).evaluate({"x": 2}) == 3  # y does not occur: no value needed
+
+
 @PROPERTY
 @given(
     f=rational_functions(NAMES),
@@ -548,6 +571,26 @@ def test_arithmetic_matches_the_sympy_reference(data):
         _assert_matches(got, expected)
 
 
+def test_a_constant_finds_its_scalar_key():
+    two = RationalFunction.constant(2, ("x",))
+    assert two == 2 and {2: "a"}[two] == "a"
+    assert {Fraction(-1, 3): "b"}[RationalFunction.constant(Fraction(-1, 3), ())] == "b"
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_value_equal_to_a_scalar_hashes_like_it(data):
+    names = data.draw(st.sampled_from(FIELDS), label="names")
+    f = RationalFunction.from_terms(names, *data.draw(recipes(len(names))))
+    scalars = [data.draw(SMALL_FRACTIONS, label="scalar")]
+    if not any(f.uses(name) for name in names):
+        scalars.append(f.evaluate({}))  # the constant's own value
+    for s in scalars:
+        for scalar in (s, s.numerator) if s.denominator == 1 else (s,):
+            if f == scalar:
+                assert hash(f) == hash(scalar)
+
+
 @settings(PROPERTY, max_examples=150)
 @given(data=st.data())
 def test_subs_and_evaluate_match_the_sympy_reference(data):
@@ -570,11 +613,42 @@ def test_subs_and_evaluate_match_the_sympy_reference(data):
             f.subs(mapping)
     else:
         _assert_matches(f.subs(mapping), expected)
-    point = [data.draw(SMALL_FRACTIONS) for _ in names]
+    # a point of negative rationals, zeros and plain ints
+    point = [data.draw(st.integers(-2, 2) | SMALL_FRACTIONS) for _ in names]
+    _assert_evaluates_as_sympy(f, rf, point)
+
+
+def _assert_evaluates_as_sympy(f, rf, point):
+    """`f` at `point` is the reference value as a `Fraction`, or the
+    reference has a pole there and `f` refuses it by name."""
+    values = dict(zip(f.names, point))
     try:
-        value = sympy_evaluate(rf, point)
+        expected = sympy_evaluate(rf, [Fraction(v) for v in point])
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            f.evaluate(dict(zip(names, point)))
+        with pytest.raises(ZeroDivisionError, match="^denominator vanishes at the point$"):
+            f.evaluate(values)
     else:
-        assert f.evaluate(dict(zip(names, point))) == value
+        got = f.evaluate(values)
+        assert type(got) is Fraction
+        assert got == expected
+
+
+F = Fraction
+EVALUATE_EDGES = {
+    # x = 0 while the other terms have x**0: 0**0 counts as 1
+    "zero coordinate": (({(1, 1): F(1), (0, 0): F(1)}, {(0, 2): F(1), (0, 0): F(3)}), (0, 2)),
+    "zero coordinate in the denominator": (({(0, 1): F(2)}, {(2, 0): F(1), (0, 1): F(1)}),
+                                           (0, F(-1, 3))),
+    "int point": (({(2, 1): F(1)}, {(1, 0): F(1), (0, 1): F(1)}), (2, 1)),
+    "negative rationals": (({(1, 0): F(1), (0, 1): F(-1)}, {(2, 0): F(1), (0, 0): F(1)}),
+                           (F(-1, 2), F(-3, 4))),
+    "pole": (({(1, 0): F(1)}, {(1, 0): F(1), (0, 1): F(1)}), (1, -1)),
+    "constant": (({(0, 0): F(-5, 3)}, {(0, 0): F(1)}), (7, F(1, 2))),
+    "zero": (({}, {(0, 0): F(1)}), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_EDGES))
+def test_evaluate_edge_cases_match_the_sympy_reference(case):
+    recipe, point = EVALUATE_EDGES[case]
+    _assert_evaluates_as_sympy(*_both(NAMES, recipe), point)
