@@ -5,10 +5,11 @@ Laurent monomial in the X's, written as an integer exponent tuple,
 carries the integer combination of those intervals.  The weight-zero
 monomials form a lattice.  Both the Grassmannian cells and the full flag
 cell coordinatize their torus quotient by a basis of it: the cross-ratio
-generators Y_{i,j} below, certified to be a basis by exact integer
-linear algebra, and the flag quotient coordinates.  `reexpress` rewrites
-an invariant rational function in either basis, and `induced_action`
-gives the action that a substitution of the X's induces on the Y's.
+generators Y_{i,j} below, certified to be a basis by the lattice's rank
+(a union-find over the interval roots) and one Hermite form, and the
+flag quotient coordinates.  `reexpress` rewrites an invariant rational
+function in either basis, and `induced_action` gives the action that a
+substitution of the X's induces on the Y's.
 
 All of it is integer work in proportion to the nonzero entries: a weight
 skips the zero exponents, a lattice keeps the nonzero entries of each
@@ -19,7 +20,7 @@ Y monomials once, on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .ratfunc import Names, RationalFunction, Substitution
@@ -31,12 +32,13 @@ _Sparse = Tuple[Tuple[int, int], ...]  # (index, nonzero entry) pairs
 
 def root_weight(root: Interval, rank: int) -> Exponents:
     """Simple-root coefficients of the interval root [j, k]."""
-    return tuple(1 if root[0] <= t <= root[1] else 0 for t in range(1, rank + 1))
+    j, k = root
+    return (0,) * (j - 1) + (1,) * (k - j + 1) + (0,) * (rank - k)
 
 
 def position_weights(arr: InversionArray) -> Tuple[Exponents, ...]:
     """Torus weight of each coordinate X_{i,j}, row major: its interval root."""
-    return tuple(root_weight(arr.root_at(i, j), arr.g.n - 1) for i, j in arr.positions())
+    return tuple(root_weight(root, arr.g.n - 1) for row in arr.rows for root in row)
 
 
 def monomial_weight(exps: Exponents, weights: Tuple[Exponents, ...]) -> Exponents:
@@ -62,10 +64,12 @@ def y_labels(arr: InversionArray) -> List[Tuple[int, int]]:
 def y_exponent(arr: InversionArray, i: int, j: int) -> Exponents:
     """Exponents of X_{i,L_i} X_{i+1,j} / (X_{i,j} X_{i+1,L_i}), L_i = a_i - i + 1."""
     li = arr.g.a_seq[i - 1] - i + 1
-    positions = arr.positions()
-    exps = [0] * len(positions)
-    for pos, e in (((i, li), 1), ((i + 1, j), 1), ((i, j), -1), ((i + 1, li), -1)):
-        exps[positions.index(pos)] += e
+    lengths = [len(row) for row in arr.rows]
+    start = sum(lengths[: i - 1]) - 1  # row i's (i, q) sits at start + q, row major
+    below = start + lengths[i - 1]
+    exps = [0] * sum(lengths)
+    for t, e in ((start + li, 1), (below + j, 1), (start + j, -1), (below + li, -1)):
+        exps[t] += e
     return tuple(exps)
 
 
@@ -124,7 +128,7 @@ def _left_inverse(generators: Tuple[Exponents, ...]) -> Tuple[Exponents, ...]:
     h, u = linalg.hnf_columns(generators)
     if any(row[:k] != [int(a == c) for c in range(k)] for a, row in enumerate(h)):
         raise ValueError("generators are not a basis of a saturated lattice")
-    return tuple(tuple(row[a] for row in u) for a in range(k))
+    return tuple(zip(*(row[:k] for row in u)))
 
 
 class ReexpressionError(ValueError):
@@ -213,7 +217,13 @@ def induced_action(lattice: InvariantLattice, xsub: Substitution) -> Substitutio
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Certification of the cross-ratio basis against the weight kernel."""
+    """Certification of the cross-ratio basis against the weight kernel.
+
+    ``kernel_rank`` is the rank of the weight-zero lattice K, read off the
+    weights; ``generators_in_kernel`` says every Y exponent vector has
+    weight zero; ``lattice_equality`` says the Y's were proved to be a
+    basis of K, and is False whenever that proof does not go through.
+    """
 
     n: int
     r: int
@@ -232,19 +242,83 @@ class KernelReport:
         )
 
 
+def _weight_rank(weights: Tuple[Exponents, ...]) -> int:
+    """Rank of interval-root weights, counted as merges of a union-find.
+
+    The root a_j + ... + a_k is e_j - e_(k+1), so the weights span the
+    cut lattice of a graph on 1..n with one edge (j, k + 1) each, whose
+    rank is n minus its number of components.  A weight that is not a
+    single run of ones raises ValueError.
+    """
+    parent = list(range(len(weights[0]) + 1)) if weights else []
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    merges = 0
+    for w in weights:
+        j = w.index(1) if 1 in w else 0
+        k = j + w.count(1)
+        if k == j or w != (0,) * j + (1,) * (k - j) + (0,) * (len(w) - k):
+            raise ValueError(f"weight {w} is not an interval root")
+        a, b = find(j), find(k)
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
+def _certify(
+    weights: Tuple[Exponents, ...], generators: Sequence[Exponents]
+) -> Tuple[int, bool, bool]:
+    """(rank of the weight kernel K, generators in K, generators a basis of K).
+
+    Let L be the span of the generators.  If they lie in K, are as many
+    as K's rank and have integer rows M with M G^T = I (G the generators
+    as rows), then L = K: the generators are independent, so L has full
+    rank in K and K/L is finite; and Z^N/L is torsion-free, since m x =
+    c G with c integral gives c = m (M x), so x = (M x) G lies in L.
+    Hence each x in K, having some multiple in L, lies in L.  M comes
+    from one Hermite form of G (`_left_inverse`) and is checked against
+    the supports of G before it is trusted.
+    """
+    rank = len(weights) - _weight_rank(weights)
+    in_kernel = not any(any(monomial_weight(v, weights)) for v in generators)
+    if not in_kernel or len(generators) != rank:
+        return rank, in_kernel, False
+    try:
+        inverse = _left_inverse(tuple(generators))
+    except ValueError:
+        return rank, in_kernel, False
+    if len(inverse) != rank or any(len(row) != len(weights) for row in inverse):
+        return rank, in_kernel, False
+    # column b of L G^T, summed over the support of generator b
+    columns = list(zip(*inverse))
+    for b, v in enumerate(generators):
+        pairing = [0] * rank
+        for t, e in enumerate(v):
+            if e:
+                pairing = [p + e * c for p, c in zip(pairing, columns[t])]
+        if pairing != [int(a == b) for a in range(rank)]:
+            return rank, in_kernel, False
+    return rank, in_kernel, True
+
+
 def verify_kernel_basis(arr: InversionArray) -> KernelReport:
     """Certify that the Y exponent vectors are a basis of the weight-zero lattice.
 
-    The kernel lattice of the weight matrix is computed by integer
-    column reduction; equality of lattices is Hermite-form equality of
-    generating sets, which is immune to rational-span coincidences.
+    The kernel's rank is the number of coordinates minus the rank of the
+    interval-root weights.  The Y's lie in the kernel, are as many as
+    that rank, and span a saturated lattice, which one Hermite form with
+    the identity as its leading block shows.  A saturated sublattice of
+    full rank is the whole kernel (`_certify` has the proof), so this is
+    lattice equality, exact and immune to rational-span coincidences.
     """
     g = arr.g
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
-    weights = position_weights(arr)
-    mat = [list(row) for row in zip(*weights)]
-    kernel = linalg.integer_kernel_basis(mat)
-    ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]
-    in_kernel = not any(any(monomial_weight(v, weights)) for v in ys)
-    same = linalg.lattice_canonical_form(kernel) == linalg.lattice_canonical_form(ys)
-    return KernelReport(g.n, g.r, g.a_seq, len(kernel), expected, in_kernel, same)
+    ys = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
+    rank, in_kernel, same = _certify(position_weights(arr), ys)
+    return KernelReport(g.n, g.r, g.a_seq, rank, expected, in_kernel, same)

@@ -1,5 +1,8 @@
 """Small exact linear algebra: a column echelon generic over the scalar
-and Hermite forms over the integers.
+and the column Hermite form over the integers, whose transform gives the
+integer left inverse that certifies a saturated lattice basis.  The
+kernel basis and lattice canonical form that the certificate is checked
+against are references in ``tests/conftest.py``.
 
 Everything here works on plain lists of lists; matrices are modest
 (at most a few dozen rows), so clarity wins over asymptotics.
@@ -67,46 +70,39 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     # Every column operation acts on A stacked over the identity, so the
-    # top rows become H and the bottom rows accumulate U.
-    h = [[int(x) for x in row] for row in a]
-    h += [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def swap(c1: int, c2: int) -> None:
-        for row in h:
-            row[c1], row[c2] = row[c2], row[c1]
+    # top rows become H and the bottom rows accumulate U.  Columns are
+    # held as lists, so that an operation is one list comprehension.
+    cols = [[int(row[j]) for row in a] + [0] * ncols for j in range(ncols)]
+    for j in range(ncols):
+        cols[j][nrows + j] = 1
 
     def addmul(dst: int, src: int, f: int) -> None:
-        for row in h:
-            row[dst] += f * row[src]
-
-    def negate(c: int) -> None:
-        for row in h:
-            row[c] = -row[c]
+        cols[dst] = [x + f * y for x, y in zip(cols[dst], cols[src])]
 
     pivots = []
     col = 0
     for row in range(nrows):
         if col == ncols:
             break
-        # gcd sweep on h[row][col:]
+        # gcd sweep on row `row` of the columns col, col + 1, ...
         while True:
-            nz = [c for c in range(col, ncols) if h[row][c] != 0]
+            nz = [c for c in range(col, ncols) if cols[c][row] != 0]
             if not nz:
                 break
-            cmin = min(nz, key=lambda c: abs(h[row][c]))
-            swap(col, cmin)
+            cmin = min(nz, key=lambda c: abs(cols[c][row]))
+            cols[col], cols[cmin] = cols[cmin], cols[col]
             done = True
             for c in range(col + 1, ncols):
-                if h[row][c] != 0:
-                    addmul(c, col, -(h[row][c] // h[row][col]))
-                    if h[row][c] != 0:
+                if cols[c][row] != 0:
+                    addmul(c, col, -(cols[c][row] // cols[col][row]))
+                    if cols[c][row] != 0:
                         done = False
             if done:
                 break
-        if h[row][col] == 0:
+        if cols[col][row] == 0:
             continue
-        if h[row][col] < 0:
-            negate(col)
+        if cols[col][row] < 0:
+            cols[col] = [-x for x in cols[col]]
         pivots.append((row, col))
         col += 1
     # Reduce entries left of each pivot into [0, pivot).  Top-down order
@@ -114,35 +110,8 @@ def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
     # above their own pivot row).
     for row, col in pivots:
         for c in range(col):
-            q = h[row][c] // h[row][col]
+            q = cols[c][row] // cols[col][row]
             if q:
                 addmul(c, col, -q)
-    return h[:nrows], h[nrows:]
-
-
-def integer_kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
-    """A basis of the lattice {x integral : A x = 0}."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    h, u = hnf_columns(a)
-    basis = []
-    for c in range(ncols):
-        if all(h[r][c] == 0 for r in range(nrows)):
-            basis.append([u[r][c] for r in range(ncols)])
-    return basis
-
-
-def lattice_canonical_form(vectors: Sequence[Sequence[int]]) -> IntMatrix:
-    """Canonical form of the lattice spanned by the given vectors.
-
-    Two generating sets span the same lattice iff their canonical
-    forms coincide (Hermite form of the matrix with the vectors as
-    columns, zero columns dropped).
-    """
-    if not vectors:
-        return []
-    ncols = len(vectors[0])
-    mat = [[vec[r] for vec in vectors] for r in range(ncols)]
-    h, _ = hnf_columns(mat)
-    keep = [c for c in range(len(vectors)) if any(h[r][c] != 0 for r in range(ncols))]
-    return [[h[r][c] for c in keep] for r in range(ncols)]
+    rows = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(nrows)]
+    return rows[:nrows], rows[nrows:]

@@ -12,8 +12,9 @@ counts the cases, stops at the first failing one and keeps its
 counterexample, and calls a suite inconclusive when a case was
 inconclusive or no case was checked.  `_REGISTRY` maps each id to its
 body and, where they apply, the least ``n`` the suite's objects exist
-for and a limit on ``n`` where the cost grows too fast; the runner
-checks both before the body runs.
+for, a limit on ``n`` where the cost grows too fast, and whether each
+rank in ``rs`` must lie in 1..n-1; the runner checks all of them before
+the body runs.
 """
 
 from __future__ import annotations
@@ -359,18 +360,21 @@ class _Suite:
     min_n: Optional[int] = None  # the least n the suite accepts; None: no floor
     needs: str = ""  # what an n below min_n lacks, for the refusal message
     floor_param: str = "n"  # the parameter that min_n bounds
+    ranked: bool = False  # whether each r in rs must lie in 1..n-1
 
 
-# Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, and each
-# flag variety GL_(n+1)/B needs a simple root.
+# Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, suites
+# that take ranks rs also need each of them in that range, and each flag
+# variety GL_(n+1)/B needs a simple root.
 _GRASSMANNIAN = {"min_n": 2, "needs": "a Grassmannian G_(r,n)"}
+_RANKED = {**_GRASSMANNIAN, "ranked": True}
 _FLAG = {"min_n": 1, "needs": "a flag variety GL_(n+1)/B"}
 
 
 _REGISTRY: Dict[str, _Suite] = {
-    "lemma-1.6": _Suite(partial(_rounding_cases, "ceil"), **_GRASSMANNIAN),
-    "lemma-1.7": _Suite(partial(_rounding_cases, "floor"), **_GRASSMANNIAN),
-    "lemma-1.8": _Suite(_suite_lemma_1_8, **_GRASSMANNIAN),
+    "lemma-1.6": _Suite(partial(_rounding_cases, "ceil"), **_RANKED),
+    "lemma-1.7": _Suite(partial(_rounding_cases, "floor"), **_RANKED),
+    "lemma-1.8": _Suite(_suite_lemma_1_8, **_RANKED),
     # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
     # r = 5, takes 5-6 s.
     "lemma-2.7": _Suite(
@@ -444,6 +448,11 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
         raise ValueError(
             f"{name} needs {least} >= {suite.min_n} for {suite.needs}, got {least}={bound[least]}"
         )
+    if suite.ranked:
+        n = bound["n"]
+        bad = next((r for r in bound["rs"] if not 1 <= r <= n - 1), None)
+        if bad is not None:
+            raise ValueError(f"{name} needs each rank r in 1..n-1 for {suite.needs}, got r={bad} at n={n}")
     if suite.max_n is not None and bound["n"] > suite.max_n:
         raise ValueError(
             f"{name} {suite.why}; n={bound['n']} is over the limit n <= {suite.max_n}"

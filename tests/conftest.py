@@ -4,6 +4,11 @@ against.  None of these is called by the package itself.
 
 - ``int_det``: the determinant that the oracle's minors and the HNF
   transform are checked against.
+- ``integer_kernel_basis``, ``lattice_canonical_form`` and
+  ``reference_kernel_report``: a kernel basis from the Hermite transform,
+  the Hermite form of a spanning set, and the kernel certificate of a
+  cell built from the two, the reference for
+  ``invariants.verify_kernel_basis``' rank-and-saturation proof.
 - ``solve_linear`` and ``cartan_matrix``: the Cartan solve that
   ``weights.fundamental_weight``'s closed form is checked against, and
   the exact solver behind the reference re-expression.
@@ -52,8 +57,22 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
 
-from torusquot.linalg import column_echelon
-from torusquot.schubert import GrassmannElement, all_cells, grassmann_leq, row_starts, tau_r
+from torusquot.invariants import (
+    KernelReport,
+    monomial_weight,
+    position_weights,
+    y_exponent,
+    y_labels,
+)
+from torusquot.linalg import column_echelon, hnf_columns
+from torusquot.schubert import (
+    GrassmannElement,
+    InversionArray,
+    all_cells,
+    grassmann_leq,
+    row_starts,
+    tau_r,
+)
 from torusquot.weights import Weight, act
 from torusquot.weyl import Permutation, all_permutations, simple_reflection
 
@@ -141,6 +160,53 @@ def cartan_matrix(rank: int) -> List[List[int]]:
         [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(rank)]
         for i in range(rank)
     ]
+
+
+# ---------------------------------------------------------------------------
+# integer lattices: the kernel basis and canonical form the kernel
+# certificate is checked against
+
+
+def integer_kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
+    """A basis of the lattice {x integral : A x = 0}: the transform columns
+    under the zero columns of the Hermite form A U."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    h, u = hnf_columns(a)
+    return [
+        [u[r][c] for r in range(ncols)]
+        for c in range(ncols)
+        if all(h[r][c] == 0 for r in range(nrows))
+    ]
+
+
+def lattice_canonical_form(vectors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Canonical form of the lattice spanned by the given vectors.
+
+    Two generating sets span the same lattice iff their canonical
+    forms coincide (Hermite form of the matrix with the vectors as
+    columns, zero columns dropped).
+    """
+    if not vectors:
+        return []
+    ncols = len(vectors[0])
+    mat = [[vec[r] for vec in vectors] for r in range(ncols)]
+    h, _ = hnf_columns(mat)
+    keep = [c for c in range(len(vectors)) if any(h[r][c] != 0 for r in range(ncols))]
+    return [[h[r][c] for c in keep] for r in range(ncols)]
+
+
+def reference_kernel_report(arr: InversionArray) -> KernelReport:
+    """The kernel certificate of a cell computed the long way: a kernel
+    basis of the weight matrix, and canonical-form equality with the Y's."""
+    g = arr.g
+    weights = position_weights(arr)
+    kernel = integer_kernel_basis([list(row) for row in zip(*weights)])
+    ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]
+    in_kernel = all(not any(monomial_weight(v, weights)) for v in ys)
+    same = lattice_canonical_form(kernel) == lattice_canonical_form(ys)
+    expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
+    return KernelReport(g.n, g.r, g.a_seq, len(kernel), expected, in_kernel, same)
 
 
 # ---------------------------------------------------------------------------

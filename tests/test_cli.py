@@ -224,6 +224,21 @@ def test_grassmannian_suites_refuse_n_below_two(capsys, suite, n):
     assert err == f"error: {suite} needs n >= 2 for a Grassmannian G_(r,n), got n={n}\n"
 
 
+@pytest.mark.parametrize("suite", ["lemma-1.6", "lemma-1.7", "lemma-1.8"])
+@pytest.mark.parametrize(
+    "flags,r,n", [(["--n", "3"], 3, 3), (["--n", "2"], 2, 2), (["--n", "5", "--r", "7"], 7, 5),
+                  (["--n", "5", "--r", "5"], 5, 5), (["--n", "5", "--r", "0"], 0, 5)],
+)
+def test_rank_suites_refuse_a_rank_outside_one_to_n_minus_one(capsys, suite, flags, r, n):
+    # the default ranks are 1, 2 and 3, so n = 2 and n = 3 each have one too large
+    code, out, err = _capture(capsys, ["verify", "--suite", suite] + flags)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {suite} needs each rank r in 1..n-1 for a Grassmannian G_(r,n), got r={r} at n={n}\n"
+    )
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -5,16 +5,18 @@ import dataclasses
 import random
 
 import pytest
-from conftest import solve_linear
+from conftest import integer_kernel_basis, reference_kernel_report, solve_linear
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torusquot import action, flag, linalg, schubert
+from torusquot import action, flag, invariants, linalg, schubert
 from torusquot.invariants import (
     InvariantLattice,
     ReexpressionError,
+    _certify,
     induced_action,
     reexpress,
+    root_weight,
     verify_kernel_basis,
     y_exponent,
     y_labels,
@@ -77,6 +79,112 @@ def test_kernel_rank_counts_invariants_not_rows():
     rep = verify_kernel_basis(_arr(6, 3, (2, 3, 5)))
     assert rep.expected_rank == (2 - 1) + (3 - 2)
     assert rep.ok
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kernel_report_equals_the_hermite_reference_on_every_cell(n):
+    """Every cell of every G(r, n), unstable cells and cells without Y's
+    among them."""
+    for r in range(1, n):
+        for g in schubert.all_cells(n, r):
+            arr = schubert.inversion_array(g)
+            assert verify_kernel_basis(arr) == reference_kernel_report(arr), g
+
+
+@st.composite
+def kernel_cases(draw):
+    """Interval-root weights of sl_(m+1), m <= 4, with at least one more
+    coordinate than m, a reference kernel basis B of them, and a
+    unimodular integer matrix U made of elementary row operations."""
+    rank = draw(st.integers(1, 4))
+    count = draw(st.integers(rank + 1, rank + 5))
+    ends = st.tuples(st.integers(1, rank), st.integers(1, rank)).map(sorted)
+    roots = draw(st.lists(ends, min_size=count, max_size=count))
+    weights = tuple(root_weight(tuple(e), rank) for e in roots)
+    basis = integer_kernel_basis([list(row) for row in zip(*weights)])
+    k = len(basis)
+    mix = [[int(a == b) for b in range(k)] for a in range(k)]
+    if k > 1:
+        pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, 3))
+        for i, j, f in draw(st.lists(pairs, max_size=6)):
+            if i != j:
+                mix[i] = [x + f * y for x, y in zip(mix[i], mix[j])]
+    return weights, basis, mix
+
+
+def _times(mix, basis):
+    """The rows of mix times the matrix whose rows are basis."""
+    return [tuple(sum(m * v[t] for m, v in zip(row, basis)) for t in range(len(basis[0]))) for row in mix]
+
+
+_SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@_SEEDED
+@given(case=kernel_cases())
+def test_certificate_accepts_every_unimodular_basis(case):
+    weights, basis, mix = case
+    assert _certify(weights, _times(mix, basis)) == (len(basis), True, True)
+
+
+@_SEEDED
+@given(case=kernel_cases())
+def test_certificate_refuses_an_index_two_sublattice(case):
+    weights, basis, mix = case
+    mix[0] = [2 * x for x in mix[0]]  # |det| = 2
+    assert _certify(weights, _times(mix, basis)) == (len(basis), True, False)
+
+
+@_SEEDED
+@given(case=kernel_cases())
+def test_certificate_refuses_one_vector_too_few(case):
+    weights, basis, mix = case
+    assert _certify(weights, _times(mix, basis)[1:]) == (len(basis), True, False)
+
+
+@_SEEDED
+@given(case=kernel_cases(), data=st.data())
+def test_certificate_refuses_a_vector_off_the_kernel(case, data):
+    weights, basis, mix = case
+    gens = _times(mix, basis)
+    t = data.draw(st.integers(0, len(weights) - 1))
+    gens[0] = tuple(e + (s == t) for s, e in enumerate(gens[0]))  # weight moves by weights[t]
+    assert _certify(weights, gens) == (len(basis), False, False)
+
+
+@_SEEDED
+@given(case=kernel_cases(), data=st.data())
+def test_certificate_refuses_weights_that_are_not_interval_roots(case, data):
+    weights, basis, mix = case
+    t = data.draw(st.integers(0, len(weights) - 1))
+    w = weights[t]
+    bad = data.draw(st.sampled_from(
+        [tuple(0 for _ in w), tuple(2 * c for c in w), tuple(-c for c in w)]
+        + ([(1,) + (0,) * (len(w) - 2) + (1,)] if len(w) >= 3 else [])
+    ))
+    weights = weights[:t] + (bad,) + weights[t + 1:]
+    with pytest.raises(ValueError, match="is not an interval root"):
+        _certify(weights, _times(mix, basis))
+
+
+def _off_by_one(rows, gens):
+    """Row 0 moved by one where the first generator is nonzero, so it no
+    longer pairs to 1 with it."""
+    t = next(t for t, e in enumerate(gens[0]) if e)
+    return [tuple(c + (s == t) for s, c in enumerate(rows[0]))] + list(rows[1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_off_by_one, lambda rows, gens: rows[1:], lambda rows, gens: rows[::-1]],
+    ids=["entry off by one", "row dropped", "rows reversed"],
+)
+def test_a_corrupted_left_inverse_is_caught(monkeypatch, corrupt):
+    true_inverse = invariants._left_inverse
+    monkeypatch.setattr(invariants, "_left_inverse", lambda gens: corrupt(true_inverse(gens), gens))
+    rep = verify_kernel_basis(_arr(7, 2, (4, 6)))
+    assert rep.kernel_rank == rep.expected_rank == 3 and rep.generators_in_kernel
+    assert not rep.lattice_equality and not rep.ok
 
 
 def _random_invariant(names, rng, top=2):

@@ -227,9 +227,12 @@ LEAST_N = {
 @pytest.mark.parametrize("name", sorted(LEAST_N))
 def test_least_n_is_checked_before_the_body(monkeypatch, name):
     """With the suite's body stubbed: at the record's least n the stub
-    runs once; one below it, the runner refuses and never calls the stub."""
+    runs once; one below it, the runner refuses and never calls the stub.
+    A suite over ranks rs runs at its least n with rs = (1,), since its
+    default ranks need n >= 4."""
     suite, calls = _stub_body(monkeypatch, name)
     least, param = LEAST_N[name], suite.floor_param
+    ranks = {"rs": (1,)} if suite.ranked else {}
     assert suite.min_n == least
     with pytest.raises(ValueError) as refused:
         exhaustive_check(name, **{param: least - 1})
@@ -237,7 +240,7 @@ def test_least_n_is_checked_before_the_body(monkeypatch, name):
         f"{name} needs {param} >= {least} for {suite.needs}, got {param}={least - 1}"
     )
     assert calls == []
-    assert exhaustive_check(name, **{param: least}).ok
+    assert exhaustive_check(name, **{param: least}, **ranks).ok
     assert calls == [least]
 
 
