@@ -121,13 +121,19 @@ def _swap_columns(sub: Substitution, g: GrassmannElement, rows: Sequence[int], c
 
 
 def x_action(k: int, g: GrassmannElement) -> Substitution:
-    """Substitution on the X's realizing s_k on the open cell.
+    """Substitution on the X's realizing s_k on the open cell, in a fresh
+    dict; it is built once per (k, g).
 
     Swap cases move whole columns (the start values k and k+1 trade
     places in every affected row); the s_{a_p} case with a distant
     previous block inverts the last coordinate of row p and corrects
     the lower rows by an elementary column operation.
     """
+    return dict(_x_action(k, g))
+
+
+@lru_cache(maxsize=None)
+def _x_action(k: int, g: GrassmannElement) -> Substitution:
     label, p = action_case(k, g)
     a = g.a_seq
     r = g.r
@@ -181,7 +187,7 @@ def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
 def y_action_substitution(k: int, g: GrassmannElement) -> Substitution:
     """Action of s_k on the Y's, via the X level: each Y's X monomial is
     moved by s_k and re-expressed in the Y's."""
-    return induced_action(invariant_lattice(g), x_action(k, g))
+    return induced_action(invariant_lattice(g), _x_action(k, g))
 
 
 def closed_y_action(k: int, g: GrassmannElement) -> Substitution:

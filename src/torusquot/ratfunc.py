@@ -10,11 +10,13 @@ without a substitution is an error.  Scalars are `int` or `Fraction`.
 Every value is reduced by `_fraction`: the constructors, the operators
 and `subs` all end there.  When the numerator or the denominator has one
 term, their gcd is an integer times a monomial, so the reduction needs no
-polynomial gcd (the one-term rule).  Two binomials need none either when
-they are associates or both irreducible (the two-term rule, argued at
-`_fraction`).  Any other pair goes to `_cancel`, the one place sympy is
-called: its polynomial gcd over ZZ.  On the benchmark's `symbolic` op
-list (seed 1) that happens 8 times per pass.
+polynomial gcd (the one-term rule).  Nor does a pair with equal term
+counts whose quotient is a rational times a Laurent monomial, read off
+the leading terms and checked term by term (the associate rule), nor two
+irreducible binomials (both argued at `_fraction`).  Any other pair goes
+to `_cancel`, the one place sympy is called: its polynomial gcd over ZZ.
+On the benchmark's `symbolic` op list (seed 1) and in
+`verify --suite prop-3.2 --n 8` that happens 0 times.
 
 A substitution is a total map: every variable that occurs in the source
 needs an image, and the images share one variable tuple, the target.  No
@@ -40,8 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from sympy.polys.domains import ZZ
@@ -55,11 +58,11 @@ Poly = Dict[Monomial, int]  # exponent tuple -> nonzero coefficient
 
 
 @lru_cache(maxsize=None)
-def _field_for(names: Names) -> Tuple[Monomial, ...]:
-    """The generators' exponent tuples over `names`, built once per tuple."""
+def _field_for(names: Names) -> Dict[str, Monomial]:
+    """Each name's generator exponent tuple over `names`, built once per tuple."""
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names: {names}")
-    return tuple(tuple(int(i == j) for j in range(len(names))) for i in range(len(names)))
+    return {name: tuple(int(i == j) for j in range(len(names))) for i, name in enumerate(names)}
 
 
 def _exact(value) -> Scalar:
@@ -69,14 +72,19 @@ def _exact(value) -> Scalar:
     return value
 
 
+def _grlex(mon: Monomial) -> Tuple[int, Monomial]:
+    """The graded-lex sort key."""
+    return sum(mon), mon
+
+
 def _terms(poly: Poly) -> List[Tuple[Monomial, int]]:
     """The terms of `poly`, graded-lex descending."""
-    return sorted(poly.items(), key=lambda term: (sum(term[0]), term[0]), reverse=True)
+    return sorted(poly.items(), key=lambda term: _grlex(term[0]), reverse=True)
 
 
 def _lc(poly: Poly) -> int:
     """The graded-lex leading coefficient."""
-    return _terms(poly)[0][1] if len(poly) > 1 else next(iter(poly.values()))
+    return poly[max(poly, key=_grlex)] if len(poly) > 1 else next(iter(poly.values()))
 
 
 def _accumulate(total: Poly, poly: Poly, sign: int = 1) -> Poly:
@@ -121,31 +129,38 @@ def _fraction(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     divided by their gcd, and the sign fixes the leading coefficient.
 
     The gcd is of that kind when either side has one term (the one-term
-    rule), and for two binomials that pass the two-term rule.  Write a
-    binomial as X**g * B with g the componentwise minimum of its two
-    exponents, so that B = a*X**u + b*X**v with u, v of disjoint support.
-    - If num = a*X**m + a'*X**m' and den = b*X**n + b'*X**n' with
-      m' - m = n' - n and a'/a = b'/b, their parts B are associates, and
-      num/den = (a*X**m)/(b*X**n); the one-term rule finishes.
-    - Otherwise, when both parts B are irreducible, they are coprime (two
-      irreducibles that are not associates), so the gcd is an integer
-      times a monomial.  B is irreducible when some exponent of u or v is
-      1, i.e. the two exponents of a variable x differ by one: then
-      B = A*x + C with A, C monomials times integers sharing no variable,
-      so B has degree one in x and is primitive in x.  In a factorisation
-      of B one factor is free of x; it divides A and C, so it is a
-      constant (Gauss's lemma).
+    rule), and in two more cases, where the pair passes to that rule:
+    - The associate rule, for num and den with equal term counts.  If
+      num = c*X**s*den for a rational c and a Laurent monomial X**s, then
+      num/den = c*X**s, one term over one term.  Adding s to exponents
+      keeps a graded-lex order (total degrees shift alike, and the first
+      differing entry is unchanged), so the leading terms a*X**m of num
+      and b*X**n of den give s = m - n and c = a/b.  `_associates` reads
+      s and a/b off them and checks num[e + s]*b == a*den[e] for every
+      term e of den.  Each check is necessary; together they give
+      num = (a/b)*X**s*den, since e -> e + s is injective and both sides
+      have as many terms.  So the rule fires exactly on such pairs and
+      replaces them by {m: a} over {n: b}, in time linear in the terms.
+    - Two binomials that are not associates but are both irreducible.
+      Write a binomial as X**g * B with g the componentwise minimum of its
+      two exponents, so that B = a*X**u + b*X**v with u, v of disjoint
+      support.  Two irreducibles that are not associates are coprime, so
+      the gcd is an integer times a monomial.  B is irreducible when some
+      exponent of u or v is 1, i.e. the two exponents of a variable x
+      differ by one: then B = A*x + C with A, C monomials times integers
+      sharing no variable, so B has degree one in x and is primitive in
+      x.  In a factorisation of B one factor is free of x; it divides A
+      and C, so it is a constant (Gauss's lemma).
     Any other pair goes to `_cancel`, which runs the polynomial gcd.
     """
     if not num:
         return {}, {(0,) * len(next(iter(den))): 1}
-    if len(num) == len(den) == 2:
-        pair = _two_term_rule(num, den)
-        if pair is None:
+    if len(num) != 1 and len(den) != 1:
+        pair = _associates(num, den) if len(num) == len(den) else None
+        if pair is not None:
+            num, den = pair
+        elif not (len(num) == len(den) == 2 and _irreducible(num) and _irreducible(den)):
             return _cancel(num, den)
-        num, den = pair
-    elif len(num) != 1 and len(den) != 1:
-        return _cancel(num, den)
     shift = tuple(map(min, zip(*num, *den)))
     content = gcd(*num.values(), *den.values())
     if _lc(den) < 0:
@@ -156,20 +171,21 @@ def _fraction(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
                  for poly in (num, den))
 
 
-def _two_term_rule(num: Poly, den: Poly):
-    """For binomials num and den: one term over one term if they are
-    associates, the pair itself if both are irreducible, else None
-    (see `_fraction`)."""
-    (m, a), (m2, a2) = num.items()
-    (n, b), (n2, b2) = den.items()
-    step, den_step = ([y - x for x, y in zip(p, q)] for p, q in ((m, m2), (n, n2)))
-    if den_step == [-x for x in step]:
-        (n, b), (n2, b2), den_step = (n2, b2), (n, b), step
-    if den_step == step and a2 * b == a * b2:
-        return {m: a}, {n: b}
-    if 1 in map(abs, step) and 1 in map(abs, den_step):
-        return num, den
-    return None
+def _associates(num: Poly, den: Poly) -> Optional[Tuple[Poly, Poly]]:
+    """Their leading terms, one over one, if num = c*X**s*den; else None
+    (the associate rule, argued at `_fraction`)."""
+    m, n = max(num, key=_grlex), max(den, key=_grlex)
+    a, b = num[m], den[n]
+    s = tuple(map(sub, m, n))
+    for e, c in den.items():
+        if num.get(tuple(map(add, e, s)), 0) * b != a * c:
+            return None
+    return {m: a}, {n: b}
+
+
+def _irreducible(binomial: Poly) -> bool:
+    """Whether the two exponents differ by one in some variable."""
+    return 1 in map(abs, map(sub, *binomial))
 
 
 def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
@@ -198,9 +214,9 @@ class RationalFunction:
     def variable(cls, name: str, names: Names) -> "RationalFunction":
         names = tuple(names)
         gens = _field_for(names)
-        if name not in names:
+        if name not in gens:
             raise ValueError(f"unknown variable {name!r}")
-        return cls(names, {gens[names.index(name)]: 1}, {(0,) * len(names): 1})
+        return cls(names, {gens[name]: 1}, {(0,) * len(names): 1})
 
     @classmethod
     def constant(cls, value: Scalar, names: Names) -> "RationalFunction":
@@ -330,11 +346,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.numer
 
-    def uses(self, name: str) -> bool:
-        """Whether the variable occurs in the reduced fraction."""
-        i = self.names.index(name)
-        return any(mon[i] for mon in self.numer) or any(mon[i] for mon in self.denom)
-
     # -- substitution and evaluation ----------------------------------
 
     def subs(self, mapping: Mapping[str, "RationalFunction"]) -> "RationalFunction":
@@ -398,8 +409,9 @@ class RationalFunction:
         sum of c * prod p_i**e * q_i**(d_i - e), and the value is one
         `Fraction` of the two.
         """
+        known = _field_for(self.names)
         for name, value in values.items():
-            if name not in self.names:
+            if name not in known:
                 raise ValueError(f"unknown variable {name!r}")
             _exact(value)
         numer, denom = self.numer, self.denom
@@ -438,21 +450,22 @@ def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction) 
     variable tuple, or `f`'s own for an empty map.  Every image must be a
     `RationalFunction`, every mapped name a variable of `f`, every image
     over the target, and every variable occurring in `f` mapped."""
-    target = None
+    target, known = None, _field_for(f.names)
     for name, value in mapping.items():
         if not isinstance(value, RationalFunction):
             raise TypeError(
                 f"image of {name!r} must be a RationalFunction, got {type(value).__name__}"
             )
-        if name not in f.names:
+        if name not in known:
             raise ValueError(f"unknown variable {name!r}")
         if target is None:
             target = value.names
-        elif value.names != target:
+        elif value.names is not target and value.names != target:
             raise ValueError("substitution values over mixed variable sets")
-    for name in f.names:
-        if name not in mapping and f.uses(name):
-            raise ValueError(f"no image provided for occurring variable {name!r}")
+    if len(mapping) < len(known):  # some variable has no image: it must not occur
+        for name, d in zip(f.names, map(max, zip(*f.numer, *f.denom))):
+            if d and name not in mapping:
+                raise ValueError(f"no image provided for occurring variable {name!r}")
     return f.names if target is None else target
 
 
@@ -474,8 +487,8 @@ def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[Rat
         (u, p), = img.numer.items()
         (w, q), = img.denom.items()
         c, d = (c * p ** e, d * q ** e) if e > 0 else (c * q ** -e, d * p ** -e)
-        for j, (uj, wj) in enumerate(zip(u, w)):
-            v[j] += e * (uj - wj)
+        step = map(sub, u, w)
+        v = list(map(add, v, step if e == 1 else map(mul, repeat(e), step)))
     coeff = Fraction(c, d)
     num = {tuple(max(x, 0) for x in v): coeff.numerator}
     return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): coeff.denominator})
@@ -499,6 +512,13 @@ Substitution = Dict[str, RationalFunction]
 
 
 def identity_substitution(names: Names) -> Substitution:
+    """Each variable sent to itself, in a fresh dict; the values are built
+    once per name tuple."""
+    return dict(_identity(tuple(names)))
+
+
+@lru_cache(maxsize=None)
+def _identity(names: Names) -> Substitution:
     return {name: RationalFunction.variable(name, names) for name in names}
 
 

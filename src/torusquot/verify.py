@@ -12,9 +12,9 @@ counts the cases, stops at the first failing one and keeps its
 counterexample, and calls a suite inconclusive when a case was
 inconclusive or no case was checked.  `_REGISTRY` maps each id to its
 body and, where they apply, the least ``n`` the suite's objects exist
-for, a limit on ``n`` where the cost grows too fast, and whether each
-rank in ``rs`` must lie in 1..n-1; the runner checks all of them before
-the body runs.
+for, a limit on ``n`` where the cost grows too fast, and the range
+m..n-m each rank in ``rs`` must lie in; the runner checks all of them
+before the body runs.
 """
 
 from __future__ import annotations
@@ -127,8 +127,6 @@ def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
 def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
     """Cross-ratio exponents are a certified basis of the weight-zero lattice."""
     for r in rs:
-        if r > n - 2:
-            continue
         for g in schubert.semistable_cells(n, r):
             rep = invariants.verify_kernel_basis(schubert.inversion_array(g))
             yield rep.ok, {
@@ -360,14 +358,15 @@ class _Suite:
     min_n: Optional[int] = None  # the least n the suite accepts; None: no floor
     needs: str = ""  # what an n below min_n lacks, for the refusal message
     floor_param: str = "n"  # the parameter that min_n bounds
-    ranked: bool = False  # whether each r in rs must lie in 1..n-1
+    # (m, what): each r in rs must lie in m..n-m for `what`; None: no ranks
+    ranks: Optional[Tuple[int, str]] = None
 
 
 # Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, suites
 # that take ranks rs also need each of them in that range, and each flag
 # variety GL_(n+1)/B needs a simple root.
 _GRASSMANNIAN = {"min_n": 2, "needs": "a Grassmannian G_(r,n)"}
-_RANKED = {**_GRASSMANNIAN, "ranked": True}
+_RANKED = {**_GRASSMANNIAN, "ranks": (1, _GRASSMANNIAN["needs"])}
 _FLAG = {"min_n": 1, "needs": "a flag variety GL_(n+1)/B"}
 
 
@@ -381,7 +380,10 @@ _REGISTRY: Dict[str, _Suite] = {
         _suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds",
         min_n=4, needs="a rank r with 2 <= r <= n - 2",
     ),
-    "prop-2.9": _Suite(_suite_prop_2_9, **_GRASSMANNIAN),
+    # semistable cells exist for 2 <= r <= n - 2 (schubert.tau_r)
+    "prop-2.9": _Suite(
+        _suite_prop_2_9, **_GRASSMANNIAN, ranks=(2, "the semistable cells of G_(r,n)")
+    ),
     "lemma-3.1": _Suite(_suite_lemma_3_1, **_GRASSMANNIAN),
     "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),
     # n = 8 takes about 49 s on a 2-core VM; the sweep grows like n!, so
@@ -448,11 +450,11 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
         raise ValueError(
             f"{name} needs {least} >= {suite.min_n} for {suite.needs}, got {least}={bound[least]}"
         )
-    if suite.ranked:
-        n = bound["n"]
-        bad = next((r for r in bound["rs"] if not 1 <= r <= n - 1), None)
+    if suite.ranks is not None:
+        (m, what), n = suite.ranks, bound["n"]
+        bad = next((r for r in bound["rs"] if not m <= r <= n - m), None)
         if bad is not None:
-            raise ValueError(f"{name} needs each rank r in 1..n-1 for {suite.needs}, got r={bad} at n={n}")
+            raise ValueError(f"{name} needs each rank r in {m}..n-{m} for {what}, got r={bad} at n={n}")
     if suite.max_n is not None and bound["n"] > suite.max_n:
         raise ValueError(
             f"{name} {suite.why}; n={bound['n']} is over the limit n <= {suite.max_n}"

@@ -44,6 +44,8 @@ against.  None of these is called by the package itself.
   native arithmetic.
 - ``count_fallbacks``: the pairs that reach ``ratfunc._cancel``, the one
   reduction that runs a polynomial gcd.
+- ``clear_program_caches``: empties every ``functools`` cache in the
+  package, so that a count taken next sees each cached build run again.
 """
 
 import contextlib
@@ -512,6 +514,19 @@ def count_fallbacks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratfunc, "_cancel", lambda *pair: calls.append(pair) or original(*pair))
         yield calls
+
+
+def clear_program_caches():
+    """Empty every functools cache of every module of the package."""
+    import importlib
+    import pkgutil
+
+    import torusquot
+
+    for info in pkgutil.iter_modules(torusquot.__path__):
+        for value in vars(importlib.import_module(f"torusquot.{info.name}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -103,7 +103,8 @@ def test_criterion_3_order_reversal_and_rounding_representatives():
 def test_criterion_4_invariant_exponents_are_lattice_basis():
     checked = 0
     for n in range(4, 8):
-        rep = exhaustive_check("prop-2.9", n=n, rs=(2, 3))
+        # the suite refuses a rank outside 2..n-2, so n = 4 takes r = 2 only
+        rep = exhaustive_check("prop-2.9", n=n, rs=tuple(r for r in (2, 3) if r <= n - 2))
         assert rep.ok, rep.counterexample
         checked += rep.checked
     # count formula spot check on one cell: rank sums a_i - i over i < r

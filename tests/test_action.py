@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import coordinates_of_matrix, count_fallbacks
+from conftest import clear_program_caches, coordinates_of_matrix, count_fallbacks
 
 from torusquot import ratfunc
 from torusquot.action import (
@@ -25,6 +25,7 @@ from torusquot.action import (
 )
 from torusquot.ratfunc import RationalFunction, compose, identity_substitution
 from torusquot.schubert import GrassmannElement, semistable_cells
+from torusquot.verify import exhaustive_check
 
 
 G24 = GrassmannElement(5, 2, (2, 4))
@@ -120,6 +121,32 @@ def test_y_actions_need_no_polynomial_gcd():
                         y_action_substitution(k, g)
                         closed_y_action(k, g)
     assert calls == []
+
+
+def test_prop_3_2_at_n8_needs_no_polynomial_gcd():
+    """With every program cache emptied, the n = 8 involution and
+    re-expression suite reaches the fallback for no fraction; the
+    `compose(sub, sub)` pairs that did (up to 16 terms a side) are
+    associates."""
+    clear_program_caches()
+    with count_fallbacks() as calls:
+        rep = exhaustive_check("prop-3.2", n=8)
+    assert rep.ok and rep.checked == 209
+    assert calls == []
+
+
+def test_changing_an_x_action_dict_leaves_the_next_one_alone():
+    """`x_action` is built once per (k, g) and handed out as a fresh dict."""
+    g = GrassmannElement(6, 3, (2, 3, 5))
+    k = min(k for k in stabilizer_generators(g) if action_case(k, g)[0] == "inversion")
+    sub = x_action(k, g)
+    expected = dict(sub)
+    for name in sub:
+        sub[name] = RationalFunction.constant(1, x_names(g))
+    sub["X_9_9"] = RationalFunction.constant(2, x_names(g))
+    assert x_action(k, g) == expected
+    assert x_action(k, g) is not x_action(k, g)
+    assert y_action_substitution(k, g) == closed_y_action(k, g)
 
 
 def test_r2_rules_frozen():

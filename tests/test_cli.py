@@ -239,6 +239,19 @@ def test_rank_suites_refuse_a_rank_outside_one_to_n_minus_one(capsys, suite, fla
     )
 
 
+@pytest.mark.parametrize("flags,r,n", [(["--n", "7", "--r", "1"], 1, 7), (["--n", "7", "--r", "0"], 0, 7),
+                                      (["--n", "7", "--r", "6"], 6, 7), (["--n", "3"], 2, 3)])
+def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two(capsys, flags, r, n):
+    # the default ranks are 2 and 3, so at n = 3 the first is too large
+    code, out, err = _capture(capsys, ["verify", "--suite", "prop-2.9"] + flags)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: prop-2.9 needs each rank r in 2..n-2 for the semistable cells of G_(r,n), "
+        f"got r={r} at n={n}\n"
+    )
+
+
 def test_verify_suite_checking_no_case_exits_one(capsys):
     code, out, _ = _capture(capsys, ["verify", "--suite", "cor-5.3", "--n", "1"])
     assert code == 1

@@ -109,6 +109,8 @@ COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 
 
 BINOMIALS = st.dictionaries(EXPONENTS, st.integers(-6, 6).filter(bool), min_size=2, max_size=2)
+POLYNOMIALS = st.dictionaries(EXPONENTS, st.integers(-6, 6).filter(bool), min_size=1, max_size=8)
+SHIFTS = st.tuples(*[st.integers(-3, 3)] * len(THREE))
 QQ_FIELD = sympy_field(THREE)
 
 
@@ -381,6 +383,62 @@ def test_two_term_reduction_is_sympys_cancel(num, den, num_shift, den_shift, ass
     assert got.canonical() == expected.canonical()
 
 
+@settings(PROPERTY, max_examples=300)
+@given(poly=POLYNOMIALS, shift=SHIFTS, scalar=COEFFS, flip=st.booleans())
+@example(poly={(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): 2, (0, 0, 0): -2}, shift=(-1, 2, 0),
+         scalar=Fraction(-3, 2), flip=False)  # four terms, a negative shift entry
+@example(poly={(3, 0, 0): 5}, shift=(0, 0, 0), scalar=Fraction(1), flip=True)  # one term
+def test_associate_reduction_is_sympys_cancel(poly, shift, scalar, flip):
+    """A polynomial times a nonzero rational and a Laurent monomial, over
+    the polynomial (or the other way up): `_fraction` reduces it to one
+    term over one term without the fallback, and gives exactly the form
+    the fallback gives."""
+    low = tuple(max(-s, 0) for s in shift)
+    num = _shifted({mon: scalar * c for mon, c in poly.items()}, tuple(s + b for s, b in zip(shift, low)))
+    den = _shifted(poly, low)
+    num, den = _polys(*((den, num) if flip else (num, den)))
+    with count_fallbacks() as calls:
+        got = _fraction(num, den)
+    assert calls == []
+    assert got == _cancel(num, den)
+    assert len(got[0]) == len(got[1]) == 1
+
+
+@settings(PROPERTY, max_examples=150)
+@given(pair=st.integers(2, 5).flatmap(lambda k: st.tuples(*[st.dictionaries(
+    EXPONENTS, st.integers(-6, 6).filter(bool), min_size=k, max_size=k)] * 2)))
+@example(pair=({(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3},
+               {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 4}))  # one coefficient off
+@example(pair=({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 0): 1},
+               {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1}))  # one exponent off
+def test_equal_length_pairs_that_are_not_associates_reach_the_fallback(pair):
+    """Equal term counts alone do not make an associate pair: a quotient
+    that is not one term over one term goes to the fallback (unless it is
+    two irreducible binomials) and comes back as the fallback gives it."""
+    num, den = pair
+    expected = _cancel(num, den)
+    assume(len(expected[0]) > 1 or len(expected[1]) > 1)
+    irreducible = len(num) == 2 and all(1 in (abs(y - x) for x, y in zip(*poly)) for poly in pair)
+    with count_fallbacks() as calls:
+        got = _fraction(num, den)
+    assert calls == ([] if irreducible else [(num, den)])
+    assert got == expected
+
+
+def test_changing_an_identity_dict_leaves_the_next_one_alone():
+    """`identity_substitution` is built once per name tuple and handed out
+    as a fresh dict."""
+    ident = identity_substitution(THREE)
+    expected = dict(ident)
+    for name in ident:
+        ident[name] = RationalFunction.constant(1, THREE)
+    ident["w"] = RationalFunction.constant(2, THREE)
+    assert identity_substitution(THREE) == expected
+    assert identity_substitution(list(THREE)) == expected
+    assert identity_substitution(THREE) is not identity_substitution(THREE)
+    assert [v.canonical() for v in identity_substitution(THREE).values()] == list(THREE)
+
+
 @PROPERTY
 @given(
     f=laurent_monomials(NAMES),
@@ -451,8 +509,8 @@ def test_from_terms_refuses_malformed_monomials(names, numer, denom):
 
 def test_arithmetic_reduces_through_the_one_term_rule():
     """Every operator result is already in the fallback's reduced form;
-    only a numerator and a denominator with several terms each, not both
-    irreducible binomials, reach the fallback."""
+    only a numerator and a denominator with several terms each, neither
+    associates nor both irreducible binomials, reach the fallback."""
     x, y = _xy()
     with count_fallbacks() as calls:
         monomial = (2 * x * y / (3 * x ** 2) - x / y) * (x ** 3 / -y) + 1
@@ -583,7 +641,7 @@ def test_a_value_equal_to_a_scalar_hashes_like_it(data):
     names = data.draw(st.sampled_from(FIELDS), label="names")
     f = RationalFunction.from_terms(names, *data.draw(recipes(len(names))))
     scalars = [data.draw(SMALL_FRACTIONS, label="scalar")]
-    if not any(f.uses(name) for name in names):
+    if not any(map(any, (*f.numer, *f.denom))):  # no variable occurs
         scalars.append(f.evaluate({}))  # the constant's own value
     for s in scalars:
         for scalar in (s, s.numerator) if s.denominator == 1 else (s,):

@@ -87,7 +87,7 @@ def test_unknown_parameter_rejected(name, params):
     "name,params",
     [
         ("cor-5.3", {"n": 1}),
-        ("prop-2.9", {"n": 4, "rs": (3,)}),
+        ("prop-2.9", {"n": 4, "rs": ()}),
     ],
 )
 def test_suite_checking_no_case_is_inconclusive(name, params):
@@ -229,10 +229,10 @@ def test_least_n_is_checked_before_the_body(monkeypatch, name):
     """With the suite's body stubbed: at the record's least n the stub
     runs once; one below it, the runner refuses and never calls the stub.
     A suite over ranks rs runs at its least n with rs = (1,), since its
-    default ranks need n >= 4."""
+    default ranks need n >= 4 (prop-2.9's ranks 2..n-2 need it for any rank)."""
     suite, calls = _stub_body(monkeypatch, name)
     least, param = LEAST_N[name], suite.floor_param
-    ranks = {"rs": (1,)} if suite.ranked else {}
+    ranks = {"rs": (1,) if suite.ranks[0] == 1 else ()} if suite.ranks else {}
     assert suite.min_n == least
     with pytest.raises(ValueError) as refused:
         exhaustive_check(name, **{param: least - 1})
@@ -242,6 +242,22 @@ def test_least_n_is_checked_before_the_body(monkeypatch, name):
     assert calls == []
     assert exhaustive_check(name, **{param: least}, **ranks).ok
     assert calls == [least]
+
+
+@pytest.mark.parametrize("n,rs,bad", [(7, (1,), 1), (7, (0,), 0), (7, (2, 6), 6), (3, (2, 3), 2)])
+def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two_before_the_body(monkeypatch, n, rs, bad):
+    """Semistable cells exist for 2 <= r <= n - 2 only: the runner refuses
+    any other rank by the suite's record and never calls the stub; the
+    ranks in range alone reach it."""
+    _, calls = _stub_body(monkeypatch, "prop-2.9")
+    with pytest.raises(ValueError) as refused:
+        exhaustive_check("prop-2.9", n=n, rs=rs)
+    assert str(refused.value) == (
+        f"prop-2.9 needs each rank r in 2..n-2 for the semistable cells of G_(r,n), got r={bad} at n={n}"
+    )
+    assert calls == []
+    assert exhaustive_check("prop-2.9", n=n, rs=tuple(r for r in rs if 2 <= r <= n - 2)).ok
+    assert calls == [n]
 
 
 def test_lemma_2_7_size_limit_is_checked_before_any_sampling(monkeypatch):
