@@ -172,21 +172,9 @@ def _cmd_flag_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # each flag fills the parameter of that name, or the range or list form
-    # the suite takes instead; a suite with neither refuses the flag
-    takes = verify.suite_parameters(args.suite)
-    params: Dict[str, object] = {"seed": args.seed}
-    if args.n is not None:
-        if "n_min" in takes:
-            params["n_min"] = params["n_max"] = args.n
-        else:
-            params["n"] = args.n
-    if args.r is not None:
-        if "rs" in takes:
-            params["rs"] = (args.r,)
-        else:
-            params["r"] = args.r
-    rep = verify.exhaustive_check(args.suite, **params)
+    # --r is the one rank in rs; a suite refuses a flag it does not take
+    rs = None if args.r is None else (args.r,)
+    rep = verify.exhaustive_check(args.suite, n=args.n, rs=rs, seed=args.seed)
     check: Check = {"name": rep.name, "status": rep.status}
     if rep.counterexample is not None:
         check["counterexample"] = rep.counterexample

@@ -83,7 +83,15 @@ def subgroup_fixing_last(n: int) -> List[Permutation]:
 
 @dataclass(frozen=True)
 class RegularDominantChar:
-    """Character sum m_i alpha_i with strictly increasing positive m's."""
+    """Character sum m_i alpha_i with strictly increasing positive m's.
+
+    That is all it checks.  With m_0 = m_{n+1} = 0 the character is
+    sum c_k omega_k for c_k = 2 m_k - m_{k-1} - m_{k+1}; it is dominant when
+    every c_k >= 0 and regular when every c_k > 0, and neither follows from
+    the check.  m = (1, 2) gives chi = 3 omega_2, which is not regular, and
+    m = (1, 3, 6, 10) gives c = (-1, -1, -1, 14), which is not dominant.
+    `negative_elements` needs only what is checked.
+    """
 
     rank: int
     coeffs: Tuple[int, ...]
@@ -494,7 +502,7 @@ def _case_verdicts(w, coords, i, branch_a, image, moved_image):
         yield case, ok, alpha
 
 
-def desk_check(n: int, seed: int = 0, samples: int = 30) -> Iterator[DeskInstance]:
+def desk_check(n: int, seed: int, samples: int) -> Iterator[DeskInstance]:
     """Desk check of generator stability and quotient commutation.
 
     Yields ``(check, ok, witness)`` once per checked instance: every

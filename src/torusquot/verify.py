@@ -102,23 +102,26 @@ def _suite_lemma_1_8(n: int = 6, rs: Sequence[int] = (1, 2, 3)) -> Cases:
     return (f"all ordered pairs of cells, n={n}, r in {list(rs)}",)
 
 
-def _suite_lemma_2_7(n: int = 5, r: int = 2, seed: int = 0) -> Cases:
-    """Gateway criterion versus the sampling oracle, every cell, oracle
-    seeds seed, seed + 1 and seed + 2."""
+def _suite_lemma_2_7(n: int = 5, rs: Sequence[int] = (2,), seed: int = 0) -> Cases:
+    """Gateway criterion versus the sampling oracle, every cell of each
+    rank, oracle seeds seed, seed + 1 and seed + 2."""
     seeds = [seed, seed + 1, seed + 2]
-    gate = {g.a_seq for g in schubert.semistable_cells(n, r)}
-    cells = list(schubert.all_cells(n, r))
+    semistable = cells = 0
     inconclusive: List[Tuple[int, ...]] = []
-    for g in cells:
-        w = schubert.to_permutation(g)
-        verdicts = [oracle.cell_semistable(w, r, seed=s)[0] for s in seeds]
-        if "inconclusive" in verdicts:
-            inconclusive.append(g.a_seq)
-            yield None, None
-        else:
-            agree = len(set(verdicts)) == 1 and (verdicts[0] == "semistable") == (g.a_seq in gate)
-            yield agree, {"a_seq": list(g.a_seq), "verdicts": verdicts, "gateway": g.a_seq in gate}
-    details = [f"{len(gate)} semistable cells among {len(cells)}, seeds {seeds} unanimous"]
+    for r in rs:
+        gate = {g.a_seq for g in schubert.semistable_cells(n, r)}
+        semistable += len(gate)
+        for g in schubert.all_cells(n, r):
+            cells += 1
+            w = schubert.to_permutation(g)
+            verdicts = [oracle.cell_semistable(w, r, seed=s)[0] for s in seeds]
+            if "inconclusive" in verdicts:
+                inconclusive.append(g.a_seq)
+                yield None, None
+            else:
+                agree = len(set(verdicts)) == 1 and (verdicts[0] == "semistable") == (g.a_seq in gate)
+                yield agree, {"a_seq": list(g.a_seq), "verdicts": verdicts, "gateway": g.a_seq in gate}
+    details = [f"{semistable} semistable cells among {cells}, seeds {seeds} unanimous"]
     if inconclusive:
         details.append(f"inconclusive cells: {inconclusive}")
     return details
@@ -174,7 +177,7 @@ def _suite_prop_3_2(n: int = 6) -> Cases:
     )
 
 
-def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
+def _suite_lemma_4_1(n: int = 6, seed: int = 0) -> Cases:
     """No escape: a permutation keeping a generic point in its cell lies in
     the subgroup generated by the closure-stabilizing reflections."""
     rng = random.Random(seed)
@@ -182,7 +185,7 @@ def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
     for g in schubert.semistable_cells(n, 2):
         group = set(parabolic_elements(action.stabilizer_generators(g), n))
         target = frozenset(g.a_seq)
-        for _ in range(points):
+        for _ in range(3):
             values = {name: Fraction(rng.choice(nonzero)) for name in action.x_names(g)}
             mat = action.matrix_of_point(g, values)
             for sigma in all_permutations(n):
@@ -190,12 +193,12 @@ def _suite_lemma_4_1(n: int = 6, seed: int = 0, points: int = 3) -> Cases:
                 pivots, _ = column_echelon(permuted)
                 escapes = frozenset(pivots) == target and sigma not in group
                 yield not escapes, {"a_seq": list(g.a_seq), "sigma": list(sigma.images)}
-    return (f"{points} sampled points per semistable rank-2 cell, all row permutations",)
+    return ("3 sampled points per semistable rank-2 cell, all row permutations",)
 
 
-def _suite_prop_4_2(ms: Sequence[int] = (2, 3, 4)) -> Cases:
+def _suite_prop_4_2() -> Cases:
     """Closed rules for the two-row family match the general machinery."""
-    for m in ms:
+    for m in (2, 3, 4):
         names = action.r2_names(m)
         bridge = {f"Y_1_{j}": RationalFunction.variable(f"Y_{j}", names) for j in range(1, m)}
         for n in (m + 2, m + 3):
@@ -213,9 +216,9 @@ def _suite_prop_4_2(ms: Sequence[int] = (2, 3, 4)) -> Cases:
     return ("closed rules equal the pushed-through cell action; all involutions",)
 
 
-def _suite_cor_4_3(ms: Sequence[int] = (2, 3, 4)) -> Cases:
+def _suite_cor_4_3() -> Cases:
     """Leading-index rules match the adjoint-torus character model."""
-    for m in ms:
+    for m in (2, 3, 4):
         names = action.r2_names(m)
         for k in range(1, m):
             for j in range(1, m):
@@ -226,9 +229,9 @@ def _suite_cor_4_3(ms: Sequence[int] = (2, 3, 4)) -> Cases:
     return ("permuting torus characters reproduces the closed rules for k < m",)
 
 
-def _suite_cor_4_4(ms: Sequence[int] = (2, 3, 4)) -> Cases:
+def _suite_cor_4_4() -> Cases:
     """Full equivariance with the reflection-representation model."""
-    for m in ms:
+    for m in (2, 3, 4):
         rep = action.check_equivariance(m)
         if not rep.negative_control_failed:
             yield False, {"m": m, "reason": "the perturbed rule matched the model"}
@@ -237,35 +240,34 @@ def _suite_cor_4_4(ms: Sequence[int] = (2, 3, 4)) -> Cases:
     return ("generator-by-generator symbolic match, with a negative control",)
 
 
-def _suite_strata(n_min: int = 4, n_max: int = 9) -> Cases:
+def _suite_strata(n: int = 9) -> Cases:
     """Stratification family: count, dimensions, recorded divergences."""
-    for n in range(n_min, n_max + 1):
-        rep = strat.strata_report(n)
-        m = strat.closed_parameter(n)
-        open_dims = sorted(d.dimension for d in rep.descriptors if d.kind == "open")
-        if len(rep.descriptors) != (n - 1) // 2 + 1:
-            reason = f"{len(rep.descriptors)} descriptors"
-        elif open_dims != list(range(m - 1, n - 2)):
-            reason = f"open dimensions {open_dims}"
-        elif not rep.divergences:
-            reason = "expected divergence record missing"
-        elif n % 2 == 0 and len(rep.divergences) < 2:
-            reason = "even case must also record the extra semistable parameter"
-        else:
-            reason = None
-        yield reason is None, {"n": n, "reason": reason}
-    return ("count, open dimensions, and indexing divergences for every n",)
+    rep = strat.strata_report(n)
+    m = strat.closed_parameter(n)
+    open_dims = sorted(d.dimension for d in rep.descriptors if d.kind == "open")
+    if len(rep.descriptors) != (n - 1) // 2 + 1:
+        reason = f"{len(rep.descriptors)} descriptors"
+    elif open_dims != list(range(m - 1, n - 2)):
+        reason = f"open dimensions {open_dims}"
+    elif not rep.divergences:
+        reason = "expected divergence record missing"
+    elif n % 2 == 0 and len(rep.divergences) < 2:
+        reason = "even case must also record the extra semistable parameter"
+    else:
+        reason = None
+    yield reason is None, {"n": n, "reason": reason}
+    return (f"count, open dimensions, and indexing divergences, n={n}",)
 
 
-def _suite_lemma_5_1(n: int = 3, seed: int = 0, trials: int = 3) -> Cases:
+def _suite_lemma_5_1(n: int = 3, seed: int = 0) -> Cases:
     """Negative-image elements equal the coset family, random characters."""
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(3):
         coeffs = list(accumulate(rng.randint(1, 4) for _ in range(n)))
         chi = flag.RegularDominantChar(n, tuple(coeffs))
         elements = flag.negative_elements(chi)  # raises on mismatch
         yield len(elements) == math.factorial(n), {"chi": coeffs, "cardinality": len(elements)}
-    return (f"{trials} random strictly increasing characters, both sides compared",)
+    return ("3 random strictly increasing characters, both sides compared",)
 
 
 def _suite_thm_5_2(n: int = 3, seed: int = 0, samples: int = 12) -> Cases:
@@ -357,16 +359,17 @@ class _Suite:
     why: str = ""  # the work that grows with n, for the refusal message
     min_n: Optional[int] = None  # the least n the suite accepts; None: no floor
     needs: str = ""  # what an n below min_n lacks, for the refusal message
-    floor_param: str = "n"  # the parameter that min_n bounds
     # (m, what): each r in rs must lie in m..n-m for `what`; None: no ranks
     ranks: Optional[Tuple[int, str]] = None
 
 
 # Each Grassmannian G_(r,n) with 1 <= r <= n - 1 needs n >= 2, suites
-# that take ranks rs also need each of them in that range, and each flag
+# that take ranks rs also need each of them in that range (semistable
+# cells exist for 2 <= r <= n - 2 only, by schubert.tau_r), and each flag
 # variety GL_(n+1)/B needs a simple root.
 _GRASSMANNIAN = {"min_n": 2, "needs": "a Grassmannian G_(r,n)"}
 _RANKED = {**_GRASSMANNIAN, "ranks": (1, _GRASSMANNIAN["needs"])}
+_SEMISTABLE = {**_GRASSMANNIAN, "ranks": (2, "the semistable cells of G_(r,n)")}
 _FLAG = {"min_n": 1, "needs": "a flag variety GL_(n+1)/B"}
 
 
@@ -374,16 +377,12 @@ _REGISTRY: Dict[str, _Suite] = {
     "lemma-1.6": _Suite(partial(_rounding_cases, "ceil"), **_RANKED),
     "lemma-1.7": _Suite(partial(_rounding_cases, "floor"), **_RANKED),
     "lemma-1.8": _Suite(_suite_lemma_1_8, **_RANKED),
-    # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM; the slowest,
-    # r = 5, takes 5-6 s.
+    # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM, and the ranks
+    # in rs add up; the slowest, r = 5, takes 5-6 s.
     "lemma-2.7": _Suite(
-        _suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds",
-        min_n=4, needs="a rank r with 2 <= r <= n - 2",
+        _suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds", **_SEMISTABLE
     ),
-    # semistable cells exist for 2 <= r <= n - 2 (schubert.tau_r)
-    "prop-2.9": _Suite(
-        _suite_prop_2_9, **_GRASSMANNIAN, ranks=(2, "the semistable cells of G_(r,n)")
-    ),
+    "prop-2.9": _Suite(_suite_prop_2_9, **_SEMISTABLE),
     "lemma-3.1": _Suite(_suite_lemma_3_1, **_GRASSMANNIAN),
     "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),
     # n = 8 takes about 49 s on a 2-core VM; the sweep grows like n!, so
@@ -396,8 +395,7 @@ _REGISTRY: Dict[str, _Suite] = {
     "cor-4.3": _Suite(_suite_cor_4_3),
     "cor-4.4": _Suite(_suite_cor_4_4),
     "strata": _Suite(
-        _suite_strata, min_n=4, needs="the stratified torus-normalizer quotient of G_(2,n)",
-        floor_param="n_min",
+        _suite_strata, min_n=4, needs="the stratified torus-normalizer quotient of G_(2,n)"
     ),
     # n = 8 takes about 2.4 s on a 2-core VM and n = 9 about 20 s: each
     # family has n! elements.
@@ -405,8 +403,8 @@ _REGISTRY: Dict[str, _Suite] = {
         _suite_lemma_5_1, 8, "enumerates all n! elements of both families for each of three characters",
         **_FLAG,
     ),
-    # On a 2-core VM n = 4 takes about 4 s and n = 5 takes 37 s (93,360 cases),
-    # mostly exact point arithmetic.
+    # On a 2-core VM one CLI process at n = 4 takes 2.5-2.8 s, and the body
+    # alone at n = 5 takes 26-29 s (93,360 cases), mostly exact point arithmetic.
     "thm-5.2": _Suite(
         _suite_thm_5_2, 4, "desk-checks all n! cells under each of the n generators", **_FLAG
     ),
@@ -441,15 +439,12 @@ def exhaustive_check(name: str, **params: object) -> CheckReport:
     if unknown:
         raise ValueError(
             f"suite {name} takes no parameter {', '.join(unknown)}; "
-            f"it takes {', '.join(defaults)}"
+            f"it takes {', '.join(defaults) or 'none'}"
         )
     bound = {k: given.get(k, v) for k, v in defaults.items()}
     suite = _REGISTRY[name]
-    least = suite.floor_param
-    if suite.min_n is not None and bound[least] < suite.min_n:
-        raise ValueError(
-            f"{name} needs {least} >= {suite.min_n} for {suite.needs}, got {least}={bound[least]}"
-        )
+    if suite.min_n is not None and bound["n"] < suite.min_n:
+        raise ValueError(f"{name} needs n >= {suite.min_n} for {suite.needs}, got n={bound['n']}")
     if suite.ranks is not None:
         (m, what), n = suite.ranks, bound["n"]
         bad = next((r for r in bound["rs"] if not m <= r <= n - m), None)

@@ -105,6 +105,19 @@ def test_verify_refuses_flags_the_suite_cannot_take(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "suite,flags,refused,takes",
+    [("cor-4.3", ["--n", "5"], "n", "none"), ("lemma-3.1", ["--r", "2"], "rs", "n"),
+     ("strata", ["--seed", "1"], "seed", "n"), ("prop-4.2", ["--r", "2", "--seed", "1"], "rs, seed", "none")],
+)
+def test_verify_refusal_names_the_parameter_and_what_the_suite_takes(capsys, suite, flags, refused, takes):
+    # --r fills the one-element rank list rs, so a suite without ranks refuses rs
+    code, out, err = _capture(capsys, ["verify", "--suite", suite] + flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {suite} takes no parameter {refused}; it takes {takes}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["flag-quotient", "--n", "-1", "--tau"],
@@ -167,21 +180,25 @@ def test_lemma_4_1_refuses_n_over_its_limit(capsys):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_lemma_2_7_refuses_n_below_four_by_name(capsys, n):
+    # n = 1 has no Grassmannian, and n = 3 no semistable cell of the default rank 2
     code, out, err = _capture(capsys, ["verify", "--suite", "lemma-2.7", "--n", str(n)])
     assert code == 2
     assert out == ""
-    assert err == f"error: lemma-2.7 needs n >= 4 for a rank r with 2 <= r <= n - 2, got n={n}\n"
+    assert err == {
+        1: "error: lemma-2.7 needs n >= 2 for a Grassmannian G_(r,n), got n=1\n",
+        3: "error: lemma-2.7 needs each rank r in 2..n-2 for the semistable cells of G_(r,n), "
+           "got r=2 at n=3\n",
+    }[n]
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_strata_refuses_n_below_four_by_name(capsys, n):
-    """`--n` sets `n_min`, the parameter the suite's floor reads."""
     code, out, err = _capture(capsys, ["verify", "--suite", "strata", "--n", str(n)])
     assert code == 2
     assert out == ""
     assert err == (
-        "error: strata needs n_min >= 4 for the stratified torus-normalizer quotient "
-        f"of G_(2,n), got n_min={n}\n"
+        "error: strata needs n >= 4 for the stratified torus-normalizer quotient "
+        f"of G_(2,n), got n={n}\n"
     )
 
 
@@ -239,17 +256,32 @@ def test_rank_suites_refuse_a_rank_outside_one_to_n_minus_one(capsys, suite, fla
     )
 
 
-@pytest.mark.parametrize("flags,r,n", [(["--n", "7", "--r", "1"], 1, 7), (["--n", "7", "--r", "0"], 0, 7),
-                                      (["--n", "7", "--r", "6"], 6, 7), (["--n", "3"], 2, 3)])
-def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two(capsys, flags, r, n):
-    # the default ranks are 2 and 3, so at n = 3 the first is too large
-    code, out, err = _capture(capsys, ["verify", "--suite", "prop-2.9"] + flags)
+SEMISTABLE_RANK_FLAGS = pytest.mark.parametrize(
+    "flags,r,n", [(["--n", "7", "--r", "1"], 1, 7), (["--n", "7", "--r", "0"], 0, 7),
+                  (["--n", "7", "--r", "6"], 6, 7), (["--n", "3"], 2, 3)]
+)
+
+
+def _check_semistable_rank_refused(capsys, suite, flags, r, n):
+    code, out, err = _capture(capsys, ["verify", "--suite", suite] + flags)
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: prop-2.9 needs each rank r in 2..n-2 for the semistable cells of G_(r,n), "
+        f"error: {suite} needs each rank r in 2..n-2 for the semistable cells of G_(r,n), "
         f"got r={r} at n={n}\n"
     )
+
+
+@SEMISTABLE_RANK_FLAGS
+def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two(capsys, flags, r, n):
+    # the default ranks are 2 and 3, so at n = 3 the first is too large
+    _check_semistable_rank_refused(capsys, "prop-2.9", flags, r, n)
+
+
+@SEMISTABLE_RANK_FLAGS
+def test_lemma_2_7_refuses_a_rank_outside_two_to_n_minus_two(capsys, flags, r, n):
+    # the default rank is 2, too large at n = 3
+    _check_semistable_rank_refused(capsys, "lemma-2.7", flags, r, n)
 
 
 def test_verify_suite_checking_no_case_exits_one(capsys):
@@ -384,9 +416,8 @@ def _cell_args(draw):
 
 def _suite_args(suite, draw):
     # a suite that takes n always gets --n, so none runs at a larger default
-    takes_n = {"n", "n_min"} & set(verify.suite_parameters(suite))
     args = ["--suite", suite]
-    if takes_n or draw(st.booleans()):
+    if "n" in verify.suite_parameters(suite) or draw(st.booleans()):
         args += ["--n", _number(draw, 3 if suite == "thm-5.2" else 4)]
     for flag in ("--r", "--seed"):
         if draw(st.booleans()):

@@ -38,7 +38,7 @@ def test_unknown_suite_rejected():
 
 
 def test_gateway_oracle_example():
-    rep = exhaustive_check("lemma-2.7", n=5, r=2)
+    rep = exhaustive_check("lemma-2.7", n=5, rs=(2,))
     assert rep.ok
     assert rep.checked == 10
     assert "2 semistable cells" in rep.details[0]
@@ -56,17 +56,17 @@ def test_negative_set_example():
 
 
 def test_report_payload_shape():
-    rep = exhaustive_check("strata", n_min=4, n_max=5)
+    rep = exhaustive_check("strata", n=5)
     assert isinstance(rep, CheckReport)
     payload = rep.to_payload()
     assert payload["name"] == "strata"
     assert payload["status"] == "pass"
     assert "counterexample" not in payload
-    assert payload["params"] == {"n_min": 4, "n_max": 5}
+    assert payload["params"] == {"n": 5}
 
 
 def test_none_params_are_dropped():
-    rep = exhaustive_check("lemma-2.7", n=4, r=2, seed=None)
+    rep = exhaustive_check("lemma-2.7", n=4, rs=(2,), seed=None)
     assert rep.ok
     assert rep.params["seed"] == 0
 
@@ -76,11 +76,21 @@ def test_none_params_are_dropped():
     [
         ("lemma-1.8", {"rz": (9,)}),
         ("lemma-2.7", {"seeds": (0, 1, 2)}),
+        ("lemma-2.7", {"r": 2}),
+        ("strata", {"n_min": 4, "n_max": 9}),
+        ("lemma-4.1", {"points": 3}),
+        ("prop-4.2", {"ms": (2, 3, 4)}),
+        ("lemma-5.1", {"trials": 3}),
     ],
 )
 def test_unknown_parameter_rejected(name, params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^suite {name} takes no parameter "):
         exhaustive_check(name, **params)
+
+
+def test_every_suite_takes_its_parameters_from_one_vocabulary():
+    taken = set().union(*(verify.suite_parameters(name) for name in available_suites()))
+    assert taken == {"n", "rs", "seed", "samples"}
 
 
 @pytest.mark.parametrize(
@@ -123,11 +133,11 @@ def test_runner_stops_at_first_counterexample(monkeypatch):
         ("prop-2.9", {"n": 5, "rs": (2, 3)}),
         ("lemma-3.1", {"n": 4}),
         ("prop-3.2", {"n": 5}),
-        ("lemma-4.1", {"n": 5, "points": 1}),
-        ("prop-4.2", {"ms": (2, 3)}),
-        ("cor-4.3", {"ms": (2, 3)}),
-        ("cor-4.4", {"ms": (2,)}),
-        ("strata", {"n_min": 4, "n_max": 6}),
+        ("lemma-4.1", {"n": 5}),
+        ("prop-4.2", {}),
+        ("cor-4.3", {}),
+        ("cor-4.4", {}),
+        ("strata", {"n": 6}),
         ("thm-5.2", {"n": 2, "samples": 6}),
         ("cor-5.3", {"n": 2}),
         ("cor-5.4", {"n": 2}),
@@ -190,14 +200,13 @@ def test_thm_counterexample_is_printed_and_exits_one(capsys, monkeypatch):
 
 def _stub_body(monkeypatch, name):
     """Replace the suite's body by a one-case stub; returns the suite's
-    record and the list of the values of the floor's parameter (``n`` for
-    all but ``strata``) each stub call received."""
+    record and the list of the ``n`` each stub call received."""
     suite = verify._REGISTRY[name]
     calls = []
 
     @functools.wraps(suite.body)  # keeps the parameters suite_parameters reads
     def stub(**bound):
-        calls.append(bound[suite.floor_param])
+        calls.append(bound["n"])
         yield True, None
         return ()
 
@@ -219,7 +228,7 @@ def _check_limit_before_the_body(monkeypatch, name):
 
 
 LEAST_N = {
-    "lemma-1.6": 2, "lemma-1.7": 2, "lemma-1.8": 2, "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4, "lemma-2.7": 4, "strata": 4,
+    "lemma-1.6": 2, "lemma-1.7": 2, "lemma-1.8": 2, "prop-2.9": 2, "lemma-3.1": 2, "prop-3.2": 2, "lemma-4.1": 4, "lemma-2.7": 2, "strata": 4,
     "lemma-5.1": 1, "thm-5.2": 1, "cor-5.3": 1, "cor-5.4": 1,
 }
 
@@ -229,35 +238,48 @@ def test_least_n_is_checked_before_the_body(monkeypatch, name):
     """With the suite's body stubbed: at the record's least n the stub
     runs once; one below it, the runner refuses and never calls the stub.
     A suite over ranks rs runs at its least n with rs = (1,), since its
-    default ranks need n >= 4 (prop-2.9's ranks 2..n-2 need it for any rank)."""
+    default ranks need n >= 4 (the ranks 2..n-2 of prop-2.9 and lemma-2.7
+    need it for any rank, so those run with rs = ())."""
     suite, calls = _stub_body(monkeypatch, name)
-    least, param = LEAST_N[name], suite.floor_param
+    least = LEAST_N[name]
     ranks = {"rs": (1,) if suite.ranks[0] == 1 else ()} if suite.ranks else {}
     assert suite.min_n == least
     with pytest.raises(ValueError) as refused:
-        exhaustive_check(name, **{param: least - 1})
-    assert str(refused.value) == (
-        f"{name} needs {param} >= {least} for {suite.needs}, got {param}={least - 1}"
-    )
+        exhaustive_check(name, n=least - 1)
+    assert str(refused.value) == f"{name} needs n >= {least} for {suite.needs}, got n={least - 1}"
     assert calls == []
-    assert exhaustive_check(name, **{param: least}, **ranks).ok
+    assert exhaustive_check(name, n=least, **ranks).ok
     assert calls == [least]
 
 
-@pytest.mark.parametrize("n,rs,bad", [(7, (1,), 1), (7, (0,), 0), (7, (2, 6), 6), (3, (2, 3), 2)])
-def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two_before_the_body(monkeypatch, n, rs, bad):
+SEMISTABLE_RANKS = pytest.mark.parametrize(
+    "n,rs,bad", [(7, (1,), 1), (7, (0,), 0), (7, (2, 6), 6), (3, (2, 3), 2)]
+)
+
+
+def _check_semistable_ranks_before_the_body(monkeypatch, name, n, rs, bad):
     """Semistable cells exist for 2 <= r <= n - 2 only: the runner refuses
     any other rank by the suite's record and never calls the stub; the
     ranks in range alone reach it."""
-    _, calls = _stub_body(monkeypatch, "prop-2.9")
+    _, calls = _stub_body(monkeypatch, name)
     with pytest.raises(ValueError) as refused:
-        exhaustive_check("prop-2.9", n=n, rs=rs)
+        exhaustive_check(name, n=n, rs=rs)
     assert str(refused.value) == (
-        f"prop-2.9 needs each rank r in 2..n-2 for the semistable cells of G_(r,n), got r={bad} at n={n}"
+        f"{name} needs each rank r in 2..n-2 for the semistable cells of G_(r,n), got r={bad} at n={n}"
     )
     assert calls == []
-    assert exhaustive_check("prop-2.9", n=n, rs=tuple(r for r in rs if 2 <= r <= n - 2)).ok
+    assert exhaustive_check(name, n=n, rs=tuple(r for r in rs if 2 <= r <= n - 2)).ok
     assert calls == [n]
+
+
+@SEMISTABLE_RANKS
+def test_prop_2_9_refuses_a_rank_outside_two_to_n_minus_two_before_the_body(monkeypatch, n, rs, bad):
+    _check_semistable_ranks_before_the_body(monkeypatch, "prop-2.9", n, rs, bad)
+
+
+@SEMISTABLE_RANKS
+def test_lemma_2_7_refuses_a_rank_outside_two_to_n_minus_two_before_any_sampling(monkeypatch, n, rs, bad):
+    _check_semistable_ranks_before_the_body(monkeypatch, "lemma-2.7", n, rs, bad)
 
 
 def test_lemma_2_7_size_limit_is_checked_before_any_sampling(monkeypatch):
