@@ -171,10 +171,18 @@ def _cmd_flag_quotient(args: argparse.Namespace) -> int:
     return _emit_flags(args, results, checks)
 
 
+# each verify flag and the suite parameter it fills; --r is the one rank in rs
+_VERIFY_FLAGS = {"--n": "n", "--r": "rs", "--seed": "seed"}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # --r is the one rank in rs; a suite refuses a flag it does not take
-    rs = None if args.r is None else (args.r,)
-    rep = verify.exhaustive_check(args.suite, n=args.n, rs=rs, seed=args.seed)
+    params = {"n": args.n, "rs": None if args.r is None else (args.r,), "seed": args.seed}
+    takes = verify.suite_parameters(args.suite)
+    refused = [f for f, name in _VERIFY_FLAGS.items() if params[name] is not None and name not in takes]
+    if refused:
+        taken = ", ".join(f for f, name in _VERIFY_FLAGS.items() if name in takes) or "none"
+        raise ValueError(f"suite {args.suite} takes no {', '.join(refused)}; it takes {taken}")
+    rep = verify.exhaustive_check(args.suite, **params)
     check: Check = {"name": rep.name, "status": rep.status}
     if rep.counterexample is not None:
         check["counterexample"] = rep.counterexample

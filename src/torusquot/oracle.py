@@ -7,9 +7,10 @@ full flags alike, and direct subset bumping for cell-closure stability.
 The Hilbert-Mumford test checks the (flag-)matroid rank inequalities of
 the supports read off the minors, from a table of the rank of every row
 set; a Grassmannian is its one-step case, decided once per distinct
-support.  No code is shared with the modules under test beyond the
-Permutation type, so agreement between the two sides is evidence, not
-tautology.
+support.  Row sets are bitmasks throughout, and the rank table is built
+from families of row sets held as the bits of one integer.  No code is
+shared with the modules under test beyond the Permutation type, so
+agreement between the two sides is evidence, not tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
@@ -30,7 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import add, lt, mul
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .weyl import Permutation
 
@@ -38,6 +40,8 @@ Subset = Tuple[int, ...]
 
 SAMPLE_BOUND = 10**6  # coordinates are nonzero integers in [-SAMPLE_BOUND, SAMPLE_BOUND]
 EXTRA_DRAWS = 5  # draws allowed after the first three before a cell is inconclusive
+_VALUES = range(-SAMPLE_BOUND, SAMPLE_BOUND + 1)
+_BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +50,10 @@ EXTRA_DRAWS = 5  # draws allowed after the first three before a cell is inconclu
 
 def inversion_positions(w: Permutation) -> List[Tuple[int, int]]:
     """Matrix positions (i, j), i < j, of the roots inverted by w^{-1}."""
-    winv = w.inverse()
-    n = w.n
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if winv(i) > winv(j)
-    ]
+    winv = w.inverse().images
+    n = len(winv)
+    return [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
+
 
 def sample_cell_matrix(
     w: Permutation, r: int, rng: random.Random
@@ -80,39 +80,55 @@ def _sample_matrix(
     for i, j in positions:
         x = 0
         while x == 0:
-            x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+            # the same _randbelow draw as rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+            x = rng.choice(_VALUES)
         if j in column:
             mat[i - 1][column[j]] = x
     return mat
 
 
-def minor_support(mat: List[List[int]], n: int, r: int) -> FrozenSet[Subset]:
-    """Row subsets with nonvanishing r x r minor, by Laplace expansion.
+def _minor_sweep(mat: Sequence[Sequence], n: int, r: int) -> List[Dict[int, object]]:
+    """The nonzero c x c minors of the first c columns, keyed by row
+    bitmask, for c = 0..r, by Laplace expansion.
 
-    After column c the nonzero c x c minors of the first c columns are
-    kept in a dict keyed by row bitmask; each extends to c + 1 columns
-    through the nonzero entries of column c, with sign
-    (-1)^(rows below the new row + c).
+    Each nonzero c x c minor extends to c + 1 columns through the nonzero
+    entries of column c, each new row with sign (-1)^(c + its rows above
+    it), and the terms landing on one row set are summed.
     """
-    if len(mat) != n or any(len(row) != r for row in mat):
+    if len(mat) != n or set(map(len, mat)) - {r}:
         raise ValueError(f"expected an {n} x {r} matrix")
-    minors: Dict[int, int] = {0: 1}
+    sweep: List[Dict[int, object]] = [{0: 1}]
     for c in range(r):
-        entries = [(1 << i, row[c]) for i, row in enumerate(mat) if row[c] != 0]
-        grown: Dict[int, int] = {}
-        for rows, minor in minors.items():
-            for bit, v in entries:
-                if not rows & bit:
-                    term = minor * v
-                    if ((rows & (bit - 1)).bit_count() + c) & 1:
-                        term = -term
-                    grown[rows | bit] = grown.get(rows | bit, 0) + term
-        minors = {rows: m for rows, m in grown.items() if m != 0}
+        grown: Dict[int, object] = {}
+        for i, row in enumerate(mat):
+            v = -row[c] if c & 1 else row[c]
+            if v:
+                bit, above = 1 << i, (1 << i) - 1
+                for rows, minor in sweep[c].items():
+                    if not rows & bit:
+                        term = -minor * v if (rows & above).bit_count() & 1 else minor * v
+                        grown[rows | bit] = grown.get(rows | bit, 0) + term
+        sweep.append({rows: m for rows, m in grown.items() if m})
+    return sweep
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int, r: int) -> Tuple[Tuple[int, Subset], ...]:
+    """Every r-subset of 1..n as (row bitmask, sorted tuple), in
+    lexicographic order."""
+    return tuple(
+        (sum(1 << (i - 1) for i in sub), sub)
+        for sub in itertools.combinations(range(1, n + 1), r)
+    )
+
+
+def minor_support(mat: List[List[int]], n: int, r: int) -> FrozenSet[Subset]:
+    """Row subsets with nonvanishing r x r minor, by Laplace expansion
+    (``_minor_sweep``)."""
+    minors = _minor_sweep(mat, n, r)[r]
     # inserted in lexicographic order, so the set iterates (and prints) as
     # one built from itertools.combinations does
-    return frozenset(sorted(
-        tuple(i + 1 for i in range(n) if rows >> i & 1) for rows in minors
-    ))
+    return frozenset([sub for rows, sub in _subsets(n, r) if rows in minors])
 
 
 @dataclass(frozen=True)
@@ -149,40 +165,67 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
 # the Hilbert-Mumford test as matroid rank inequalities
 
 
-def _rank_table(bases: Sequence[int], n: int) -> List[int]:
+def _rank_table(bases: Iterable[int], n: int) -> List[int]:
     """rk(S) = max |B & S| over B in `bases`, for every row bitmask S < 2^n.
 
-    Independence spreads from each basis to its subsets one row smaller,
-    masks visited in descending order.  An independent S has rank |S|;
-    any other S keeps a row outside a basis attaining its rank, so its
-    rank is the largest over S minus one row.
+    A row set is independent when some basis contains it, and rk(S) is
+    the number of m >= 1 for which S contains an independent m-set.  A
+    family of row sets is held as one integer with bit S set for each
+    member S, so that adding or dropping row i in every member is a
+    shift by 2^i, restricted by ``lacking[i]``, the sets without row i;
+    one pass over the rows closes a family under that step.
     """
-    bits = [1 << i for i in range(n)]
-    independent = bytearray(1 << n)
+    lacking, by_size = _row_families(n)
+    independent = 0
     for b in bases:
-        independent[b] = 1
-    for s in range(len(independent) - 1, 0, -1):
-        if independent[s]:
-            for bit in bits:
-                independent[s & ~bit] = 1
-    rank = [s.bit_count() if ind else 0 for s, ind in enumerate(independent)]
-    for s in range(1, len(rank)):
-        if not independent[s]:
-            rank[s] = max(rank[s & ~bit] for bit in bits)
-    return rank
+        independent |= 1 << b
+    for i, without in enumerate(lacking):
+        independent |= (independent >> (1 << i)) & without
+    counts = 0  # byte S counts the m found so far for S
+    for family in by_size[1:]:
+        family &= independent
+        if not family:
+            break
+        for i, without in enumerate(lacking):
+            family |= (family & without) << (1 << i)
+        # bit S of the family becomes byte S of the counts
+        spread = format(family, f"0{1 << n}b").encode().translate(_BIT_TO_BYTE)
+        counts += int.from_bytes(spread, "big")
+    return list(counts.to_bytes(1 << n, "little"))
 
 
-def _violated_rows(
-    steps: Sequence[Tuple[int, int, Sequence[int]]], n: int
-) -> Optional[int]:
-    """First nonempty row bitmask S with n sum_k c_k rk_k(S) < |S| sum_k k c_k,
-    or None; each step is (k, c_k, bases_k), rk_k the rank over bases_k."""
+@lru_cache(maxsize=None)
+def _row_families(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(lacking, by_size) over the row bitmasks S < 2^n, each family an
+    integer with bit S set for each member S: lacking[i] holds the S
+    without row i, by_size[m] the S with |S| = m."""
+    size = 1 << n
+    # the low 2^i bits of every block of 2^(i+1), a geometric series of blocks
+    blocks = [((1 << size) - 1) // ((1 << (2 << i)) - 1) for i in range(n)]
+    lacking = tuple(((1 << (1 << i)) - 1) * block for i, block in enumerate(blocks))
+    by_size = [0] * (n + 1)
+    for s in range(size):
+        by_size[s.bit_count()] |= 1 << s
+    return lacking, tuple(by_size)
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> Tuple[int, ...]:
+    """|S| for every row bitmask S < 2^n."""
+    return tuple(s.bit_count() for s in range(1 << n))
+
+
+def _violated_rows(steps: Sequence[Tuple[int, int, Iterable[int]]], n: int) -> Optional[int]:
+    """Least nonempty row bitmask S with n sum_k c_k rk_k(S) < |S| sum_k k c_k,
+    or None; each step is (k, c_k, bases_k), rk_k the rank over bases_k.
+    The empty S holds with equality."""
     total = sum(k * c for k, c, _ in steps)
-    tables = [(c, _rank_table(bases, n)) for _, c, bases in steps]
-    for s in range(1, 1 << n):
-        if n * sum(c * rank[s] for c, rank in tables) < s.bit_count() * total:
-            return s
-    return None
+    weighted = [0] * (1 << n)  # n sum_k c_k rk_k(S)
+    for _, c, bases in steps:
+        rank = _rank_table(bases, n)
+        weighted = list(map(add, weighted, map(mul, itertools.repeat(n * c), rank)))
+    below = map(lt, weighted, map(mul, itertools.repeat(total), _popcounts(n)))
+    return next(itertools.compress(itertools.count(), below), None)
 
 
 @dataclass(frozen=True)
@@ -239,14 +282,24 @@ def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
     dominated by `top`; the swap sends a dominated subset containing k
     but not k+1 to its bump, which must stay dominated.
     """
-    top = tuple(sorted(top))
-    for sub in itertools.combinations(range(1, n + 1), len(top)):
-        # sub is sorted, and so is its bump, since k + 1 is not in sub
-        if k in sub and k + 1 not in sub and all(a <= b for a, b in zip(sub, top)):
-            bumped = tuple(k + 1 if a == k else a for a in sub)
-            if not all(a <= b for a, b in zip(bumped, top)):
-                return False
-    return True
+    return k not in _closure_breakers(tuple(sorted(top)), n)
+
+
+@lru_cache(maxsize=1)  # callers ask about every k for one top in turn
+def _closure_breakers(top: Subset, n: int) -> FrozenSet[int]:
+    """The k whose swap bumps a subset of 1..n dominated by `top` to one
+    that is not.  Subsets are bitmasks with bit i for i, so a bump of k
+    adds 2^k; it stays dominated iff it is among the dominated subsets
+    of 1..n+1 listed here."""
+    subs = [(0, 0)]  # (subset, its largest element)
+    for t in top:
+        subs = [(m | 1 << v, v) for m, last in subs for v in range(last + 1, min(t, n + 1) + 1)]
+    dominated = {m for m, _ in subs}
+    starts = [m for m in dominated if m < 2 << n]
+    return frozenset(
+        k for k in range(1, n + 1)
+        if any((m >> k) & 3 == 1 and m + (1 << k) not in dominated for m in starts)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +314,9 @@ def flag_point_semistable(
     chi has simple-root coefficients m_1, ..., m_{N-1}; with m_0 = m_N = 0
     and c_k = 2 m_k - m_{k-1} - m_{k+1}, chi = sum_k c_k omega_k.  Let
     bases_k be the row subsets with a nonzero minor on the first k
-    columns (``minor_support``), so rk_k(S) = max |B & S| over B in
-    bases_k (``_rank_table``) is the rank of rows S there.  The flag is
-    semistable iff
+    columns (one ``_minor_sweep`` gives every k), so rk_k(S) = max |B & S|
+    over B in bases_k (``_rank_table``) is the rank of rows S there.  The
+    flag is semistable iff
 
         N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
 
@@ -293,13 +346,10 @@ def flag_point_semistable(
     m = [Fraction(0), *(Fraction(c) for c in coeffs), Fraction(0)]
     if len(m) != n + 1:
         raise ValueError("coefficient count must be rank = n - 1")
-    if not minor_support(mat, n, n):
+    sweep = _minor_sweep(mat, n, n)  # sweep[k]: the minors on the first k columns
+    if not sweep[n]:
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]
     scale = math.lcm(*(ck.denominator for ck in c))  # integer c_k, same inequalities
-    steps = []
-    for k, ck in enumerate(c, start=1):
-        if ck:
-            minors = minor_support([row[:k] for row in mat], n, k)
-            steps.append((k, int(ck * scale), [sum(1 << (i - 1) for i in b) for b in minors]))
+    steps = [(k, int(ck * scale), sweep[k]) for k, ck in enumerate(c, start=1) if ck]
     return _violated_rows(steps, n) is None

@@ -377,13 +377,18 @@ _REGISTRY: Dict[str, _Suite] = {
     "lemma-1.6": _Suite(partial(_rounding_cases, "ceil"), **_RANKED),
     "lemma-1.7": _Suite(partial(_rounding_cases, "floor"), **_RANKED),
     "lemma-1.8": _Suite(_suite_lemma_1_8, **_RANKED),
-    # At n = 11 each rank r = 2..9 takes 0.7-6 s on a 2-core VM, and the ranks
-    # in rs add up; the slowest, r = 5, takes 5-6 s.
+    # At n = 11 one CLI process per rank r = 2..9 takes 0.5-1.7 s on a 2-core
+    # VM, and the ranks in rs add up; the slowest, r = 5 and r = 6, take 1.2-1.7 s.
     "lemma-2.7": _Suite(
         _suite_lemma_2_7, 11, "samples every cell of Gr(r, n) under three seeds", **_SEMISTABLE
     ),
     "prop-2.9": _Suite(_suite_prop_2_9, **_SEMISTABLE),
-    "lemma-3.1": _Suite(_suite_lemma_3_1, **_GRASSMANNIAN),
+    # One CLI process on a 2-core VM takes 1.7-2.4 s at n = 12, 5.7-6.1 s at
+    # n = 13 and 22 s at n = 14: the work grows about 4x per n.
+    "lemma-3.1": _Suite(
+        _suite_lemma_3_1, 13, "checks every reflection against the closure of every cell of every rank",
+        **_GRASSMANNIAN,
+    ),
     "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),
     # n = 8 takes about 49 s on a 2-core VM; the sweep grows like n!, so
     # n = 9 takes minutes.

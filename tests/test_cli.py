@@ -101,7 +101,11 @@ def test_verify_refuses_flags_the_suite_cannot_take(capsys, argv):
     code, out, err = _capture(capsys, argv)
     assert code == 2
     assert out == ""
-    assert "takes no parameter" in err
+    assert "takes no --" in err
+
+
+# the flag that fills each suite parameter; no flag fills samples
+FLAG = {"n": "--n", "rs": "--r", "seed": "--seed"}
 
 
 @pytest.mark.parametrize(
@@ -110,11 +114,40 @@ def test_verify_refuses_flags_the_suite_cannot_take(capsys, argv):
      ("strata", ["--seed", "1"], "seed", "n"), ("prop-4.2", ["--r", "2", "--seed", "1"], "rs, seed", "none")],
 )
 def test_verify_refusal_names_the_parameter_and_what_the_suite_takes(capsys, suite, flags, refused, takes):
-    # --r fills the one-element rank list rs, so a suite without ranks refuses rs
+    """`refused` and `takes` name suite parameters; the refusal names the
+    flags that fill them."""
     code, out, err = _capture(capsys, ["verify", "--suite", suite] + flags)
     assert code == 2
     assert out == ""
-    assert err == f"error: suite {suite} takes no parameter {refused}; it takes {takes}\n"
+    refused, takes = (", ".join(FLAG.get(name, name) for name in names.split(", ")) for names in (refused, takes))
+    assert err == f"error: suite {suite} takes no {refused}; it takes {takes}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["thm-5.2", "--r", "1"], "suite thm-5.2 takes no --r; it takes --n, --seed"),
+        (["cor-4.4", "--seed", "2", "--n", "3", "--r", "1"], "suite cor-4.4 takes no --n, --r, --seed; it takes none"),
+        (["lemma-4.1", "--r", "2"], "suite lemma-4.1 takes no --r; it takes --n, --seed"),
+        (["lemma-1.8", "--seed", "3"], "suite lemma-1.8 takes no --seed; it takes --n, --r"),
+    ],
+    ids=["thm-5.2", "cor-4.4", "lemma-4.1", "lemma-1.8"],
+)
+def test_verify_refusal_lists_only_the_flags_that_reach_the_suite(capsys, argv, err):
+    """thm-5.2 takes samples too, which no flag sets, so the refusal leaves it out."""
+    code, out, got = _capture(capsys, ["verify", "--suite", *argv])
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+def test_lemma_3_1_refuses_n_over_its_limit(capsys):
+    limit = verify._REGISTRY["lemma-3.1"].max_n
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-3.1", "--n", str(limit + 1)])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: lemma-3.1 checks every reflection against the closure of every cell of every rank; "
+        f"n={limit + 1} is over the limit n <= {limit}\n"
+    )
 
 
 @pytest.mark.parametrize(

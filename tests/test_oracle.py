@@ -7,7 +7,8 @@ support stabilization, the rank table against max |B & S|, one rank table
 per distinct support, Grassmannian verdicts against the rational phase-1
 simplex they replaced (its combination re-verified by hand for a
 semistable verdict, the separator's rank inequality for an unstable one)
-and against Edmonds' rank criterion, the subset-bump closure test, and
+and against Edmonds' rank criterion, verdict and separator against a
+brute-force scan of the row sets, the subset-bump closure test, and
 the flag rank inequalities against the N! row-permutation enumeration
 they replaced.
 """
@@ -356,13 +357,27 @@ def test_subset_bump_closure():
 
 
 def test_closure_test_matches_the_sorting_reference_n_up_to_7():
-    for n in range(2, 8):
-        for r in range(1, n):
-            for head in itertools.combinations(range(1, n + 1), r):
-                for k in range(1, n):
-                    expected = reference_preserves_closure(head, k, n)
-                    assert reflection_preserves_closure(head, k, n) == expected
-                    assert reflection_preserves_closure(frozenset(head), k, n) == expected
+    """Every top, n and k in order, then shuffled, so that the memo of
+    the last top never answers for another top or n.  The shuffled tops
+    also reach n + 1, and k reaches 0 and n, outside the cell's range."""
+    ordered = [
+        (head, k, n)
+        for n in range(2, 8)
+        for r in range(1, n)
+        for head in itertools.combinations(range(1, n + 1), r)
+        for k in range(1, n)
+    ]
+    wide = [
+        (head, k, n)
+        for n in range(2, 8)
+        for r in range(1, n + 1)
+        for head in itertools.combinations(range(1, n + 2), r)
+        for k in range(0, n + 1)
+    ]
+    for head, k, n in ordered + random.Random(0).sample(wide, len(wide)):
+        expected = reference_preserves_closure(head, k, n)
+        assert reflection_preserves_closure(head, k, n) == expected, (head, k, n)
+        assert reflection_preserves_closure(frozenset(head), k, n) == expected, (head, k, n)
 
 
 def test_weight_image_signs():
@@ -476,6 +491,36 @@ def test_rank_table_is_the_largest_intersection_with_a_basis(case):
     n, bases = case
     expected = [max(((b & s).bit_count() for b in bases), default=0) for s in range(1 << n)]
     assert oracle._rank_table(bases, n) == expected
+
+
+@st.composite
+def supports(draw):
+    """(n, r, support): n <= 7, 1 <= r <= n, and any set of r-subsets of
+    1..n, the empty one included."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    subset = st.sets(st.integers(1, n), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
+    return n, r, frozenset(draw(st.sets(subset, max_size=12)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=supports())
+@example(case=(3, 2, frozenset()))
+@example(case=(4, 2, frozenset({(1, 2), (3, 4)})))
+@example(case=(5, 2, frozenset({(1, 2), (1, 3), (2, 3)})))
+def test_hm_verdict_and_separator_are_the_least_violated_row_set(case):
+    """The verdict and separator equal a brute-force scan: the least row
+    bitmask S with n max |B & S| < r |S| over B in the support."""
+    n, r, support = case
+    bases = [sum(1 << (i - 1) for i in sub) for sub in support]
+    least = next(
+        (s for s in range(1, 1 << n)
+         if n * max(((b & s).bit_count() for b in bases), default=0) < r * s.bit_count()),
+        None,
+    )
+    cert = hm_semistable(support, n, r)
+    assert cert.semistable == (least is None)
+    assert cert.separator == (None if least is None else tuple(i + 1 for i in range(n) if least >> i & 1))
 
 
 def test_verdict_is_edmonds_rank_criterion_n_up_to_6():

@@ -286,6 +286,10 @@ def test_lemma_2_7_size_limit_is_checked_before_any_sampling(monkeypatch):
     _check_limit_before_the_body(monkeypatch, "lemma-2.7")
 
 
+def test_lemma_3_1_size_limit_is_checked_before_any_closure(monkeypatch):
+    _check_limit_before_the_body(monkeypatch, "lemma-3.1")
+
+
 def test_lemma_4_1_size_limit_is_checked_before_the_sweep(monkeypatch):
     _check_limit_before_the_body(monkeypatch, "lemma-4.1")
 
