@@ -21,6 +21,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantLattice,
+    cross_ratio_inverse,
     induced_action,
     position_weights,
     y_exponent,
@@ -178,10 +179,13 @@ def _x_action(k: int, g: GrassmannElement) -> Substitution:
 
 @lru_cache(maxsize=None)
 def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
-    """The cross-ratio lattice of the cell: each Y is its X monomial."""
+    """The cross-ratio lattice of the cell: each Y is its X monomial, and
+    `cross_ratio_inverse` gives the left inverse."""
     arr = inversion_array(g)
     gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
-    return InvariantLattice(x_names(g), position_weights(arr), y_names(g), gens, sign=1)
+    return InvariantLattice(
+        x_names(g), position_weights(arr), y_names(g), gens, 1, cross_ratio_inverse(arr)
+    )
 
 
 def y_action_substitution(k: int, g: GrassmannElement) -> Substitution:

@@ -341,20 +341,24 @@ def flag_lattice(n: int) -> InvariantLattice:
     """The quotient-coordinate lattice of the full cell.
 
     Y_{a,b} is minus the X monomial X_beta X_beta' / X_{beta+beta'} with
-    beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1].
+    beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1].  The
+    left inverse's row for Y_{a,b} is the unit vector at X_[a+1,b+1]:
+    that is the only root in any generator's support that does not start
+    at 1, so the row pairs to 1 with Y_{a,b} and to 0 with the others.
     """
     positions = root_order(n)
     idx = {r: t for t, r in enumerate(positions)}
-    gens = []
+    gens, inverse = [], []
     for a, b in root_order(n - 1):
         v = [0] * len(positions)
         v[idx[(a + 1, b + 1)]] += 1
         v[idx[(1, a)]] += 1
         v[idx[(1, b + 1)]] -= 1
         gens.append(tuple(v))
+        inverse.append(((idx[(a + 1, b + 1)], 1),))
     weights = tuple(root_weight(r, n) for r in positions)
     names = flag_x_names(top_cell(n))
-    return InvariantLattice(names, weights, flag_y_names(n - 1), tuple(gens), sign=-1)
+    return InvariantLattice(names, weights, flag_y_names(n - 1), tuple(gens), -1, tuple(inverse))
 
 
 def _moved_generic_point(i: int, w0: Permutation, letter: str) -> Substitution:

@@ -5,24 +5,25 @@ Laurent monomial in the X's, written as an integer exponent tuple,
 carries the integer combination of those intervals.  The weight-zero
 monomials form a lattice.  Both the Grassmannian cells and the full flag
 cell coordinatize their torus quotient by a basis of it: the cross-ratio
-generators Y_{i,j} below, certified to be a basis by the lattice's rank
-(a union-find over the interval roots) and one Hermite form, and the
-flag quotient coordinates.  `reexpress` rewrites an invariant rational
-function in either basis, and `induced_action` gives the action that a
-substitution of the X's induces on the Y's.
+generators Y_{i,j} below and the flag quotient coordinates.  Each builder
+states an integer left inverse of its generators in closed form, checked
+once against their supports; with the lattice's rank (a union-find over
+the interval roots) that certifies a basis.  `reexpress` rewrites an
+invariant rational function in either basis, and `induced_action` gives
+the action that a substitution of the X's induces on the Y's.
 
 All of it is integer work in proportion to the nonzero entries: a weight
 skips the zero exponents, a lattice keeps the nonzero entries of each
-left-inverse column and the support of each generator, and it builds its
-Y monomials once, on first use.
+left-inverse row and column and the support of each generator, and it
+builds its Y monomials once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
 from .ratfunc import Names, RationalFunction, Substitution
 from .schubert import Interval, InversionArray
 
@@ -73,6 +74,57 @@ def y_exponent(arr: InversionArray, i: int, j: int) -> Exponents:
     return tuple(exps)
 
 
+def cross_ratio_inverse(arr: InversionArray) -> Tuple[_Sparse, ...]:
+    """An integer left inverse of the cross-ratios, one sparse row per Y_{i,j}.
+
+    The row of Y_{i,j} is minus the unit vectors at X_{m,j} over the rows
+    m <= i whose length L_m = a_m - m + 1 is at least j.  Row lengths
+    never decrease, since the a's strictly increase.  Y_{i',j'} lives in
+    columns j' < L_{i'} and L_{i'} of rows i' and i' + 1, so the row of
+    Y_{i,j} pairs with it through column j alone.  If j' = j, Y_{i',j'}
+    is -1 at X_{i',j} and +1 at X_{i'+1,j}, both in rows of length at
+    least j, so the pairing is [i' <= i] - [i' + 1 <= i] = [i' = i].  If
+    L_{i'} = j, Y_{i',j'} is +1 at X_{i',j} and -1 at X_{i'+1,j}, so the
+    pairing is -[i' = i], which is 0 because j < L_i.  Otherwise it is 0.
+    """
+    lengths = [len(row) for row in arr.rows]
+    starts = list(accumulate(lengths, initial=0))  # (m, q) sits at starts[m - 1] + q - 1
+    return tuple(
+        tuple((starts[m - 1] + j - 1, -1) for m in range(1, i + 1) if lengths[m - 1] >= j)
+        for i, j in y_labels(arr)
+    )
+
+
+def _supports(generators: Sequence[Exponents]) -> Tuple[_Sparse, ...]:
+    """The nonzero entries of each generator."""
+    return tuple(tuple((t, e) for t, e in enumerate(v) if e) for v in generators)
+
+
+def _checked_columns(inverse: Sequence[_Sparse], supports: Sequence[_Sparse],
+                     size: int) -> Optional[Tuple[_Sparse, ...]]:
+    """The columns of the sparse integer rows `inverse` over `size`
+    positions, or None unless they pair to the identity with the
+    generators of these supports: row a to 1 with generator a and to 0
+    with every other.  Each pairing reads the columns at one support."""
+    if len(inverse) != len(supports):
+        return None
+    columns: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
+    for a, row in enumerate(inverse):
+        for t, e in row:
+            if not (isinstance(e, int) and 0 <= t < size):
+                return None
+            if e:
+                columns[t].append((a, e))
+    for b, support in enumerate(supports):
+        pairing = {b: 0}
+        for t, e in support:
+            for a, c in columns[t]:
+                pairing[a] = pairing.get(a, 0) + c * e
+        if pairing.pop(b) != 1 or any(pairing.values()):
+            return None
+    return tuple(map(tuple, columns))
+
+
 @dataclass(frozen=True)
 class InvariantLattice:
     """The weight-zero monomials of one cell and a basis of them.
@@ -80,16 +132,16 @@ class InvariantLattice:
     ``weights`` holds the integer torus weight of each X coordinate and
     ``generators`` the exponents of each quotient coordinate Y; a Y is
     ``sign`` times its X monomial (+1 for the Grassmannian cross-ratios,
-    -1 for the flag quotient coordinates).  ``left_inverse`` holds one
-    integer row per generator, pairing to 1 with it and to 0 with the
-    others; construction raises ``ValueError`` when none exists, that is
-    when the generators are not a basis of a saturated lattice.
+    -1 for the flag quotient coordinates).  ``left_inverse``, from the
+    builder, holds one sparse integer row per generator as (position,
+    entry) pairs; construction raises ``ValueError`` unless each row
+    pairs to 1 with its generator and to 0 with the others.
 
     Two sparse views are derived with it: for each X position, the
     nonzero entries of its left-inverse column, and for each generator,
     its support (four positions for a cross-ratio, three for a flag
     coordinate).  The Y monomials are built on first use.  None of these
-    fields takes part in equality, hashing or the repr.
+    fields, nor the left inverse, takes part in equality, hashing or repr.
     """
 
     x_names: Names
@@ -97,7 +149,7 @@ class InvariantLattice:
     y_names: Names
     generators: Tuple[Exponents, ...]
     sign: int
-    left_inverse: Tuple[Exponents, ...] = field(init=False, repr=False, compare=False)
+    left_inverse: Tuple[_Sparse, ...] = field(repr=False, compare=False)
     _inverse_columns: Tuple[_Sparse, ...] = field(init=False, repr=False, compare=False)
     _supports: Tuple[_Sparse, ...] = field(init=False, repr=False, compare=False)
     _y_monomials: Optional[Substitution] = field(
@@ -105,30 +157,13 @@ class InvariantLattice:
     )
 
     def __post_init__(self) -> None:
-        inverse = _left_inverse(self.generators)
-        columns = tuple(
-            tuple((a, row[t]) for a, row in enumerate(inverse) if row[t])
-            for t in range(len(self.x_names))
-        )
-        supports = tuple(tuple((t, e) for t, e in enumerate(v) if e) for v in self.generators)
-        object.__setattr__(self, "left_inverse", inverse)
+        supports = _supports(self.generators)
+        columns = _checked_columns(self.left_inverse, supports, len(self.x_names))
+        if columns is None:
+            raise ValueError("left inverse does not pair to the identity with the generators, "
+                             "so they are not certified a basis of a saturated lattice")
         object.__setattr__(self, "_inverse_columns", columns)
         object.__setattr__(self, "_supports", supports)
-
-
-def _left_inverse(generators: Tuple[Exponents, ...]) -> Tuple[Exponents, ...]:
-    """Integer rows L with L G^T = I, G the generators as rows.
-
-    The Hermite form G U has the identity as its leading block exactly
-    when such rows exist; they are then the first columns of U.
-    """
-    k = len(generators)
-    if not k:
-        return ()
-    h, u = linalg.hnf_columns(generators)
-    if any(row[:k] != [int(a == c) for c in range(k)] for a, row in enumerate(h)):
-        raise ValueError("generators are not a basis of a saturated lattice")
-    return tuple(zip(*(row[:k] for row in u)))
 
 
 class ReexpressionError(ValueError):
@@ -242,13 +277,16 @@ class KernelReport:
         )
 
 
-def _weight_rank(weights: Tuple[Exponents, ...]) -> int:
-    """Rank of interval-root weights, counted as merges of a union-find.
+def _root_graph(weights: Tuple[Exponents, ...]) -> Tuple[int, List[Tuple[int, int]]]:
+    """The rank of interval-root weights and the ends (j, k + 1) of each,
+    counted from 0.
 
     The root a_j + ... + a_k is e_j - e_(k+1), so the weights span the
-    cut lattice of a graph on 1..n with one edge (j, k + 1) each, whose
-    rank is n minus its number of components.  A weight that is not a
-    single run of ones raises ValueError.
+    cut lattice of a graph with one edge (j, k + 1) each, whose rank is
+    its number of vertices minus its number of components, counted here
+    as merges of a union-find; and a combination of the weights vanishes
+    exactly when its signed ends cancel at every vertex.  A weight that is
+    not a single run of ones raises ValueError.
     """
     parent = list(range(len(weights[0]) + 1)) if weights else []
 
@@ -258,22 +296,32 @@ def _weight_rank(weights: Tuple[Exponents, ...]) -> int:
             v = parent[v]
         return v
 
-    merges = 0
+    merges, ends = 0, []
     for w in weights:
         j = w.index(1) if 1 in w else 0
         k = j + w.count(1)
         if k == j or w != (0,) * j + (1,) * (k - j) + (0,) * (len(w) - k):
             raise ValueError(f"weight {w} is not an interval root")
+        ends.append((j, k))
         a, b = find(j), find(k)
         if a != b:
             parent[a] = b
             merges += 1
-    return merges
+    return merges, ends
 
 
-def _certify(
-    weights: Tuple[Exponents, ...], generators: Sequence[Exponents]
-) -> Tuple[int, bool, bool]:
+def _weightless(support: _Sparse, ends: List[Tuple[int, int]], vertices: int) -> bool:
+    """Whether the monomial with this support has weight zero."""
+    total = [0] * vertices
+    for t, e in support:
+        j, k = ends[t]
+        total[j] += e
+        total[k] -= e
+    return not any(total)
+
+
+def _certify(weights: Tuple[Exponents, ...], generators: Sequence[Exponents],
+             inverse: Sequence[_Sparse]) -> Tuple[int, bool, bool]:
     """(rank of the weight kernel K, generators in K, generators a basis of K).
 
     Let L be the span of the generators.  If they lie in K, are as many
@@ -281,30 +329,17 @@ def _certify(
     as rows), then L = K: the generators are independent, so L has full
     rank in K and K/L is finite; and Z^N/L is torsion-free, since m x =
     c G with c integral gives c = m (M x), so x = (M x) G lies in L.
-    Hence each x in K, having some multiple in L, lies in L.  M comes
-    from one Hermite form of G (`_left_inverse`) and is checked against
-    the supports of G before it is trusted.
+    Hence each x in K, having some multiple in L, lies in L.  The sparse
+    rows `inverse` are the candidate M, checked against the supports of G
+    before they are trusted.
     """
-    rank = len(weights) - _weight_rank(weights)
-    in_kernel = not any(any(monomial_weight(v, weights)) for v in generators)
+    merges, ends = _root_graph(weights)
+    rank, vertices = len(weights) - merges, len(weights[0]) + 1 if weights else 0
+    supports = _supports(generators)
+    in_kernel = all(_weightless(support, ends, vertices) for support in supports)
     if not in_kernel or len(generators) != rank:
         return rank, in_kernel, False
-    try:
-        inverse = _left_inverse(tuple(generators))
-    except ValueError:
-        return rank, in_kernel, False
-    if len(inverse) != rank or any(len(row) != len(weights) for row in inverse):
-        return rank, in_kernel, False
-    # column b of L G^T, summed over the support of generator b
-    columns = list(zip(*inverse))
-    for b, v in enumerate(generators):
-        pairing = [0] * rank
-        for t, e in enumerate(v):
-            if e:
-                pairing = [p + e * c for p, c in zip(pairing, columns[t])]
-        if pairing != [int(a == b) for a in range(rank)]:
-            return rank, in_kernel, False
-    return rank, in_kernel, True
+    return rank, in_kernel, _checked_columns(inverse, supports, len(weights)) is not None
 
 
 def verify_kernel_basis(arr: InversionArray) -> KernelReport:
@@ -312,13 +347,14 @@ def verify_kernel_basis(arr: InversionArray) -> KernelReport:
 
     The kernel's rank is the number of coordinates minus the rank of the
     interval-root weights.  The Y's lie in the kernel, are as many as
-    that rank, and span a saturated lattice, which one Hermite form with
-    the identity as its leading block shows.  A saturated sublattice of
-    full rank is the whole kernel (`_certify` has the proof), so this is
-    lattice equality, exact and immune to rational-span coincidences.
+    that rank, and span a saturated lattice, which the closed-form left
+    inverse of `cross_ratio_inverse` shows once it pairs to the identity
+    with them.  A saturated sublattice of full rank is the whole kernel
+    (`_certify` has the proof), so this is lattice equality, exact and
+    immune to rational-span coincidences.
     """
     g = arr.g
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
     ys = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
-    rank, in_kernel, same = _certify(position_weights(arr), ys)
+    rank, in_kernel, same = _certify(position_weights(arr), ys, cross_ratio_inverse(arr))
     return KernelReport(g.n, g.r, g.a_seq, rank, expected, in_kernel, same)

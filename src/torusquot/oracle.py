@@ -256,7 +256,8 @@ def hm_semistable(
         return HMCertificate(True, None)
     rows = tuple(i + 1 for i in range(n) if s >> i & 1)
     rank = max((len(set(rows).intersection(sub)) for sub in support), default=0)
-    assert n * rank < r * len(rows), "separator failed re-verification"
+    if n * rank >= r * len(rows):
+        raise ArithmeticError("separator failed re-verification")
     return HMCertificate(False, rows)
 
 

@@ -363,8 +363,15 @@ class RationalFunction:
         and the denominator are evaluated as polynomials over the target
         and reduced once, by `_fraction`.
         """
-        target = _check_images(mapping, self)
+        return self._subs(mapping, _map_target(mapping, self.names))
+
+    def _subs(self, mapping: Mapping[str, "RationalFunction"], target: Names) -> "RationalFunction":
+        """`subs` under a map already checked by `_map_target` against `names`."""
         numer, denom = self.numer, self.denom
+        if len(mapping) < len(self.names):  # some variable has no image: it must not occur
+            for name, d in zip(self.names, map(max, zip(*numer, *denom))):
+                if d and name not in mapping:
+                    raise ValueError(f"no image provided for occurring variable {name!r}")
         if not numer:
             return RationalFunction.constant(0, target)
         if len(numer) == len(denom) == 1:
@@ -445,12 +452,12 @@ class RationalFunction:
         return f"({num})/({den})"
 
 
-def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction) -> Names:
-    """The target of `mapping` as a substitution in `f`: the images' shared
-    variable tuple, or `f`'s own for an empty map.  Every image must be a
-    `RationalFunction`, every mapped name a variable of `f`, every image
-    over the target, and every variable occurring in `f` mapped."""
-    target, known = None, _field_for(f.names)
+def _map_target(mapping: Mapping[str, RationalFunction], names: Names) -> Names:
+    """The target of `mapping` as a substitution of the variables `names`:
+    the images' shared variable tuple, or `names` itself for an empty map.
+    Every image must be a `RationalFunction`, every mapped name one of
+    `names`, and every image over the target."""
+    target, known = None, _field_for(names)
     for name, value in mapping.items():
         if not isinstance(value, RationalFunction):
             raise TypeError(
@@ -462,11 +469,7 @@ def _check_images(mapping: Mapping[str, RationalFunction], f: RationalFunction) 
             target = value.names
         elif value.names is not target and value.names != target:
             raise ValueError("substitution values over mixed variable sets")
-    if len(mapping) < len(known):  # some variable has no image: it must not occur
-        for name, d in zip(f.names, map(max, zip(*f.numer, *f.denom))):
-            if d and name not in mapping:
-                raise ValueError(f"no image provided for occurring variable {name!r}")
-    return f.names if target is None else target
+    return names if target is None else target
 
 
 def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[RationalFunction]:
@@ -525,5 +528,13 @@ def _identity(names: Names) -> Substitution:
 def compose(second: Substitution, first: Substitution) -> Substitution:
     """The substitution applying `first`, then `second`, to each variable:
     `subs` on each image of `first`, so a bare-variable image becomes its
-    image under `second` with no arithmetic."""
-    return {name: value.subs(second) for name, value in first.items()}
+    image under `second` with no arithmetic.  The map `second` is checked
+    once for each variable tuple of those images (they usually share
+    one), and each image's occurring variables against it."""
+    out: Substitution = {}
+    names = target = None
+    for name, value in first.items():
+        if value.names != names:
+            names, target = value.names, _map_target(second, value.names)
+        out[name] = value._subs(second, target)
+    return out

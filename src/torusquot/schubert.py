@@ -172,8 +172,10 @@ def inversion_array(g: GrassmannElement) -> InversionArray:
     rows = []
     for i, ai in enumerate(g.a_seq, start=1):
         starts = row_starts(g, i)
-        assert len(starts) == max(ai - (i - 1), 0)
+        if len(starts) != max(ai - (i - 1), 0):
+            raise ArithmeticError(f"row {i} of {g} has {len(starts)} admissible starts")
         rows.append(tuple((j, ai) for j in starts))
     arr = InversionArray(g, tuple(rows))
-    assert len(arr.positions()) == cell_length(g)
+    if len(arr.positions()) != cell_length(g):
+        raise ArithmeticError(f"inversion array of {g} does not have the cell's dimension")
     return arr

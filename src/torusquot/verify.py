@@ -136,7 +136,7 @@ def _suite_prop_2_9(n: int = 7, rs: Sequence[int] = (2, 3)) -> Cases:
                 "a_seq": list(g.a_seq), "r": r, "kernel_rank": rep.kernel_rank,
                 "expected_rank": rep.expected_rank, "lattice_equality": rep.lattice_equality,
             }
-    return ("Hermite-form lattice equality and rank count per semistable cell",)
+    return ("integer left-inverse lattice equality and rank count per semistable cell",)
 
 
 def _suite_lemma_3_1(n: int = 6) -> Cases:

@@ -4,11 +4,17 @@ against.  None of these is called by the package itself.
 
 - ``int_det``: the determinant that the oracle's minors and the HNF
   transform are checked against.
+- ``hnf_columns``: the column Hermite form H = A U with its unimodular
+  transform, the one integer normal form the tests build on.
 - ``integer_kernel_basis``, ``lattice_canonical_form`` and
   ``reference_kernel_report``: a kernel basis from the Hermite transform,
   the Hermite form of a spanning set, and the kernel certificate of a
   cell built from the two, the reference for
   ``invariants.verify_kernel_basis``' rank-and-saturation proof.
+- ``hermite_left_inverse``: an integer left inverse read off one Hermite
+  form, or None when the generators are no basis of a saturated lattice;
+  the candidate that ``invariants._certify`` is checked with on
+  generators that have no closed form.
 - ``solve_linear`` and ``cartan_matrix``: the Cartan solve that
   ``weights.fundamental_weight``'s closed form is checked against, and
   the exact solver behind the reference re-expression.
@@ -66,7 +72,7 @@ from torusquot.invariants import (
     y_exponent,
     y_labels,
 )
-from torusquot.linalg import column_echelon, hnf_columns
+from torusquot.linalg import column_echelon
 from torusquot.schubert import (
     GrassmannElement,
     InversionArray,
@@ -165,8 +171,70 @@ def cartan_matrix(rank: int) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# integer lattices: the kernel basis and canonical form the kernel
-# certificate is checked against
+# integer lattices: the Hermite form, and the kernel basis, canonical form
+# and left inverse the kernel certificate is checked against
+
+
+IntMatrix = List[List[int]]
+
+
+def hnf_columns(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
+    """Column-style Hermite form H = A U with U unimodular.
+
+    Columns of H are echelonized left to right: each pivot is positive,
+    entries to the right of a pivot in its row vanish, entries to the
+    left are reduced into [0, pivot), and zero columns are pushed to
+    the right.  This form is unique per column lattice, so equality of
+    forms decides equality of lattices.  (H, U) is returned.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    # Every column operation acts on A stacked over the identity, so the
+    # top rows become H and the bottom rows accumulate U.  Columns are
+    # held as lists, so that an operation is one list comprehension.
+    cols = [[int(row[j]) for row in a] + [0] * ncols for j in range(ncols)]
+    for j in range(ncols):
+        cols[j][nrows + j] = 1
+
+    def addmul(dst: int, src: int, f: int) -> None:
+        cols[dst] = [x + f * y for x, y in zip(cols[dst], cols[src])]
+
+    pivots = []
+    col = 0
+    for row in range(nrows):
+        if col == ncols:
+            break
+        # gcd sweep on row `row` of the columns col, col + 1, ...
+        while True:
+            nz = [c for c in range(col, ncols) if cols[c][row] != 0]
+            if not nz:
+                break
+            cmin = min(nz, key=lambda c: abs(cols[c][row]))
+            cols[col], cols[cmin] = cols[cmin], cols[col]
+            done = True
+            for c in range(col + 1, ncols):
+                if cols[c][row] != 0:
+                    addmul(c, col, -(cols[c][row] // cols[col][row]))
+                    if cols[c][row] != 0:
+                        done = False
+            if done:
+                break
+        if cols[col][row] == 0:
+            continue
+        if cols[col][row] < 0:
+            cols[col] = [-x for x in cols[col]]
+        pivots.append((row, col))
+        col += 1
+    # Reduce entries left of each pivot into [0, pivot).  Top-down order
+    # keeps already reduced pivot rows untouched (pivot columns vanish
+    # above their own pivot row).
+    for row, col in pivots:
+        for c in range(col):
+            q = cols[c][row] // cols[col][row]
+            if q:
+                addmul(c, col, -q)
+    rows = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(nrows)]
+    return rows[:nrows], rows[nrows:]
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -196,6 +264,22 @@ def lattice_canonical_form(vectors: Sequence[Sequence[int]]) -> List[List[int]]:
     h, _ = hnf_columns(mat)
     keep = [c for c in range(len(vectors)) if any(h[r][c] != 0 for r in range(ncols))]
     return [[h[r][c] for c in keep] for r in range(ncols)]
+
+
+def hermite_left_inverse(generators: Sequence[Sequence[int]]) -> Optional[Tuple[tuple, ...]]:
+    """Sparse integer rows L with L G^T = I, G the generators as rows, or
+    None when there are none.
+
+    The Hermite form G U has the identity as its leading block exactly
+    when such rows exist; they are then the first columns of U.
+    """
+    k = len(generators)
+    if not k:
+        return ()
+    h, u = hnf_columns(generators)
+    if any(row[:k] != [int(a == c) for c in range(k)] for a, row in enumerate(h)):
+        return None
+    return tuple(tuple((t, e) for t, e in enumerate(col) if e) for col in zip(*(row[:k] for row in u)))
 
 
 def reference_kernel_report(arr: InversionArray) -> KernelReport:

@@ -10,7 +10,7 @@ checks pin down what is actually true instead.
 
 import math
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, reference_kernel_report
 
 from torusquot import action, flag, invariants, oracle, schubert
 from torusquot.ratfunc import identity_substitution
@@ -101,12 +101,19 @@ def test_criterion_3_order_reversal_and_rounding_representatives():
 
 
 def test_criterion_4_invariant_exponents_are_lattice_basis():
+    """The suite's certificate, and on the same cells the Hermite-form
+    reference: a kernel basis and canonical-form equality with the Y's."""
     checked = 0
     for n in range(4, 8):
         # the suite refuses a rank outside 2..n-2, so n = 4 takes r = 2 only
-        rep = exhaustive_check("prop-2.9", n=n, rs=tuple(r for r in (2, 3) if r <= n - 2))
+        rs = tuple(r for r in (2, 3) if r <= n - 2)
+        rep = exhaustive_check("prop-2.9", n=n, rs=rs)
         assert rep.ok, rep.counterexample
         checked += rep.checked
+        for r in rs:
+            for g in schubert.semistable_cells(n, r):
+                arr = schubert.inversion_array(g)
+                assert invariants.verify_kernel_basis(arr) == reference_kernel_report(arr), g
     # count formula spot check on one cell: rank sums a_i - i over i < r
     krep = invariants.verify_kernel_basis(
         schubert.inversion_array(schubert.GrassmannElement(7, 3, (2, 4, 6)))

@@ -226,6 +226,28 @@ def test_compose_raises_as_subs_does_on_bare_images():
         compose({"x": u}, {"x": y})
 
 
+def test_compose_checks_its_map_once_and_still_refuses_a_bad_image(monkeypatch):
+    """`second` is checked once, not once per image of `first`, and a bad
+    image in it is refused with the message `subs` gives, also when
+    `first` is the identity."""
+    names = ("x", "y")
+    x, y = (RationalFunction.variable(name, names) for name in names)
+    u = RationalFunction.variable("u", ("u",))
+    ident = identity_substitution(names)
+    for bad in ({"x": x, "y": 3}, {"x": u, "y": x}, {"x": x, "y": y, "z": x}):
+        with pytest.raises((TypeError, ValueError)) as by_subs:
+            (x / y).subs(bad)
+        with pytest.raises(type(by_subs.value)) as by_compose:
+            compose(bad, ident)
+        assert str(by_compose.value) == str(by_subs.value)
+    checks = []
+    check = ratfunc._map_target
+    monkeypatch.setattr(ratfunc, "_map_target", lambda *args: checks.append(args) or check(*args))
+    swap = {"x": y, "y": x}
+    assert compose(swap, {"x": x, "y": x + y, "z": x * y}) == {"x": y, "y": y + x, "z": y * x}
+    assert len(checks) == 1
+
+
 def test_every_action_case_label_passes_the_prop_3_2_conditions():
     """Every stabilizing generator of three n = 8 cells, whose s_5, s_4 and
     s_3 are the first gap-swap instances, and of the cell (2, 4) at n = 7,

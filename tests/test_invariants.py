@@ -5,7 +5,12 @@ import dataclasses
 import random
 
 import pytest
-from conftest import integer_kernel_basis, reference_kernel_report, solve_linear
+from conftest import (
+    hermite_left_inverse,
+    integer_kernel_basis,
+    reference_kernel_report,
+    solve_linear,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +19,7 @@ from torusquot.invariants import (
     InvariantLattice,
     ReexpressionError,
     _certify,
+    cross_ratio_inverse,
     induced_action,
     reexpress,
     root_weight,
@@ -124,22 +130,31 @@ _SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=N
 @given(case=kernel_cases())
 def test_certificate_accepts_every_unimodular_basis(case):
     weights, basis, mix = case
-    assert _certify(weights, _times(mix, basis)) == (len(basis), True, True)
+    gens = _times(mix, basis)
+    assert _certify(weights, gens, hermite_left_inverse(gens)) == (len(basis), True, True)
 
 
 @_SEEDED
 @given(case=kernel_cases())
 def test_certificate_refuses_an_index_two_sublattice(case):
+    """No integer rows pair to the identity with a sublattice of index
+    two, so the left inverse of the basis before doubling is refused."""
     weights, basis, mix = case
+    inverse = hermite_left_inverse(_times(mix, basis))
     mix[0] = [2 * x for x in mix[0]]  # |det| = 2
-    assert _certify(weights, _times(mix, basis)) == (len(basis), True, False)
+    gens = _times(mix, basis)
+    assert hermite_left_inverse(gens) is None
+    assert _certify(weights, gens, inverse) == (len(basis), True, False)
 
 
 @_SEEDED
 @given(case=kernel_cases())
 def test_certificate_refuses_one_vector_too_few(case):
+    """The rows left over still pair to the identity; the count refuses."""
     weights, basis, mix = case
-    assert _certify(weights, _times(mix, basis)[1:]) == (len(basis), True, False)
+    gens = _times(mix, basis)
+    inverse = hermite_left_inverse(gens)
+    assert _certify(weights, gens[1:], inverse[1:]) == (len(basis), True, False)
 
 
 @_SEEDED
@@ -147,9 +162,10 @@ def test_certificate_refuses_one_vector_too_few(case):
 def test_certificate_refuses_a_vector_off_the_kernel(case, data):
     weights, basis, mix = case
     gens = _times(mix, basis)
+    inverse = hermite_left_inverse(gens)
     t = data.draw(st.integers(0, len(weights) - 1))
     gens[0] = tuple(e + (s == t) for s, e in enumerate(gens[0]))  # weight moves by weights[t]
-    assert _certify(weights, gens) == (len(basis), False, False)
+    assert _certify(weights, gens, inverse) == (len(basis), False, False)
 
 
 @_SEEDED
@@ -163,15 +179,40 @@ def test_certificate_refuses_weights_that_are_not_interval_roots(case, data):
         + ([(1,) + (0,) * (len(w) - 2) + (1,)] if len(w) >= 3 else [])
     ))
     weights = weights[:t] + (bad,) + weights[t + 1:]
+    gens = _times(mix, basis)
     with pytest.raises(ValueError, match="is not an interval root"):
-        _certify(weights, _times(mix, basis))
+        _certify(weights, gens, hermite_left_inverse(gens))
+
+
+def _dense_pairings(rows, gens):
+    """L G^T for the sparse rows L and the dense generators G, entry by entry."""
+    return [[sum(c * v[t] for t, c in row) for v in gens] for row in rows]
+
+
+def _identity(k):
+    return [[int(a == b) for b in range(k)] for a in range(k)]
+
+
+def test_closed_form_left_inverses_pair_to_the_identity():
+    """Every cell of every G(r, n) with n <= 10, unstable cells and cells
+    without Y's among them, and every flag lattice with n <= 8."""
+    for n in range(2, 11):
+        for r in range(1, n):
+            for g in schubert.all_cells(n, r):
+                arr = schubert.inversion_array(g)
+                gens = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
+                assert _dense_pairings(cross_ratio_inverse(arr), gens) == _identity(len(gens)), g
+    for n in range(1, 9):
+        lattice = flag.flag_lattice(n)
+        gens = lattice.generators
+        assert _dense_pairings(lattice.left_inverse, gens) == _identity(len(gens)), n
 
 
 def _off_by_one(rows, gens):
     """Row 0 moved by one where the first generator is nonzero, so it no
     longer pairs to 1 with it."""
     t = next(t for t, e in enumerate(gens[0]) if e)
-    return [tuple(c + (s == t) for s, c in enumerate(rows[0]))] + list(rows[1:])
+    return [rows[0] + ((t, 1),)] + list(rows[1:])
 
 
 @pytest.mark.parametrize(
@@ -180,8 +221,12 @@ def _off_by_one(rows, gens):
     ids=["entry off by one", "row dropped", "rows reversed"],
 )
 def test_a_corrupted_left_inverse_is_caught(monkeypatch, corrupt):
-    true_inverse = invariants._left_inverse
-    monkeypatch.setattr(invariants, "_left_inverse", lambda gens: corrupt(true_inverse(gens), gens))
+    def corrupted(arr):
+        gens = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
+        return corrupt(true_inverse(arr), gens)
+
+    true_inverse = invariants.cross_ratio_inverse
+    monkeypatch.setattr(invariants, "cross_ratio_inverse", corrupted)
     rep = verify_kernel_basis(_arr(7, 2, (4, 6)))
     assert rep.kernel_rank == rep.expected_rank == 3 and rep.generators_in_kernel
     assert not rep.lattice_equality and not rep.ok
@@ -336,10 +381,7 @@ def test_left_inverse_exists_for_every_cell_and_flag_lattice():
     ] + [flag.flag_lattice(n) for n in range(1, 6)]
     for lattice in lattices:
         gens = lattice.generators
-        assert len(lattice.left_inverse) == len(gens)
-        for a, row in enumerate(lattice.left_inverse):
-            pairings = [sum(c * e for c, e in zip(row, v)) for v in gens]
-            assert pairings == [int(a == b) for b in range(len(gens))]
+        assert _dense_pairings(lattice.left_inverse, gens) == _identity(len(gens))
 
 
 def test_y_action_substitution_solves_no_linear_system():
@@ -365,15 +407,38 @@ def test_lattice_without_generators_reexpresses_constants(lattice):
 
 def test_lattice_refuses_generators_without_integer_left_inverse():
     lattice, _ = LATTICES["grassmann (7, 2, (4, 6))"]
-    first = lattice.generators[0]
-    for gens in [(tuple(2 * e for e in first),), (first, first)]:
+    first, row = lattice.generators[0], lattice.left_inverse[0]
+    for gens, inverse in [((tuple(2 * e for e in first),), (row,)), ((first, first), (row, row))]:
         with pytest.raises(ValueError, match="saturated"):
-            InvariantLattice(lattice.x_names, lattice.weights, lattice.y_names[: len(gens)], gens, 1)
+            InvariantLattice(
+                lattice.x_names, lattice.weights, lattice.y_names[: len(gens)], gens, 1, inverse
+            )
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda gens, rows: (gens, _off_by_one(rows, gens)),
+        lambda gens, rows: ((tuple(2 * e for e in gens[0]),) + gens[1:], rows),
+        lambda gens, rows: (gens[:1] + gens[:-1], rows),
+        lambda gens, rows: (gens, rows[:-1]),
+        lambda gens, rows: (gens, (((len(gens[0]), 1),),) + rows[1:]),
+    ],
+    ids=["entry off by one", "generator doubled", "generator duplicated", "row missing",
+         "position past the end"],
+)
+@pytest.mark.parametrize("case", ["grassmann (7, 2, (4, 6))", "flag n=4"])
+def test_lattice_refuses_a_wrong_left_inverse(wrong, case):
+    lattice, _ = LATTICES[case]
+    gens, rows = wrong(lattice.generators, lattice.left_inverse)
+    with pytest.raises(ValueError, match="saturated"):
+        InvariantLattice(lattice.x_names, lattice.weights, lattice.y_names, gens, lattice.sign, rows)
 
 
 def _rebuilt(lattice):
     return InvariantLattice(
-        lattice.x_names, lattice.weights, lattice.y_names, lattice.generators, lattice.sign
+        lattice.x_names, lattice.weights, lattice.y_names, lattice.generators, lattice.sign,
+        lattice.left_inverse,
     )
 
 
@@ -405,7 +470,8 @@ def test_changing_the_y_monomials_dict_leaves_the_lattice_alone():
 def test_monomial_outside_the_lattice_is_refused():
     lattice, to_x = LATTICES["grassmann (7, 2, (4, 6))"]
     smaller = InvariantLattice(
-        lattice.x_names, lattice.weights, lattice.y_names[:1], lattice.generators[:1], 1
+        lattice.x_names, lattice.weights, lattice.y_names[:1], lattice.generators[:1], 1,
+        lattice.left_inverse[:1],
     )
     outside = to_x[lattice.y_names[1]]
     with pytest.raises(ReexpressionError, match="monomial outside the invariant lattice"):

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import int_det, integer_kernel_basis, lattice_canonical_form, solve_linear
+from conftest import hnf_columns, int_det, integer_kernel_basis, lattice_canonical_form, solve_linear
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusquot.linalg import column_echelon, hnf_columns
+from torusquot.linalg import column_echelon
 
 
 def test_solve_linear_unique():

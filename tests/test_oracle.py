@@ -15,7 +15,10 @@ they replaced.
 
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -339,6 +342,26 @@ def test_hm_on_handmade_supports():
     # no nonzero Pluecker coordinate: every row set violates its inequality
     empty = hm_semistable(frozenset(), 3, 2)
     assert not empty.semistable and empty.separator == (1,)
+
+
+def test_a_separator_that_fails_re_verification_raises_under_python_O():
+    """Rows {1, 2} of the full support at n = 3, r = 2 hold their
+    inequality (rank 2), so a `_violated_rows` that names them is caught,
+    also in an interpreter that strips `assert` statements."""
+    script = (
+        "import sys\n"
+        "from torusquot import oracle\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not optimized')\n"
+        "oracle._violated_rows = lambda steps, n: 0b011\n"
+        "oracle.hm_semistable(frozenset({(1, 2), (1, 3), (2, 3)}), 3, 2)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-B", "-O", "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().endswith("ArithmeticError: separator failed re-verification")
 
 
 def test_three_seed_consensus_matches_gateway_n5():

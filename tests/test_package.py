@@ -87,3 +87,15 @@ def test_source_doctests_pass():
     results = [doctest.testmod(module) for module in modules]
     assert sum(r.failed for r in results) == 0
     assert sum(r.attempted for r in results) > 0
+
+
+def test_no_assert_statement_in_the_package():
+    """Every check in the package is a raise: `python -O` strips `assert`
+    statements, and no certificate may depend on interpreter flags."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(torusquot.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

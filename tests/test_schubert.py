@@ -167,6 +167,17 @@ def test_grassmann_leq_componentwise():
     assert not grassmann_leq(a, c)  # 2 > 1 in the first slot
 
 
+@pytest.mark.parametrize(
+    "name,broken",
+    [("row_starts", lambda g, i: row_starts(g, i)[1:]), ("cell_length", lambda g: cell_length(g) + 1)],
+)
+def test_inversion_array_checks_its_shape_with_a_raise(monkeypatch, name, broken):
+    """Both checks are raises, so no interpreter flag strips them."""
+    monkeypatch.setattr(schubert, name, broken)
+    with pytest.raises(ArithmeticError):
+        inversion_array(GrassmannElement(6, 3, (2, 4, 5)))
+
+
 def test_inversion_array_shape_and_intervals():
     g = GrassmannElement(5, 2, (2, 4))
     arr = inversion_array(g)
