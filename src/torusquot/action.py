@@ -179,8 +179,7 @@ def _x_action(k: int, g: GrassmannElement) -> Substitution:
 
 @lru_cache(maxsize=None)
 def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
-    """The cross-ratio lattice of the cell: each Y is its X monomial, and
-    `cross_ratio_inverse` gives the left inverse."""
+    """The cross-ratio lattice of the cell: each Y is its X monomial."""
     arr = inversion_array(g)
     gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
     return InvariantLattice(
