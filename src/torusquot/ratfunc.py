@@ -16,7 +16,11 @@ the leading terms and checked term by term (the associate rule), nor two
 irreducible binomials (both argued at `_fraction`).  Any other pair goes
 to `_cancel`, the one place sympy is called: its polynomial gcd over ZZ.
 On the benchmark's `symbolic` op list (seed 1) and in
-`verify --suite prop-3.2 --n 8` that happens 0 times.
+`verify --suite prop-3.2 --n 8` that happens 0 times.  Two exits skip
+work whose result is known (the unit exits): `_mul` by the unit
+polynomial returns a fresh copy of the other side, a copy because `_sum`
+accumulates into `_mul`'s result in place, and `_fraction` returns a pair
+over the unit denominator as it is.
 
 A substitution is a total map: every variable that occurs in the source
 needs an image, and the images share one variable tuple, the target.  No
@@ -26,12 +30,19 @@ variable to its image with no arithmetic (the bare-variable rule), so
 `compose` is `subs` applied to each image in turn.  The coordinates of
 both torus quotients are Laurent monomials, and `subs` maps a monomial
 under monomial images by an integer linear map on exponent vectors (the
-exponent map), without forming a common denominator.  An image must be a
-`RationalFunction`; a scalar is refused by type.  `evaluate` works in
-integers too: with the point's denominators cleared, each side is an
-integer sum, and the value is one `Fraction` of the two.  A constant
-equals its scalar and hashes as its `Fraction`.  Callers read a value
-through its `names`, `numer` and `denom`.
+exponent map), without forming a common denominator.  Under any other
+images it is the product of the images' sides, prod p_i**e_i over
+prod q_i**e_i with the two sides swapped for a negative e_i (the direct
+product), reduced once.  The unit exits, the direct product and the
+one-pass `invariants.reexpress` together moved the benchmark's
+`symbolic` `wall_rel` median from 1.98 to 1.57 (0.79x), lower in ten of
+ten alternating pairs (`perfbench/run.py --seconds 24`, seeds 11-20,
+2-core x86-64 VM).  An image must be a `RationalFunction`; a scalar
+is refused by type.  `evaluate` works in integers too: with the point's
+denominators cleared, each side is an integer sum, and the value is one
+`Fraction` of the two.  A constant equals its scalar and hashes as its
+`Fraction`.  Callers read a value through its `names`, `numer` and
+`denom`.
 
 sympy is imported with this module, not inside `_cancel`: the benchmark
 reads the `sympy` line of `python -X importtime -c "import torusquot.cli"`
@@ -97,10 +108,14 @@ def _accumulate(total: Poly, poly: Poly, sign: int = 1) -> Poly:
 
 
 def _mul(p: Poly, q: Poly) -> Poly:
+    """p*q in a fresh dict, which `_sum` may accumulate into; a unit
+    factor copies the other side."""
     if len(p) < len(q):
         p, q = q, p
     if len(q) == 1:
         (m, c), = q.items()
+        if c == 1 and not any(m):
+            return dict(p)
         return {tuple(map(add, mon, m)): a * c for mon, a in p.items()}
     out: Poly = {}
     for m, c in q.items():
@@ -155,6 +170,10 @@ def _fraction(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     """
     if not num:
         return {}, {(0,) * len(next(iter(den))): 1}
+    if len(den) == 1:
+        (m, c), = den.items()
+        if c == 1 and not any(m):
+            return num, den  # over the unit: nothing to shift, divide or flip
     if len(num) != 1 and len(den) != 1:
         pair = _associates(num, den) if len(num) == len(den) else None
         if pair is not None:
@@ -212,11 +231,11 @@ class RationalFunction:
 
     @classmethod
     def variable(cls, name: str, names: Names) -> "RationalFunction":
-        names = tuple(names)
-        gens = _field_for(names)
-        if name not in gens:
+        """The value held by `_identity`, built once per name tuple."""
+        variables = _identity(tuple(names))
+        if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
-        return cls(names, {gens[name]: 1}, {(0,) * len(names): 1})
+        return variables[name]
 
     @classmethod
     def constant(cls, value: Scalar, names: Names) -> "RationalFunction":
@@ -232,11 +251,11 @@ class RationalFunction:
                    denom: Mapping[Monomial, Scalar]) -> "RationalFunction":
         """The reduced quotient of two polynomials given as exponent -> coefficient.
 
-        Each exponent tuple has one nonnegative entry per name."""
+        Each exponent tuple has one nonnegative `int` entry per name."""
         names = tuple(names)
         _field_for(names)
         for mon in (*numer, *denom):
-            if len(mon) != len(names) or min(mon, default=0) < 0:
+            if len(mon) != len(names) or not all(isinstance(e, int) and e >= 0 for e in mon):
                 raise ValueError(f"monomial {mon} is not {len(names)} nonnegative exponents")
         numer, denom = ({mon: _exact(c) for mon, c in terms.items()} for terms in (numer, denom))
         scale = lcm(*(c.denominator for terms in (numer, denom) for c in terms.values()))
@@ -324,10 +343,10 @@ class RationalFunction:
         return RationalFunction(self.names, num, den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalFunction):  # before the slower ABC check below
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RationalFunction.constant(other, self.names)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
         return (self.names, self.numer, self.denom) == (other.names, other.numer, other.denom)
 
     def __hash__(self) -> int:
@@ -359,9 +378,11 @@ class RationalFunction:
         no arithmetic.  A one-term-over-one-term source whose occurring
         variables all go to nonzero one-term-over-one-term images goes to
         c*X**v, with v an integer linear image of the source exponents:
-        the exponent map, with no cancellation.  Otherwise the numerator
-        and the denominator are evaluated as polynomials over the target
-        and reduced once, by `_fraction`.
+        the exponent map, with no cancellation.  Any other one-term-over-
+        one-term source is the direct product of its images' sides (see
+        `_monomial_product`).  Otherwise the numerator and the denominator
+        are evaluated as polynomials over the target, and either way the
+        result is reduced once, by `_fraction`.
         """
         return self._subs(mapping, _map_target(mapping, self.names))
 
@@ -379,8 +400,7 @@ class RationalFunction:
             if c == 1 and sum(mon) == 1 and denom == {(0,) * len(mon): 1}:
                 return mapping[self.names[mon.index(1)]]
             image = _monomial_image(self, mapping, target)
-            if image is not None:
-                return image
+            return _monomial_product(self, mapping, target) if image is None else image
         # Image p_i/q_i of variable i, over the common denominator
         # prod q_i**d_i: monomial exponent e contributes p_i**e q_i**(d_i - e).
         zero = (0,) * len(target)
@@ -476,7 +496,7 @@ def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[Rat
     """The exponent map: c*X**v for a one-term-over-one-term `f`, or None
     when an occurring variable's image is zero or not one term over one
     term.  c*X**v is reduced as built: the numerator and the denominator
-    share no variable, and c is a `Fraction`."""
+    share no variable, and c is divided through by an integer gcd."""
     (a, c), = f.numer.items()
     (b, d), = f.denom.items()
     v = [0] * len(target)
@@ -492,9 +512,29 @@ def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[Rat
         c, d = (c * p ** e, d * q ** e) if e > 0 else (c * q ** -e, d * p ** -e)
         step = map(sub, u, w)
         v = list(map(add, v, step if e == 1 else map(mul, repeat(e), step)))
-    coeff = Fraction(c, d)
-    num = {tuple(max(x, 0) for x in v): coeff.numerator}
-    return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): coeff.denominator})
+    g = gcd(c, d) if d > 0 else -gcd(c, d)
+    num = {tuple(max(x, 0) for x in v): c // g}
+    return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): d // g})
+
+
+def _monomial_product(f: RationalFunction, mapping, target: Names) -> RationalFunction:
+    """The direct product: c*X**a/(d*X**b) under images p_i/q_i, as
+    c * prod p_i**e_i over d * prod q_i**e_i with e = a - b, the two
+    sides swapped for a negative e_i, reduced once by `_fraction`."""
+    (a, c), = f.numer.items()
+    (b, d), = f.denom.items()
+    zero = (0,) * len(target)
+    num, den = {zero: c}, {zero: d}
+    for name, ea, eb in zip(f.names, a, b):
+        e = ea - eb
+        if e:
+            img = mapping[name]
+            p, q = (img.numer, img.denom) if e > 0 else (img.denom, img.numer)
+            for _ in range(abs(e)):
+                num, den = _mul(num, p), _mul(den, q)
+    if not den:
+        raise ZeroDivisionError("substitution sends the denominator to zero")
+    return RationalFunction(target, *_fraction(num, den))
 
 
 def _poly_str(terms, names: Names, lc: int) -> str:
@@ -522,7 +562,8 @@ def identity_substitution(names: Names) -> Substitution:
 
 @lru_cache(maxsize=None)
 def _identity(names: Names) -> Substitution:
-    return {name: RationalFunction.variable(name, names) for name in names}
+    unit, gens = {(0,) * len(names): 1}, _field_for(names)
+    return {name: RationalFunction(names, {gens[name]: 1}, unit) for name in names}
 
 
 def compose(second: Substitution, first: Substitution) -> Substitution:

@@ -11,6 +11,9 @@ against.  None of these is called by the package itself.
   the Hermite form of a spanning set, and the kernel certificate of a
   cell built from the two, the reference for
   ``invariants.verify_kernel_basis``' rank-and-saturation proof.
+- ``weight_first_reexpress``: ``invariants.reexpress`` with the weight
+  checks first and a second reduction through ``from_terms``, the
+  reference for the one-pass re-expression, its values and its refusals.
 - ``hermite_left_inverse``: an integer left inverse read off one Hermite
   form, or None when the generators are no basis of a saturated lattice;
   the candidate that ``invariants._certify`` is checked with on
@@ -66,13 +69,16 @@ from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
 
 from torusquot.invariants import (
+    InvariantLattice,
     KernelReport,
+    ReexpressionError,
     monomial_weight,
     position_weights,
     y_exponent,
     y_labels,
 )
 from torusquot.linalg import column_echelon
+from torusquot.ratfunc import RationalFunction
 from torusquot.schubert import (
     GrassmannElement,
     InversionArray,
@@ -293,6 +299,46 @@ def reference_kernel_report(arr: InversionArray) -> KernelReport:
     same = lattice_canonical_form(kernel) == lattice_canonical_form(ys)
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
     return KernelReport(g.n, g.r, g.a_seq, len(kernel), expected, in_kernel, same)
+
+
+def weight_first_reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunction:
+    """``invariants.reexpress`` in its weight-first form: the weight
+    checks on every monomial come first, then each monomial's Y exponents
+    from the left-inverse rows, confirmed by the generators, and the
+    result is reduced again by ``RationalFunction.from_terms``."""
+    if f.names != lattice.x_names:
+        raise ValueError("expected a function of this cell's X coordinates")
+    ynames = lattice.y_names
+    if f.is_zero:
+        return RationalFunction.constant(0, ynames)
+    num, den = f.numer, f.denom
+    wn, wd = ({monomial_weight(m, lattice.weights) for m in terms} for terms in (num, den))
+    if len(wn) > 1:
+        raise ReexpressionError("numerator is not weight-homogeneous")
+    if len(wd) > 1:
+        raise ReexpressionError("denominator is not weight-homogeneous")
+    if wn != wd:
+        raise ReexpressionError("function has nonzero torus weight")
+    pivot = next(iter(den))
+
+    def y_exponents(mono):
+        shift = [e - p for e, p in zip(mono, pivot)]
+        z = [sum(c * shift[t] for t, c in row) for row in lattice.left_inverse]
+        back = [sum(c * v[t] for c, v in zip(z, lattice.generators)) for t in range(len(shift))]
+        if back != shift:
+            raise ReexpressionError("monomial outside the invariant lattice")
+        return z
+
+    zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
+    low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
+    num_y, den_y = (
+        {
+            tuple(e - m for e, m in zip(z, low)): -c if lattice.sign < 0 and sum(z) % 2 else c
+            for z, c in terms
+        }
+        for terms in zs
+    )
+    return RationalFunction.from_terms(ynames, num_y, den_y)
 
 
 # ---------------------------------------------------------------------------

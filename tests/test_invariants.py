@@ -10,6 +10,7 @@ from conftest import (
     integer_kernel_basis,
     reference_kernel_report,
     solve_linear,
+    weight_first_reexpress,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from torusquot.invariants import (
     y_labels,
     y_monomials,
 )
-from torusquot.ratfunc import RationalFunction
+from torusquot.ratfunc import RationalFunction, identity_substitution
 from torusquot.weyl import longest_element
 
 
@@ -336,6 +337,77 @@ def test_reexpress_matches_the_solve_linear_reference(seed):
         got = reexpress(fx, lattice)
         assert got == reference_reexpress(fx, lattice) == f, case
         assert got.canonical() == f.canonical(), case
+
+
+ONE_PASS_CASES = [case for case in LATTICES if case != "flag n=5"]
+
+
+def _pushed_invariant(case, rng, top=2):
+    """A random nonzero invariant of the case's Y's, pushed to the X's;
+    Y exponents run over [-top, top], and over [-1, 1] beyond nine X's."""
+    lattice, to_x = LATTICES[case]
+    top = top if len(lattice.x_names) <= 9 else 1
+    f = _random_invariant(lattice.y_names, rng, top)
+    while f.is_zero:
+        f = _random_invariant(lattice.y_names, rng, top)
+    return f.subs(to_x) if to_x else RationalFunction.constant(f.evaluate({}), lattice.x_names)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reexpress_matches_the_weight_first_reference(seed):
+    """Every semistable cell with n <= 7 and every flag lattice with n <= 4:
+    the one-pass re-expression gives the value, coefficient maps and
+    printing of the weight-first one that reduces again."""
+    for case in ONE_PASS_CASES:
+        lattice, _ = LATTICES[case]
+        rng = random.Random(f"{case} one pass {seed}")
+        for _ in range(3):
+            fx = _pushed_invariant(case, rng)
+            got, expected = reexpress(fx, lattice), weight_first_reexpress(fx, lattice)
+            assert (got.names, got.numer, got.denom) == (
+                expected.names, expected.numer, expected.denom
+            ), case
+            assert got.canonical() == expected.canonical(), case
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_reexpress_names_the_first_of_two_defects_as_the_reference_does(seed):
+    """A numerator that is not weight-homogeneous in a function of nonzero
+    weight, both sides not weight-homogeneous, and a denominator that is
+    not weight-homogeneous and has terms outside the lattice: the refusal
+    names the defect that the weight-first reference checks first."""
+    for case in ONE_PASS_CASES:
+        lattice, _ = LATTICES[case]
+        if not lattice.x_names:
+            continue
+        rng = random.Random(f"{case} defects {seed}")
+        fx = _pushed_invariant(case, rng, top=1)  # small, since the defects need polynomial gcds
+        xs = identity_substitution(lattice.x_names)
+        t, s = (xs[rng.choice(lattice.x_names)] for _ in range(2))
+        inputs = [
+            ("numerator is not weight-homogeneous", (fx + t) * s),
+            ("numerator is not weight-homogeneous", (fx + t) / (1 + s)),
+            ("denominator is not weight-homogeneous", fx / (1 + t)),
+        ]
+        for defect, bad in inputs:
+            with pytest.raises(ReexpressionError) as reference:
+                weight_first_reexpress(bad, lattice)
+            assert str(reference.value) == defect, case
+            with pytest.raises(ReexpressionError, match=f"^{defect}$"):
+                reexpress(bad, lattice)
+
+
+def test_lattice_refuses_generators_of_nonzero_weight():
+    """`reexpress` runs the weight pass only when a lattice check fails,
+    which is sound only if every generator has weight zero."""
+    lattice, _ = LATTICES["grassmann (7, 2, (4, 6))"]
+    bent = list(lattice.generators[0])
+    bent[bent.index(1)] = 0
+    with pytest.raises(ValueError, match="nonzero torus weight"):
+        InvariantLattice(
+            lattice.x_names, lattice.weights, lattice.y_names[:1], (tuple(bent),), 1,
+            lattice.left_inverse[:1],
+        )
 
 
 def test_y_monomials_are_the_cross_ratios():

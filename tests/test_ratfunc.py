@@ -1,5 +1,6 @@
 """Exact rational-function field: arithmetic, canonical forms, substitution."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -478,6 +479,73 @@ def test_exponent_map_keeps_large_coefficients_exact():
     assert got == Fraction(3 ** 40, 7 ** 40) * cx ** 2 / cy ** 3 * u ** -4 * v ** 11
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_one_term_sources_under_polynomial_images_are_the_direct_product(seed):
+    """c*X**a/(d*X**b) under polynomial images, some exponents negative:
+    the product of the images' sides, swapped for a negative exponent,
+    reduced once and printed as sympy prints the substitution.  No
+    common-denominator table is built."""
+    rng = random.Random(seed)
+    target = THREE[: rng.randint(1, 3)]
+    exps = [rng.randint(-3, 3) for _ in NAMES]
+    coeff = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.randint(1, 4))
+    recipe = (
+        {tuple(max(e, 0) for e in exps): coeff}, {tuple(max(-e, 0) for e in exps): Fraction(1)}
+    )
+    f, rf = _both(NAMES, recipe)
+    mapping, images = {}, []
+    for name in NAMES:
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[tuple(rng.randint(0, 2) for _ in target)] = Fraction(rng.randint(-3, 3), 2)
+        mapping[name], image = _both(target, (terms, {(0,) * len(target): Fraction(1)}))
+        images.append(image)
+    try:
+        expected = sympy_subs(rf, images, sympy_field(target))
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^substitution sends the denominator to zero$"):
+            f.subs(mapping)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfunc, "_powers", None)  # the common-denominator path would call it
+        got = f.subs(mapping)
+    _assert_matches(got, expected)
+
+
+def test_a_zero_image_under_a_negative_exponent_sends_the_denominator_to_zero():
+    """A zero numerator raised to a negative power lands in the
+    denominator, whatever the other images are."""
+    x, y = _xy()
+    u, v = (RationalFunction.variable(name, TARGET) for name in TARGET)
+    zero = RationalFunction.constant(0, TARGET)
+    for f in (3 * x ** 2 / y, x / y ** 3, 1 / (x * y)):
+        with pytest.raises(ZeroDivisionError, match="^substitution sends the denominator to zero$"):
+            f.subs({"x": u + v ** 2, "y": zero})
+    assert (x ** 2 / y).subs({"x": zero, "y": u - v}).is_zero
+
+
+def _snapshot(*values):
+    return [(dict(v.numer), dict(v.denom)) for v in values]
+
+
+VALUES = rational_functions(NAMES) | st.sampled_from(list(identity_substitution(NAMES).values()))
+
+
+@PROPERTY
+@given(f=VALUES, g=VALUES)
+def test_no_operand_is_written_into(f, g):
+    """A unit factor hands back a copy of the other side, never the side
+    itself, which `_sum` would accumulate into in place."""
+    before = _snapshot(f, g)
+    identities = _snapshot(*identity_substitution(NAMES).values())
+    ident = identity_substitution(f.names)
+    results = [f * 1, 1 * f, f / 1, (f * 1) + g, (g / 1) - f, f + g, f.subs(ident)]
+    assert _snapshot(f, g) == before
+    assert _snapshot(*identity_substitution(NAMES).values()) == identities
+    assert results[0] == results[1] == results[2] == results[-1] == f
+    assert results[3] == results[5] == f + g and results[4] == g - f
+
+
 def test_inexact_scalars_are_refused():
     x, _ = _xy()
     for bad in (0.1, 0.5, "1/3"):
@@ -501,9 +569,13 @@ def test_inexact_scalars_are_refused():
     (NAMES, {(1, 0): 1}, {(0, 0, 0): 1}),  # too long
     (("x",), {(-1,): 1}, {(0,): 1}),  # negative: the one-term shift would make it 1/x
     (NAMES, {(1, 0): 1}, {(0, -2): 1}),
+    # not ints: x**1.5 would square to x**3.0 and fail to evaluate
+    (NAMES, {(1.5, 0): 1}, {(0, 0): 1}),
+    (NAMES, {(2.0, 0): 1}, {(0, 0): 1}),
+    (NAMES, {(1, 0): 1}, {(0, Fraction(3, 2)): 1}),
 ])
 def test_from_terms_refuses_malformed_monomials(names, numer, denom):
-    with pytest.raises(ValueError, match="nonnegative exponents"):
+    with pytest.raises(ValueError, match=r"^monomial \(.*\) is not \d nonnegative exponents$"):
         RationalFunction.from_terms(names, numer, denom)
 
 
