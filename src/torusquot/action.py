@@ -23,7 +23,6 @@ from .invariants import (
     InvariantLattice,
     cross_ratio_inverse,
     induced_action,
-    position_weights,
     y_exponent,
     y_labels,
 )
@@ -183,7 +182,7 @@ def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
     arr = inversion_array(g)
     gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
     return InvariantLattice(
-        x_names(g), position_weights(arr), y_names(g), gens, 1, cross_ratio_inverse(arr)
+        x_names(g), sum(arr.rows, ()), y_names(g), gens, 1, cross_ratio_inverse(arr)
     )
 
 

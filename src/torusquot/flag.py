@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .invariants import InvariantLattice, induced_action, monomial_weight, root_weight
+from .invariants import InvariantLattice, induced_action, monomial_weight
 from .linalg import column_echelon
 from .ratfunc import Names, RationalFunction, Substitution
 from .weyl import Permutation, from_word, longest_element, parabolic_elements
@@ -250,7 +250,9 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
 
     Each coordinate is a Laurent monomial in the X's, labeled Y_{a,b}.
     It has weight zero when its numerator and denominator monomials
-    share one torus weight; any other coordinate raises.
+    share one torus weight; any other coordinate raises ArithmeticError,
+    printing the weights it mixes as `invariants.monomial_weight` gives
+    them: sorted (i, c) pairs, the nonzero e-coordinates.
     """
     check_rank(n)
     if tau.n != n + 1:
@@ -258,10 +260,10 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
     if tau(n + 1) != n + 1:
         raise ValueError("tau must fix the last letter")
     w = cyclic_element(n) * tau
-    weights = tuple(root_weight(r, n) for r in inversion_roots(w))
+    roots = inversion_roots(w)
     out: Dict[str, RationalFunction] = {}
     for (a, b), expr in pi_point(w, symbolic_coords(w))[1].items():
-        wts = {monomial_weight(mono, weights) for mono in (*expr.numer, *expr.denom)}
+        wts = {monomial_weight(mono, roots) for mono in (*expr.numer, *expr.denom)}
         if len(wts) != 1:
             raise ArithmeticError(f"quotient coordinate Y_{a}_{b} mixes weights {sorted(wts)}")
         out[f"Y_{a}_{b}"] = expr
@@ -356,9 +358,8 @@ def flag_lattice(n: int) -> InvariantLattice:
         v[idx[(1, b + 1)]] -= 1
         gens.append(tuple(v))
         inverse.append(((idx[(a + 1, b + 1)], 1),))
-    weights = tuple(root_weight(r, n) for r in positions)
     names = flag_x_names(top_cell(n))
-    return InvariantLattice(names, weights, flag_y_names(n - 1), tuple(gens), -1, tuple(inverse))
+    return InvariantLattice(names, positions, flag_y_names(n - 1), tuple(gens), -1, tuple(inverse))
 
 
 def _moved_generic_point(i: int, w0: Permutation, letter: str) -> Substitution:

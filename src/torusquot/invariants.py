@@ -1,16 +1,19 @@
 """Torus weights of cell coordinates and the invariant monomial lattice.
 
-Each cell coordinate carries an interval root as its torus weight, so a
+Each cell coordinate carries an interval root [j, k] = e_j - e_(k+1) as
+its torus weight, and the interval is the only form a weight takes.  A
 Laurent monomial in the X's, written as an integer exponent tuple,
-carries the integer combination of those intervals.  The weight-zero
-monomials form a lattice.  Both the Grassmannian cells and the full flag
-cell coordinatize their torus quotient by a basis of it: the cross-ratio
-generators Y_{i,j} below and the flag quotient coordinates.  Each builder
-states an integer left inverse of its generators in closed form, checked
-once against their supports; with the lattice's rank (a union-find over
-the interval roots) that certifies a basis.  `reexpress` rewrites an
-invariant rational function in either basis, and `induced_action` gives
-the action that a substitution of the X's induces on the Y's.
+carries the integer combination of those roots; `monomial_weight` gives
+it as its nonzero e-coordinates, and every weight test reads that one
+form.  The weight-zero monomials form a lattice.  Both the Grassmannian
+cells and the full flag cell coordinatize their torus quotient by a
+basis of it: the cross-ratio generators Y_{i,j} below and the flag
+quotient coordinates.  Each builder states an integer left inverse of
+its generators in closed form, checked once against their supports;
+with the lattice's rank (a union-find over the root edges (j, k + 1))
+that certifies a basis.  `reexpress` rewrites an invariant rational
+function in either basis, and `induced_action` gives the action that a
+substitution of the X's induces on the Y's.
 `reexpress` checks the lattice first and weighs the monomials only to
 name a refusal, and its Y fraction needs no second reduction beyond a
 sign, since the lattice is saturated (both argued at `reexpress`).  With
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ratfunc import Names, RationalFunction, Substitution
 from .schubert import Interval, InversionArray
@@ -38,25 +41,18 @@ Exponents = Tuple[int, ...]
 _Sparse = Tuple[Tuple[int, int], ...]  # (index, nonzero entry) pairs
 
 
-def root_weight(root: Interval, rank: int) -> Exponents:
-    """Simple-root coefficients of the interval root [j, k]."""
-    j, k = root
-    return (0,) * (j - 1) + (1,) * (k - j + 1) + (0,) * (rank - k)
-
-
-def position_weights(arr: InversionArray) -> Tuple[Exponents, ...]:
-    """Torus weight of each coordinate X_{i,j}, row major: its interval root."""
-    return tuple(root_weight(root, arr.g.n - 1) for row in arr.rows for root in row)
-
-
-def monomial_weight(exps: Exponents, weights: Tuple[Exponents, ...]) -> Exponents:
-    """Torus weight of the Laurent monomial with these exponents; a zero
+def monomial_weight(exps: Exponents, roots: Sequence[Interval]) -> _Sparse:
+    """Torus weight of the Laurent monomial with these exponents, as its
+    nonzero e-coordinates (i, c), sorted: the root [j, k] is
+    e_j - e_(k+1).  It is empty exactly when the weight is zero, and two
+    monomials share a weight exactly when these tuples are equal.  A zero
     exponent adds nothing, so only the occurring coordinates are read."""
-    total = [0] * len(weights[0]) if weights else []
-    for e, row in zip(exps, weights):
+    total: Dict[int, int] = {}
+    for e, (j, k) in zip(exps, roots):
         if e:
-            total = [t + e * c for t, c in zip(total, row)]
-    return tuple(total)
+            total[j] = total.get(j, 0) + e
+            total[k + 1] = total.get(k + 1, 0) - e
+    return tuple(sorted((i, c) for i, c in total.items() if c))
 
 
 def y_labels(arr: InversionArray) -> List[Tuple[int, int]]:
@@ -136,14 +132,15 @@ def _checked_columns(inverse: Sequence[_Sparse], supports: Sequence[_Sparse],
 class InvariantLattice:
     """The weight-zero monomials of one cell and a basis of them.
 
-    ``weights`` holds the integer torus weight of each X coordinate and
-    ``generators`` the exponents of each quotient coordinate Y; a Y is
-    ``sign`` times its X monomial (+1 for the Grassmannian cross-ratios,
-    -1 for the flag quotient coordinates).  ``left_inverse``, from the
-    builder, holds one sparse integer row per generator as (position,
-    entry) pairs; construction raises ``ValueError`` unless each row
-    pairs to 1 with its generator and to 0 with the others, and unless
-    each generator has weight zero.
+    ``roots`` holds the interval root of each X coordinate, its torus
+    weight, and ``generators`` the exponents of each quotient coordinate
+    Y; a Y is ``sign`` times its X monomial (+1 for the Grassmannian
+    cross-ratios, -1 for the flag quotient coordinates).  ``left_inverse``,
+    from the builder, holds one sparse integer row per generator as
+    (position, entry) pairs.  Construction raises ``ValueError`` unless
+    there is one root and one generator entry per X name and one Y name
+    per generator, unless each row pairs to 1 with its generator and to 0
+    with the others, and unless each generator has weight zero.
 
     Two sparse views are derived with it: for each X position, the
     nonzero entries of its left-inverse column, and for each generator,
@@ -153,7 +150,7 @@ class InvariantLattice:
     """
 
     x_names: Names
-    weights: Tuple[Exponents, ...]
+    roots: Tuple[Interval, ...]
     y_names: Names
     generators: Tuple[Exponents, ...]
     sign: int
@@ -165,12 +162,17 @@ class InvariantLattice:
     )
 
     def __post_init__(self) -> None:
+        size = len(self.x_names)
+        if len(self.roots) != size or any(len(v) != size for v in self.generators):
+            raise ValueError("expected one root and one generator entry per X name")
+        if len(self.y_names) != len(self.generators):
+            raise ValueError("expected one Y name per generator")
         supports = _supports(self.generators)
-        columns = _checked_columns(self.left_inverse, supports, len(self.x_names))
+        columns = _checked_columns(self.left_inverse, supports, size)
         if columns is None:
             raise ValueError("left inverse does not pair to the identity with the generators, "
                              "so they are not certified a basis of a saturated lattice")
-        if any(any(monomial_weight(v, self.weights)) for v in self.generators):
+        if any(monomial_weight(v, self.roots) for v in self.generators):
             raise ValueError("a generator has nonzero torus weight")
         object.__setattr__(self, "_inverse_columns", columns)
         object.__setattr__(self, "_supports", supports)
@@ -234,7 +236,7 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
                 for t, e in support:
                     back[t] += c * e
         if back != shift:
-            raise ReexpressionError(_defect(num, den, lattice.weights))
+            raise ReexpressionError(_defect(num, den, lattice.roots))
         return tuple(z)
 
     zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
@@ -249,10 +251,10 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     return RationalFunction(ynames, num_y, den_y)
 
 
-def _defect(num, den, weights: Tuple[Exponents, ...]) -> str:
+def _defect(num, den, roots: Tuple[Interval, ...]) -> str:
     """Why a fraction with these sides is no function of the Y's: the
     first weight defect, or else a monomial outside the lattice."""
-    wn, wd = ({monomial_weight(m, weights) for m in terms} for terms in (num, den))
+    wn, wd = ({monomial_weight(m, roots) for m in terms} for terms in (num, den))
     if len(wn) > 1:
         return "numerator is not weight-homogeneous"
     if len(wd) > 1:
@@ -290,7 +292,7 @@ class KernelReport:
     """Certification of the cross-ratio basis against the weight kernel.
 
     ``kernel_rank`` is the rank of the weight-zero lattice K, read off the
-    weights; ``generators_in_kernel`` says every Y exponent vector has
+    interval roots; ``generators_in_kernel`` says every Y exponent vector has
     weight zero; ``lattice_equality`` says the Y's were proved to be a
     basis of K, and is False whenever that proof does not go through.
     """
@@ -312,52 +314,15 @@ class KernelReport:
         )
 
 
-def _root_graph(weights: Tuple[Exponents, ...]) -> Tuple[int, List[Tuple[int, int]]]:
-    """The rank of interval-root weights and the ends (j, k + 1) of each,
-    counted from 0.
-
-    The root a_j + ... + a_k is e_j - e_(k+1), so the weights span the
-    cut lattice of a graph with one edge (j, k + 1) each, whose rank is
-    its number of vertices minus its number of components, counted here
-    as merges of a union-find; and a combination of the weights vanishes
-    exactly when its signed ends cancel at every vertex.  A weight that is
-    not a single run of ones raises ValueError.
-    """
-    parent = list(range(len(weights[0]) + 1)) if weights else []
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    merges, ends = 0, []
-    for w in weights:
-        j = w.index(1) if 1 in w else 0
-        k = j + w.count(1)
-        if k == j or w != (0,) * j + (1,) * (k - j) + (0,) * (len(w) - k):
-            raise ValueError(f"weight {w} is not an interval root")
-        ends.append((j, k))
-        a, b = find(j), find(k)
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return merges, ends
-
-
-def _weightless(support: _Sparse, ends: List[Tuple[int, int]], vertices: int) -> bool:
-    """Whether the monomial with this support has weight zero."""
-    total = [0] * vertices
-    for t, e in support:
-        j, k = ends[t]
-        total[j] += e
-        total[k] -= e
-    return not any(total)
-
-
-def _certify(weights: Tuple[Exponents, ...], generators: Sequence[Exponents],
+def _certify(roots: Sequence[Interval], generators: Sequence[Exponents],
              inverse: Sequence[_Sparse]) -> Tuple[int, bool, bool]:
     """(rank of the weight kernel K, generators in K, generators a basis of K).
+
+    The root [j, k] is e_j - e_(k+1), so the roots span the cut lattice
+    of a graph with one edge (j, k + 1) each.  Its rank is the number of
+    vertices minus the number of components, which is the number of
+    merges of a union-find over the edges; K's rank is the number of
+    roots minus that.
 
     Let L be the span of the generators.  If they lie in K, are as many
     as K's rank and have integer rows M with M G^T = I (G the generators
@@ -368,21 +333,33 @@ def _certify(weights: Tuple[Exponents, ...], generators: Sequence[Exponents],
     rows `inverse` are the candidate M, checked against the supports of G
     before they are trusted.
     """
-    merges, ends = _root_graph(weights)
-    rank, vertices = len(weights) - merges, len(weights[0]) + 1 if weights else 0
-    supports = _supports(generators)
-    in_kernel = all(_weightless(support, ends, vertices) for support in supports)
+    parent = list(range(max((k for _, k in roots), default=0) + 2))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    rank = len(roots)
+    for j, k in roots:
+        a, b = find(j), find(k + 1)
+        if a != b:
+            parent[a] = b
+            rank -= 1
+    in_kernel = not any(monomial_weight(v, roots) for v in generators)
     if not in_kernel or len(generators) != rank:
         return rank, in_kernel, False
-    return rank, in_kernel, _checked_columns(inverse, supports, len(weights)) is not None
+    return rank, in_kernel, _checked_columns(inverse, _supports(generators), len(roots)) is not None
 
 
 def verify_kernel_basis(arr: InversionArray) -> KernelReport:
     """Certify that the Y exponent vectors are a basis of the weight-zero lattice.
 
-    The kernel's rank is the number of coordinates minus the rank of the
-    interval-root weights.  The Y's lie in the kernel, are as many as
-    that rank, and span a saturated lattice, which the closed-form left
+    The kernel's rank is the number of coordinates minus the rank of
+    their interval roots, read as graph edges (j, k + 1).  The Y's lie in
+    the kernel (`monomial_weight` is empty on each), are as many as that
+    rank, and span a saturated lattice, which the closed-form left
     inverse of `cross_ratio_inverse` shows once it pairs to the identity
     with them.  A saturated sublattice of full rank is the whole kernel
     (`_certify` has the proof), so this is lattice equality, exact and
@@ -391,5 +368,5 @@ def verify_kernel_basis(arr: InversionArray) -> KernelReport:
     g = arr.g
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
     ys = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
-    rank, in_kernel, same = _certify(position_weights(arr), ys, cross_ratio_inverse(arr))
+    rank, in_kernel, same = _certify(sum(arr.rows, ()), ys, cross_ratio_inverse(arr))
     return KernelReport(g.n, g.r, g.a_seq, rank, expected, in_kernel, same)

@@ -27,22 +27,22 @@ needs an image, and the images share one variable tuple, the target.  No
 variable is carried over by name, since the Grassmannian and the flag
 quotient coordinates share names such as `Y_1_1`.  `subs` sends a bare
 variable to its image with no arithmetic (the bare-variable rule), so
-`compose` is `subs` applied to each image in turn.  The coordinates of
-both torus quotients are Laurent monomials, and `subs` maps a monomial
-under monomial images by an integer linear map on exponent vectors (the
-exponent map), without forming a common denominator.  Under any other
-images it is the product of the images' sides, prod p_i**e_i over
-prod q_i**e_i with the two sides swapped for a negative e_i (the direct
-product), reduced once.  The unit exits, the direct product and the
-one-pass `invariants.reexpress` together moved the benchmark's
-`symbolic` `wall_rel` median from 1.98 to 1.57 (0.79x), lower in ten of
-ten alternating pairs (`perfbench/run.py --seconds 24`, seeds 11-20,
-2-core x86-64 VM).  An image must be a `RationalFunction`; a scalar
-is refused by type.  `evaluate` works in integers too: with the point's
-denominators cleared, each side is an integer sum, and the value is one
-`Fraction` of the two.  A constant equals its scalar and hashes as its
-`Fraction`.  Callers read a value through its `names`, `numer` and
-`denom`.
+`compose` is `subs` applied to each image in turn.  Any other
+one-term-over-one-term source, such as a Laurent monomial coordinate of
+either torus quotient, goes to the product of its images' sides,
+prod p_i**e_i over prod q_i**e_i with the two sides swapped for a
+negative e_i (the direct product), without a common denominator, and is
+reduced once.  Under monomial images that product is one term over one
+term, so the one-term rule reduces it.  The unit exits, the direct
+product and the one-pass `invariants.reexpress` together moved the
+benchmark's `symbolic` `wall_rel` median from 1.98 to 1.57 (0.79x),
+lower in ten of ten alternating pairs (`perfbench/run.py --seconds 24`,
+seeds 11-20, 2-core x86-64 VM).  An image must be a
+`RationalFunction`; a scalar is refused by type.  `evaluate` works in
+integers too: with the point's denominators cleared, each side is an
+integer sum, and the value is one `Fraction` of the two.  A constant
+equals its scalar and hashes as its `Fraction`.  Callers read a value
+through its `names`, `numer` and `denom`.
 
 sympy is imported with this module, not inside `_cancel`: the benchmark
 reads the `sympy` line of `python -X importtime -c "import torusquot.cli"`
@@ -53,9 +53,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from sympy.polys.domains import ZZ
@@ -375,14 +374,11 @@ class RationalFunction:
         leaves a constant over its own tuple.
 
         A source that is one bare variable goes to its image itself, with
-        no arithmetic.  A one-term-over-one-term source whose occurring
-        variables all go to nonzero one-term-over-one-term images goes to
-        c*X**v, with v an integer linear image of the source exponents:
-        the exponent map, with no cancellation.  Any other one-term-over-
-        one-term source is the direct product of its images' sides (see
-        `_monomial_product`).  Otherwise the numerator and the denominator
-        are evaluated as polynomials over the target, and either way the
-        result is reduced once, by `_fraction`.
+        no arithmetic.  Any other one-term-over-one-term source is the
+        direct product of its images' sides (see `_monomial_product`).
+        Otherwise the numerator and the denominator are evaluated as
+        polynomials over the target, and either way the result is reduced
+        once, by `_fraction`.
         """
         return self._subs(mapping, _map_target(mapping, self.names))
 
@@ -399,8 +395,7 @@ class RationalFunction:
             (mon, c), = numer.items()
             if c == 1 and sum(mon) == 1 and denom == {(0,) * len(mon): 1}:
                 return mapping[self.names[mon.index(1)]]
-            image = _monomial_image(self, mapping, target)
-            return _monomial_product(self, mapping, target) if image is None else image
+            return _monomial_product(self, mapping, target)
         # Image p_i/q_i of variable i, over the common denominator
         # prod q_i**d_i: monomial exponent e contributes p_i**e q_i**(d_i - e).
         zero = (0,) * len(target)
@@ -490,31 +485,6 @@ def _map_target(mapping: Mapping[str, RationalFunction], names: Names) -> Names:
         elif value.names is not target and value.names != target:
             raise ValueError("substitution values over mixed variable sets")
     return names if target is None else target
-
-
-def _monomial_image(f: RationalFunction, mapping, target: Names) -> Optional[RationalFunction]:
-    """The exponent map: c*X**v for a one-term-over-one-term `f`, or None
-    when an occurring variable's image is zero or not one term over one
-    term.  c*X**v is reduced as built: the numerator and the denominator
-    share no variable, and c is divided through by an integer gcd."""
-    (a, c), = f.numer.items()
-    (b, d), = f.denom.items()
-    v = [0] * len(target)
-    for name, ea, eb in zip(f.names, a, b):
-        if not (ea or eb):
-            continue
-        e = ea - eb
-        img = mapping[name]
-        if len(img.numer) != 1 or len(img.denom) != 1:
-            return None
-        (u, p), = img.numer.items()
-        (w, q), = img.denom.items()
-        c, d = (c * p ** e, d * q ** e) if e > 0 else (c * q ** -e, d * p ** -e)
-        step = map(sub, u, w)
-        v = list(map(add, v, step if e == 1 else map(mul, repeat(e), step)))
-    g = gcd(c, d) if d > 0 else -gcd(c, d)
-    num = {tuple(max(x, 0) for x in v): c // g}
-    return RationalFunction(target, num, {tuple(max(-x, 0) for x in v): d // g})
 
 
 def _monomial_product(f: RationalFunction, mapping, target: Names) -> RationalFunction:

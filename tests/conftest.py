@@ -6,6 +6,9 @@ against.  None of these is called by the package itself.
   transform are checked against.
 - ``hnf_columns``: the column Hermite form H = A U with its unimodular
   transform, the one integer normal form the tests build on.
+- ``root_weight`` and ``dense_weight``: the simple-root coefficients of
+  an interval root and of a monomial in coordinates with those roots,
+  the dense reference for ``invariants.monomial_weight``.
 - ``integer_kernel_basis``, ``lattice_canonical_form`` and
   ``reference_kernel_report``: a kernel basis from the Hermite transform,
   the Hermite form of a spanning set, and the kernel certificate of a
@@ -73,7 +76,6 @@ from torusquot.invariants import (
     KernelReport,
     ReexpressionError,
     monomial_weight,
-    position_weights,
     y_exponent,
     y_labels,
 )
@@ -288,14 +290,31 @@ def hermite_left_inverse(generators: Sequence[Sequence[int]]) -> Optional[Tuple[
     return tuple(tuple((t, e) for t, e in enumerate(col) if e) for col in zip(*(row[:k] for row in u)))
 
 
+def root_weight(root: Tuple[int, int], rank: int) -> Tuple[int, ...]:
+    """Simple-root coefficients of the interval root [j, k] of sl_(rank+1)."""
+    j, k = root
+    return (0,) * (j - 1) + (1,) * (k - j + 1) + (0,) * (rank - k)
+
+
+def dense_weight(exps: Sequence[int], roots: Sequence[Tuple[int, int]], rank: int) -> List[int]:
+    """Simple-root coefficients of the monomial with these exponents in
+    coordinates of these interval roots."""
+    total = [0] * rank
+    for e, root in zip(exps, roots):
+        total = [t + e * c for t, c in zip(total, root_weight(root, rank))]
+    return total
+
+
 def reference_kernel_report(arr: InversionArray) -> KernelReport:
     """The kernel certificate of a cell computed the long way: a kernel
-    basis of the weight matrix, and canonical-form equality with the Y's."""
+    basis of the dense weight matrix, and canonical-form equality with
+    the Y's."""
     g = arr.g
-    weights = position_weights(arr)
+    roots = [root for row in arr.rows for root in row]
+    weights = [root_weight(root, g.n - 1) for root in roots]
     kernel = integer_kernel_basis([list(row) for row in zip(*weights)])
     ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]
-    in_kernel = all(not any(monomial_weight(v, weights)) for v in ys)
+    in_kernel = all(not any(dense_weight(v, roots, g.n - 1)) for v in ys)
     same = lattice_canonical_form(kernel) == lattice_canonical_form(ys)
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
     return KernelReport(g.n, g.r, g.a_seq, len(kernel), expected, in_kernel, same)
@@ -312,7 +331,7 @@ def weight_first_reexpress(f: RationalFunction, lattice: InvariantLattice) -> Ra
     if f.is_zero:
         return RationalFunction.constant(0, ynames)
     num, den = f.numer, f.denom
-    wn, wd = ({monomial_weight(m, lattice.weights) for m in terms} for terms in (num, den))
+    wn, wd = ({monomial_weight(m, lattice.roots) for m in terms} for terms in (num, den))
     if len(wn) > 1:
         raise ReexpressionError("numerator is not weight-homogeneous")
     if len(wd) > 1:

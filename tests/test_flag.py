@@ -1,6 +1,7 @@
 """Full-flag cells, the quotient coordinate map, and its desk checks."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -26,7 +27,6 @@ from torusquot.flag import (
     point_matrix,
     reflect_root,
     root_order,
-    root_weight,
     s1_y_action,
     semistable_flag_support,
     subgroup_fixing_last,
@@ -73,10 +73,6 @@ def test_reflect_root_letter_swap():
     assert reflect_root(2, (1, 2)) == (1, 1)
     assert reflect_root(2, (3, 4)) == (2, 4)
     assert reflect_root(1, (3, 4)) == (3, 4)
-
-
-def test_root_weight_indicator():
-    assert root_weight((2, 3), 4) == (0, 1, 1, 0)
 
 
 def test_beta_prime_unique_completion():
@@ -239,7 +235,9 @@ def test_pi_tau_rejects_moving_last_letter():
 
 
 def test_pi_tau_weight_check_reads_the_expressions(monkeypatch):
-    """A coordinate whose monomials differ in torus weight must raise."""
+    """A coordinate whose monomials differ in torus weight must raise,
+    printing each weight as its nonzero e-coordinates: e_1 - e_4 against
+    2 e_1 - e_2 - e_4."""
     real = flag.pi_point
 
     def off_by_one_root(w, coords):
@@ -247,7 +245,8 @@ def test_pi_tau_weight_check_reads_the_expressions(monkeypatch):
         return small, {r: v * coords[(1, 1)] for r, v in ys.items()}
 
     monkeypatch.setattr(flag, "pi_point", off_by_one_root)
-    with pytest.raises(ArithmeticError, match="mixes weights"):
+    text = "Y_1_2 mixes weights [((1, 1), (4, -1)), ((1, 2), (2, -1), (4, -1))]"
+    with pytest.raises(ArithmeticError, match=re.escape(text)):
         pi_tau(from_word((1, 2), 4), 3)
 
 

@@ -6,9 +6,11 @@ import random
 
 import pytest
 from conftest import (
+    dense_weight,
     hermite_left_inverse,
     integer_kernel_basis,
     reference_kernel_report,
+    root_weight,
     solve_linear,
     weight_first_reexpress,
 )
@@ -22,8 +24,8 @@ from torusquot.invariants import (
     _certify,
     cross_ratio_inverse,
     induced_action,
+    monomial_weight,
     reexpress,
-    root_weight,
     verify_kernel_basis,
     y_exponent,
     y_labels,
@@ -98,16 +100,20 @@ def test_kernel_report_equals_the_hermite_reference_on_every_cell(n):
             assert verify_kernel_basis(arr) == reference_kernel_report(arr), g
 
 
+def _intervals(rank):
+    """Interval roots (j, k), 1 <= j <= k <= rank."""
+    return st.tuples(st.integers(1, rank), st.integers(1, rank)).map(sorted).map(tuple)
+
+
 @st.composite
 def kernel_cases(draw):
-    """Interval-root weights of sl_(m+1), m <= 4, with at least one more
-    coordinate than m, a reference kernel basis B of them, and a
-    unimodular integer matrix U made of elementary row operations."""
+    """Interval roots of sl_(m+1), m <= 4, with at least one more
+    coordinate than m, a reference kernel basis B of their dense weights,
+    and a unimodular integer matrix U made of elementary row operations."""
     rank = draw(st.integers(1, 4))
     count = draw(st.integers(rank + 1, rank + 5))
-    ends = st.tuples(st.integers(1, rank), st.integers(1, rank)).map(sorted)
-    roots = draw(st.lists(ends, min_size=count, max_size=count))
-    weights = tuple(root_weight(tuple(e), rank) for e in roots)
+    roots = tuple(draw(st.lists(_intervals(rank), min_size=count, max_size=count)))
+    weights = [root_weight(root, rank) for root in roots]
     basis = integer_kernel_basis([list(row) for row in zip(*weights)])
     k = len(basis)
     mix = [[int(a == b) for b in range(k)] for a in range(k)]
@@ -116,7 +122,7 @@ def kernel_cases(draw):
         for i, j, f in draw(st.lists(pairs, max_size=6)):
             if i != j:
                 mix[i] = [x + f * y for x, y in zip(mix[i], mix[j])]
-    return weights, basis, mix
+    return roots, basis, mix
 
 
 def _times(mix, basis):
@@ -130,9 +136,9 @@ _SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=N
 @_SEEDED
 @given(case=kernel_cases())
 def test_certificate_accepts_every_unimodular_basis(case):
-    weights, basis, mix = case
+    roots, basis, mix = case
     gens = _times(mix, basis)
-    assert _certify(weights, gens, hermite_left_inverse(gens)) == (len(basis), True, True)
+    assert _certify(roots, gens, hermite_left_inverse(gens)) == (len(basis), True, True)
 
 
 @_SEEDED
@@ -140,49 +146,72 @@ def test_certificate_accepts_every_unimodular_basis(case):
 def test_certificate_refuses_an_index_two_sublattice(case):
     """No integer rows pair to the identity with a sublattice of index
     two, so the left inverse of the basis before doubling is refused."""
-    weights, basis, mix = case
+    roots, basis, mix = case
     inverse = hermite_left_inverse(_times(mix, basis))
     mix[0] = [2 * x for x in mix[0]]  # |det| = 2
     gens = _times(mix, basis)
     assert hermite_left_inverse(gens) is None
-    assert _certify(weights, gens, inverse) == (len(basis), True, False)
+    assert _certify(roots, gens, inverse) == (len(basis), True, False)
 
 
 @_SEEDED
 @given(case=kernel_cases())
 def test_certificate_refuses_one_vector_too_few(case):
     """The rows left over still pair to the identity; the count refuses."""
-    weights, basis, mix = case
+    roots, basis, mix = case
     gens = _times(mix, basis)
     inverse = hermite_left_inverse(gens)
-    assert _certify(weights, gens[1:], inverse[1:]) == (len(basis), True, False)
+    assert _certify(roots, gens[1:], inverse[1:]) == (len(basis), True, False)
 
 
 @_SEEDED
 @given(case=kernel_cases(), data=st.data())
 def test_certificate_refuses_a_vector_off_the_kernel(case, data):
-    weights, basis, mix = case
+    roots, basis, mix = case
     gens = _times(mix, basis)
     inverse = hermite_left_inverse(gens)
-    t = data.draw(st.integers(0, len(weights) - 1))
-    gens[0] = tuple(e + (s == t) for s, e in enumerate(gens[0]))  # weight moves by weights[t]
-    assert _certify(weights, gens, inverse) == (len(basis), False, False)
+    t = data.draw(st.integers(0, len(roots) - 1))
+    gens[0] = tuple(e + (s == t) for s, e in enumerate(gens[0]))  # weight moves by roots[t]
+    assert _certify(roots, gens, inverse) == (len(basis), False, False)
+
+
+@st.composite
+def weight_pairs(draw):
+    """Interval roots of sl_(m+1), m <= 5, and two exponent vectors u and
+    v over them.  Each is a combination of a kernel basis of the dense
+    weights plus a perturbation that may be zero, and v starts from u, so
+    equal and zero weights come up as often as different ones."""
+    rank = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 7))
+    roots = tuple(draw(st.lists(_intervals(rank), min_size=count, max_size=count)))
+    basis = integer_kernel_basis([list(row) for row in zip(*(root_weight(r, rank) for r in roots))])
+    small = st.integers(-2, 2)
+
+    def moved(start):
+        out = list(start)
+        for b in basis:
+            c = draw(small)
+            out = [x + c * y for x, y in zip(out, b)]
+        for t in draw(st.lists(st.integers(0, count - 1), max_size=2)):
+            out[t] += draw(small)
+        return tuple(out)
+
+    u = moved((0,) * count)
+    return rank, roots, u, moved(u)
 
 
 @_SEEDED
-@given(case=kernel_cases(), data=st.data())
-def test_certificate_refuses_weights_that_are_not_interval_roots(case, data):
-    weights, basis, mix = case
-    t = data.draw(st.integers(0, len(weights) - 1))
-    w = weights[t]
-    bad = data.draw(st.sampled_from(
-        [tuple(0 for _ in w), tuple(2 * c for c in w), tuple(-c for c in w)]
-        + ([(1,) + (0,) * (len(w) - 2) + (1,)] if len(w) >= 3 else [])
-    ))
-    weights = weights[:t] + (bad,) + weights[t + 1:]
-    gens = _times(mix, basis)
-    with pytest.raises(ValueError, match="is not an interval root"):
-        _certify(weights, gens, hermite_left_inverse(gens))
+@given(case=weight_pairs())
+def test_monomial_weight_agrees_with_the_dense_weight(case):
+    """The e-coordinates are sorted and nonzero; two monomials share them
+    exactly when their simple-root coefficients are equal, and they are
+    empty exactly when those coefficients are zero."""
+    rank, roots, u, v = case
+    wu, wv = monomial_weight(u, roots), monomial_weight(v, roots)
+    du, dv = dense_weight(u, roots, rank), dense_weight(v, roots, rank)
+    assert all(c for _, c in wu) and [i for i, _ in wu] == sorted({i for i, _ in wu})
+    assert (wu == wv) == (du == dv)
+    assert (wu == ()) == (not any(du))
 
 
 def _off_by_one(rows, gens):
@@ -405,9 +434,39 @@ def test_lattice_refuses_generators_of_nonzero_weight():
     bent[bent.index(1)] = 0
     with pytest.raises(ValueError, match="nonzero torus weight"):
         InvariantLattice(
-            lattice.x_names, lattice.weights, lattice.y_names[:1], (tuple(bent),), 1,
+            lattice.x_names, lattice.roots, lattice.y_names[:1], (tuple(bent),), 1,
             lattice.left_inverse[:1],
         )
+
+
+_ONE_Y_NAME = "one Y name per generator"
+_ONE_PER_X = "one root and one generator entry per X name"
+
+
+@pytest.mark.parametrize(
+    "field, resize, mismatch",
+    [
+        ("y_names", lambda names: names + ("Y_9_9",), _ONE_Y_NAME),
+        ("y_names", lambda names: names[1:], _ONE_Y_NAME),
+        ("roots", lambda roots: roots + ((1, 1),), _ONE_PER_X),
+        ("roots", lambda roots: roots[:-1], _ONE_PER_X),
+        ("generators", lambda gens: (gens[0] + (0,),) + gens[1:], _ONE_PER_X),
+        ("generators", lambda gens: (gens[0][:-1],) + gens[1:], _ONE_PER_X),
+    ],
+    ids=["y name extra", "y name missing", "root extra", "root missing",
+         "generator entry extra", "generator entry missing"],
+)
+def test_lattice_refuses_mismatched_lengths(field, resize, mismatch):
+    """Each length is checked, not cut short by `zip`: with one Y name
+    too many, `reexpress` would build a function over more names than its
+    exponent tuples have entries."""
+    lattice = action.invariant_lattice(schubert.GrassmannElement(6, 3, (2, 4, 5)))
+    values = {name: getattr(lattice, name) for name in
+              ("x_names", "roots", "y_names", "generators", "sign", "left_inverse")}
+    assert len(lattice.generators) > 1
+    with pytest.raises(ValueError, match=f"^expected {mismatch}$"):
+        InvariantLattice(**{**values, field: resize(values[field])})
+    assert InvariantLattice(**values) == lattice
 
 
 def test_y_monomials_are_the_cross_ratios():
@@ -472,7 +531,7 @@ def test_lattice_refuses_generators_without_integer_left_inverse():
     for gens, inverse in [((tuple(2 * e for e in first),), (row,)), ((first, first), (row, row))]:
         with pytest.raises(ValueError, match="saturated"):
             InvariantLattice(
-                lattice.x_names, lattice.weights, lattice.y_names[: len(gens)], gens, 1, inverse
+                lattice.x_names, lattice.roots, lattice.y_names[: len(gens)], gens, 1, inverse
             )
 
 
@@ -493,12 +552,12 @@ def test_lattice_refuses_a_wrong_left_inverse(wrong, case):
     lattice, _ = LATTICES[case]
     gens, rows = wrong(lattice.generators, lattice.left_inverse)
     with pytest.raises(ValueError, match="saturated"):
-        InvariantLattice(lattice.x_names, lattice.weights, lattice.y_names, gens, lattice.sign, rows)
+        InvariantLattice(lattice.x_names, lattice.roots, lattice.y_names, gens, lattice.sign, rows)
 
 
 def _rebuilt(lattice):
     return InvariantLattice(
-        lattice.x_names, lattice.weights, lattice.y_names, lattice.generators, lattice.sign,
+        lattice.x_names, lattice.roots, lattice.y_names, lattice.generators, lattice.sign,
         lattice.left_inverse,
     )
 
@@ -531,7 +590,7 @@ def test_changing_the_y_monomials_dict_leaves_the_lattice_alone():
 def test_monomial_outside_the_lattice_is_refused():
     lattice, to_x = LATTICES["grassmann (7, 2, (4, 6))"]
     smaller = InvariantLattice(
-        lattice.x_names, lattice.weights, lattice.y_names[:1], lattice.generators[:1], 1,
+        lattice.x_names, lattice.roots, lattice.y_names[:1], lattice.generators[:1], 1,
         lattice.left_inverse[:1],
     )
     outside = to_x[lattice.y_names[1]]

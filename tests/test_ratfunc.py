@@ -209,12 +209,12 @@ def test_empty_map_leaves_a_constant_over_its_own_tuple():
 GRASSMANN_Y, FLAG_Y = ("Y_1_1", "Y_1_2"), ("Y_1_1", "Y_2_1")
 
 
-@pytest.mark.parametrize("path", ["bare variable", "exponent map", "common denominator"])
+@pytest.mark.parametrize("path", ["bare variable", "direct product", "common denominator"])
 def test_subs_never_keeps_a_variable_by_name(path):
     """A map missing an occurring variable is refused by name, even when
     the target has a variable of that name, on each path of `subs`."""
     a, b = (RationalFunction.variable(name, GRASSMANN_Y) for name in GRASSMANN_Y)
-    source = {"bare variable": a, "exponent map": 2 * a / b ** 2,
+    source = {"bare variable": a, "direct product": 2 * a / b ** 2,
               "common denominator": (a + b) / (a - 1)}[path]
     mapping = {"Y_1_2": RationalFunction.variable("Y_2_1", FLAG_Y)}
     with pytest.raises(ValueError, match="no image provided for occurring variable 'Y_1_1'"):
@@ -447,7 +447,7 @@ def test_changing_an_identity_dict_leaves_the_next_one_alone():
         {"x": st.just(TARGET_X) | laurent_monomials(TARGET), "y": laurent_monomials(TARGET)}
     ),
 )
-def test_monomial_subs_is_an_exponent_map(f, mapping):
+def test_monomial_subs_is_the_direct_product(f, mapping):
     """Monomials under nonzero monomial images never reach the fallback,
     nor the common-denominator path; nor does the monomial arithmetic of
     the per-product reference."""
@@ -462,9 +462,9 @@ def test_monomial_subs_is_an_exponent_map(f, mapping):
     assert got.canonical() == expected.canonical()
 
 
-def test_exponent_map_keeps_large_coefficients_exact():
-    """Coefficients beyond a float's precision survive the exponent map,
-    under images with negative exponents."""
+def test_direct_product_keeps_large_coefficients_exact():
+    """Coefficients beyond a float's precision survive the direct
+    product of monomial images with negative exponents."""
     x, y = _xy()
     u, v = (RationalFunction.variable(name, TARGET) for name in TARGET)
     f = Fraction(3 ** 40, 7 ** 40) * x ** 2 / y ** 3
