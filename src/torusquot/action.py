@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .invariants import (
@@ -182,7 +183,8 @@ def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
     arr = inversion_array(g)
     gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
     return InvariantLattice(
-        x_names(g), sum(arr.rows, ()), y_names(g), gens, 1, cross_ratio_inverse(arr)
+        x_names(g), tuple(chain.from_iterable(arr.rows)), y_names(g), gens, 1,
+        cross_ratio_inverse(arr),
     )
 
 

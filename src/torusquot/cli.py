@@ -99,8 +99,9 @@ def _cmd_inversions(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     g = _cell(args.n, args.r, args.a)
     arr = schubert.inversion_array(g)
+    xs = action.x_names(g)
     monomials = {
-        name: {x: e for x, e in zip(action.x_names(g), invariants.y_exponent(arr, i, j)) if e}
+        name: {xs[t]: e for t, e in invariants.y_exponent(arr, i, j)}
         for name, (i, j) in zip(action.y_names(g), invariants.y_labels(arr))
     }
     rep = invariants.verify_kernel_basis(arr)
@@ -118,6 +119,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 def _cmd_act(args: argparse.Namespace) -> int:
     g = _cell(args.n, args.r, args.a)
     k = args.gen
+    if not 1 <= k <= args.n - 1:
+        raise ValueError(f"simple index {k} out of range for n={args.n}")
     if k not in action.stabilizer_generators(g):
         raise ValueError(
             f"generator {k} does not stabilize the closure of cell {args.a}"

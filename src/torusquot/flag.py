@@ -263,7 +263,7 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
     roots = inversion_roots(w)
     out: Dict[str, RationalFunction] = {}
     for (a, b), expr in pi_point(w, symbolic_coords(w))[1].items():
-        wts = {monomial_weight(mono, roots) for mono in (*expr.numer, *expr.denom)}
+        wts = {monomial_weight(enumerate(mono), roots) for mono in (*expr.numer, *expr.denom)}
         if len(wts) != 1:
             raise ArithmeticError(f"quotient coordinate Y_{a}_{b} mixes weights {sorted(wts)}")
         out[f"Y_{a}_{b}"] = expr
@@ -343,21 +343,19 @@ def flag_lattice(n: int) -> InvariantLattice:
     """The quotient-coordinate lattice of the full cell.
 
     Y_{a,b} is minus the X monomial X_beta X_beta' / X_{beta+beta'} with
-    beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1].  The
-    left inverse's row for Y_{a,b} is the unit vector at X_[a+1,b+1]:
-    that is the only root in any generator's support that does not start
-    at 1, so the row pairs to 1 with Y_{a,b} and to 0 with the others.
+    beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1], three
+    distinct roots, so its support has three entries.  The left
+    inverse's row for Y_{a,b} is the unit vector at X_[a+1,b+1]: that is
+    the only root in any generator's support that does not start at 1,
+    so the row pairs to 1 with Y_{a,b} and to 0 with the others.
     """
     positions = root_order(n)
     idx = {r: t for t, r in enumerate(positions)}
     gens, inverse = [], []
     for a, b in root_order(n - 1):
-        v = [0] * len(positions)
-        v[idx[(a + 1, b + 1)]] += 1
-        v[idx[(1, a)]] += 1
-        v[idx[(1, b + 1)]] -= 1
-        gens.append(tuple(v))
-        inverse.append(((idx[(a + 1, b + 1)], 1),))
+        moved = idx[(a + 1, b + 1)]
+        gens.append(tuple(sorted(((moved, 1), (idx[(1, a)], 1), (idx[(1, b + 1)], -1)))))
+        inverse.append(((moved, 1),))
     names = flag_x_names(top_cell(n))
     return InvariantLattice(names, positions, flag_y_names(n - 1), tuple(gens), -1, tuple(inverse))
 

@@ -9,6 +9,11 @@ against.  None of these is called by the package itself.
 - ``root_weight`` and ``dense_weight``: the simple-root coefficients of
   an interval root and of a monomial in coordinates with those roots,
   the dense reference for ``invariants.monomial_weight``.
+- ``dense_y_exponent`` and ``dense_flag_generators``: the exponent vector
+  of a cross-ratio, and those of the full flag cell's quotient
+  coordinates, one entry per X, the references for the sparse supports of
+  ``invariants.y_exponent`` and ``flag.flag_lattice``; ``dense_vector``
+  and ``support_of`` turn a support into its vector and back.
 - ``integer_kernel_basis``, ``lattice_canonical_form`` and
   ``reference_kernel_report``: a kernel basis from the Hermite transform,
   the Hermite form of a spanning set, and the kernel certificate of a
@@ -71,12 +76,12 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
 
+from torusquot.flag import root_order
 from torusquot.invariants import (
     InvariantLattice,
     KernelReport,
     ReexpressionError,
     monomial_weight,
-    y_exponent,
     y_labels,
 )
 from torusquot.linalg import column_echelon
@@ -305,6 +310,47 @@ def dense_weight(exps: Sequence[int], roots: Sequence[Tuple[int, int]], rank: in
     return total
 
 
+def dense_vector(support: Sequence[Tuple[int, int]], size: int) -> Tuple[int, ...]:
+    """The exponent vector over `size` positions with this support."""
+    v = [0] * size
+    for t, e in support:
+        v[t] = e
+    return tuple(v)
+
+
+def support_of(v: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The (position, exponent) pairs of the nonzero entries of v."""
+    return tuple((t, e) for t, e in enumerate(v) if e)
+
+
+def dense_y_exponent(arr: InversionArray, i: int, j: int) -> Tuple[int, ...]:
+    """Exponents of X_{i,L_i} X_{i+1,j} / (X_{i,j} X_{i+1,L_i}), L_i = a_i - i + 1,
+    one entry per X, row major."""
+    li = arr.g.a_seq[i - 1] - i + 1
+    lengths = [len(row) for row in arr.rows]
+    start = sum(lengths[: i - 1]) - 1  # row i's (i, q) sits at start + q, row major
+    below = start + lengths[i - 1]
+    exps = [0] * sum(lengths)
+    for t, e in ((start + li, 1), (below + j, 1), (start + j, -1), (below + li, -1)):
+        exps[t] += e
+    return tuple(exps)
+
+
+def dense_flag_generators(n: int) -> List[Tuple[int, ...]]:
+    """Exponents of X_[a+1,b+1] X_[1,a] / X_[1,b+1] over the roots of the
+    full flag cell in ``root_order(n)``, one vector per Y_{a,b}."""
+    positions = root_order(n)
+    idx = {r: t for t, r in enumerate(positions)}
+    gens = []
+    for a, b in root_order(n - 1):
+        v = [0] * len(positions)
+        v[idx[(a + 1, b + 1)]] += 1
+        v[idx[(1, a)]] += 1
+        v[idx[(1, b + 1)]] -= 1
+        gens.append(tuple(v))
+    return gens
+
+
 def reference_kernel_report(arr: InversionArray) -> KernelReport:
     """The kernel certificate of a cell computed the long way: a kernel
     basis of the dense weight matrix, and canonical-form equality with
@@ -313,7 +359,7 @@ def reference_kernel_report(arr: InversionArray) -> KernelReport:
     roots = [root for row in arr.rows for root in row]
     weights = [root_weight(root, g.n - 1) for root in roots]
     kernel = integer_kernel_basis([list(row) for row in zip(*weights)])
-    ys = [list(y_exponent(arr, i, j)) for i, j in y_labels(arr)]
+    ys = [list(dense_y_exponent(arr, i, j)) for i, j in y_labels(arr)]
     in_kernel = all(not any(dense_weight(v, roots, g.n - 1)) for v in ys)
     same = lattice_canonical_form(kernel) == lattice_canonical_form(ys)
     expected = sum(max(g.a_seq[i - 1] - i, 0) for i in range(1, g.r))
@@ -331,7 +377,7 @@ def weight_first_reexpress(f: RationalFunction, lattice: InvariantLattice) -> Ra
     if f.is_zero:
         return RationalFunction.constant(0, ynames)
     num, den = f.numer, f.denom
-    wn, wd = ({monomial_weight(m, lattice.roots) for m in terms} for terms in (num, den))
+    wn, wd = ({monomial_weight(enumerate(m), lattice.roots) for m in terms} for terms in (num, den))
     if len(wn) > 1:
         raise ReexpressionError("numerator is not weight-homogeneous")
     if len(wd) > 1:
@@ -339,11 +385,12 @@ def weight_first_reexpress(f: RationalFunction, lattice: InvariantLattice) -> Ra
     if wn != wd:
         raise ReexpressionError("function has nonzero torus weight")
     pivot = next(iter(den))
+    gens = [dense_vector(v, len(pivot)) for v in lattice.generators]
 
     def y_exponents(mono):
         shift = [e - p for e, p in zip(mono, pivot)]
         z = [sum(c * shift[t] for t, c in row) for row in lattice.left_inverse]
-        back = [sum(c * v[t] for c, v in zip(z, lattice.generators)) for t in range(len(shift))]
+        back = [sum(c * v[t] for c, v in zip(z, gens)) for t in range(len(shift))]
         if back != shift:
             raise ReexpressionError("monomial outside the invariant lattice")
         return z

@@ -400,6 +400,18 @@ def test_domain_error_exits_two(capsys):
     assert "does not stabilize" in err
 
 
+@pytest.mark.parametrize("k", ["0", "6"])
+def test_act_refuses_a_generator_that_is_no_simple_index(capsys, k):
+    """No s_0 or s_n exists in S_n: the refusal says so, not that the cell
+    is unstable under it."""
+    code, out, err = _capture(
+        capsys, ["act", "--n", "6", "--r", "3", "--a", "3", "4", "5", "--gen", k]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: simple index {k} out of range for n=6\n"
+
+
 def test_invalid_cell_exits_two(capsys):
     code, _, err = _capture(
         capsys, ["inversions", "--n", "5", "--r", "2", "--a", "4", "2"]

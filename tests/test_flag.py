@@ -6,7 +6,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from conftest import length, negative_elements_by_scan, reference_quotient_generator_action
+from conftest import (
+    dense_flag_generators,
+    length,
+    negative_elements_by_scan,
+    reference_quotient_generator_action,
+    support_of,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,11 +228,20 @@ def test_pi_tau_on_the_full_cell_is_the_flag_lattice_basis(n):
     exprs = pi_tau(longest_element(range(1, n), n + 1), n)
     assert tuple(exprs) == lattice.y_names
     assert exprs == y_monomials(lattice)
-    for expr, gen in zip(exprs.values(), lattice.generators):
+    for expr, support in zip(exprs.values(), lattice.generators):
         assert expr.names == lattice.x_names
         [(num, a)], [(den, b)] = expr.numer.items(), expr.denom.items()
         assert a / b == lattice.sign
-        assert tuple(p - q for p, q in zip(num, den)) == gen
+        assert tuple((t, p - q) for t, (p, q) in enumerate(zip(num, den)) if p != q) == support
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flag_lattice_supports_are_those_of_the_dense_reference(n):
+    """Three sorted (position, exponent) pairs per Y_{a,b}: the nonzero
+    entries of X_[a+1,b+1] X_[1,a] / X_[1,b+1] written out densely."""
+    supports = flag_lattice(n).generators
+    assert all(len(s) == 3 for s in supports)
+    assert supports == tuple(support_of(v) for v in dense_flag_generators(n))
 
 
 def test_pi_tau_rejects_moving_last_letter():

@@ -3,15 +3,20 @@ re-expression of invariant functions in it."""
 
 import dataclasses
 import random
+import re
 
 import pytest
 from conftest import (
+    dense_flag_generators,
+    dense_vector,
     dense_weight,
+    dense_y_exponent,
     hermite_left_inverse,
     integer_kernel_basis,
     reference_kernel_report,
     root_weight,
     solve_linear,
+    support_of,
     weight_first_reexpress,
 )
 from hypothesis import HealthCheck, given, settings
@@ -55,13 +60,25 @@ def test_y_exponent_is_weight_zero():
         arr = _arr(n, r, a)
         positions = arr.positions()
         for i, j in y_labels(arr):
-            vec = y_exponent(arr, i, j)
             total = [0] * n
-            for (p, q), e in zip(positions, vec):
-                lo, hi = arr.root_at(p, q)
+            for t, e in y_exponent(arr, i, j):
+                lo, hi = arr.root_at(*positions[t])
                 for letter in range(lo, hi + 1):
                     total[letter - 1] += e
             assert all(t == 0 for t in total)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_y_exponent_is_the_support_of_the_dense_reference(n):
+    """Every cell of every G(r, n): the four sorted (position, exponent)
+    pairs are the nonzero entries of the dense exponent vector."""
+    for r in range(1, n):
+        for g in schubert.all_cells(n, r):
+            arr = schubert.inversion_array(g)
+            for i, j in y_labels(arr):
+                support = y_exponent(arr, i, j)
+                assert len(support) == 4, (g, i, j)
+                assert support == support_of(dense_y_exponent(arr, i, j)), (g, i, j)
 
 
 def test_kernel_report_frozen_example():
@@ -130,6 +147,11 @@ def _times(mix, basis):
     return [tuple(sum(m * v[t] for m, v in zip(row, basis)) for t in range(len(basis[0]))) for row in mix]
 
 
+def _supports(gens):
+    """The generators as `_certify` takes them: their supports."""
+    return [support_of(v) for v in gens]
+
+
 _SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
@@ -138,7 +160,7 @@ _SEEDED = settings(derandomize=True, database=None, max_examples=100, deadline=N
 def test_certificate_accepts_every_unimodular_basis(case):
     roots, basis, mix = case
     gens = _times(mix, basis)
-    assert _certify(roots, gens, hermite_left_inverse(gens)) == (len(basis), True, True)
+    assert _certify(roots, _supports(gens), hermite_left_inverse(gens)) == (len(basis), True, True)
 
 
 @_SEEDED
@@ -151,7 +173,7 @@ def test_certificate_refuses_an_index_two_sublattice(case):
     mix[0] = [2 * x for x in mix[0]]  # |det| = 2
     gens = _times(mix, basis)
     assert hermite_left_inverse(gens) is None
-    assert _certify(roots, gens, inverse) == (len(basis), True, False)
+    assert _certify(roots, _supports(gens), inverse) == (len(basis), True, False)
 
 
 @_SEEDED
@@ -161,7 +183,7 @@ def test_certificate_refuses_one_vector_too_few(case):
     roots, basis, mix = case
     gens = _times(mix, basis)
     inverse = hermite_left_inverse(gens)
-    assert _certify(roots, gens[1:], inverse[1:]) == (len(basis), True, False)
+    assert _certify(roots, _supports(gens[1:]), inverse[1:]) == (len(basis), True, False)
 
 
 @_SEEDED
@@ -172,7 +194,7 @@ def test_certificate_refuses_a_vector_off_the_kernel(case, data):
     inverse = hermite_left_inverse(gens)
     t = data.draw(st.integers(0, len(roots) - 1))
     gens[0] = tuple(e + (s == t) for s, e in enumerate(gens[0]))  # weight moves by roots[t]
-    assert _certify(roots, gens, inverse) == (len(basis), False, False)
+    assert _certify(roots, _supports(gens), inverse) == (len(basis), False, False)
 
 
 @st.composite
@@ -207,7 +229,8 @@ def test_monomial_weight_agrees_with_the_dense_weight(case):
     exactly when their simple-root coefficients are equal, and they are
     empty exactly when those coefficients are zero."""
     rank, roots, u, v = case
-    wu, wv = monomial_weight(u, roots), monomial_weight(v, roots)
+    wu, wv = monomial_weight(enumerate(u), roots), monomial_weight(support_of(v), roots)
+    assert wu == monomial_weight(support_of(u), roots) and wv == monomial_weight(enumerate(v), roots)
     du, dv = dense_weight(u, roots, rank), dense_weight(v, roots, rank)
     assert all(c for _, c in wu) and [i for i, _ in wu] == sorted({i for i, _ in wu})
     assert (wu == wv) == (du == dv)
@@ -215,9 +238,9 @@ def test_monomial_weight_agrees_with_the_dense_weight(case):
 
 
 def _off_by_one(rows, gens):
-    """Row 0 moved by one where the first generator is nonzero, so it no
-    longer pairs to 1 with it."""
-    t = next(t for t, e in enumerate(gens[0]) if e)
+    """Row 0 moved by one at the first position of the first generator's
+    support, so it no longer pairs to 1 with it."""
+    t = gens[0][0][0]
     return [rows[0] + ((t, 1),)] + list(rows[1:])
 
 
@@ -303,7 +326,8 @@ def reference_reexpress(f, lattice):
     ynames = lattice.y_names
     num, den = f.numer, f.denom
     pivot = min(den)
-    mat = [[v[t] for v in lattice.generators] for t in range(len(pivot))]
+    gens = [dense_vector(v, len(pivot)) for v in lattice.generators]
+    mat = [[v[t] for v in gens] for t in range(len(pivot))]
 
     def image(mono, coeff):
         out = RationalFunction.constant(coeff, ynames)
@@ -431,7 +455,7 @@ def test_lattice_refuses_generators_of_nonzero_weight():
     which is sound only if every generator has weight zero."""
     lattice, _ = LATTICES["grassmann (7, 2, (4, 6))"]
     bent = list(lattice.generators[0])
-    bent[bent.index(1)] = 0
+    bent.remove(next(entry for entry in bent if entry[1] == 1))  # its first +1 exponent to 0
     with pytest.raises(ValueError, match="nonzero torus weight"):
         InvariantLattice(
             lattice.x_names, lattice.roots, lattice.y_names[:1], (tuple(bent),), 1,
@@ -440,7 +464,7 @@ def test_lattice_refuses_generators_of_nonzero_weight():
 
 
 _ONE_Y_NAME = "one Y name per generator"
-_ONE_PER_X = "one root and one generator entry per X name"
+_ONE_PER_X = "one root per X name"
 
 
 @pytest.mark.parametrize(
@@ -450,11 +474,8 @@ _ONE_PER_X = "one root and one generator entry per X name"
         ("y_names", lambda names: names[1:], _ONE_Y_NAME),
         ("roots", lambda roots: roots + ((1, 1),), _ONE_PER_X),
         ("roots", lambda roots: roots[:-1], _ONE_PER_X),
-        ("generators", lambda gens: (gens[0] + (0,),) + gens[1:], _ONE_PER_X),
-        ("generators", lambda gens: (gens[0][:-1],) + gens[1:], _ONE_PER_X),
     ],
-    ids=["y name extra", "y name missing", "root extra", "root missing",
-         "generator entry extra", "generator entry missing"],
+    ids=["y name extra", "y name missing", "root extra", "root missing"],
 )
 def test_lattice_refuses_mismatched_lengths(field, resize, mismatch):
     """Each length is checked, not cut short by `zip`: with one Y name
@@ -467,6 +488,39 @@ def test_lattice_refuses_mismatched_lengths(field, resize, mismatch):
     with pytest.raises(ValueError, match=f"^expected {mismatch}$"):
         InvariantLattice(**{**values, field: resize(values[field])})
     assert InvariantLattice(**values) == lattice
+
+
+def _first_support(change):
+    """The lattice's generators with the first support changed by `change`."""
+    return lambda gens: (tuple(change(list(gens[0]))),) + gens[1:]
+
+
+@pytest.mark.parametrize(
+    "malform, defect",
+    [
+        (_first_support(lambda s: s + [(8, 1)]), "position 8 outside 0..7"),
+        (_first_support(lambda s: [(-1, 1)] + s), "position -1 outside 0..7"),
+        (_first_support(lambda s: s[:1] + [(s[1][0], 0)] + s[2:]), "exponent 0, which is zero"),
+        (_first_support(lambda s: s[:1] + [(s[1][0], 1.0)] + s[2:]),
+         "exponent 1.0, which is zero or not an integer"),
+        (_first_support(lambda s: [(1.0, -1)] + s[1:]), "position 1.0 outside"),
+        (_first_support(lambda s: s[:1] + [s[0]] + s[1:]), "position 0 repeated or out of order"),
+        (_first_support(lambda s: s[1:2] + s[:1] + s[2:]), "position 0 repeated or out of order"),
+    ],
+    ids=["position past the end", "position before the start", "zero exponent",
+         "float exponent", "float position", "repeated position", "unsorted positions"],
+)
+def test_lattice_refuses_a_malformed_support(malform, defect):
+    """Each support is checked before any of its positions is read: a
+    position outside the X's would raise IndexError in the pairing, or
+    with -1 silently read the last X's column."""
+    lattice = action.invariant_lattice(schubert.GrassmannElement(6, 3, (2, 4, 5)))
+    assert len(lattice.x_names) == 8 and lattice.generators[0][0][0] == 0
+    with pytest.raises(ValueError, match=re.escape(f"support of Y_1_1 has {defect}")):
+        InvariantLattice(
+            lattice.x_names, lattice.roots, lattice.y_names, malform(lattice.generators),
+            lattice.sign, lattice.left_inverse,
+        )
 
 
 def test_y_monomials_are_the_cross_ratios():
@@ -496,11 +550,11 @@ def test_left_inverse_exists_for_every_cell_and_flag_lattice():
         for r in range(1, n):
             for g in schubert.all_cells(n, r):
                 arr = schubert.inversion_array(g)
-                gens = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
+                gens = [dense_y_exponent(arr, i, j) for i, j in y_labels(arr)]
                 assert _dense_pairings(cross_ratio_inverse(arr), gens) == _identity(len(gens)), g
     for n in range(1, 9):
         lattice = flag.flag_lattice(n)
-        gens = lattice.generators
+        gens = dense_flag_generators(n)
         assert _dense_pairings(lattice.left_inverse, gens) == _identity(len(gens)), n
 
 
@@ -528,7 +582,7 @@ def test_lattice_without_generators_reexpresses_constants(lattice):
 def test_lattice_refuses_generators_without_integer_left_inverse():
     lattice, _ = LATTICES["grassmann (7, 2, (4, 6))"]
     first, row = lattice.generators[0], lattice.left_inverse[0]
-    for gens, inverse in [((tuple(2 * e for e in first),), (row,)), ((first, first), (row, row))]:
+    for gens, inverse in [((tuple((t, 2 * e) for t, e in first),), (row,)), ((first, first), (row, row))]:
         with pytest.raises(ValueError, match="saturated"):
             InvariantLattice(
                 lattice.x_names, lattice.roots, lattice.y_names[: len(gens)], gens, 1, inverse
@@ -538,11 +592,11 @@ def test_lattice_refuses_generators_without_integer_left_inverse():
 @pytest.mark.parametrize(
     "wrong",
     [
-        lambda gens, rows: (gens, _off_by_one(rows, gens)),
-        lambda gens, rows: ((tuple(2 * e for e in gens[0]),) + gens[1:], rows),
-        lambda gens, rows: (gens[:1] + gens[:-1], rows),
-        lambda gens, rows: (gens, rows[:-1]),
-        lambda gens, rows: (gens, (((len(gens[0]), 1),),) + rows[1:]),
+        lambda gens, rows, size: (gens, _off_by_one(rows, gens)),
+        lambda gens, rows, size: ((tuple((t, 2 * e) for t, e in gens[0]),) + gens[1:], rows),
+        lambda gens, rows, size: (gens[:1] + gens[:-1], rows),
+        lambda gens, rows, size: (gens, rows[:-1]),
+        lambda gens, rows, size: (gens, (((size, 1),),) + rows[1:]),
     ],
     ids=["entry off by one", "generator doubled", "generator duplicated", "row missing",
          "position past the end"],
@@ -550,7 +604,7 @@ def test_lattice_refuses_generators_without_integer_left_inverse():
 @pytest.mark.parametrize("case", ["grassmann (7, 2, (4, 6))", "flag n=4"])
 def test_lattice_refuses_a_wrong_left_inverse(wrong, case):
     lattice, _ = LATTICES[case]
-    gens, rows = wrong(lattice.generators, lattice.left_inverse)
+    gens, rows = wrong(lattice.generators, lattice.left_inverse, len(lattice.x_names))
     with pytest.raises(ValueError, match="saturated"):
         InvariantLattice(lattice.x_names, lattice.roots, lattice.y_names, gens, lattice.sign, rows)
 
