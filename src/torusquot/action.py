@@ -23,8 +23,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from .invariants import (
     InvariantLattice,
     cross_ratio_inverse,
+    cross_ratios,
     induced_action,
-    y_exponent,
     y_labels,
 )
 from .ratfunc import Names, RationalFunction, Substitution, identity_substitution
@@ -181,9 +181,8 @@ def _x_action(k: int, g: GrassmannElement) -> Substitution:
 def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
     """The cross-ratio lattice of the cell: each Y is its X monomial."""
     arr = inversion_array(g)
-    gens = tuple(y_exponent(arr, i, j) for i, j in y_labels(arr))
     return InvariantLattice(
-        x_names(g), tuple(chain.from_iterable(arr.rows)), y_names(g), gens, 1,
+        x_names(g), tuple(chain.from_iterable(arr.rows)), y_names(g), cross_ratios(arr), 1,
         cross_ratio_inverse(arr),
     )
 

@@ -101,8 +101,8 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     arr = schubert.inversion_array(g)
     xs = action.x_names(g)
     monomials = {
-        name: {xs[t]: e for t, e in invariants.y_exponent(arr, i, j)}
-        for name, (i, j) in zip(action.y_names(g), invariants.y_labels(arr))
+        name: {xs[t]: e for t, e in support}
+        for name, support in zip(action.y_names(g), invariants.cross_ratios(arr))
     }
     rep = invariants.verify_kernel_basis(arr)
     check: Check = {"name": "kernel-basis", "status": "pass" if rep.ok else "fail"}

@@ -12,7 +12,7 @@ against.  None of these is called by the package itself.
 - ``dense_y_exponent`` and ``dense_flag_generators``: the exponent vector
   of a cross-ratio, and those of the full flag cell's quotient
   coordinates, one entry per X, the references for the sparse supports of
-  ``invariants.y_exponent`` and ``flag.flag_lattice``; ``dense_vector``
+  ``invariants.cross_ratios`` and ``flag.flag_lattice``; ``dense_vector``
   and ``support_of`` turn a support into its vector and back.
 - ``integer_kernel_basis``, ``lattice_canonical_form`` and
   ``reference_kernel_report``: a kernel basis from the Hermite transform,

@@ -28,11 +28,11 @@ from torusquot.invariants import (
     ReexpressionError,
     _certify,
     cross_ratio_inverse,
+    cross_ratios,
     induced_action,
     monomial_weight,
     reexpress,
     verify_kernel_basis,
-    y_exponent,
     y_labels,
     y_monomials,
 )
@@ -59,9 +59,9 @@ def test_y_exponent_is_weight_zero():
     for n, r, a in [(5, 2, (2, 4)), (6, 2, (4, 5)), (6, 3, (2, 3, 5)), (7, 3, (2, 4, 6))]:
         arr = _arr(n, r, a)
         positions = arr.positions()
-        for i, j in y_labels(arr):
+        for support in cross_ratios(arr):
             total = [0] * n
-            for t, e in y_exponent(arr, i, j):
+            for t, e in support:
                 lo, hi = arr.root_at(*positions[t])
                 for letter in range(lo, hi + 1):
                     total[letter - 1] += e
@@ -69,16 +69,18 @@ def test_y_exponent_is_weight_zero():
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_y_exponent_is_the_support_of_the_dense_reference(n):
-    """Every cell of every G(r, n): the four sorted (position, exponent)
-    pairs are the nonzero entries of the dense exponent vector."""
+def test_cross_ratios_are_the_supports_of_the_dense_reference(n):
+    """Every cell of every G(r, n): each cross-ratio's four sorted
+    (position, exponent) pairs are the nonzero entries of its dense
+    exponent vector, in the order of `y_labels`."""
     for r in range(1, n):
         for g in schubert.all_cells(n, r):
             arr = schubert.inversion_array(g)
-            for i, j in y_labels(arr):
-                support = y_exponent(arr, i, j)
-                assert len(support) == 4, (g, i, j)
-                assert support == support_of(dense_y_exponent(arr, i, j)), (g, i, j)
+            supports = cross_ratios(arr)
+            assert all(len(s) == 4 for s in supports), g
+            assert supports == tuple(
+                support_of(dense_y_exponent(arr, i, j)) for i, j in y_labels(arr)
+            ), g
 
 
 def test_kernel_report_frozen_example():
@@ -251,8 +253,7 @@ def _off_by_one(rows, gens):
 )
 def test_a_corrupted_left_inverse_is_caught(monkeypatch, corrupt):
     def corrupted(arr):
-        gens = [y_exponent(arr, i, j) for i, j in y_labels(arr)]
-        return corrupt(true_inverse(arr), gens)
+        return corrupt(true_inverse(arr), cross_ratios(arr))
 
     true_inverse = invariants.cross_ratio_inverse
     monkeypatch.setattr(invariants, "cross_ratio_inverse", corrupted)
