@@ -28,8 +28,8 @@ coordinate.  A weight reads the pairs it is given, a lattice keeps the
 nonzero entries of each left-inverse row and column, and it builds its Y
 monomials once, on first use.  Against one dense exponent vector per
 generator, that moved `verify_kernel_basis` on the top cell of G(40, 80)
-from 0.19 s to 0.028 s, and the benchmark's `combinatorics` `wall_rel`
-median from 0.236 to 0.203 (0.86x; seeds 3101-3110, 2-core x86-64 VM).
+from 0.19 s to 0.025 s, and the benchmark's `combinatorics` `wall_rel`
+median from 0.236 to 0.198 (0.84x; seeds 3501-3510, 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ class InvariantLattice:
     each generator has weight zero.
 
     For each X position, the nonzero entries of its left-inverse column
-    are derived with it; the Y monomials are built on first use.  Neither,
-    nor the left inverse, takes part in equality, hashing or repr.
+    are derived with it; the Y monomials are built on first use.  Neither
+    these nor the left inverse takes part in equality, hashing or repr.
     """
 
     x_names: Names
