@@ -29,9 +29,13 @@ SIZED_PATH = Path(__file__).resolve().parent / "verify_sized.json"
 CLI_PATH = Path(__file__).resolve().parent / "cli_commands.json"
 
 # suite and flags; each runs in under a second and samples the
-# Hilbert-Mumford oracle (lemma-2.7) or bumps subsets (lemma-3.1)
+# Hilbert-Mumford oracle (lemma-2.7) or bumps subsets (lemma-3.1); the
+# n = 11 runs hold the oracle at its size limit, r = 7 with the cell
+# that coordinates in [-50, 50] left inconclusive
 SIZED_COMMANDS = (
     ("lemma-2.7", "--n", "9", "--r", "4"),
+    ("lemma-2.7", "--n", "11", "--r", "7"),
+    ("lemma-2.7", "--n", "11", "--r", "5"),
     ("lemma-3.1", "--n", "8"),
 )
 
