@@ -3,8 +3,10 @@
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: the Laplace-expanded minors against
 determinants, the r-column sampler against the n x n one it replaced,
-support stabilization, the rank table against max |B & S|, one rank table
-per distinct support, Grassmannian verdicts against the rational phase-1
+one seeded stream per sampled cell, support stabilization and
+resampling with scripted supports, the refusal of a rank outside 0..n,
+the rank table against max |B & S|, one rank table per distinct
+support, Grassmannian verdicts against the rational phase-1
 simplex they replaced (its combination re-verified by hand for a
 semistable verdict, the separator's rank inequality for an unstable one)
 and against Edmonds' rank criterion, verdict and separator against a
@@ -22,6 +24,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -37,6 +40,7 @@ from hypothesis import strategies as st
 
 from torusquot import oracle, schubert
 from torusquot.oracle import (
+    EXTRA_DRAWS,
     SAMPLE_BOUND,
     cell_semistable,
     cell_support,
@@ -61,6 +65,20 @@ def reference_sample_cell_matrix(w, r, rng):
             x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
         u[i - 1][j - 1] = x
     return [[u[i][w(k) - 1] for k in range(1, r + 1)] for i in range(n)]
+
+
+def reference_cell_draws(w, r, seed):
+    """The matrices and supports `cell_support` draws: successive
+    reference matrices from one ``random.Random(seed)``, until three
+    supports in a row agree or 3 + EXTRA_DRAWS are drawn."""
+    rng = random.Random(seed)
+    matrices, draws = [], []
+    while len(draws) < 3 + EXTRA_DRAWS and not (
+        len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]
+    ):
+        matrices.append(reference_sample_cell_matrix(w, r, rng))
+        draws.append(minor_support(matrices[-1], w.n, r))
+    return matrices, tuple(draws)
 
 
 def reference_minor_support(mat, n, r):
@@ -226,6 +244,80 @@ def test_sampler_draws_the_reference_stream_n_up_to_8():
     for w, r, seed in SAMPLED_CELLS + others:
         got = sample_cell_matrix(w, r, random.Random(seed))
         assert got == reference_sample_cell_matrix(w, r, random.Random(seed)), (w, r, seed)
+
+
+def test_cell_support_draws_successive_matrices_of_one_stream_n_up_to_8(monkeypatch):
+    """The matrices are compared too: a generic point's support does not
+    depend on the stream it came from."""
+    drawn = []
+    sample = oracle._sample_matrix
+    monkeypatch.setattr(oracle, "_sample_matrix", lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    for w, r, seed in SAMPLED_CELLS:
+        drawn.clear()
+        draws = cell_support(w, r, seed=seed).draws
+        assert (drawn, draws) == reference_cell_draws(w, r, seed), (w, r, seed)
+
+
+def counting_random(monkeypatch):
+    """Patch the oracle's `random` module to one whose `Random` records
+    each seed it is built with; return that list of seeds."""
+    seeds = []
+
+    def build(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=build))
+    return seeds
+
+
+def script_supports(monkeypatch, supports):
+    """Make `minor_support` return `supports` in turn, whatever the matrix."""
+    script = iter(supports)
+    monkeypatch.setattr(oracle, "minor_support", lambda mat, n, r: next(script))
+
+
+CELL_5_2 = schubert.to_permutation(schubert.GrassmannElement(5, 2, (2, 4)))
+SUPPORT_A = frozenset({(1, 3), (3, 5)})
+SUPPORT_B = frozenset({(1, 3)})
+
+
+def test_one_call_seeds_one_generator(monkeypatch):
+    seeds = counting_random(monkeypatch)
+    assert len(cell_support(CELL_5_2, 2, seed=7).draws) == 3
+    assert seeds == [7]
+    script_supports(monkeypatch, [SUPPORT_A, SUPPORT_B] * 4)
+    assert len(cell_support(CELL_5_2, 2, seed=8).draws) == 3 + EXTRA_DRAWS
+    assert seeds == [7, 8]
+
+
+def test_a_disagreeing_draw_is_resampled_until_three_agree(monkeypatch):
+    script_supports(monkeypatch, [SUPPORT_A, SUPPORT_B, SUPPORT_A, SUPPORT_A, SUPPORT_A])
+    rep = cell_support(CELL_5_2, 2)
+    assert rep.conclusive and rep.resampled
+    assert rep.support == SUPPORT_A
+    assert rep.draws == (SUPPORT_A, SUPPORT_B, SUPPORT_A, SUPPORT_A, SUPPORT_A)
+
+
+def test_alternating_supports_are_inconclusive(monkeypatch):
+    script_supports(monkeypatch, [SUPPORT_A, SUPPORT_B] * 4)
+    verdict, rep, cert = cell_semistable(CELL_5_2, 2)
+    assert (verdict, cert) == ("inconclusive", None)
+    assert not rep.conclusive and rep.resampled and rep.support is None
+    assert rep.draws == (SUPPORT_A, SUPPORT_B) * 4
+
+
+def test_a_rank_outside_0_to_n_is_refused_before_any_draw(monkeypatch):
+    seeds = counting_random(monkeypatch)
+    for r in (-1, 6):
+        with pytest.raises(ValueError, match=f"rank r = {r} is outside 0..n = 5"):
+            cell_support(CELL_5_2, r)
+        with pytest.raises(ValueError, match=f"rank r = {r} is outside 0..n = 5"):
+            sample_cell_matrix(CELL_5_2, r, random.Random(0))
+    assert seeds == []
+    # ranks 0 and n: one empty minor, and the determinant of a cell point
+    assert cell_support(CELL_5_2, 0).support == frozenset({()})
+    assert cell_support(CELL_5_2, 5).support == frozenset({(1, 2, 3, 4, 5)})
 
 
 def test_minor_support_matches_determinants_on_sampled_cells_n_up_to_8():
