@@ -39,7 +39,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ratfunc import Names, RationalFunction, Substitution
+from .ratfunc import Names, RationalFunction, Substitution, _map_target
 from .schubert import Interval, InversionArray
 
 Exponents = Tuple[int, ...]
@@ -162,10 +162,11 @@ class InvariantLattice:
     ``left_inverse``, from the builder, holds one sparse integer row per
     generator as (position, entry) pairs.  Construction raises
     ``ValueError`` unless there is one root per X name and one Y name per
-    generator, unless each support has its positions in 0..len(x_names)-1,
-    strictly increasing, and nonzero integer exponents, unless each row
-    pairs to 1 with its generator and to 0 with the others, and unless
-    each generator has weight zero.
+    generator, unless ``sign`` is the int 1 or -1, unless each support
+    has its positions in 0..len(x_names)-1, strictly increasing, and
+    nonzero integer exponents, unless each row pairs to 1 with its
+    generator and to 0 with the others, and unless each generator has
+    weight zero.
 
     For each X position, the nonzero entries of its left-inverse column
     are derived with it; the Y monomials are built on first use.  Neither
@@ -189,6 +190,8 @@ class InvariantLattice:
             raise ValueError("expected one root per X name")
         if len(self.y_names) != len(self.generators):
             raise ValueError("expected one Y name per generator")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise ValueError(f"sign must be the int 1 or -1, got {self.sign!r}")
         for name, support in zip(self.y_names, self.generators):
             defect = _support_defect(support, size)
             if defect is not None:
@@ -314,8 +317,13 @@ def y_monomials(lattice: InvariantLattice) -> Substitution:
 
 def induced_action(lattice: InvariantLattice, xsub: Substitution) -> Substitution:
     """The action on the Y's induced by the substitution `xsub` of the X's:
-    each Y's monomial moved by `xsub` and re-expressed in the Y's."""
-    return {name: reexpress(mono.subs(xsub), lattice) for name, mono in y_monomials(lattice).items()}
+    each Y's monomial moved by `xsub` and re-expressed in the Y's.  The
+    map is checked once against the X's, as `compose` does."""
+    target = _map_target(xsub, lattice.x_names)
+    return {
+        name: reexpress(mono._subs(xsub, target), lattice)
+        for name, mono in y_monomials(lattice).items()
+    }
 
 
 @dataclass(frozen=True)

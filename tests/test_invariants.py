@@ -491,6 +491,17 @@ def test_lattice_refuses_mismatched_lengths(field, resize, mismatch):
     assert InvariantLattice(**values) == lattice
 
 
+@pytest.mark.parametrize("sign", [2, 0, True, -1.0, "1"], ids=repr)
+def test_lattice_refuses_a_sign_other_than_the_int_1_or_minus_1(sign):
+    """A Y is ``sign`` times its X monomial, so any other sign gives a
+    wrong one: on the cell (5, 2, (2, 4)), sign 2 would give the Y
+    monomial (2*X_1_2*X_2_1)/(X_1_1*X_2_2), and sign 0 would give 0."""
+    lattice = action.invariant_lattice(schubert.GrassmannElement(5, 2, (2, 4)))
+    with pytest.raises(ValueError, match=f"^sign must be the int 1 or -1, got {re.escape(repr(sign))}$"):
+        dataclasses.replace(lattice, sign=sign)
+    assert dataclasses.replace(lattice, sign=-1).sign == -1
+
+
 def _first_support(change):
     """The lattice's generators with the first support changed by `change`."""
     return lambda gens: (tuple(change(list(gens[0]))),) + gens[1:]
