@@ -19,7 +19,11 @@ rather than guessing when the draws keep disagreeing.  One call seeds
 one generator and draws its matrices from it in turn: seeding a Mersenne
 Twister costs about as much as the draw it serves, and against one seed
 per draw that moved the benchmark's `oracle` `wall_rel` median from 1.16
-to 1.01 (0.87x; seeds 4101-4110, 2-core x86-64 VM).  A nonzero minor
+to 1.01 (0.87x; seeds 4101-4110, 2-core x86-64 VM).  The first three
+draws share their zero pattern, so their minors are expanded in one
+Laplace sweep whose row-set keys carry the three minors together;
+against one sweep per draw that moved the same median from 1.004 to
+0.824 (0.82x; seeds 5101-5110, 2-core x86-64 VM).  A nonzero minor
 of a cell point has degree at most r in its coordinates, so by
 Schwartz-Zippel one draw sends some nonzero minor to zero with
 probability at most C(n, r) r / (2 SAMPLE_BOUND).  A bound of 50 puts
@@ -99,28 +103,45 @@ def _sample_matrix(
     return mat
 
 
-def _minor_sweep(mat: Sequence[Sequence], n: int, r: int) -> List[Dict[int, object]]:
-    """The nonzero c x c minors of the first c columns, keyed by row
-    bitmask, for c = 0..r, by Laplace expansion.
+_Minors = Dict[int, Tuple[int, int, int]]
 
-    Each nonzero c x c minor extends to c + 1 columns through the nonzero
-    entries of column c, each new row with sign (-1)^(c + its rows above
-    it), and the terms landing on one row set are summed.
+
+def _minor_sweep(mats: Sequence[Sequence[Sequence[int]]], n: int, r: int) -> List[_Minors]:
+    """The c x c minors of the first c columns of three n x r integer
+    matrices, keyed by row bitmask, for c = 0..r, by one Laplace expansion.
+
+    Each key carries the three minors together, and a key is kept while
+    any of them is nonzero, so the key, its sign, its dictionary lookup
+    and its loop step are paid once for the three.  Each kept c x c minor
+    extends to c + 1 columns through the rows where column c is nonzero
+    in some matrix, each new row with sign (-1)^(c + its rows above it),
+    and the terms landing on one row set are summed.  The draws of one
+    cell share their zero pattern, so their keys are the same; a single
+    matrix is swept as three copies of itself.
     """
-    if len(mat) != n or set(map(len, mat)) - {r}:
-        raise ValueError(f"expected an {n} x {r} matrix")
-    sweep: List[Dict[int, object]] = [{0: 1}]
+    if len(mats) != 3 or any(len(mat) != n or set(map(len, mat)) - {r} for mat in mats):
+        raise ValueError(f"expected three {n} x {r} matrices")
+    first, second, third = mats
+    sweep: List[_Minors] = [{0: (1, 1, 1)}]
     for c in range(r):
-        grown: Dict[int, object] = {}
-        for i, row in enumerate(mat):
-            v = -row[c] if c & 1 else row[c]
-            if v:
+        grown: _Minors = {}
+        for i in range(n):
+            x, y, z = first[i][c], second[i][c], third[i][c]
+            if x or y or z:
+                if c & 1:
+                    x, y, z = -x, -y, -z
                 bit, above = 1 << i, (1 << i) - 1
-                for rows, minor in sweep[c].items():
+                for rows, (p, q, s) in sweep[c].items():
                     if not rows & bit:
-                        term = -minor * v if (rows & above).bit_count() & 1 else minor * v
-                        grown[rows | bit] = grown.get(rows | bit, 0) + term
-        sweep.append({rows: m for rows, m in grown.items() if m})
+                        if (rows & above).bit_count() & 1:
+                            p, q, s = -p, -q, -s
+                        key = rows | bit
+                        if key in grown:
+                            u, v, t = grown[key]
+                            grown[key] = (u + p * x, v + q * y, t + s * z)
+                        else:
+                            grown[key] = (p * x, q * y, s * z)
+        sweep.append({rows: m for rows, m in grown.items() if m != (0, 0, 0)})
     return sweep
 
 
@@ -134,13 +155,22 @@ def _subsets(n: int, r: int) -> Tuple[Tuple[int, Subset], ...]:
     )
 
 
+def _supports(mats: Sequence[List[List[int]]], n: int, r: int) -> Tuple[FrozenSet[Subset], ...]:
+    """Row subsets with nonvanishing r x r minor, one set for each of one
+    or three n x r integer matrices, read off one ``_minor_sweep``."""
+    minors = _minor_sweep(mats * (3 // len(mats)), n, r)[r]
+    # inserted in lexicographic order, so each set iterates (and prints) as
+    # one built from itertools.combinations does
+    kept = [(rows, sub) for rows, sub in _subsets(n, r) if rows in minors]
+    if all(map(all, minors.values())):  # one support for every matrix
+        return (frozenset([sub for _, sub in kept]),) * len(mats)
+    return tuple(frozenset([sub for rows, sub in kept if minors[rows][j]]) for j in range(len(mats)))
+
+
 def minor_support(mat: List[List[int]], n: int, r: int) -> FrozenSet[Subset]:
     """Row subsets with nonvanishing r x r minor, by Laplace expansion
     (``_minor_sweep``)."""
-    minors = _minor_sweep(mat, n, r)[r]
-    # inserted in lexicographic order, so the set iterates (and prints) as
-    # one built from itertools.combinations does
-    return frozenset([sub for rows, sub in _subsets(n, r) if rows in minors])
+    return _supports([mat], n, r)[0]
 
 
 @dataclass(frozen=True)
@@ -163,17 +193,20 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
     successive matrices of its stream.  Three consecutive identical
     draws are accepted; a disagreement (a random value landing on a
     minor's vanishing locus) triggers up to EXTRA_DRAWS further draws
-    before giving up.  Raises ``ValueError`` unless 0 <= r <= n.
+    before giving up.  The first three matrices are drawn up front and
+    their minors expanded in one ``_minor_sweep``; each further draw is
+    swept on its own.  Raises ``ValueError`` unless 0 <= r <= n.
     """
     _check_rank(r, w.n)
-    draws: List[FrozenSet[Subset]] = []
     positions = inversion_positions(w)
     rng = random.Random(seed)
-    for _ in range(3 + EXTRA_DRAWS):
+    first = [_sample_matrix(w, r, positions, rng) for _ in range(3)]
+    draws = list(_supports(first, w.n, r))
+    while not draws[-1] == draws[-2] == draws[-3]:
+        if len(draws) == 3 + EXTRA_DRAWS:
+            return SupportReport(None, tuple(draws), False)
         draws.append(minor_support(_sample_matrix(w, r, positions, rng), w.n, r))
-        if len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]:
-            return SupportReport(draws[-1], tuple(draws), True)
-    return SupportReport(None, tuple(draws), False)
+    return SupportReport(draws[-1], tuple(draws), True)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +365,10 @@ def flag_point_semistable(
     bases_k be the row subsets with a nonzero minor on the first k
     columns (one ``_minor_sweep`` gives every k), so rk_k(S) = max |B & S|
     over B in bases_k (``_rank_table``) is the rank of rows S there.  The
-    flag is semistable iff
+    sweep gets each column times the lcm of its denominators: scaling a
+    column by a nonzero integer scales every minor through that column
+    alike, so no bases_k changes, and the expansion multiplies integers,
+    not ``Fraction``s.  The flag is semistable iff
 
         N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
 
@@ -362,7 +398,9 @@ def flag_point_semistable(
     m = [Fraction(0), *(Fraction(c) for c in coeffs), Fraction(0)]
     if len(m) != n + 1:
         raise ValueError("coefficient count must be rank = n - 1")
-    sweep = _minor_sweep(mat, n, n)  # sweep[k]: the minors on the first k columns
+    scales = [math.lcm(*(x.denominator for x in col)) for col in zip(*mat)]
+    ints = [[int(x * d) for x, d in zip(row, scales)] for row in mat]
+    sweep = _minor_sweep([ints] * 3, n, n)  # sweep[k]: the minors on the first k columns
     if not sweep[n]:
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]

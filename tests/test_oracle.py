@@ -2,9 +2,11 @@
 
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: the Laplace-expanded minors against
-determinants, the r-column sampler against the n x n one it replaced,
-one seeded stream per sampled cell, support stabilization and
-resampling with scripted supports, the refusal of a rank outside 0..n,
+determinants, one matrix at a time and three draws in one sweep, the
+r-column sampler against the n x n one it replaced, one seeded stream
+per sampled cell, support stabilization and resampling with scripted
+supports and, at coordinates in {-1, 1}, against a reference protocol,
+the refusal of a rank outside 0..n,
 the rank table against max |B & S|, one rank table per distinct
 support, Grassmannian verdicts against the rational phase-1
 simplex they replaced (its combination re-verified by hand for a
@@ -42,6 +44,7 @@ from torusquot import oracle, schubert
 from torusquot.oracle import (
     EXTRA_DRAWS,
     SAMPLE_BOUND,
+    SupportReport,
     cell_semistable,
     cell_support,
     flag_point_semistable,
@@ -54,30 +57,32 @@ from torusquot.oracle import (
 from torusquot.weyl import Permutation, all_permutations, simple_reflection
 
 
-def reference_sample_cell_matrix(w, r, rng):
+def reference_sample_cell_matrix(w, r, rng, bound=SAMPLE_BOUND):
     """The sampler that built the n x n unipotent u: the reference for the
-    r-column one in `oracle`, draw for draw."""
+    r-column one in `oracle`, draw for draw, with coordinates in
+    [-bound, bound]."""
     n = w.n
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in inversion_positions(w):
         x = 0
         while x == 0:
-            x = rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+            x = rng.randint(-bound, bound)
         u[i - 1][j - 1] = x
     return [[u[i][w(k) - 1] for k in range(1, r + 1)] for i in range(n)]
 
 
-def reference_cell_draws(w, r, seed):
+def reference_cell_draws(w, r, seed, bound=SAMPLE_BOUND, support=minor_support):
     """The matrices and supports `cell_support` draws: successive
-    reference matrices from one ``random.Random(seed)``, until three
-    supports in a row agree or 3 + EXTRA_DRAWS are drawn."""
+    reference matrices from one ``random.Random(seed)``, with coordinates
+    in [-bound, bound] and supports by `support`, until three supports in
+    a row agree or 3 + EXTRA_DRAWS are drawn."""
     rng = random.Random(seed)
     matrices, draws = [], []
     while len(draws) < 3 + EXTRA_DRAWS and not (
         len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]
     ):
-        matrices.append(reference_sample_cell_matrix(w, r, rng))
-        draws.append(minor_support(matrices[-1], w.n, r))
+        matrices.append(reference_sample_cell_matrix(w, r, rng, bound))
+        draws.append(support(matrices[-1], w.n, r))
     return matrices, tuple(draws)
 
 
@@ -88,6 +93,31 @@ def reference_minor_support(mat, n, r):
         for rows in itertools.combinations(range(n), r)
         if int_det([mat[i] for i in rows]) != 0
     )
+
+
+def reference_sweep_level(mats, n, c):
+    """The c x c minors of the first c columns of each matrix, by `int_det`,
+    keyed by row bitmask, for the row sets where some minor is nonzero."""
+    level = {}
+    for rows in itertools.combinations(range(n), c):
+        minors = tuple(int_det([mat[i][:c] for i in rows]) for mat in mats)
+        if any(minors):
+            level[sum(1 << i for i in rows)] = minors
+    return level
+
+
+def recording_sweep(monkeypatch):
+    """Patch `oracle._minor_sweep` to record the matrices of each call;
+    return that list."""
+    calls = []
+    sweep = oracle._minor_sweep
+
+    def record(mats, n, r):
+        calls.append(list(mats))
+        return sweep(mats, n, r)
+
+    monkeypatch.setattr(oracle, "_minor_sweep", record)
+    return calls
 
 
 def reference_preserves_closure(top, k, n):
@@ -272,9 +302,11 @@ def counting_random(monkeypatch):
 
 
 def script_supports(monkeypatch, supports):
-    """Make `minor_support` return `supports` in turn, whatever the matrix."""
+    """Make `oracle._supports`, which reads the support of every draw,
+    return `supports` in turn, one per matrix it is given, whatever the
+    matrices."""
     script = iter(supports)
-    monkeypatch.setattr(oracle, "minor_support", lambda mat, n, r: next(script))
+    monkeypatch.setattr(oracle, "_supports", lambda mats, n, r: tuple(next(script) for _ in mats))
 
 
 CELL_5_2 = schubert.to_permutation(schubert.GrassmannElement(5, 2, (2, 4)))
@@ -307,6 +339,28 @@ def test_alternating_supports_are_inconclusive(monkeypatch):
     assert rep.draws == (SUPPORT_A, SUPPORT_B) * 4
 
 
+def test_draws_after_the_third_follow_the_reference_protocol_n_up_to_6(monkeypatch):
+    """With coordinates in {-1, 1}, minors vanish often, so draws disagree
+    and the real path after the third draw runs.  Each report, draws
+    included, equals the protocol run on successive reference matrices
+    with `int_det` supports; the first three draws are swept at once, and
+    each later draw on its own as three copies."""
+    monkeypatch.setattr(oracle, "_VALUES", range(-1, 2))
+    calls = recording_sweep(monkeypatch)
+    reports = []
+    for n in range(2, 7):
+        for w, r in cells(n):
+            for seed in range(3):
+                calls.clear()
+                reports.append(cell_support(w, r, seed=seed))
+                matrices, draws = reference_cell_draws(w, r, seed, 1, reference_minor_support)
+                agree = len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]
+                assert reports[-1] == SupportReport(draws[-1] if agree else None, draws, agree), (w, r, seed)
+                assert calls == [matrices[:3]] + [[mat] * 3 for mat in matrices[3:]], (w, r, seed)
+    assert any(rep.resampled and rep.conclusive for rep in reports)
+    assert any(not rep.conclusive for rep in reports)
+
+
 def test_a_rank_outside_0_to_n_is_refused_before_any_draw(monkeypatch):
     seeds = counting_random(monkeypatch)
     for r in (-1, 6):
@@ -326,6 +380,65 @@ def test_minor_support_matches_determinants_on_sampled_cells_n_up_to_8():
         got, expected = minor_support(mat, w.n, r), reference_minor_support(mat, w.n, r)
         # the repr pins the iteration order too, which SupportReport's repr shows
         assert got == expected and repr(got) == repr(expected), (w, r, seed)
+
+
+def test_one_sweep_carries_the_determinants_of_three_draws_n_up_to_8():
+    """Three successive draws of each sampled cell, swept at once: every
+    key holds the three r x r determinants, and a key is there when one of
+    them is nonzero.  The supports read off the sweep are the three
+    matrices' own."""
+    for w, r, seed in SAMPLED_CELLS:
+        rng = random.Random(seed)
+        mats = [sample_cell_matrix(w, r, rng) for _ in range(3)]
+        level = reference_sweep_level(mats, w.n, r)
+        assert oracle._minor_sweep(mats, w.n, r)[r] == level, (w, r, seed)
+        expected = tuple(
+            frozenset(
+                tuple(i + 1 for i in rows) for rows in itertools.combinations(range(w.n), r)
+                if level.get(sum(1 << i for i in rows), (0, 0, 0))[j]
+            )
+            for j in range(3)
+        )
+        # the repr pins the iteration order too
+        assert repr(oracle._supports(mats, w.n, r)) == repr(expected), (w, r, seed)
+
+
+# the 2 x 2 minor on rows 1, 2 is -2, 0 and 1: it vanishes in one matrix only
+ONE_VANISHES = [[[1, 2], [3, 4], [0, 1]], [[1, 2], [2, 4], [0, 1]], [[2, 1], [1, 1], [0, 0]]]
+# the 2 x 2 minor on rows 1, 2 vanishes in all three, its terms cancelling
+ALL_VANISH = [[[1, 2], [2, 4], [0, 1]], [[1, 1], [1, 1], [1, 0]], [[2, -1], [-4, 2], [0, 3]]]
+# row 3 is zero in one matrix only, column 2 in another
+ZERO_ROW_AND_COLUMN = [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3, 4], [0, 0]], [[1, 0], [3, 0], [5, 0]]]
+
+
+def test_a_key_stays_while_one_of_its_three_minors_is_nonzero():
+    for mats in (ONE_VANISHES, ALL_VANISH, ZERO_ROW_AND_COLUMN):
+        assert oracle._minor_sweep(mats, 3, 2) == [reference_sweep_level(mats, 3, c) for c in range(3)]
+    assert oracle._minor_sweep(ONE_VANISHES, 3, 2)[2][0b011] == (-2, 0, 1)
+    assert oracle._supports(ONE_VANISHES, 3, 2) == (
+        frozenset({(1, 2), (1, 3), (2, 3)}), frozenset({(1, 3), (2, 3)}), frozenset({(1, 2)})
+    )
+    assert 0b011 not in oracle._minor_sweep(ALL_VANISH, 3, 2)[2]
+
+
+def test_each_single_matrix_caller_sweeps_its_matrix_as_three_copies(monkeypatch):
+    calls = recording_sweep(monkeypatch)
+    mat = [[1, 2], [2, 4], [1, -1]]
+    assert minor_support(mat, 3, 2) == reference_minor_support(mat, 3, 2) == frozenset({(1, 3), (2, 3)})
+    assert calls == [[mat] * 3]
+    # a flag point with denominators: each column is cleared by the lcm of
+    # its own, which scales each prefix minor by a nonzero integer
+    point = [
+        [Fraction(1, 2), Fraction(1, 3), Fraction(0)],
+        [Fraction(1), Fraction(2, 3), Fraction(3, 4)],
+        [Fraction(0), Fraction(1), Fraction(5, 2)],
+    ]
+    for chi in ([Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)], [Fraction(-1, 3), Fraction(1)]):
+        calls.clear()
+        assert flag_point_semistable(point, chi) == reference_flag_point_semistable(point, chi)
+        (mats,) = calls
+        assert mats == [[[1, 1, 0], [2, 2, 3], [0, 3, 10]]] * 3
+        assert all(type(x) is int for x in itertools.chain(*mats[0]))
 
 
 @st.composite
