@@ -1,29 +1,36 @@
 """Independent ground truth for semistability and stabilizer checks.
 
 Everything here recomputes its answers from first principles: explicit
-integer matrices for generic cell points, Laplace expansion of the minors
-for Pluecker supports, one Hilbert-Mumford test for Grassmannians and
-full flags alike, and direct subset bumping for cell-closure stability.
-The Hilbert-Mumford test checks the (flag-)matroid rank inequalities of
-the supports read off the minors, from a table of the rank of every row
-set; a Grassmannian is its one-step case, decided once per distinct
-support.  Row sets are bitmasks throughout, and the rank table is built
-from families of row sets held as the bits of one integer.  No code is
-shared with the modules under test beyond the Permutation type, so
-agreement between the two sides is evidence, not tautology.
+integer points of cells, Laplace expansion of the minors for Pluecker
+supports, the Hilbert-Mumford test as (flag-)matroid rank inequalities
+for Grassmannians and full flags alike, and direct subset bumping for
+cell-closure stability.  Row sets are bitmasks throughout.  The rank
+inequalities are read off families of row sets, each held as the bits
+of one integer: F_t, the row sets of rank at least t, for each t.  A
+Grassmannian's inequality n rk(S) >= r |S| is membership of S in one
+F_t, decided once per distinct support; a flag's weighted sum of ranks
+is counted off the families of each step.  No code is shared with the
+modules under test beyond the Permutation type, so agreement between
+the two sides is evidence, not tautology.
 
 Verdicts are exact.  Genericity of a sampled point is the only
 probabilistic ingredient; the sampling protocol demands identical
 supports from three consecutive draws and reports "inconclusive"
 rather than guessing when the draws keep disagreeing.  One call seeds
-one generator and draws its matrices from it in turn: seeding a Mersenne
-Twister costs about as much as the draw it serves, and against one seed
-per draw that moved the benchmark's `oracle` `wall_rel` median from 1.16
-to 1.01 (0.87x; seeds 4101-4110, 2-core x86-64 VM).  The first three
+one generator and draws from it in turn: seeding a Mersenne Twister
+costs about as much as the draw it serves, and against one seed per
+draw that moved the benchmark's `oracle` `wall_rel` median from 1.16 to
+1.01 (0.87x; seeds 4101-4110, 2-core x86-64 VM).  The first three
 draws share their zero pattern, so their minors are expanded in one
 Laplace sweep whose row-set keys carry the three minors together;
 against one sweep per draw that moved the same median from 1.004 to
-0.824 (0.82x; seeds 5101-5110, 2-core x86-64 VM).  A nonzero minor
+0.824 (0.82x; seeds 5101-5110, 2-core x86-64 VM).  That zero pattern
+is known before any draw: a column is nonzero only at its pivot row
+and the inversion rows above it.  So one layout per call says where
+each drawn value goes, a draw is a list of values, and the sweep walks
+sparse columns rather than scanning dense matrices; with the
+Grassmannian test read off rank families, that moved the median from
+0.830 to 0.656 (0.79x; seeds 7801-7810, 2-core x86-64 VM).  A nonzero minor
 of a cell point has degree at most r in its coordinates, so by
 Schwartz-Zippel one draw sends some nonzero minor to zero with
 probability at most C(n, r) r / (2 SAMPLE_BOUND).  A bound of 50 puts
@@ -70,13 +77,19 @@ def sample_cell_matrix(
 
     The point is u . w . P with u unipotent upper triangular supported on
     the inversion positions of w^{-1}; its column span is the span of
-    columns w(1), ..., w(r) of u, written here without building u.  One
-    value is drawn per inversion position, kept or not, so the random
-    stream does not depend on r.  Raises ``ValueError`` unless
-    0 <= r <= n.
+    columns w(1), ..., w(r) of u, written here without building u: one
+    draw of ``_layout`` written out densely.  One value is drawn per
+    inversion position, kept or not, so the random stream does not
+    depend on r.  Raises ``ValueError`` unless 0 <= r <= n.
     """
     _check_rank(r, w.n)
-    return _sample_matrix(w, r, inversion_positions(w), rng)
+    layout, count = _layout(w, r)
+    values = _draw(count, rng)
+    mat = [[0] * r for _ in range(w.n)]
+    for c, column in enumerate(layout):
+        for i, slot in column:
+            mat[i][c] = values[slot]
+    return mat
 
 
 def _check_rank(r: int, n: int) -> None:
@@ -85,92 +98,127 @@ def _check_rank(r: int, n: int) -> None:
         raise ValueError(f"rank r = {r} is outside 0..n = {n}")
 
 
-def _sample_matrix(
-    w: Permutation, r: int, positions: List[Tuple[int, int]], rng: random.Random
-) -> List[List[int]]:
-    """`sample_cell_matrix` with the inversion positions of w^{-1} given."""
-    column = {w(k): k - 1 for k in range(1, r + 1)}
-    mat = [[0] * r for _ in range(w.n)]
-    for j, k in column.items():
-        mat[j - 1][k] = 1
-    for i, j in positions:
-        x = 0
-        while x == 0:
-            # the same _randbelow draw as rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
-            x = rng.choice(_VALUES)
+_Layout = List[List[Tuple[int, int]]]
+
+
+def _layout(w: Permutation, r: int) -> Tuple[_Layout, int]:
+    """The zero pattern of a point of the cell of w, and the number of
+    values one draw takes.
+
+    Column c (0-based) of the point is column w(c + 1) of u, nonzero only
+    at its pivot row w(c + 1) and at the rows i above it with (i, w(c + 1))
+    an inversion position.  Each column lists (row index, slot) from the
+    top row down: slot s >= 1 is the s-th inversion position in
+    ``inversion_positions`` order, the order of the draws, and the pivot
+    has slot 0, which ``_draw`` fills with 1.
+    """
+    column = {j: c for c, j in enumerate(w.images[:r])}  # pivot row -> column
+    layout: _Layout = [[] for _ in range(r)]
+    positions = inversion_positions(w)
+    for slot, (i, j) in enumerate(positions, start=1):
         if j in column:
-            mat[i - 1][column[j]] = x
-    return mat
+            layout[column[j]].append((i - 1, slot))
+    for j, c in column.items():
+        layout[c].append((j - 1, 0))  # below every inversion row of its column
+    return layout, len(positions)
 
 
+def _draw(count: int, rng: random.Random) -> List[int]:
+    """1, then `count` nonzero values in [-SAMPLE_BOUND, SAMPLE_BOUND]
+    from `rng`: the slots of one ``_layout`` draw.
+
+    Each value is the draw of ``rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)``,
+    redrawn while it is 0.  ``randint`` takes an index below the range's
+    length from ``getrandbits`` of the length's bit count, redrawn while
+    too large, so both redraws are one loop over the same bits.
+    """
+    size, low = len(_VALUES), _VALUES[0]
+    bits, getrandbits = size.bit_length(), rng.getrandbits
+    values = [1]
+    while len(values) <= count:
+        x = getrandbits(bits)
+        if x < size and x != -low:
+            values.append(x + low)
+    return values
+
+
+# per column, (row index, x, y, z) for each row where some of the three
+# matrices is nonzero, rows in increasing order
+_Columns = List[List[Tuple[int, int, int, int]]]
 _Minors = Dict[int, Tuple[int, int, int]]
 
 
-def _minor_sweep(mats: Sequence[Sequence[Sequence[int]]], n: int, r: int) -> List[_Minors]:
-    """The c x c minors of the first c columns of three n x r integer
-    matrices, keyed by row bitmask, for c = 0..r, by one Laplace expansion.
+def _fill(layout: _Layout, draws: Sequence[List[int]]) -> _Columns:
+    """The sparse columns of three ``_draw``s of one layout; a single
+    draw stands for three copies of itself."""
+    x, y, z = draws * (3 // len(draws))
+    return [[(i, x[s], y[s], z[s]) for i, s in column] for column in layout]
+
+
+def _columns(mats: Sequence[Sequence[Sequence[int]]], n: int, r: int) -> _Columns:
+    """The sparse columns of three n x r integer matrices."""
+    if len(mats) != 3 or any(len(mat) != n or set(map(len, mat)) - {r} for mat in mats):
+        raise ValueError(f"expected three {n} x {r} matrices")
+    rows = list(enumerate(zip(*mats)))
+    return [[(i, x[c], y[c], z[c]) for i, (x, y, z) in rows if x[c] or y[c] or z[c]] for c in range(r)]
+
+
+def _minor_sweep(columns: _Columns) -> List[_Minors]:
+    """The c x c minors of the first c columns of three integer matrices,
+    keyed by row bitmask, for c = 0..r, by one Laplace expansion of their
+    sparse columns.
 
     Each key carries the three minors together, and a key is kept while
     any of them is nonzero, so the key, its sign, its dictionary lookup
     and its loop step are paid once for the three.  Each kept c x c minor
-    extends to c + 1 columns through the rows where column c is nonzero
-    in some matrix, each new row with sign (-1)^(c + its rows above it),
-    and the terms landing on one row set are summed.  The draws of one
-    cell share their zero pattern, so their keys are the same; a single
-    matrix is swept as three copies of itself.
+    extends to c + 1 columns through the rows that column c lists, those
+    where some matrix is nonzero, each new row with sign (-1)^(c + its
+    rows above it), and the terms landing on one row set are summed.  The
+    draws of one cell share their zero pattern, so their keys are the
+    same; a single matrix is swept as three copies of itself.
     """
-    if len(mats) != 3 or any(len(mat) != n or set(map(len, mat)) - {r} for mat in mats):
-        raise ValueError(f"expected three {n} x {r} matrices")
-    first, second, third = mats
     sweep: List[_Minors] = [{0: (1, 1, 1)}]
-    for c in range(r):
-        grown: _Minors = {}
-        for i in range(n):
-            x, y, z = first[i][c], second[i][c], third[i][c]
-            if x or y or z:
-                if c & 1:
-                    x, y, z = -x, -y, -z
-                bit, above = 1 << i, (1 << i) - 1
-                for rows, (p, q, s) in sweep[c].items():
-                    if not rows & bit:
-                        if (rows & above).bit_count() & 1:
-                            p, q, s = -p, -q, -s
-                        key = rows | bit
-                        if key in grown:
-                            u, v, t = grown[key]
-                            grown[key] = (u + p * x, v + q * y, t + s * z)
-                        else:
-                            grown[key] = (p * x, q * y, s * z)
+    for c, column in enumerate(columns):
+        level, grown = sweep[c], {}
+        for i, x, y, z in column:
+            if c & 1:
+                x, y, z = -x, -y, -z
+            bit, above = 1 << i, (1 << i) - 1
+            for rows, (p, q, s) in level.items():
+                if not rows & bit:
+                    if (rows & above).bit_count() & 1:
+                        p, q, s = -p, -q, -s
+                    key = rows | bit
+                    if key in grown:
+                        u, v, t = grown[key]
+                        grown[key] = (u + p * x, v + q * y, t + s * z)
+                    else:
+                        grown[key] = (p * x, q * y, s * z)
         sweep.append({rows: m for rows, m in grown.items() if m != (0, 0, 0)})
     return sweep
 
 
 @lru_cache(maxsize=None)
-def _subsets(n: int, r: int) -> Tuple[Tuple[int, Subset], ...]:
-    """Every r-subset of 1..n as (row bitmask, sorted tuple), in
-    lexicographic order."""
-    return tuple(
-        (sum(1 << (i - 1) for i in sub), sub)
+def _subsets(n: int, r: int) -> Dict[Subset, int]:
+    """Every r-subset of 1..n as a sorted tuple, in lexicographic order,
+    mapped to its row bitmask."""
+    return {
+        sub: sum(1 << (i - 1) for i in sub)
         for sub in itertools.combinations(range(1, n + 1), r)
-    )
+    }
 
 
-def _supports(mats: Sequence[List[List[int]]], n: int, r: int) -> Tuple[FrozenSet[Subset], ...]:
-    """Row subsets with nonvanishing r x r minor, one set for each of one
-    or three n x r integer matrices, read off one ``_minor_sweep``."""
-    minors = _minor_sweep(mats * (3 // len(mats)), n, r)[r]
+def _supports(columns: _Columns, n: int, r: int, count: int) -> Tuple[FrozenSet[Subset], ...]:
+    """Row subsets with nonvanishing r x r minor, one set for each of the
+    first `count` of the three n x r matrices with these sparse columns,
+    read off one ``_minor_sweep``."""
+    minors = _minor_sweep(columns)[r]
     # inserted in lexicographic order, so each set iterates (and prints) as
     # one built from itertools.combinations does
-    kept = [(rows, sub) for rows, sub in _subsets(n, r) if rows in minors]
+    kept = [(rows, sub) for sub, rows in _subsets(n, r).items() if rows in minors]
     if all(map(all, minors.values())):  # one support for every matrix
-        return (frozenset([sub for _, sub in kept]),) * len(mats)
-    return tuple(frozenset([sub for rows, sub in kept if minors[rows][j]]) for j in range(len(mats)))
-
-
-def minor_support(mat: List[List[int]], n: int, r: int) -> FrozenSet[Subset]:
-    """Row subsets with nonvanishing r x r minor, by Laplace expansion
-    (``_minor_sweep``)."""
-    return _supports([mat], n, r)[0]
+        return (frozenset([sub for _, sub in kept]),) * count
+    return tuple(frozenset([sub for rows, sub in kept if minors[rows][j]]) for j in range(count))
 
 
 @dataclass(frozen=True)
@@ -190,22 +238,23 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
     """Pluecker support of a generic cell point, by repeated sampling.
 
     One ``random.Random(seed)`` is seeded per call, and the draws are
-    successive matrices of its stream.  Three consecutive identical
-    draws are accepted; a disagreement (a random value landing on a
-    minor's vanishing locus) triggers up to EXTRA_DRAWS further draws
-    before giving up.  The first three matrices are drawn up front and
-    their minors expanded in one ``_minor_sweep``; each further draw is
-    swept on its own.  Raises ``ValueError`` unless 0 <= r <= n.
+    successive value lists of its stream, filling one ``_layout`` found
+    once per call.  Three consecutive identical draws are accepted; a
+    disagreement (a random value landing on a minor's vanishing locus)
+    triggers up to EXTRA_DRAWS further draws before giving up.  The first
+    three draws are taken up front and their minors expanded in one
+    ``_minor_sweep``; each further draw is swept on its own.  Raises
+    ``ValueError`` unless 0 <= r <= n.
     """
     _check_rank(r, w.n)
-    positions = inversion_positions(w)
+    layout, count = _layout(w, r)
     rng = random.Random(seed)
-    first = [_sample_matrix(w, r, positions, rng) for _ in range(3)]
-    draws = list(_supports(first, w.n, r))
+    first = [_draw(count, rng) for _ in range(3)]
+    draws = list(_supports(_fill(layout, first), w.n, r, 3))
     while not draws[-1] == draws[-2] == draws[-3]:
         if len(draws) == 3 + EXTRA_DRAWS:
             return SupportReport(None, tuple(draws), False)
-        draws.append(minor_support(_sample_matrix(w, r, positions, rng), w.n, r))
+        draws.extend(_supports(_fill(layout, [_draw(count, rng)]), w.n, r, 1))
     return SupportReport(draws[-1], tuple(draws), True)
 
 
@@ -213,15 +262,17 @@ def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
 # the Hilbert-Mumford test as matroid rank inequalities
 
 
-def _rank_table(bases: Iterable[int], n: int) -> List[int]:
-    """rk(S) = max |B & S| over B in `bases`, for every row bitmask S < 2^n.
+def _rank_families(bases: Iterable[int], n: int) -> List[int]:
+    """F_t for t = 0..n: the row bitmasks S < 2^n with rk(S) >= t, where
+    rk(S) = max |B & S| over B in `bases`.
 
-    A row set is independent when some basis contains it, and rk(S) is
-    the number of m >= 1 for which S contains an independent m-set.  A
-    family of row sets is held as one integer with bit S set for each
-    member S, so that adding or dropping row i in every member is a
-    shift by 2^i, restricted by ``lacking[i]``, the sets without row i;
-    one pass over the rows closes a family under that step.
+    A row set is independent when some basis contains it, and S is in
+    F_t when it contains an independent t-set.  A family of row sets is
+    held as one integer with bit S set for each member S, so that adding
+    or dropping row i in every member is a shift by 2^i, restricted by
+    ``lacking[i]``, the sets without row i; one pass over the rows closes
+    a family under that step.  The independent sets are the bases closed
+    downwards, and F_t is their t-sets closed upwards.
     """
     lacking, by_size = _row_families(n)
     independent = 0
@@ -229,13 +280,22 @@ def _rank_table(bases: Iterable[int], n: int) -> List[int]:
         independent |= 1 << b
     for i, without in enumerate(lacking):
         independent |= (independent >> (1 << i)) & without
-    counts = 0  # byte S counts the m found so far for S
-    for family in by_size[1:]:
-        family &= independent
+    families = [(1 << (1 << n)) - 1] + [0] * n
+    for t in range(1, n + 1):
+        family = by_size[t] & independent
         if not family:
             break
         for i, without in enumerate(lacking):
             family |= (family & without) << (1 << i)
+        families[t] = family
+    return families
+
+
+def _rank_table(bases: Iterable[int], n: int) -> List[int]:
+    """rk(S) = max |B & S| over B in `bases`, for every row bitmask S < 2^n:
+    the number of t >= 1 with S in F_t (``_rank_families``)."""
+    counts = 0  # byte S counts the t found so far for S
+    for family in _rank_families(bases, n)[1:]:
         # bit S of the family becomes byte S of the counts
         spread = format(family, f"0{1 << n}b").encode().translate(_BIT_TO_BYTE)
         counts += int.from_bytes(spread, "big")
@@ -294,16 +354,36 @@ def hm_semistable(
     of the support (Gelfand, Goresky, MacPherson and Serganova, 1987), and
     it holds the barycenter (r/n, ..., r/n) iff n rk(S) >= r |S| for every
     row set S (Edmonds, 1970): the one-step case c_k = [k = r] of
-    ``flag_point_semistable``.  A violated S is an integer separator,
-    re-checked against the support before it is returned; checking every
-    S certifies the semistable side.  The verdict depends on (support, n,
-    r) alone, so it is computed once per distinct support.
+    ``flag_point_semistable``.  As rk(S) is an integer, S violates its
+    inequality iff it is not in F_t for t = ceil(r |S| / n), the row sets
+    of rank at least t (``_rank_families``); the least violated S is the
+    lowest set bit of the union over m of the m-sets outside
+    F_ceil(r m / n).  A violated S is an integer separator, re-checked
+    against the support before it is returned; checking every S
+    certifies the semistable side.  The verdict depends on (support, n,
+    r) alone, so it is computed, and the support checked, once per
+    distinct support.  Raises ``ValueError`` unless 0 <= r <= n, for an
+    empty support, and for one with a subset that is not a tuple of r
+    increasing entries of 1..n.
     """
-    s = _violated_rows([(r, 1, [sum(1 << (i - 1) for i in sub) for sub in support])], n)
-    if s is None:
+    _check_rank(r, n)
+    if not support:
+        raise ValueError("empty support: no nonzero Pluecker coordinate")
+    masks = _subsets(n, r)
+    try:
+        bases = [masks[sub] for sub in support]
+    except KeyError as err:
+        raise ValueError(f"support subset {err.args[0]} is not {r} increasing entries of 1..{n}") from None
+    families = _rank_families(bases, n)
+    _, by_size = _row_families(n)
+    violated = 0
+    for m in range(1, n + 1):
+        violated |= by_size[m] & ~families[-(-r * m // n)]
+    if not violated:
         return HMCertificate(True, None)
+    s = (violated & -violated).bit_length() - 1
     rows = tuple(i + 1 for i in range(n) if s >> i & 1)
-    rank = max((len(set(rows).intersection(sub)) for sub in support), default=0)
+    rank = max(len(set(rows).intersection(sub)) for sub in support)
     if n * rank >= r * len(rows):
         raise ArithmeticError("separator failed re-verification")
     return HMCertificate(False, rows)
@@ -329,9 +409,16 @@ def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
 
     The closure consists of the spans whose support subsets are
     dominated by `top`; the swap sends a dominated subset containing k
-    but not k+1 to its bump, which must stay dominated.
+    but not k+1 to its bump, which must stay dominated.  Raises
+    ``ValueError`` unless 1 <= k <= n - 1 and every entry of `top` is in
+    1..n.
     """
-    return k not in _closure_breakers(tuple(sorted(top)), n)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"swap index k = {k} is outside 1..n-1 = 1..{n - 1}")
+    top = tuple(sorted(top))
+    if top and not 1 <= top[0] <= top[-1] <= n:
+        raise ValueError(f"top {top} has an entry outside 1..n = 1..{n}")
+    return k not in _closure_breakers(top, n)
 
 
 @lru_cache(maxsize=1)  # callers ask about every k for one top in turn
@@ -364,7 +451,8 @@ def flag_point_semistable(
     and c_k = 2 m_k - m_{k-1} - m_{k+1}, chi = sum_k c_k omega_k.  Let
     bases_k be the row subsets with a nonzero minor on the first k
     columns (one ``_minor_sweep`` gives every k), so rk_k(S) = max |B & S|
-    over B in bases_k (``_rank_table``) is the rank of rows S there.  The
+    over B in bases_k (``_rank_table``, counted off ``_rank_families``) is
+    the rank of rows S there.  The
     sweep gets each column times the lcm of its denominators: scaling a
     column by a nonzero integer scales every minor through that column
     alike, so no bases_k changes, and the expansion multiplies integers,
@@ -372,7 +460,9 @@ def flag_point_semistable(
 
         N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
 
-    ``hm_semistable`` is the one-step case; steps with c_k = 0 are skipped.
+    ``hm_semistable`` is the one-step case, read there as a threshold on
+    one rank; with several weighted steps no such threshold exists, so the
+    ranks are summed.  Steps with c_k = 0 are skipped.
 
     Why this is the Hilbert-Mumford test over all N! row permutations
     sigma (every pivot cell w of a permuted flag has w(chi) <= 0
@@ -400,7 +490,7 @@ def flag_point_semistable(
         raise ValueError("coefficient count must be rank = n - 1")
     scales = [math.lcm(*(x.denominator for x in col)) for col in zip(*mat)]
     ints = [[int(x * d) for x, d in zip(row, scales)] for row in mat]
-    sweep = _minor_sweep([ints] * 3, n, n)  # sweep[k]: the minors on the first k columns
+    sweep = _minor_sweep(_columns([ints] * 3, n, n))  # sweep[k]: the minors on the first k columns
     if not sweep[n]:
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]

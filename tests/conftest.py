@@ -4,6 +4,10 @@ against.  None of these is called by the package itself.
 
 - ``int_det``: the determinant that the oracle's minors and the HNF
   transform are checked against.
+- ``minor_support``: the Pluecker support of one dense integer matrix,
+  read off the oracle's Laplace sweep of its sparse columns.  The
+  oracle reads its own draws off their layout, never off a dense matrix,
+  so only tests ask this of it.
 - ``hnf_columns``: the column Hermite form H = A U with its unimodular
   transform, the one integer normal form the tests build on.
 - ``root_weight`` and ``dense_weight``: the simple-root coefficients of
@@ -76,6 +80,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import field
 from sympy.polys.orderings import grlex
 
+from torusquot import oracle
 from torusquot.flag import root_order
 from torusquot.invariants import (
     InvariantLattice,
@@ -123,6 +128,13 @@ def int_det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def minor_support(mat, n, r):
+    """Row subsets with nonvanishing r x r minor of an n x r integer
+    matrix, swept by the oracle as three copies of itself; a matrix not
+    n x r is refused with ``ValueError``."""
+    return oracle._supports(oracle._columns([mat] * 3, n, r), n, r, 1)[0]
 
 
 # ---------------------------------------------------------------------------

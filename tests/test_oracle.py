@@ -3,15 +3,19 @@
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: the Laplace-expanded minors against
 determinants, one matrix at a time and three draws in one sweep, the
-r-column sampler against the n x n one it replaced, one seeded stream
-per sampled cell, support stabilization and resampling with scripted
+r-column sampler against the n x n one it replaced, the sparse columns
+of every sweep of a sampled cell against the reference matrices of one
+seeded stream, support stabilization and resampling with scripted
 supports and, at coordinates in {-1, 1}, against a reference protocol,
-the refusal of a rank outside 0..n,
-the rank table against max |B & S|, one rank table per distinct
-support, Grassmannian verdicts against the rational phase-1
-simplex they replaced (its combination re-verified by hand for a
-semistable verdict, the separator's rank inequality for an unstable one)
-and against Edmonds' rank criterion, verdict and separator against a
+the refusal of a rank outside 0..n, of a support that is no set of
+r-subsets of 1..n and of a closure swap or top outside 1..n, the rank
+table and the rank families against max |B & S|, one set of rank
+families per distinct support, the families' threshold reading against
+the rank table's count reading (and a floored threshold that must
+differ), Grassmannian verdicts against the rational phase-1 simplex
+they replaced (its combination re-verified by hand for a semistable
+verdict, the separator's rank inequality for an unstable one) and
+against Edmonds' rank criterion, verdict and separator against a
 brute-force scan of the row sets, the subset-bump closure test, and
 the flag rank inequalities against the N! row-permutation enumeration
 they replaced.
@@ -19,6 +23,8 @@ they replaced.
 
 import ast
 import itertools
+import math
+import operator
 import os
 import random
 import subprocess
@@ -33,6 +39,7 @@ from conftest import (
     flag_cell_of,
     has_semistable,
     int_det,
+    minor_support,
     reference_flag_point_semistable,
     subset_leq,
     weight_image,
@@ -50,7 +57,6 @@ from torusquot.oracle import (
     flag_point_semistable,
     hm_semistable,
     inversion_positions,
-    minor_support,
     reflection_preserves_closure,
     sample_cell_matrix,
 )
@@ -107,17 +113,27 @@ def reference_sweep_level(mats, n, c):
 
 
 def recording_sweep(monkeypatch):
-    """Patch `oracle._minor_sweep` to record the matrices of each call;
-    return that list."""
+    """Patch `oracle._minor_sweep` to record the sparse columns of each
+    call; return that list."""
     calls = []
     sweep = oracle._minor_sweep
 
-    def record(mats, n, r):
-        calls.append(list(mats))
-        return sweep(mats, n, r)
+    def record(columns):
+        calls.append(columns)
+        return sweep(columns)
 
     monkeypatch.setattr(oracle, "_minor_sweep", record)
     return calls
+
+
+def densify(columns, n, r):
+    """The three n x r matrices whose sparse columns these are."""
+    mats = [[[0] * r for _ in range(n)] for _ in range(3)]
+    for c, column in enumerate(columns):
+        for i, *entries in column:
+            for mat, x in zip(mats, entries):
+                mat[i][c] = x
+    return mats
 
 
 def reference_preserves_closure(top, k, n):
@@ -278,13 +294,17 @@ def test_sampler_draws_the_reference_stream_n_up_to_8():
 
 def test_cell_support_draws_successive_matrices_of_one_stream_n_up_to_8(monkeypatch):
     """The matrices are compared too: a generic point's support does not
-    depend on the stream it came from."""
-    drawn = []
-    sample = oracle._sample_matrix
-    monkeypatch.setattr(oracle, "_sample_matrix", lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    depend on the stream it came from.  They are the recorded sparse
+    columns made dense, three from the first sweep and one from each
+    later sweep of three copies; the columns list exactly the nonzero
+    entries, in row order."""
+    calls = recording_sweep(monkeypatch)
     for w, r, seed in SAMPLED_CELLS:
-        drawn.clear()
+        calls.clear()
         draws = cell_support(w, r, seed=seed).draws
+        swept = [densify(columns, w.n, r) for columns in calls]
+        assert [oracle._columns(mats, w.n, r) for mats in swept] == calls, (w, r, seed)
+        drawn = swept[0] + [mats[0] for mats in swept[1:]]
         assert (drawn, draws) == reference_cell_draws(w, r, seed), (w, r, seed)
 
 
@@ -303,10 +323,11 @@ def counting_random(monkeypatch):
 
 def script_supports(monkeypatch, supports):
     """Make `oracle._supports`, which reads the support of every draw,
-    return `supports` in turn, one per matrix it is given, whatever the
-    matrices."""
+    return `supports` in turn, one per draw it is asked for, whatever the
+    columns."""
     script = iter(supports)
-    monkeypatch.setattr(oracle, "_supports", lambda mats, n, r: tuple(next(script) for _ in mats))
+    monkeypatch.setattr(oracle, "_supports",
+                        lambda columns, n, r, count: tuple(next(script) for _ in range(count)))
 
 
 CELL_5_2 = schubert.to_permutation(schubert.GrassmannElement(5, 2, (2, 4)))
@@ -356,7 +377,8 @@ def test_draws_after_the_third_follow_the_reference_protocol_n_up_to_6(monkeypat
                 matrices, draws = reference_cell_draws(w, r, seed, 1, reference_minor_support)
                 agree = len(draws) >= 3 and draws[-1] == draws[-2] == draws[-3]
                 assert reports[-1] == SupportReport(draws[-1] if agree else None, draws, agree), (w, r, seed)
-                assert calls == [matrices[:3]] + [[mat] * 3 for mat in matrices[3:]], (w, r, seed)
+                swept = [densify(columns, w.n, r) for columns in calls]
+                assert swept == [matrices[:3]] + [[mat] * 3 for mat in matrices[3:]], (w, r, seed)
     assert any(rep.resampled and rep.conclusive for rep in reports)
     assert any(not rep.conclusive for rep in reports)
 
@@ -391,7 +413,8 @@ def test_one_sweep_carries_the_determinants_of_three_draws_n_up_to_8():
         rng = random.Random(seed)
         mats = [sample_cell_matrix(w, r, rng) for _ in range(3)]
         level = reference_sweep_level(mats, w.n, r)
-        assert oracle._minor_sweep(mats, w.n, r)[r] == level, (w, r, seed)
+        columns = oracle._columns(mats, w.n, r)
+        assert oracle._minor_sweep(columns)[r] == level, (w, r, seed)
         expected = tuple(
             frozenset(
                 tuple(i + 1 for i in rows) for rows in itertools.combinations(range(w.n), r)
@@ -400,7 +423,7 @@ def test_one_sweep_carries_the_determinants_of_three_draws_n_up_to_8():
             for j in range(3)
         )
         # the repr pins the iteration order too
-        assert repr(oracle._supports(mats, w.n, r)) == repr(expected), (w, r, seed)
+        assert repr(oracle._supports(columns, w.n, r, 3)) == repr(expected), (w, r, seed)
 
 
 # the 2 x 2 minor on rows 1, 2 is -2, 0 and 1: it vanishes in one matrix only
@@ -411,21 +434,30 @@ ALL_VANISH = [[[1, 2], [2, 4], [0, 1]], [[1, 1], [1, 1], [1, 0]], [[2, -1], [-4,
 ZERO_ROW_AND_COLUMN = [[[1, 2], [3, 4], [5, 6]], [[1, 2], [3, 4], [0, 0]], [[1, 0], [3, 0], [5, 0]]]
 
 
+def sweep_of(mats, n, r):
+    """`oracle._minor_sweep` of three dense n x r matrices."""
+    return oracle._minor_sweep(oracle._columns(mats, n, r))
+
+
 def test_a_key_stays_while_one_of_its_three_minors_is_nonzero():
     for mats in (ONE_VANISHES, ALL_VANISH, ZERO_ROW_AND_COLUMN):
-        assert oracle._minor_sweep(mats, 3, 2) == [reference_sweep_level(mats, 3, c) for c in range(3)]
-    assert oracle._minor_sweep(ONE_VANISHES, 3, 2)[2][0b011] == (-2, 0, 1)
-    assert oracle._supports(ONE_VANISHES, 3, 2) == (
+        assert sweep_of(mats, 3, 2) == [reference_sweep_level(mats, 3, c) for c in range(3)]
+    assert sweep_of(ONE_VANISHES, 3, 2)[2][0b011] == (-2, 0, 1)
+    assert oracle._supports(oracle._columns(ONE_VANISHES, 3, 2), 3, 2, 3) == (
         frozenset({(1, 2), (1, 3), (2, 3)}), frozenset({(1, 3), (2, 3)}), frozenset({(1, 2)})
     )
-    assert 0b011 not in oracle._minor_sweep(ALL_VANISH, 3, 2)[2]
+    assert 0b011 not in sweep_of(ALL_VANISH, 3, 2)[2]
+    # the sparse columns skip the rows where all three matrices are zero
+    assert oracle._columns(ZERO_ROW_AND_COLUMN, 3, 2) == [
+        [(0, 1, 1, 1), (1, 3, 3, 3), (2, 5, 0, 5)], [(0, 2, 2, 0), (1, 4, 4, 0), (2, 6, 0, 0)]
+    ]
 
 
 def test_each_single_matrix_caller_sweeps_its_matrix_as_three_copies(monkeypatch):
     calls = recording_sweep(monkeypatch)
     mat = [[1, 2], [2, 4], [1, -1]]
     assert minor_support(mat, 3, 2) == reference_minor_support(mat, 3, 2) == frozenset({(1, 3), (2, 3)})
-    assert calls == [[mat] * 3]
+    assert [densify(columns, 3, 2) for columns in calls] == [[mat] * 3]
     # a flag point with denominators: each column is cleared by the lcm of
     # its own, which scales each prefix minor by a nonzero integer
     point = [
@@ -436,9 +468,9 @@ def test_each_single_matrix_caller_sweeps_its_matrix_as_three_copies(monkeypatch
     for chi in ([Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)], [Fraction(-1, 3), Fraction(1)]):
         calls.clear()
         assert flag_point_semistable(point, chi) == reference_flag_point_semistable(point, chi)
-        (mats,) = calls
-        assert mats == [[[1, 1, 0], [2, 2, 3], [0, 3, 10]]] * 3
-        assert all(type(x) is int for x in itertools.chain(*mats[0]))
+        (columns,) = calls
+        assert densify(columns, 3, 3) == [[[1, 1, 0], [2, 2, 3], [0, 3, 10]]] * 3
+        assert all(type(x) is int for column in columns for entry in column for x in entry)
 
 
 @st.composite
@@ -481,14 +513,16 @@ def test_minor_support_refuses_a_matrix_of_the_wrong_shape():
 
 
 def test_one_rank_table_per_distinct_support(monkeypatch):
+    """The Grassmannian test reads its ranks off one set of rank
+    families per distinct support."""
     calls = []
-    rank_table = oracle._rank_table
+    rank_families = oracle._rank_families
 
     def counting(bases, n):
         calls.append(len(bases))
-        return rank_table(bases, n)
+        return rank_families(bases, n)
 
-    monkeypatch.setattr(oracle, "_rank_table", counting)
+    monkeypatch.setattr(oracle, "_rank_families", counting)
     hm_semistable.cache_clear()
     w = schubert.to_permutation(schubert.GrassmannElement(6, 3, (2, 3, 5)))
     runs = [cell_semistable(w, 3, seed=s) for s in (0, 1, 2)]
@@ -537,28 +571,46 @@ def test_hm_certificate_separator_re_verifies():
 
 def test_hm_on_handmade_supports():
     # full support of a generic point: semistable
-    full = frozenset(
-        frozenset(s) for s in [(1, 2), (1, 3), (2, 3)]
-    )
+    full = frozenset([(1, 2), (1, 3), (2, 3)])
     assert hm_semistable(full, 3, 2).semistable
     # all subsets through a common column: barycenter unreachable
-    pinned = frozenset(frozenset(s) for s in [(1, 2), (1, 3)])
+    pinned = frozenset([(1, 2), (1, 3)])
     assert not hm_semistable(pinned, 3, 2).semistable
-    # no nonzero Pluecker coordinate: every row set violates its inequality
-    empty = hm_semistable(frozenset(), 3, 2)
-    assert not empty.semistable and empty.separator == (1,)
+
+
+@pytest.mark.parametrize("support, n, r, message", [
+    # no nonzero Pluecker coordinate: no point of Gr(r, n) has it
+    (frozenset(), 3, 2, "empty support"),
+    # a row past n, which a bitmask family would drop without a word
+    (frozenset({(1, 9)}), 4, 2, "subset \\(1, 9\\) is not 2 increasing entries of 1..4"),
+    (frozenset({(1, 2, 3)}), 4, 2, "subset \\(1, 2, 3\\) is not 2 increasing"),
+    (frozenset({(1, 2), (2, 1)}), 4, 2, "subset \\(2, 1\\) is not 2 increasing"),
+    (frozenset({(1, 2), (3, 3)}), 4, 2, "subset \\(3, 3\\) is not 2 increasing"),
+    (frozenset({(0, 2)}), 4, 2, "subset \\(0, 2\\) is not 2 increasing"),
+    (frozenset({frozenset({1, 2})}), 4, 2, "is not 2 increasing"),  # not a tuple
+    (frozenset({(1, 2)}), 1, 2, "rank r = 2 is outside 0..n = 1"),
+])
+def test_hm_refuses_a_support_that_is_no_set_of_r_subsets_of_1_to_n(support, n, r, message):
+    with pytest.raises(ValueError, match=message):
+        hm_semistable(support, n, r)
 
 
 def test_a_separator_that_fails_re_verification_raises_under_python_O():
     """Rows {1, 2} of the full support at n = 3, r = 2 hold their
-    inequality (rank 2), so a `_violated_rows` that names them is caught,
-    also in an interpreter that strips `assert` statements."""
+    inequality (rank 2), so rank families that leave them out of F_2, and
+    so name them as the least violated row set, are caught, also in an
+    interpreter that strips `assert` statements."""
     script = (
         "import sys\n"
         "from torusquot import oracle\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit('not optimized')\n"
-        "oracle._violated_rows = lambda steps, n: 0b011\n"
+        "families = oracle._rank_families\n"
+        "def dropped(bases, n):\n"
+        "    found = families(bases, n)\n"
+        "    found[2] &= ~(1 << 0b011)\n"
+        "    return found\n"
+        "oracle._rank_families = dropped\n"
         "oracle.hm_semistable(frozenset({(1, 2), (1, 3), (2, 3)}), 3, 2)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -587,7 +639,8 @@ def test_subset_bump_closure():
 def test_closure_test_matches_the_sorting_reference_n_up_to_7():
     """Every top, n and k in order, then shuffled, so that the memo of
     the last top never answers for another top or n.  The shuffled tops
-    also reach n + 1, and k reaches 0 and n, outside the cell's range."""
+    also reach n + 1, and k reaches 0 and n, outside the cell's range,
+    and those are refused."""
     ordered = [
         (head, k, n)
         for n in range(2, 8)
@@ -603,9 +656,26 @@ def test_closure_test_matches_the_sorting_reference_n_up_to_7():
         for k in range(0, n + 1)
     ]
     for head, k, n in ordered + random.Random(0).sample(wide, len(wide)):
+        if not 1 <= k <= n - 1 or head[-1] > n:
+            for top in (head, frozenset(head)):
+                with pytest.raises(ValueError, match="outside 1..n"):
+                    reflection_preserves_closure(top, k, n)
+            continue
         expected = reference_preserves_closure(head, k, n)
         assert reflection_preserves_closure(head, k, n) == expected, (head, k, n)
         assert reflection_preserves_closure(frozenset(head), k, n) == expected, (head, k, n)
+
+
+@pytest.mark.parametrize("top, k, n, message", [
+    ((2, 4), 0, 4, "swap index k = 0 is outside 1..n-1 = 1..3"),
+    ((2, 4), 4, 4, "swap index k = 4 is outside 1..n-1 = 1..3"),
+    ((2, 4), 9, 4, "swap index k = 9 is outside 1..n-1 = 1..3"),
+    ((1, 9), 1, 4, "top \\(1, 9\\) has an entry outside 1..n = 1..4"),
+    (frozenset({0, 2}), 1, 4, "top \\(0, 2\\) has an entry outside 1..n = 1..4"),
+])
+def test_closure_test_refuses_a_swap_or_top_outside_1_to_n(top, k, n, message):
+    with pytest.raises(ValueError, match=message):
+        reflection_preserves_closure(top, k, n)
 
 
 def test_weight_image_signs():
@@ -719,21 +789,26 @@ def test_rank_table_is_the_largest_intersection_with_a_basis(case):
     n, bases = case
     expected = [max(((b & s).bit_count() for b in bases), default=0) for s in range(1 << n)]
     assert oracle._rank_table(bases, n) == expected
+    # F_t holds exactly the row sets of rank at least t
+    families = oracle._rank_families(bases, n)
+    assert len(families) == n + 1
+    assert [[s for s in range(1 << n) if f >> s & 1] for f in families] == [
+        [s for s in range(1 << n) if expected[s] >= t] for t in range(n + 1)
+    ]
 
 
 @st.composite
 def supports(draw):
-    """(n, r, support): n <= 7, 1 <= r <= n, and any set of r-subsets of
-    1..n, the empty one included."""
+    """(n, r, support): n <= 7, 1 <= r <= n, and any nonempty set of
+    r-subsets of 1..n (the empty one is refused)."""
     n = draw(st.integers(1, 7))
     r = draw(st.integers(1, n))
     subset = st.sets(st.integers(1, n), min_size=r, max_size=r).map(lambda s: tuple(sorted(s)))
-    return n, r, frozenset(draw(st.sets(subset, max_size=12)))
+    return n, r, frozenset(draw(st.sets(subset, min_size=1, max_size=12)))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(case=supports())
-@example(case=(3, 2, frozenset()))
 @example(case=(4, 2, frozenset({(1, 2), (3, 4)})))
 @example(case=(5, 2, frozenset({(1, 2), (1, 3), (2, 3)})))
 def test_hm_verdict_and_separator_are_the_least_violated_row_set(case):
@@ -749,6 +824,72 @@ def test_hm_verdict_and_separator_are_the_least_violated_row_set(case):
     cert = hm_semistable(support, n, r)
     assert cert.semistable == (least is None)
     assert cert.separator == (None if least is None else tuple(i + 1 for i in range(n) if least >> i & 1))
+
+
+def count_reading(support, n, r):
+    """(verdict, separator) by the count reading: the rank table of the
+    support, and the least nonempty S with n rk(S) < r |S|."""
+    bases = [sum(1 << (i - 1) for i in sub) for sub in support]
+    least = oracle._violated_rows([(r, 1, bases)], n)
+    return least is None, None if least is None else tuple(i + 1 for i in range(n) if least >> i & 1)
+
+
+def family_reading(support, n, r, threshold):
+    """(verdict, separator) read off the rank families: the least S of
+    size m outside F_threshold(r m, n), as `hm_semistable` reads them with
+    the ceiling."""
+    families = oracle._rank_families([sum(1 << (i - 1) for i in sub) for sub in support], n)
+    _, by_size = oracle._row_families(n)
+    violated = 0
+    for m in range(1, n + 1):
+        violated |= by_size[m] & ~families[threshold(r * m, n)]
+    least = (violated & -violated).bit_length() - 1
+    return not violated, None if not violated else tuple(i + 1 for i in range(n) if least >> i & 1)
+
+
+def ceiling(a, b):
+    return -(-a // b)
+
+
+HANDMADE_SUPPORTS = [
+    (3, 2, frozenset({(1, 2), (1, 3)})),
+    (4, 2, frozenset({(1, 2), (3, 4)})),
+    (4, 2, frozenset({(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)})),
+    (5, 3, frozenset({(1, 2, 3)})),
+    (5, 5, frozenset({(1, 2, 3, 4, 5)})),
+    (6, 0, frozenset({()})),
+    (6, 1, frozenset({(2,), (5,)})),
+    (6, 3, frozenset(itertools.combinations(range(1, 7), 3))),
+    (6, 3, frozenset({(1, 2, 3), (4, 5, 6)})),
+    (8, 4, frozenset({(1, 2, 3, 4), (5, 6, 7, 8)})),
+    (8, 4, frozenset({(1, 2, 5, 6), (3, 4, 7, 8), (1, 3, 5, 7)})),
+] + [
+    (n, r, frozenset(rng.sample(list(itertools.combinations(range(1, n + 1), r)), k)))
+    for rng in [random.Random(11)]
+    for n in range(2, 9)
+    for r in range(1, n)
+    for k in (1, 2, 5)
+    if k <= math.comb(n, r)
+]
+
+
+def test_family_reading_equals_the_count_reading_n_up_to_8():
+    """`hm_semistable` reads S as violated when it is outside
+    F_ceil(r |S| / n); the rank table gives the same verdict and the same
+    least separator on every conclusive sampled support for n <= 8 and on
+    hand-made ones.  With the floor in place of the ceiling, the family
+    reading disagrees somewhere, so the comparison can fail."""
+    cases = [(n, r, support) for n in range(2, 9) for r, _, support in conclusive_supports(n)]
+    cases += HANDMADE_SUPPORTS
+    assert len(cases) == len(SAMPLED_CELLS) + len(HANDMADE_SUPPORTS)  # every sampled cell concluded
+    floored = 0
+    for n, r, support in cases:
+        expected = count_reading(support, n, r)
+        cert = hm_semistable(support, n, r)
+        assert (cert.semistable, cert.separator) == expected, (n, r, sorted(support))
+        assert family_reading(support, n, r, ceiling) == expected, (n, r, sorted(support))
+        floored += family_reading(support, n, r, operator.floordiv) != expected
+    assert floored > 0
 
 
 def test_verdict_is_edmonds_rank_criterion_n_up_to_6():

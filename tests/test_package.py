@@ -22,8 +22,9 @@ ALLOWED = {
     "ROADMAP item 4's thm-5.2-stability suite will",
     "RationalFunction.evaluate": "only the benchmark's symbolic workload and tests call it",
     "SupportReport.resampled": "only the benchmark oracle workload's counters read it",
-    "sample_cell_matrix": "one draw on its own, checked against the reference stream; "
-    "cell_support draws through _sample_matrix with the inversion positions found once",
+    "sample_cell_matrix": "one draw written out as a dense matrix, checked against the "
+    "reference stream; cell_support fills value lists into the zero pattern it finds once "
+    "per call and never builds the matrix",
 }
 
 
