@@ -16,20 +16,14 @@ function in either basis, and `induced_action` gives the action that a
 substitution of the X's induces on the Y's.
 `reexpress` checks the lattice first and weighs the monomials only to
 name a refusal, and its Y fraction needs no second reduction beyond a
-sign, since the lattice is saturated (both argued at `reexpress`).  With
-`ratfunc`'s unit exits and direct product, that moved the benchmark's
-`symbolic` `wall_rel` median from 1.98 to 1.57 (0.79x; seeds 11-20,
-2-core x86-64 VM).
+sign, since the lattice is saturated (both argued at `reexpress`).
 
 All of it is integer work in proportion to the nonzero entries.  A
 generator is only ever its support, the sorted (position, exponent)
 pairs of its nonzero entries: four for a cross-ratio, three for a flag
 coordinate.  A weight reads the pairs it is given, a lattice keeps the
 nonzero entries of each left-inverse row and column, and it builds its Y
-monomials once, on first use.  Against one dense exponent vector per
-generator, that moved `verify_kernel_basis` on the top cell of G(40, 80)
-from 0.19 s to 0.025 s, and the benchmark's `combinatorics` `wall_rel`
-median from 0.236 to 0.198 (0.84x; seeds 3501-3510, 2-core x86-64 VM).
+monomials once, on first use.
 """
 
 from __future__ import annotations

@@ -1,48 +1,36 @@
 """Independent ground truth for semistability and stabilizer checks.
 
-Everything here recomputes its answers from first principles: explicit
-integer points of cells, Laplace expansion of the minors for Pluecker
-supports, the Hilbert-Mumford test as (flag-)matroid rank inequalities
-for Grassmannians and full flags alike, and direct subset bumping for
-cell-closure stability.  Row sets are bitmasks throughout.  The rank
-inequalities are read off families of row sets, each held as the bits
-of one integer: F_t, the row sets of rank at least t, for each t.  A
-Grassmannian's inequality n rk(S) >= r |S| is membership of S in one
-F_t, decided once per distinct support; a flag's weighted sum of ranks
-is counted off the families of each step.  No code is shared with the
-modules under test beyond the Permutation type, so agreement between
-the two sides is evidence, not tautology.
+Everything here recomputes its answers from first principles: Pluecker
+supports from the zero pattern of a cell's points, Laplace expansion of
+the minors of explicit points, the Hilbert-Mumford test as
+(flag-)matroid rank inequalities for Grassmannians and full flags alike,
+and direct subset bumping for cell-closure stability.  Row sets are
+bitmasks throughout.  The rank inequalities are read off families of row
+sets, each held as the bits of one integer: F_t, the row sets of rank at
+least t, for each t.  A Grassmannian's inequality n rk(S) >= r |S| is
+membership of S in one F_t, decided once per distinct support; a flag's
+weighted sum of ranks is counted off the families of each step.  No code
+is shared with the modules under test beyond the Permutation type, so
+agreement between the two sides is evidence, not tautology.
 
-Verdicts are exact.  Genericity of a sampled point is the only
-probabilistic ingredient; the sampling protocol demands identical
-supports from three consecutive draws and reports "inconclusive"
-rather than guessing when the draws keep disagreeing.  One call seeds
-one generator and draws from it in turn: seeding a Mersenne Twister
-costs about as much as the draw it serves, and against one seed per
-draw that moved the benchmark's `oracle` `wall_rel` median from 1.16 to
-1.01 (0.87x; seeds 4101-4110, 2-core x86-64 VM).  The first three
-draws share their zero pattern, so their minors are expanded in one
-Laplace sweep whose row-set keys carry the three minors together;
-against one sweep per draw that moved the same median from 1.004 to
-0.824 (0.82x; seeds 5101-5110, 2-core x86-64 VM).  That zero pattern
-is known before any draw: a column is nonzero only at its pivot row
-and the inversion rows above it.  So one layout per call says where
-each drawn value goes, a draw is a list of values, and the sweep walks
-sparse columns rather than scanning dense matrices; with the
-Grassmannian test read off rank families, that moved the median from
-0.830 to 0.656 (0.79x; seeds 7801-7810, 2-core x86-64 VM).  A nonzero minor
-of a cell point has degree at most r in its coordinates, so by
-Schwartz-Zippel one draw sends some nonzero minor to zero with
-probability at most C(n, r) r / (2 SAMPLE_BOUND).  A bound of 50 puts
-that at 23 for n = 11, r = 7, where three agreeing draws become rare;
-at 10**6 it stays below 0.002 for every n <= 11.
+Verdicts are exact, and no step draws a random point.  A point of the
+cell of w has a known zero pattern: each column is a constant 1 at its
+pivot row and an independent coordinate at each inversion row above it.
+A maximal minor is a signed sum over the perfect matchings of its rows
+to the columns along nonzero slots, and as each column has exactly one
+constant slot, two matchings never give the same monomial.  So the minor
+is a nonzero polynomial, and nonzero at a generic point, exactly when
+such a matching exists: the structural rank of the pattern (Edmonds,
+"Systems of distinct representatives and linear algebra", J. Res. NBS
+71B, 1967).  The generic support is read off the pattern alone, and the
+Hilbert-Mumford test off the support; the main path decides the same
+question by ``tau_r``'s prefix inequality, which the oracle never uses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,9 +41,6 @@ from .weyl import Permutation
 
 Subset = Tuple[int, ...]
 
-SAMPLE_BOUND = 10**6  # coordinates are nonzero integers in [-SAMPLE_BOUND, SAMPLE_BOUND]
-EXTRA_DRAWS = 5  # draws allowed after the first three before a cell is inconclusive
-_VALUES = range(-SAMPLE_BOUND, SAMPLE_BOUND + 1)
 _BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -70,192 +55,123 @@ def inversion_positions(w: Permutation) -> List[Tuple[int, int]]:
     return [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
 
 
-def sample_cell_matrix(
-    w: Permutation, r: int, rng: random.Random
-) -> List[List[int]]:
-    """n x r integer matrix spanning a random point of the cell of w.
-
-    The point is u . w . P with u unipotent upper triangular supported on
-    the inversion positions of w^{-1}; its column span is the span of
-    columns w(1), ..., w(r) of u, written here without building u: one
-    draw of ``_layout`` written out densely.  One value is drawn per
-    inversion position, kept or not, so the random stream does not
-    depend on r.  Raises ``ValueError`` unless 0 <= r <= n.
-    """
-    _check_rank(r, w.n)
-    layout, count = _layout(w, r)
-    values = _draw(count, rng)
-    mat = [[0] * r for _ in range(w.n)]
-    for c, column in enumerate(layout):
-        for i, slot in column:
-            mat[i][c] = values[slot]
-    return mat
-
-
 def _check_rank(r: int, n: int) -> None:
     """Refuse a rank that no cell of a Grassmannian of n-space has."""
     if not 0 <= r <= n:
         raise ValueError(f"rank r = {r} is outside 0..n = {n}")
 
 
-_Layout = List[List[Tuple[int, int]]]
+def _layout(w: Permutation, r: int) -> List[List[int]]:
+    """The zero pattern of a point of the cell of w: for each of its r
+    columns, the rows (0-based) where it may be nonzero.
 
-
-def _layout(w: Permutation, r: int) -> Tuple[_Layout, int]:
-    """The zero pattern of a point of the cell of w, and the number of
-    values one draw takes.
-
-    Column c (0-based) of the point is column w(c + 1) of u, nonzero only
-    at its pivot row w(c + 1) and at the rows i above it with (i, w(c + 1))
-    an inversion position.  Each column lists (row index, slot) from the
-    top row down: slot s >= 1 is the s-th inversion position in
-    ``inversion_positions`` order, the order of the draws, and the pivot
-    has slot 0, which ``_draw`` fills with 1.
+    A point is u . w . P with u unipotent upper triangular supported on
+    the inversion positions of w^{-1}, and column c (0-based) of it is
+    column w(c + 1) of u: a 1 at its pivot row w(c + 1), below the rows
+    i with (i, w(c + 1)) an inversion position, each an independent
+    coordinate.
     """
     column = {j: c for c, j in enumerate(w.images[:r])}  # pivot row -> column
-    layout: _Layout = [[] for _ in range(r)]
-    positions = inversion_positions(w)
-    for slot, (i, j) in enumerate(positions, start=1):
+    layout: List[List[int]] = [[] for _ in range(r)]
+    for i, j in inversion_positions(w):
         if j in column:
-            layout[column[j]].append((i - 1, slot))
+            layout[column[j]].append(i - 1)
     for j, c in column.items():
-        layout[c].append((j - 1, 0))  # below every inversion row of its column
-    return layout, len(positions)
+        layout[c].append(j - 1)  # below every inversion row of its column
+    return layout
 
 
-def _draw(count: int, rng: random.Random) -> List[int]:
-    """1, then `count` nonzero values in [-SAMPLE_BOUND, SAMPLE_BOUND]
-    from `rng`: the slots of one ``_layout`` draw.
+def cell_support(w: Permutation, r: int) -> FrozenSet[Subset]:
+    """Pluecker support of a generic point of the cell of w: the r-sets
+    of rows with a perfect matching to the columns along the nonzero
+    slots of ``_layout`` (the module docstring says why that is exact).
 
-    Each value is the draw of ``rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)``,
-    redrawn while it is 0.  ``randint`` takes an index below the range's
-    length from ``getrandbits`` of the length's bit count, redrawn while
-    too large, so both redraws are one loop over the same bits.
+    The matchings are found as ``_minor_sweep`` expands minors, column by
+    column, with sets of row bitmasks in place of values: a row set
+    matched to the first c columns grows by each row of column c that it
+    lacks.  The subsets are inserted in lexicographic order, so the set
+    iterates (and prints) as one built from ``itertools.combinations``
+    does.  Raises ``ValueError`` unless 0 <= r <= n.
     """
-    size, low = len(_VALUES), _VALUES[0]
-    bits, getrandbits = size.bit_length(), rng.getrandbits
-    values = [1]
-    while len(values) <= count:
-        x = getrandbits(bits)
-        if x < size and x != -low:
-            values.append(x + low)
-    return values
+    _check_rank(r, w.n)
+    matched = {0}
+    for column in _layout(w, r):
+        matched = {rows | 1 << i for rows in matched for i in column if not rows >> i & 1}
+    return frozenset(sorted(map(_subset_of(w.n, r).__getitem__, matched)))
 
 
-# per column, (row index, x, y, z) for each row where some of the three
-# matrices is nonzero, rows in increasing order
-_Columns = List[List[Tuple[int, int, int, int]]]
-_Minors = Dict[int, Tuple[int, int, int]]
+# per column, (row index, entry) for each nonzero entry, rows in increasing order
+_Columns = List[List[Tuple[int, int]]]
 
 
-def _fill(layout: _Layout, draws: Sequence[List[int]]) -> _Columns:
-    """The sparse columns of three ``_draw``s of one layout; a single
-    draw stands for three copies of itself."""
-    x, y, z = draws * (3 // len(draws))
-    return [[(i, x[s], y[s], z[s]) for i, s in column] for column in layout]
+def _columns(mat: Sequence[Sequence[int]], n: int, r: int) -> _Columns:
+    """The sparse columns of an n x r integer matrix."""
+    if len(mat) != n or set(map(len, mat)) - {r}:
+        raise ValueError(f"expected an {n} x {r} matrix")
+    return [[(i, row[c]) for i, row in enumerate(mat) if row[c]] for c in range(r)]
 
 
-def _columns(mats: Sequence[Sequence[Sequence[int]]], n: int, r: int) -> _Columns:
-    """The sparse columns of three n x r integer matrices."""
-    if len(mats) != 3 or any(len(mat) != n or set(map(len, mat)) - {r} for mat in mats):
-        raise ValueError(f"expected three {n} x {r} matrices")
-    rows = list(enumerate(zip(*mats)))
-    return [[(i, x[c], y[c], z[c]) for i, (x, y, z) in rows if x[c] or y[c] or z[c]] for c in range(r)]
+def _minor_sweep(columns: _Columns) -> List[Dict[int, int]]:
+    """The nonzero c x c minors of the first c columns of an integer
+    matrix, keyed by row bitmask, for c = 0..r, by one Laplace expansion
+    of its sparse columns.
 
-
-def _minor_sweep(columns: _Columns) -> List[_Minors]:
-    """The c x c minors of the first c columns of three integer matrices,
-    keyed by row bitmask, for c = 0..r, by one Laplace expansion of their
-    sparse columns.
-
-    Each key carries the three minors together, and a key is kept while
-    any of them is nonzero, so the key, its sign, its dictionary lookup
-    and its loop step are paid once for the three.  Each kept c x c minor
-    extends to c + 1 columns through the rows that column c lists, those
-    where some matrix is nonzero, each new row with sign (-1)^(c + its
-    rows above it), and the terms landing on one row set are summed.  The
-    draws of one cell share their zero pattern, so their keys are the
-    same; a single matrix is swept as three copies of itself.
+    Each nonzero c x c minor extends to c + 1 columns through the nonzero
+    entries of column c, each new row with sign (-1)^(c + its rows above
+    it), and the terms landing on one row set are summed.
     """
-    sweep: List[_Minors] = [{0: (1, 1, 1)}]
+    sweep: List[Dict[int, int]] = [{0: 1}]
     for c, column in enumerate(columns):
         level, grown = sweep[c], {}
-        for i, x, y, z in column:
+        for i, x in column:
             if c & 1:
-                x, y, z = -x, -y, -z
+                x = -x
             bit, above = 1 << i, (1 << i) - 1
-            for rows, (p, q, s) in level.items():
+            for rows, p in level.items():
                 if not rows & bit:
                     if (rows & above).bit_count() & 1:
-                        p, q, s = -p, -q, -s
+                        p = -p
                     key = rows | bit
-                    if key in grown:
-                        u, v, t = grown[key]
-                        grown[key] = (u + p * x, v + q * y, t + s * z)
-                    else:
-                        grown[key] = (p * x, q * y, s * z)
-        sweep.append({rows: m for rows, m in grown.items() if m != (0, 0, 0)})
+                    grown[key] = grown.get(key, 0) + p * x
+        sweep.append({rows: m for rows, m in grown.items() if m})
     return sweep
 
 
 @lru_cache(maxsize=None)
 def _subsets(n: int, r: int) -> Dict[Subset, int]:
-    """Every r-subset of 1..n as a sorted tuple, in lexicographic order,
-    mapped to its row bitmask."""
+    """Every r-subset of 1..n as a sorted tuple, mapped to its row bitmask."""
     return {
         sub: sum(1 << (i - 1) for i in sub)
         for sub in itertools.combinations(range(1, n + 1), r)
     }
 
 
-def _supports(columns: _Columns, n: int, r: int, count: int) -> Tuple[FrozenSet[Subset], ...]:
-    """Row subsets with nonvanishing r x r minor, one set for each of the
-    first `count` of the three n x r matrices with these sparse columns,
-    read off one ``_minor_sweep``."""
-    minors = _minor_sweep(columns)[r]
-    # inserted in lexicographic order, so each set iterates (and prints) as
-    # one built from itertools.combinations does
-    kept = [(rows, sub) for sub, rows in _subsets(n, r).items() if rows in minors]
-    if all(map(all, minors.values())):  # one support for every matrix
-        return (frozenset([sub for _, sub in kept]),) * count
-    return tuple(frozenset([sub for rows, sub in kept if minors[rows][j]]) for j in range(count))
+@lru_cache(maxsize=None)
+def _subset_of(n: int, r: int) -> Dict[int, Subset]:
+    """The inverse of ``_subsets(n, r)``: each r-row bitmask's subset."""
+    return {rows: sub for sub, rows in _subsets(n, r).items()}
 
 
 @dataclass(frozen=True)
 class SupportReport:
-    """Outcome of the resampling protocol for one cell."""
+    """The Pluecker support behind one cell's verdict.  The support is
+    read off the zero pattern, not sampled, so ``draws``, ``resampled``
+    and ``conclusive`` answer as a sampler that never needed a draw
+    would, for readers that still count them."""
 
-    support: Optional[FrozenSet[Subset]]
-    draws: Tuple[FrozenSet[Subset], ...]
-    conclusive: bool
+    support: FrozenSet[Subset]
+
+    @property
+    def draws(self) -> Tuple[()]:
+        return ()
 
     @property
     def resampled(self) -> bool:
-        return len(self.draws) > 3
+        return False
 
-
-def cell_support(w: Permutation, r: int, seed: int = 0) -> SupportReport:
-    """Pluecker support of a generic cell point, by repeated sampling.
-
-    One ``random.Random(seed)`` is seeded per call, and the draws are
-    successive value lists of its stream, filling one ``_layout`` found
-    once per call.  Three consecutive identical draws are accepted; a
-    disagreement (a random value landing on a minor's vanishing locus)
-    triggers up to EXTRA_DRAWS further draws before giving up.  The first
-    three draws are taken up front and their minors expanded in one
-    ``_minor_sweep``; each further draw is swept on its own.  Raises
-    ``ValueError`` unless 0 <= r <= n.
-    """
-    _check_rank(r, w.n)
-    layout, count = _layout(w, r)
-    rng = random.Random(seed)
-    first = [_draw(count, rng) for _ in range(3)]
-    draws = list(_supports(_fill(layout, first), w.n, r, 3))
-    while not draws[-1] == draws[-2] == draws[-3]:
-        if len(draws) == 3 + EXTRA_DRAWS:
-            return SupportReport(None, tuple(draws), False)
-        draws.extend(_supports(_fill(layout, [_draw(count, rng)]), w.n, r, 1))
-    return SupportReport(draws[-1], tuple(draws), True)
+    @property
+    def conclusive(self) -> bool:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +307,13 @@ def hm_semistable(
 
 def cell_semistable(
     w: Permutation, r: int, seed: int = 0
-) -> Tuple[str, SupportReport, Optional[HMCertificate]]:
-    """Verdict for one cell: 'semistable', 'unstable', or 'inconclusive'."""
-    rep = cell_support(w, r, seed=seed)
-    if not rep.conclusive:
-        return "inconclusive", rep, None
-    cert = hm_semistable(rep.support, w.n, r)
-    return ("semistable" if cert.semistable else "unstable"), rep, cert
+) -> Tuple[str, SupportReport, HMCertificate]:
+    """Verdict for one cell, 'semistable' or 'unstable': ``hm_semistable``
+    of the generic support (``cell_support``).  The verdict is exact and
+    ignores `seed`, which is kept for callers that still pass one."""
+    support = cell_support(w, r)
+    cert = hm_semistable(support, w.n, r)
+    return ("semistable" if cert.semistable else "unstable"), SupportReport(support), cert
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +406,7 @@ def flag_point_semistable(
         raise ValueError("coefficient count must be rank = n - 1")
     scales = [math.lcm(*(x.denominator for x in col)) for col in zip(*mat)]
     ints = [[int(x * d) for x, d in zip(row, scales)] for row in mat]
-    sweep = _minor_sweep(_columns([ints] * 3, n, n))  # sweep[k]: the minors on the first k columns
+    sweep = _minor_sweep(_columns(ints, n, n))  # sweep[k]: the minors on the first k columns
     if not sweep[n]:
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]

@@ -33,11 +33,7 @@ either torus quotient, goes to the product of its images' sides,
 prod p_i**e_i over prod q_i**e_i with the two sides swapped for a
 negative e_i (the direct product), without a common denominator, and is
 reduced once.  Under monomial images that product is one term over one
-term, so the one-term rule reduces it.  The unit exits, the direct
-product and the one-pass `invariants.reexpress` together moved the
-benchmark's `symbolic` `wall_rel` median from 1.98 to 1.57 (0.79x),
-lower in ten of ten alternating pairs (`perfbench/run.py --seconds 24`,
-seeds 11-20, 2-core x86-64 VM).  An image must be a
+term, so the one-term rule reduces it.  An image must be a
 `RationalFunction`; a scalar is refused by type.  `evaluate` works in
 integers too: with the point's denominators cleared, each side is an
 integer sum, and the value is one `Fraction` of the two.  A constant

@@ -6,8 +6,8 @@ against.  None of these is called by the package itself.
   transform are checked against.
 - ``minor_support``: the Pluecker support of one dense integer matrix,
   read off the oracle's Laplace sweep of its sparse columns.  The
-  oracle reads its own draws off their layout, never off a dense matrix,
-  so only tests ask this of it.
+  oracle reads a cell's generic support off its zero pattern, so only
+  tests ask this of an explicit point.
 - ``hnf_columns``: the column Hermite form H = A U with its unimodular
   transform, the one integer normal form the tests build on.
 - ``root_weight`` and ``dense_weight``: the simple-root coefficients of
@@ -132,9 +132,13 @@ def int_det(rows):
 
 def minor_support(mat, n, r):
     """Row subsets with nonvanishing r x r minor of an n x r integer
-    matrix, swept by the oracle as three copies of itself; a matrix not
-    n x r is refused with ``ValueError``."""
-    return oracle._supports(oracle._columns([mat] * 3, n, r), n, r, 1)[0]
+    matrix, by the oracle's sweep, inserted in lexicographic order; a
+    matrix not n x r is refused with ``ValueError``."""
+    minors = oracle._minor_sweep(oracle._columns(mat, n, r))[r]
+    return frozenset(
+        sub for sub in itertools.combinations(range(1, n + 1), r)
+        if sum(1 << (i - 1) for i in sub) in minors
+    )
 
 
 # ---------------------------------------------------------------------------

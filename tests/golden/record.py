@@ -28,10 +28,10 @@ PATH = Path(__file__).resolve().parent / "verify_defaults.json"
 SIZED_PATH = Path(__file__).resolve().parent / "verify_sized.json"
 CLI_PATH = Path(__file__).resolve().parent / "cli_commands.json"
 
-# suite and flags; each runs in under a second and samples the
-# Hilbert-Mumford oracle (lemma-2.7) or bumps subsets (lemma-3.1); the
-# n = 11 runs hold the oracle at its size limit, r = 7 with the cell
-# that coordinates in [-50, 50] left inconclusive
+# suite and flags; each runs in under a second and asks the
+# Hilbert-Mumford oracle (lemma-2.7) or bumps subsets (lemma-3.1); at
+# n = 11, r = 5 is among the slowest ranks, and r = 7 holds the cell whose
+# 292-subset support tests/test_oracle.py pins
 SIZED_COMMANDS = (
     ("lemma-2.7", "--n", "9", "--r", "4"),
     ("lemma-2.7", "--n", "11", "--r", "7"),

@@ -16,8 +16,6 @@ from torusquot import action, flag, invariants, oracle, schubert
 from torusquot.ratfunc import identity_substitution
 from torusquot.verify import exhaustive_check
 
-SEEDS = (0, 1, 2)
-
 
 def _record(k: int, ok: bool, detail: str) -> bool:
     ACCEPTANCE_LINES.append(f"ACCEPTANCE {k}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -27,7 +25,7 @@ def _record(k: int, ok: bool, detail: str) -> bool:
 def test_criterion_1_gateway_equals_sampling_oracle():
     """Cells at or above the gateway element are exactly the cells whose
     generic point passes the barycenter test, for every (n, r) at desk
-    scale, three seeds, unanimously, with no inconclusive samples."""
+    scale, by one exact oracle verdict per cell."""
     reps = {
         (n, r): exhaustive_check("lemma-2.7", n=n, rs=(r,))
         for n in range(4, 8)
@@ -40,7 +38,7 @@ def test_criterion_1_gateway_equals_sampling_oracle():
     assert _record(
         1,
         ok,
-        f"{cells} cells, n=4..7, all r, 3 seeds unanimous; "
+        f"{cells} cells, n=4..7, all r, one exact verdict each; "
         f"mismatches={mismatches} inconclusive={inconclusive}",
     ), (mismatches, inconclusive)
 
@@ -64,7 +62,7 @@ def test_criterion_2_printed_parameter_bound():
             witness = None
             if extra and n <= 7:  # oracle-confirm the printed bound is too strict
                 w = schubert.to_permutation(schubert.GrassmannElement(n, 2, extra[0]))
-                witness = [oracle.cell_semistable(w, 2, seed=s)[0] for s in SEEDS]
+                witness = oracle.cell_semistable(w, 2)[0]
             divergent.append((n, extra, missing, witness))
 
     ok = part1 and not divergent

@@ -79,16 +79,6 @@ def test_verify_seed_echoed(capsys):
     assert doc["results"]["params"]["seed"] == 9
 
 
-def test_gateway_suite_offsets_its_seed(capsys):
-    code, out, _ = _capture(
-        capsys, ["verify", "--suite", "lemma-2.7", "--n", "4", "--r", "2", "--seed", "7"]
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["results"]["params"]["seed"] == 7
-    assert "seeds [7, 8, 9]" in doc["results"]["details"][0]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -130,8 +120,10 @@ def test_verify_refusal_names_the_parameter_and_what_the_suite_takes(capsys, sui
         (["cor-4.4", "--seed", "2", "--n", "3", "--r", "1"], "suite cor-4.4 takes no --n, --r, --seed; it takes none"),
         (["lemma-4.1", "--r", "2"], "suite lemma-4.1 takes no --r; it takes --n, --seed"),
         (["lemma-1.8", "--seed", "3"], "suite lemma-1.8 takes no --seed; it takes --n, --r"),
+        # the oracle's verdict is exact, so the gateway suite draws nothing to seed
+        (["lemma-2.7", "--seed", "3"], "suite lemma-2.7 takes no --seed; it takes --n, --r"),
     ],
-    ids=["thm-5.2", "cor-4.4", "lemma-4.1", "lemma-1.8"],
+    ids=["thm-5.2", "cor-4.4", "lemma-4.1", "lemma-1.8", "lemma-2.7"],
 )
 def test_verify_refusal_lists_only_the_flags_that_reach_the_suite(capsys, argv, err):
     """thm-5.2 takes samples too, which no flag sets, so the refusal leaves it out."""

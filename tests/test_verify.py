@@ -66,7 +66,7 @@ def test_report_payload_shape():
 
 
 def test_none_params_are_dropped():
-    rep = exhaustive_check("lemma-2.7", n=4, rs=(2,), seed=None)
+    rep = exhaustive_check("lemma-5.1", n=2, seed=None)
     assert rep.ok
     assert rep.params["seed"] == 0
 
@@ -77,6 +77,7 @@ def test_none_params_are_dropped():
         ("lemma-1.8", {"rz": (9,)}),
         ("lemma-2.7", {"seeds": (0, 1, 2)}),
         ("lemma-2.7", {"r": 2}),
+        ("lemma-2.7", {"seed": 0}),  # its oracle verdict draws nothing to seed
         ("strata", {"n_min": 4, "n_max": 9}),
         ("lemma-4.1", {"points": 3}),
         ("prop-4.2", {"ms": (2, 3, 4)}),
