@@ -77,11 +77,11 @@ def test_none_params_are_dropped():
         ("lemma-1.8", {"rz": (9,)}),
         ("lemma-2.7", {"seeds": (0, 1, 2)}),
         ("lemma-2.7", {"r": 2}),
-        ("lemma-2.7", {"seed": 0}),  # its oracle verdict draws nothing to seed
         ("strata", {"n_min": 4, "n_max": 9}),
         ("lemma-4.1", {"points": 3}),
         ("prop-4.2", {"ms": (2, 3, 4)}),
         ("lemma-5.1", {"trials": 3}),
+        ("lemma-2.7", {"seed": 0}),  # its oracle verdict draws nothing to seed
     ],
 )
 def test_unknown_parameter_rejected(name, params):
