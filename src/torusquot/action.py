@@ -15,10 +15,9 @@ between the two models can be certified symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .invariants import (
     InvariantLattice,
@@ -28,7 +27,7 @@ from .invariants import (
     y_labels,
 )
 from .ratfunc import Names, RationalFunction, Substitution, identity_substitution
-from .schubert import GrassmannElement, inversion_array, row_starts
+from .schubert import GrassmannElement, inversion_array
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +269,6 @@ def closed_y_action(k: int, g: GrassmannElement) -> Substitution:
             prod_top = prod * yv(i, q) / yv(i, lp)
             sub[f"Y_{i}_{q}"] = (1 - prod_top) / (1 - prod) * yv(i, lp)
     return sub
-
-
-# ---------------------------------------------------------------------------
-# matrix realization of cell points
-
-
-def matrix_of_point(
-    g: GrassmannElement, values: Mapping[str, Fraction]
-) -> List[List[Fraction]]:
-    """The n x r column-span matrix of the cell point with the given X's."""
-    mat = [[Fraction(0)] * g.r for _ in range(g.n)]
-    for j in range(1, g.r + 1):
-        mat[g.a_seq[j - 1]][j - 1] = Fraction(1)
-        for q, start in enumerate(row_starts(g, j), start=1):
-            mat[start - 1][j - 1] = Fraction(values[f"X_{j}_{q}"])
-    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, lt, mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .weyl import Permutation
 
@@ -81,23 +81,51 @@ def _layout(w: Permutation, r: int) -> List[List[int]]:
     return layout
 
 
-def cell_support(w: Permutation, r: int) -> FrozenSet[Subset]:
-    """Pluecker support of a generic point of the cell of w: the r-sets
-    of rows with a perfect matching to the columns along the nonzero
-    slots of ``_layout`` (the module docstring says why that is exact).
-
-    The matchings are found as ``_minor_sweep`` expands minors, column by
-    column, with sets of row bitmasks in place of values: a row set
-    matched to the first c columns grows by each row of column c that it
-    lacks.  The subsets are inserted in lexicographic order, so the set
-    iterates (and prints) as one built from ``itertools.combinations``
-    does.  Raises ``ValueError`` unless 0 <= r <= n.
-    """
+def _generic_bases(w: Permutation, r: int) -> Set[int]:
+    """The generic support as r-row bitmasks: the row sets with a perfect
+    matching to the columns along the nonzero slots of ``_layout``, found
+    as ``_minor_sweep`` expands minors, column by column, with sets of row
+    bitmasks in place of values.  Raises ``ValueError`` unless 0 <= r <= n."""
     _check_rank(r, w.n)
     matched = {0}
     for column in _layout(w, r):
         matched = {rows | 1 << i for rows in matched for i in column if not rows >> i & 1}
-    return frozenset(sorted(map(_subset_of(w.n, r).__getitem__, matched)))
+    return matched
+
+
+def cell_support(w: Permutation, r: int) -> FrozenSet[Subset]:
+    """Pluecker support of a generic point of the cell of w (the module
+    docstring says why it is exact), its r-subsets inserted in
+    lexicographic order, so it prints as one built from
+    ``itertools.combinations``.  Raises ``ValueError`` unless 0 <= r <= n."""
+    bases = _generic_bases(w, r)
+    return frozenset(sorted(map(_subset_of(w.n, r).__getitem__, bases)))
+
+
+def generic_pivot_sets(
+    w: Permutation, r: int, sigmas: Iterable[Permutation]
+) -> Iterator[FrozenSet[int]]:
+    """For each sigma, the pivot rows (0-based) of the column echelon of
+    a generic point of the cell of w with each row j moved to row sigma(j).
+
+    Lowest-entry pivots are the greedy basis from the bottom row up
+    (``flag_point_semistable``): a position is a pivot when its row raises
+    the rank of the rows below it.  The rows are walked bottom-up as one
+    growing bitmask, ranked by one ``_rank_table`` of the generic support.
+    Raises ``ValueError`` unless 0 <= r <= n and each sigma is on n letters.
+    """
+    n = w.n
+    rank = _rank_table(_generic_bases(w, r), n)
+    for sigma in sigmas:
+        if sigma.n != n:
+            raise ValueError(f"row permutation {sigma!r} is not on n = {n} letters")
+        rows, below, pivots, i = sigma.inverse().images, 0, [], n
+        while len(pivots) < r:  # the n rows have rank r
+            i -= 1
+            below |= 1 << (rows[i] - 1)
+            if rank[below] > len(pivots):
+                pivots.append(i)
+        yield frozenset(pivots)
 
 
 # per column, (row index, entry) for each nonzero entry, rows in increasing order
@@ -260,7 +288,7 @@ class HMCertificate:
     separator: Optional[Subset]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def hm_semistable(
     support: FrozenSet[Subset], n: int, r: int
 ) -> HMCertificate:
@@ -277,10 +305,10 @@ def hm_semistable(
     F_ceil(r m / n).  A violated S is an integer separator, re-checked
     against the support before it is returned; checking every S
     certifies the semistable side.  The verdict depends on (support, n,
-    r) alone, so it is computed, and the support checked, once per
-    distinct support.  Raises ``ValueError`` unless 0 <= r <= n, for an
-    empty support, and for one with a subset that is not a tuple of r
-    increasing entries of 1..n.
+    r) alone, so the last 256 distinct supports keep theirs; a sweep
+    that asks once per cell gains nothing from keeping more.  Raises
+    ``ValueError`` unless 0 <= r <= n, for an empty support, and for one
+    with a subset that is not a tuple of r increasing entries of 1..n.
     """
     _check_rank(r, n)
     if not support:

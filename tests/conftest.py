@@ -47,8 +47,9 @@ against.  None of these is called by the package itself.
   for one cell, and every cell of ``all_cells`` filtered by it, the
   reference for ``semistable_cells``' up-set enumeration.
 - ``subset_leq``: the componentwise order on column sets.
-- ``coordinates_of_matrix``: cell coordinates read back from a matrix,
-  the reference for the Prop 3.2 row-swap test.
+- ``matrix_of_point`` and ``coordinates_of_matrix``: the matrix of a
+  cell point with given coordinates, and the coordinates read back from
+  a matrix, the references for the Prop 3.2 row-swap test.
 - ``weight`` and ``negative_elements_by_scan``: a weight from any
   rationals, and the w in S_{n+1} found by acting on a character with
   every permutation, the reference for ``flag.negative_elements``'
@@ -517,6 +518,17 @@ def semistable_cells_by_scan(n: int, r: int) -> List[GrassmannElement]:
 def subset_leq(s: Tuple[int, ...], t: Tuple[int, ...]) -> bool:
     """Componentwise comparison of sorted column sets (cell-closure order)."""
     return all(a <= b for a, b in zip(sorted(s), sorted(t)))
+
+
+def matrix_of_point(g: GrassmannElement, values: Mapping[str, Q]) -> List[List[Q]]:
+    """The n x r column-span matrix of the cell point with the given X's,
+    the inverse of ``coordinates_of_matrix``."""
+    mat = [[Q(0)] * g.r for _ in range(g.n)]
+    for j in range(1, g.r + 1):
+        mat[g.a_seq[j - 1]][j - 1] = Q(1)
+        for q, start in enumerate(row_starts(g, j), start=1):
+            mat[start - 1][j - 1] = Q(values[f"X_{j}_{q}"])
+    return mat
 
 
 def coordinates_of_matrix(

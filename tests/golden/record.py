@@ -29,14 +29,16 @@ SIZED_PATH = Path(__file__).resolve().parent / "verify_sized.json"
 CLI_PATH = Path(__file__).resolve().parent / "cli_commands.json"
 
 # suite and flags; each runs in under a second and asks the
-# Hilbert-Mumford oracle (lemma-2.7) or bumps subsets (lemma-3.1); at
-# n = 11, r = 5 is among the slowest ranks, and r = 7 holds the cell whose
-# 292-subset support tests/test_oracle.py pins
+# Hilbert-Mumford oracle (lemma-2.7), bumps subsets (lemma-3.1) or reads
+# permuted pivot sets off generic supports (lemma-4.1); at n = 11, r = 5
+# is among the slowest ranks, and r = 7 holds the cell whose 292-subset
+# support tests/test_oracle.py pins
 SIZED_COMMANDS = (
     ("lemma-2.7", "--n", "9", "--r", "4"),
     ("lemma-2.7", "--n", "11", "--r", "7"),
     ("lemma-2.7", "--n", "11", "--r", "5"),
     ("lemma-3.1", "--n", "8"),
+    ("lemma-4.1", "--n", "7"),
 )
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import clear_program_caches, coordinates_of_matrix, count_fallbacks
+from conftest import clear_program_caches, coordinates_of_matrix, count_fallbacks, matrix_of_point
 
 from torusquot import ratfunc
 from torusquot.action import (
@@ -12,7 +12,6 @@ from torusquot.action import (
     adjoint_torus_action,
     check_equivariance,
     closed_y_action,
-    matrix_of_point,
     r2_action,
     r2_names,
     stabilizer_generators,

@@ -118,12 +118,14 @@ def test_verify_refusal_names_the_parameter_and_what_the_suite_takes(capsys, sui
     [
         (["thm-5.2", "--r", "1"], "suite thm-5.2 takes no --r; it takes --n, --seed"),
         (["cor-4.4", "--seed", "2", "--n", "3", "--r", "1"], "suite cor-4.4 takes no --n, --r, --seed; it takes none"),
-        (["lemma-4.1", "--r", "2"], "suite lemma-4.1 takes no --r; it takes --n, --seed"),
+        (["lemma-4.1", "--r", "2"], "suite lemma-4.1 takes no --r; it takes --n"),
         (["lemma-1.8", "--seed", "3"], "suite lemma-1.8 takes no --seed; it takes --n, --r"),
         # the oracle's verdict is exact, so the gateway suite draws nothing to seed
         (["lemma-2.7", "--seed", "3"], "suite lemma-2.7 takes no --seed; it takes --n, --r"),
+        # the suite reads exact pivot sets off the generic support, so it draws nothing to seed
+        (["lemma-4.1", "--seed", "3"], "suite lemma-4.1 takes no --seed; it takes --n"),
     ],
-    ids=["thm-5.2", "cor-4.4", "lemma-4.1", "lemma-1.8", "lemma-2.7"],
+    ids=["thm-5.2", "cor-4.4", "lemma-4.1", "lemma-1.8", "lemma-2.7", "lemma-4.1-seed"],
 )
 def test_verify_refusal_lists_only_the_flags_that_reach_the_suite(capsys, argv, err):
     """thm-5.2 takes samples too, which no flag sets, so the refusal leaves it out."""
@@ -197,10 +199,14 @@ def test_lemma_4_1_refuses_n_below_four_by_name(capsys):
 
 
 def test_lemma_4_1_refuses_n_over_its_limit(capsys):
-    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-4.1", "--n", "9"])
+    limit = verify._REGISTRY["lemma-4.1"].max_n
+    code, out, err = _capture(capsys, ["verify", "--suite", "lemma-4.1", "--n", str(limit + 1)])
     assert code == 2
     assert out == ""
-    assert "n=9 is over the limit n <= 8" in err
+    assert err == (
+        "error: lemma-4.1 walks all n! row permutations per semistable rank-2 cell; "
+        f"n={limit + 1} is over the limit n <= {limit}\n"
+    )
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -15,8 +15,10 @@ Grassmannian verdicts against the rational phase-1 simplex they replaced
 (its combination re-verified by hand for a semistable verdict, the
 separator's rank inequality for an unstable one) and against Edmonds'
 rank criterion, verdict and separator against a brute-force scan of the
-row sets; the subset-bump closure test; and the flag rank inequalities
-against the N! row-permutation enumeration they replaced.
+row sets; the subset-bump closure test; the flag rank inequalities
+against the N! row-permutation enumeration they replaced; and the pivot
+sets of permuted generic points, read off the generic support, against
+the column echelons of permuted sampled points.
 """
 
 import ast
@@ -45,10 +47,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusquot import oracle, schubert
+from torusquot.linalg import column_echelon
 from torusquot.oracle import (
     cell_semistable,
     cell_support,
     flag_point_semistable,
+    generic_pivot_sets,
     hm_semistable,
     inversion_positions,
     reflection_preserves_closure,
@@ -296,9 +300,36 @@ def test_a_rank_outside_0_to_n_is_refused_before_any_draw():
             cell_support(cell, r)
         with pytest.raises(ValueError, match=f"rank r = {r} is outside 0..n = 5"):
             cell_semistable(cell, r)
+        with pytest.raises(ValueError, match=f"rank r = {r} is outside 0..n = 5"):
+            list(generic_pivot_sets(cell, r, []))
     # ranks 0 and n: one empty minor, and the determinant of a cell point
     assert cell_support(cell, 0) == frozenset({()})
     assert cell_support(cell, 5) == frozenset({(1, 2, 3, 4, 5)})
+
+
+def test_generic_pivot_sets_are_the_echelon_pivots_of_sampled_points():
+    """With coordinates up to 10^6 a sampled point is generic for these
+    small cells, so the column echelon of its rows under each permutation
+    has the exact pivot set: every row permutation, on every cell of
+    every rank with n <= 5 and every semistable rank-2 cell with n = 6."""
+    rng, compared = random.Random(0), 0
+    for n in range(2, 7):
+        for w, r in cells(n):
+            if n == 6 and (r != 2 or cell_semistable(w, r)[0] != "semistable"):
+                continue
+            mat = reference_sample_cell_matrix(w, r, rng)
+            sigmas = list(all_permutations(n))
+            for sigma, exact in zip(sigmas, generic_pivot_sets(w, r, sigmas)):
+                permuted = [mat[sigma.inverse()(i + 1) - 1] for i in range(n)]
+                assert exact == frozenset(column_echelon(permuted)[0]), (w, r, sigma)
+                compared += 1
+    assert compared == 2 * 2 + 6 * 6 + 24 * 14 + 120 * 30 + 720 * 3  # cells times n!
+
+
+def test_generic_pivot_sets_refuse_a_permutation_on_other_than_n_letters():
+    cell = schubert.to_permutation(schubert.GrassmannElement(5, 2, (2, 4)))
+    with pytest.raises(ValueError, match="is not on n = 5 letters"):
+        list(generic_pivot_sets(cell, 2, [Permutation((2, 1, 3, 4, 5, 6))]))
 
 
 def test_minor_support_matches_determinants_on_sampled_cells_n_up_to_8():

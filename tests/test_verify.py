@@ -3,12 +3,14 @@
 import dataclasses
 import functools
 import json
+import math
 
 import pytest
 
-from torusquot import flag, verify
+from torusquot import action, flag, oracle, schubert, verify
 from torusquot.cli import _jsonable, run
 from torusquot.verify import CheckReport, available_suites, exhaustive_check
+from torusquot.weyl import Permutation, parabolic_elements
 
 
 def test_registry_is_complete():
@@ -82,6 +84,7 @@ def test_none_params_are_dropped():
         ("prop-4.2", {"ms": (2, 3, 4)}),
         ("lemma-5.1", {"trials": 3}),
         ("lemma-2.7", {"seed": 0}),  # its oracle verdict draws nothing to seed
+        ("lemma-4.1", {"seed": 0}),  # it reads exact pivots, with no point drawn
     ],
 )
 def test_unknown_parameter_rejected(name, params):
@@ -148,6 +151,34 @@ def test_suites_pass_at_reduced_scale(name, params):
     rep = exhaustive_check(name, **params)
     assert rep.status == "pass", rep.counterexample
     assert rep.checked > 0
+
+
+def test_lemma_4_1_passes_at_every_n_below_its_limit():
+    """n = 9, the limit, walks 1,451,520 permutations (about 6 s) and is
+    left to the command line."""
+    for n in range(4, verify._REGISTRY["lemma-4.1"].max_n):
+        rep = exhaustive_check("lemma-4.1", n=n)
+        assert rep.status == "pass", (n, rep.counterexample)
+        assert rep.checked == len(schubert.semistable_cells(n, 2)) * math.factorial(n)
+
+
+def test_lemma_4_1_finds_an_escape_when_a_stabilizing_generator_is_dropped(monkeypatch):
+    """Negative control: with the largest stabilizing generator left out of
+    each cell's group, that reflection keeps the generic point in its cell
+    but lies outside the smaller group, and the suite must say so."""
+    real = action.stabilizer_generators
+
+    def fewer(g):
+        return real(g) - {max(real(g))}
+
+    monkeypatch.setattr(action, "stabilizer_generators", fewer)
+    rep = exhaustive_check("lemma-4.1", n=6)
+    assert rep.status == "fail"
+    g = next(g for g in schubert.semistable_cells(6, 2) if list(g.a_seq) == rep.counterexample["a_seq"])
+    sigma = Permutation(tuple(rep.counterexample["sigma"]))
+    assert sigma in set(parabolic_elements(real(g), 6))
+    assert sigma not in set(parabolic_elements(fewer(g), 6))
+    assert next(oracle.generic_pivot_sets(schubert.to_permutation(g), 2, [sigma])) == frozenset(g.a_seq)
 
 
 def test_thm_suite_carries_reading_records():
