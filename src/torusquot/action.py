@@ -181,7 +181,7 @@ def invariant_lattice(g: GrassmannElement) -> InvariantLattice:
     """The cross-ratio lattice of the cell: each Y is its X monomial."""
     arr = inversion_array(g)
     return InvariantLattice(
-        x_names(g), tuple(chain.from_iterable(arr.rows)), y_names(g), cross_ratios(arr), 1,
+        x_names(g), tuple(chain.from_iterable(arr.rows)), y_names(g), cross_ratios(arr),
         cross_ratio_inverse(arr),
     )
 

@@ -7,7 +7,10 @@ beta in the inversion set of w^{-1}, positive roots being intervals
 the open subsets V0_tau of the cells c.tau (c the long cycle, tau
 fixing the last letter) where every coordinate X_{[1,m]} is nonzero,
 and the torus quotient of each V0_tau maps onto a cell of the smaller
-flag variety GL_n/B by explicit weight-zero Laurent monomials.
+flag variety GL_n/B by explicit weight-zero Laurent monomials.  The
+paper displays them with a leading minus that its identities need
+dropped; only `pi_tau`, `quotient_generator_action` and the desk
+check's as-printed reading put it back on the sign-free monomials.
 
 All matrix routines are generic over the scalar: exact Fractions for
 sampled points, RationalFunction for symbolic identities.
@@ -23,7 +26,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .invariants import InvariantLattice, induced_action, monomial_weight
 from .linalg import column_echelon
-from .ratfunc import Names, RationalFunction, Substitution
+from .ratfunc import Names, RationalFunction, Substitution, compose, identity_substitution
 from .weyl import Permutation, from_word, longest_element, parabolic_elements
 
 Root = Tuple[int, int]  # interval [j, k] <-> alpha_j + ... + alpha_k
@@ -246,7 +249,7 @@ def decompose_point(mat: Sequence[Sequence[object]]) -> Tuple[Permutation, Dict[
 
 
 def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
-    """Symbolic quotient map on the cell of c tau: pi_point at its generic point.
+    """Displayed quotient map on the cell of c tau: minus pi_point at its generic point.
 
     Each coordinate is a Laurent monomial in the X's, labeled Y_{a,b}.
     It has weight zero when its numerator and denominator monomials
@@ -266,7 +269,7 @@ def pi_tau(tau: Permutation, n: int) -> Dict[str, RationalFunction]:
         wts = {monomial_weight(enumerate(mono), roots) for mono in (*expr.numer, *expr.denom)}
         if len(wts) != 1:
             raise ArithmeticError(f"quotient coordinate Y_{a}_{b} mixes weights {sorted(wts)}")
-        out[f"Y_{a}_{b}"] = expr
+        out[f"Y_{a}_{b}"] = -expr
     return out
 
 
@@ -275,8 +278,8 @@ def pi_point(
 ) -> Tuple[Permutation, Dict[Root, object]]:
     """Quotient image of a cell point: smaller-flag cell and coordinates.
 
-    Y_{j-1,k-1} = -X_beta X_{[1,j-1]} / X_{[1,k]} for every inversion root
-    beta = [j, k] with j >= 2; the scalar type is the coordinates' own.
+    Y_{j-1,k-1} = X_beta X_{[1,j-1]} / X_{[1,k]}, without the displayed minus,
+    for each inversion root [j, k] with j >= 2, in the coordinates' scalar type.
     """
     small = Permutation(cell_parameter(w).images[:-1])  # drop the fixed last letter
     out: Dict[Root, object] = {}
@@ -284,7 +287,7 @@ def pi_point(
         j, k = beta
         if j == 1:
             continue
-        out[(j - 1, k - 1)] = -v * coords[(1, j - 1)] / coords[(1, k)]
+        out[(j - 1, k - 1)] = v * coords[(1, j - 1)] / coords[(1, k)]
     if set(out) != set(inversion_roots(small)):
         raise ArithmeticError("quotient labels do not match the smaller cell")
     return small, out
@@ -342,7 +345,7 @@ def top_cell(n: int) -> Permutation:
 def flag_lattice(n: int) -> InvariantLattice:
     """The quotient-coordinate lattice of the full cell.
 
-    Y_{a,b} is minus the X monomial X_beta X_beta' / X_{beta+beta'} with
+    Y_{a,b} is the X monomial X_beta X_beta' / X_{beta+beta'} with
     beta = [a+1, b+1], beta' = [1, a] and beta + beta' = [1, b+1], three
     distinct roots, so its support has three entries.  The left
     inverse's row for Y_{a,b} is the unit vector at X_[a+1,b+1]: that is
@@ -357,7 +360,7 @@ def flag_lattice(n: int) -> InvariantLattice:
         gens.append(tuple(sorted(((moved, 1), (idx[(1, a)], 1), (idx[(1, b + 1)], -1)))))
         inverse.append(((moved, 1),))
     names = flag_x_names(top_cell(n))
-    return InvariantLattice(names, positions, flag_y_names(n - 1), tuple(gens), -1, tuple(inverse))
+    return InvariantLattice(names, positions, flag_y_names(n - 1), tuple(gens), tuple(inverse))
 
 
 def _moved_generic_point(i: int, w0: Permutation, letter: str) -> Substitution:
@@ -369,11 +372,17 @@ def _moved_generic_point(i: int, w0: Permutation, letter: str) -> Substitution:
     return {f"{letter}_{j}_{k}": v for (j, k), v in coords.items()}
 
 
-def quotient_generator_action(i: int, n: int) -> Substitution:
+def induced_generator_action(i: int, n: int) -> Substitution:
     """Induced action of s_i on the quotient coordinates, symbolically:
     each coordinate's X monomial at the generic point of the full cell
     moved by s_i, re-expressed in the Y's."""
     return induced_action(flag_lattice(n), _moved_generic_point(i, top_cell(n), "X"))
+
+
+def quotient_generator_action(i: int, n: int) -> Substitution:
+    """`induced_generator_action` on the displayed coordinates, conjugated by Y -> -Y."""
+    negate = {name: -y for name, y in identity_substitution(flag_y_names(n - 1)).items()}
+    return {name: -y for name, y in compose(negate, induced_generator_action(i, n)).items()}
 
 
 def small_generator_action(j: int, n: int) -> Substitution:
@@ -491,7 +500,7 @@ def _case_instances(w, coords, i, branch_a):
 
 def _case_verdicts(w, coords, i, branch_a, image, moved_image):
     """(case label, verdict, root) per case instance at a point, given the
-    sign-dropped quotient images of the point and of its s_i move; each
+    sign-free quotient images of the point and of its s_i move; each
     image is moved by s_{i-1} at most once."""
     (s1, y1), (s2, y2) = image, moved_image
     y1_moved = y2_moved = None
@@ -543,8 +552,8 @@ def desk_check(n: int, seed: int, samples: int) -> Iterator[DeskInstance]:
                     # boundary collision: the pipelines below would divide
                     # by a vanished first-row coordinate
                     continue
-                printed = (pi_point(w, coords), pi_point(w2, c2))
-                dropped = (_negated(printed[0]), _negated(printed[1]))
+                dropped = (pi_point(w, coords), pi_point(w2, c2))
+                printed = (_negated(dropped[0]), _negated(dropped[1]))
                 for check, ((_, y1), (s2, y2)) in (
                     ("commutation identity [as-printed]", printed),
                     ("commutation identity [sign-dropped]", dropped),
@@ -565,7 +574,7 @@ def desk_check(n: int, seed: int, samples: int) -> Iterator[DeskInstance]:
                 ]
                 ws, cs = decompose_point(torus_scale(point_matrix(w, coords), ts))
                 w2s, c2s = move_point(i, ws, cs)
-                scaled = (_negated(pi_point(ws, cs)), _negated(pi_point(w2s, c2s)))
+                scaled = (pi_point(ws, cs), pi_point(w2s, c2s))
                 redo = [ok for _, ok, _ in _case_verdicts(ws, cs, i, branch_a, *scaled)]
                 yield "rescale-invariant verdicts", redo == verdicts, {**point, "scale": ts}
 

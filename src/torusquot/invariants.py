@@ -11,12 +11,13 @@ basis of it: the cross-ratio generators Y_{i,j} below and the flag
 quotient coordinates.  Each builder states an integer left inverse of
 its generators in closed form, checked once against their supports;
 with the lattice's rank (a union-find over the root edges (j, k + 1))
-that certifies a basis.  `reexpress` rewrites an invariant rational
-function in either basis, and `induced_action` gives the action that a
-substitution of the X's induces on the Y's.
-`reexpress` checks the lattice first and weighs the monomials only to
-name a refusal, and its Y fraction needs no second reduction beyond a
-sign, since the lattice is saturated (both argued at `reexpress`).
+that certifies a basis, which every lattice must have.  A Y is its X
+monomial; only `flag` shows the paper's leading minus.  `reexpress`
+rewrites an invariant rational function in either basis, checking the
+lattice first and weighing the monomials only to name a refusal; its Y
+fraction needs no second reduction, since the lattice is saturated (both
+argued there).  `induced_action` gives the action that a substitution
+of the X's induces on the Y's.
 
 All of it is integer work in proportion to the nonzero entries.  A
 generator is only ever its support, the sorted (position, exponent)
@@ -33,7 +34,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ratfunc import Names, RationalFunction, Substitution, _map_target
+from .ratfunc import Names, RationalFunction, Substitution, compose
 from .schubert import Interval, InversionArray
 
 Exponents = Tuple[int, ...]
@@ -151,16 +152,14 @@ class InvariantLattice:
     weight, and ``generators`` the support of each quotient coordinate Y:
     the (position, exponent) pairs of its nonzero exponents, sorted by
     position (four for a cross-ratio, three for a flag coordinate).  A Y
-    is ``sign`` times its X monomial (+1 for the Grassmannian
-    cross-ratios, -1 for the flag quotient coordinates).
-    ``left_inverse``, from the builder, holds one sparse integer row per
-    generator as (position, entry) pairs.  Construction raises
-    ``ValueError`` unless there is one root per X name and one Y name per
-    generator, unless ``sign`` is the int 1 or -1, unless each support
-    has its positions in 0..len(x_names)-1, strictly increasing, and
-    nonzero integer exponents, unless each row pairs to 1 with its
-    generator and to 0 with the others, and unless each generator has
-    weight zero.
+    is its X monomial.  ``left_inverse``, from the builder, holds one
+    sparse integer row per generator as (position, entry) pairs.
+    Construction raises ``ValueError`` unless there is one root per X
+    name and one Y name per generator, unless each support has its
+    positions in 0..len(x_names)-1, strictly increasing, and nonzero
+    integer exponents, unless each row pairs to 1 with its generator and
+    to 0 with the others, unless each generator has weight zero, and
+    unless they are as many as the weight kernel's rank (`_kernel_rank`).
 
     For each X position, the nonzero entries of its left-inverse column
     are derived with it; the Y monomials are built on first use.  Neither
@@ -171,7 +170,6 @@ class InvariantLattice:
     roots: Tuple[Interval, ...]
     y_names: Names
     generators: Tuple[_Sparse, ...]
-    sign: int
     left_inverse: Tuple[_Sparse, ...] = field(repr=False, compare=False)
     _inverse_columns: Tuple[_Sparse, ...] = field(init=False, repr=False, compare=False)
     _y_monomials: Optional[Substitution] = field(
@@ -184,8 +182,6 @@ class InvariantLattice:
             raise ValueError("expected one root per X name")
         if len(self.y_names) != len(self.generators):
             raise ValueError("expected one Y name per generator")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise ValueError(f"sign must be the int 1 or -1, got {self.sign!r}")
         for name, support in zip(self.y_names, self.generators):
             defect = _support_defect(support, size)
             if defect is not None:
@@ -196,6 +192,9 @@ class InvariantLattice:
                              "so they are not certified a basis of a saturated lattice")
         if any(monomial_weight(v, self.roots) for v in self.generators):
             raise ValueError("a generator has nonzero torus weight")
+        if len(self.generators) != _kernel_rank(self.roots):
+            raise ValueError(f"{len(self.generators)} generators for a weight-zero lattice of "
+                             f"rank {_kernel_rank(self.roots)}, so they are not a basis of it")
         object.__setattr__(self, "_inverse_columns", columns)
 
 
@@ -209,31 +208,27 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
     Each monomial of f is a multiple of one denominator monomial, the
     pivot, by a monomial whose exponents z in the generator lattice the
     left inverse gives and the generators confirm.  The Y monomial with
-    exponents z stands for sign**sum(z) times its X monomial; all of them
+    exponents z stands for the X monomial with exponents z G; all of them
     are shifted by a common Y monomial, the componentwise minimum, so
     that numerator and denominator are polynomials.  That shift cancels
     the choice of pivot.
 
     The weight pass runs only when some confirmation fails, to name the
-    defect: a numerator or a denominator that is not weight-homogeneous,
-    a nonzero torus weight, or else a monomial outside the lattice, in
-    that order.  Nothing is lost by running it late: the generators have
-    weight zero (construction checks it), so when every monomial is the
-    pivot times a lattice monomial, both sides share the pivot's weight.
+    defect: a numerator or a denominator that is not weight-homogeneous, or
+    else a nonzero torus weight.  The generators are a basis of the whole
+    weight kernel (construction checks it), so a confirmation fails exactly
+    when a monomial is off the pivot's weight.
 
-    The shifted pair needs no further reduction beyond a sign, so it is
-    built directly, not through `from_terms`.  The certified left inverse
-    M makes the lattice L saturated: x = (M x) G + (x - (M x) G) splits
-    Z^N = L + ker M as a direct sum, so k[X^±] = k[Y^±][W^±] with Y the
-    generators' monomials and W those of a basis of ker M.  A common
-    factor in k[Y^±] that is not a monomial would stay one in k[X^±],
-    hence in the reduced X fraction f: there is none.  For the flag
-    lattice, whose sign is -1, Y**z stands for (-1)**sum(z) X**(z G): the
-    same monomial map after the automorphism Y_i -> -Y_i, which keeps
-    coprime pairs coprime.  The coefficients are f's up to sign, so they
-    stay jointly primitive; the shift leaves no monomial factor; and
-    negating both sides when the denominator's graded-lex leading
-    coefficient is negative gives the form that `_fraction` returns.
+    The shifted pair needs no further reduction, so it is built directly,
+    not through `from_terms`.  The certified left inverse M makes the
+    lattice L saturated: x = (M x) G + (x - (M x) G) splits Z^N = L + ker M
+    as a direct sum, so k[X^±] = k[Y^±][W^±] with Y the generators'
+    monomials and W those of a basis of ker M.  A common factor in k[Y^±]
+    that is not a monomial would stay one in k[X^±], hence in the reduced X
+    fraction f: there is none.  The coefficients are f's, so they stay
+    jointly primitive; the shift leaves no monomial factor; and negating
+    both sides when the denominator's graded-lex leading coefficient is
+    negative gives the form that `_fraction` returns.
     """
     if f.names != lattice.x_names:
         raise ValueError("expected a function of this cell's X coordinates")
@@ -262,31 +257,24 @@ def reexpress(f: RationalFunction, lattice: InvariantLattice) -> RationalFunctio
 
     zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
     low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
-    flip = lattice.sign < 0
-    num_y, den_y = (
-        {tuple(map(sub, z, low)): -c if flip and sum(z) % 2 else c for z, c in terms}
-        for terms in zs
-    )
+    num_y, den_y = ({tuple(map(sub, z, low)): c for z, c in terms} for terms in zs)
     if den_y[max(den_y, key=lambda m: (sum(m), m))] < 0:
         num_y, den_y = ({m: -c for m, c in terms.items()} for terms in (num_y, den_y))
     return RationalFunction(ynames, num_y, den_y)
 
 
 def _defect(num, den, roots: Tuple[Interval, ...]) -> str:
-    """Why a fraction with these sides is no function of the Y's: the
-    first weight defect, or else a monomial outside the lattice."""
+    """The weight defect of a fraction that `reexpress` refused."""
     wn, wd = ({monomial_weight(enumerate(m), roots) for m in terms} for terms in (num, den))
     if len(wn) > 1:
         return "numerator is not weight-homogeneous"
     if len(wd) > 1:
         return "denominator is not weight-homogeneous"
-    if wn != wd:
-        return "function has nonzero torus weight"
-    return "monomial outside the invariant lattice"
+    return "function has nonzero torus weight"
 
 
 def y_monomials(lattice: InvariantLattice) -> Substitution:
-    """Each quotient coordinate Y as ``sign`` times its X monomial.
+    """Each quotient coordinate Y as its X monomial.
 
     They are built once per lattice; each call returns a fresh dict."""
     if lattice._y_monomials is None:
@@ -301,7 +289,7 @@ def y_monomials(lattice: InvariantLattice) -> Substitution:
 
         monomials = {
             name: RationalFunction.from_terms(
-                lattice.x_names, {side(support, 1): lattice.sign}, {side(support, -1): 1}
+                lattice.x_names, {side(support, 1): 1}, {side(support, -1): 1}
             )
             for name, support in zip(lattice.y_names, lattice.generators)
         }
@@ -311,13 +299,9 @@ def y_monomials(lattice: InvariantLattice) -> Substitution:
 
 def induced_action(lattice: InvariantLattice, xsub: Substitution) -> Substitution:
     """The action on the Y's induced by the substitution `xsub` of the X's:
-    each Y's monomial moved by `xsub` and re-expressed in the Y's.  The
-    map is checked once against the X's, as `compose` does."""
-    target = _map_target(xsub, lattice.x_names)
-    return {
-        name: reexpress(mono._subs(xsub, target), lattice)
-        for name, mono in y_monomials(lattice).items()
-    }
+    each Y's monomial moved by `xsub` and re-expressed in the Y's."""
+    moved = compose(xsub, y_monomials(lattice))
+    return {name: reexpress(image, lattice) for name, image in moved.items()}
 
 
 @dataclass(frozen=True)
@@ -347,26 +331,13 @@ class KernelReport:
         )
 
 
-def _certify(roots: Sequence[Interval], generators: Sequence[_Sparse],
-             inverse: Sequence[_Sparse]) -> Tuple[int, bool, bool]:
-    """(rank of the weight kernel K, generators in K, generators a basis of K).
+def _kernel_rank(roots: Sequence[Interval]) -> int:
+    """Rank of the weight kernel K of the monomials in X's with these roots.
 
     The root [j, k] is e_j - e_(k+1), so the roots span the cut lattice
     of a graph with one edge (j, k + 1) each.  Its rank is the number of
-    vertices minus the number of components, which is the number of
-    merges of a union-find over the edges; K's rank is the number of
-    roots minus that.
-
-    Let L be the span of the generators.  If they lie in K, are as many
-    as K's rank and have integer rows M with M G^T = I (G the generators
-    as rows), then L = K: the generators are independent, so L has full
-    rank in K and K/L is finite; and Z^N/L is torsion-free, since m x =
-    c G with c integral gives c = m (M x), so x = (M x) G lies in L.
-    Hence each x in K, having some multiple in L, lies in L.  The
-    generators are given by their supports, and the sparse rows `inverse`
-    are the candidate M, checked against those supports before they are
-    trusted.
-    """
+    merges of a union-find over the edges; K's is the number of roots
+    minus that."""
     parent = list(range(max((k for _, k in roots), default=0) + 2))
 
     def find(v: int) -> int:
@@ -381,6 +352,24 @@ def _certify(roots: Sequence[Interval], generators: Sequence[_Sparse],
         if a != b:
             parent[a] = b
             rank -= 1
+    return rank
+
+
+def _certify(roots: Sequence[Interval], generators: Sequence[_Sparse],
+             inverse: Sequence[_Sparse]) -> Tuple[int, bool, bool]:
+    """(rank of the weight kernel K, generators in K, generators a basis of K).
+
+    Let L be the span of the generators.  If they lie in K, are as many
+    as K's rank (`_kernel_rank`) and have integer rows M with M G^T = I
+    (G the generators as rows), then L = K: the generators are
+    independent, so L has full rank in K and K/L is finite; and Z^N/L is
+    torsion-free, since m x = c G with c integral gives c = m (M x), so
+    x = (M x) G lies in L.  Hence each x in K, having some multiple in L,
+    lies in L.  The generators are given by their supports, and the
+    sparse rows `inverse` are the candidate M, checked against those
+    supports before they are trusted.
+    """
+    rank = _kernel_rank(roots)
     in_kernel = not any(monomial_weight(v, roots) for v in generators)
     if not in_kernel or len(generators) != rank:
         return rank, in_kernel, False

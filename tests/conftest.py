@@ -414,13 +414,7 @@ def weight_first_reexpress(f: RationalFunction, lattice: InvariantLattice) -> Ra
 
     zs = [[(y_exponents(m), c) for m, c in terms.items()] for terms in (num, den)]
     low = [min(col) for col in zip(*(z for terms in zs for z, _ in terms))]
-    num_y, den_y = (
-        {
-            tuple(e - m for e, m in zip(z, low)): -c if lattice.sign < 0 and sum(z) % 2 else c
-            for z, c in terms
-        }
-        for terms in zs
-    )
+    num_y, den_y = ({tuple(e - m for e, m in zip(z, low)): c for z, c in terms} for terms in zs)
     return RationalFunction.from_terms(ynames, num_y, den_y)
 
 

@@ -42,7 +42,7 @@ from torusquot.flag import (
     torus_scale,
 )
 from torusquot.invariants import ReexpressionError, reexpress, y_monomials
-from torusquot.ratfunc import RationalFunction
+from torusquot.ratfunc import RationalFunction, identity_substitution
 from torusquot.verify import exhaustive_check
 from torusquot.weyl import Permutation, all_permutations, from_word, longest_element
 
@@ -223,15 +223,16 @@ def test_pi_tau_frozen_small_cell():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pi_tau_on_the_full_cell_is_the_flag_lattice_basis(n):
     """The quotient map on the full cell against the exponent vectors that
-    `flag_lattice` writes down on its own: Y = sign * X-monomial."""
+    `flag_lattice` writes down on its own: each displayed coordinate is
+    minus its lattice monomial."""
     lattice = flag_lattice(n)
     exprs = pi_tau(longest_element(range(1, n), n + 1), n)
     assert tuple(exprs) == lattice.y_names
-    assert exprs == y_monomials(lattice)
+    assert exprs == {name: -y for name, y in y_monomials(lattice).items()}
     for expr, support in zip(exprs.values(), lattice.generators):
         assert expr.names == lattice.x_names
         [(num, a)], [(den, b)] = expr.numer.items(), expr.denom.items()
-        assert a / b == lattice.sign
+        assert a / b == -1
         assert tuple((t, p - q) for t, (p, q) in enumerate(zip(num, den)) if p != q) == support
 
 
@@ -276,8 +277,10 @@ def test_pi_point_matches_symbolic_map(n):
             f"X_{a}_{b}": v for (a, b), v in coords.items()
         }
         small, yvals = pi_point(w, coords)
+        assert len(yvals) == len(exprs)
         for (a, b), val in yvals.items():
-            assert exprs[f"Y_{a}_{b}"].evaluate(values) == val
+            # pi_tau displays the leading minus that pi_point drops
+            assert exprs[f"Y_{a}_{b}"].evaluate(values) == -val
 
 
 def test_support_predicate_matches_sampling_oracle():
@@ -337,9 +340,11 @@ def test_reexpress_in_y_roundtrip():
     n = 2
     w0 = top_cell(n)
     coords = symbolic_coords(w0)
-    # the signed cross-ratio -X_1_1 X_2_2 / X_1_2 IS the quotient coordinate
-    f = -coords[(1, 1)] * coords[(2, 2)] / coords[(1, 2)]
+    # the monomial X_1_1 X_2_2 / X_1_2 IS the quotient coordinate, and the
+    # displayed one is its negative
+    f = coords[(1, 1)] * coords[(2, 2)] / coords[(1, 2)]
     assert reexpress(f, flag_lattice(n)).canonical() == "Y_1_1"
+    assert reexpress(-f, flag_lattice(n)).canonical() == "-Y_1_1"
     assert reexpress(f * f, flag_lattice(n)).canonical() == "Y_1_1**2"
     with pytest.raises(ReexpressionError):
         reexpress(coords[(1, 1)], flag_lattice(n))  # weight nonzero
@@ -347,8 +352,29 @@ def test_reexpress_in_y_roundtrip():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quotient_generator_action_matches_the_point_route(n):
+    """The sign-free induced action, since the reference reads the
+    sign-free `pi_point`."""
     for i in range(1, n + 1):
-        assert flag.quotient_generator_action(i, n) == reference_quotient_generator_action(i, n)
+        assert flag.induced_generator_action(i, n) == reference_quotient_generator_action(i, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_displayed_action_is_the_sign_free_one_conjugated_by_negation(n):
+    """With Y the displayed coordinate and -Y its lattice monomial, the
+    displayed action sends Y to minus the sign-free action at -Y; at s_1
+    it sends Y_1_1 to 1 - Y_1_1, not the stated -(1 + Y_1_1)."""
+    names = flag_y_names(n - 1)
+    negate = {name: -y for name, y in identity_substitution(names).items()}
+    for i in range(1, n + 1):
+        induced, shown = flag.induced_generator_action(i, n), flag.quotient_generator_action(i, n)
+        assert tuple(shown) == tuple(induced) == names
+        for name in names:
+            assert shown[name] == -induced[name].subs(negate), (i, name)
+            assert shown[name].canonical() == (-induced[name].subs(negate)).canonical()
+    if n >= 2:
+        y11 = identity_substitution(names)["Y_1_1"]
+        assert flag.quotient_generator_action(1, n)["Y_1_1"] == 1 - y11
+        assert flag.induced_generator_action(1, n)["Y_1_1"] == -(1 + y11)
 
 
 def test_swap_rows_keeps_generic_top_cell_point_in_cell():

@@ -296,16 +296,18 @@ def test_grassmann_reexpression_round_trip(n, r, a):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_flag_reexpression_round_trip_keeps_the_sign(n):
-    # each quotient coordinate is minus its X monomial, so monomials of
-    # odd total degree pick up a sign on the way back
+    # each displayed quotient coordinate is minus its lattice monomial, so
+    # a function pushed through the display comes back as f(-Y)
     w0 = flag.top_cell(n)
     to_x = flag.pi_tau(longest_element(range(1, n), n + 1), n)
+    ynames = flag.flag_y_names(n - 1)
+    negate = {name: -y for name, y in identity_substitution(ynames).items()}
     rng = random.Random(n)
     for _ in range(4):
-        f = _random_invariant(flag.flag_y_names(n - 1), rng)
+        f = _random_invariant(ynames, rng)
         fx = f.subs(to_x)
         assert fx.names == flag.flag_x_names(w0)
-        assert reexpress(fx, flag.flag_lattice(n)) == f
+        assert reexpress(fx, flag.flag_lattice(n)) == f.subs(negate)
 
 
 def test_grassmann_reexpression_refuses_non_invariants():
@@ -338,8 +340,6 @@ def reference_reexpress(f, lattice):
         sol = solve_linear(mat, target)
         if sol is None or any(z.denominator != 1 for z in sol):
             raise ReexpressionError("monomial outside the invariant lattice")
-        if lattice.sign < 0 and sum(sol) % 2:
-            out = -out
         for name, z in zip(ynames, sol):
             if z:
                 out = out * RationalFunction.variable(name, ynames) ** int(z)
@@ -360,7 +360,9 @@ def _grassmann_case(n, r, a):
 
 
 def _flag_case(n):
-    return flag.flag_lattice(n), flag.pi_tau(longest_element(range(1, n), n + 1), n)
+    # pi_tau displays each coordinate with a leading minus; the lattice's Y has none
+    shown = flag.pi_tau(longest_element(range(1, n), n + 1), n)
+    return flag.flag_lattice(n), {name: -y for name, y in shown.items()}
 
 
 LATTICES = {
@@ -459,7 +461,7 @@ def test_lattice_refuses_generators_of_nonzero_weight():
     bent.remove(next(entry for entry in bent if entry[1] == 1))  # its first +1 exponent to 0
     with pytest.raises(ValueError, match="nonzero torus weight"):
         InvariantLattice(
-            lattice.x_names, lattice.roots, lattice.y_names[:1], (tuple(bent),), 1,
+            lattice.x_names, lattice.roots, lattice.y_names[:1], (tuple(bent),),
             lattice.left_inverse[:1],
         )
 
@@ -484,22 +486,11 @@ def test_lattice_refuses_mismatched_lengths(field, resize, mismatch):
     exponent tuples have entries."""
     lattice = action.invariant_lattice(schubert.GrassmannElement(6, 3, (2, 4, 5)))
     values = {name: getattr(lattice, name) for name in
-              ("x_names", "roots", "y_names", "generators", "sign", "left_inverse")}
+              ("x_names", "roots", "y_names", "generators", "left_inverse")}
     assert len(lattice.generators) > 1
     with pytest.raises(ValueError, match=f"^expected {mismatch}$"):
         InvariantLattice(**{**values, field: resize(values[field])})
     assert InvariantLattice(**values) == lattice
-
-
-@pytest.mark.parametrize("sign", [2, 0, True, -1.0, "1"], ids=repr)
-def test_lattice_refuses_a_sign_other_than_the_int_1_or_minus_1(sign):
-    """A Y is ``sign`` times its X monomial, so any other sign gives a
-    wrong one: on the cell (5, 2, (2, 4)), sign 2 would give the Y
-    monomial (2*X_1_2*X_2_1)/(X_1_1*X_2_2), and sign 0 would give 0."""
-    lattice = action.invariant_lattice(schubert.GrassmannElement(5, 2, (2, 4)))
-    with pytest.raises(ValueError, match=f"^sign must be the int 1 or -1, got {re.escape(repr(sign))}$"):
-        dataclasses.replace(lattice, sign=sign)
-    assert dataclasses.replace(lattice, sign=-1).sign == -1
 
 
 def _first_support(change):
@@ -531,7 +522,7 @@ def test_lattice_refuses_a_malformed_support(malform, defect):
     with pytest.raises(ValueError, match=re.escape(f"support of Y_1_1 has {defect}")):
         InvariantLattice(
             lattice.x_names, lattice.roots, lattice.y_names, malform(lattice.generators),
-            lattice.sign, lattice.left_inverse,
+            lattice.left_inverse,
         )
 
 
@@ -557,10 +548,12 @@ def _identity(k):
 def test_left_inverse_exists_for_every_cell_and_flag_lattice():
     """Both closed forms pair to the identity: on every cell of every
     G(r, n) with n <= 10, unstable cells and cells without Y's among them,
-    and on every flag lattice with n <= 8."""
+    and on every flag lattice with n <= 8.  Each of those lattices is
+    built, so its generators also meet the weight kernel's rank."""
     for n in range(2, 11):
         for r in range(1, n):
             for g in schubert.all_cells(n, r):
+                action.invariant_lattice(g)
                 arr = schubert.inversion_array(g)
                 gens = [dense_y_exponent(arr, i, j) for i, j in y_labels(arr)]
                 assert _dense_pairings(cross_ratio_inverse(arr), gens) == _identity(len(gens)), g
@@ -597,7 +590,7 @@ def test_lattice_refuses_generators_without_integer_left_inverse():
     for gens, inverse in [((tuple((t, 2 * e) for t, e in first),), (row,)), ((first, first), (row, row))]:
         with pytest.raises(ValueError, match="saturated"):
             InvariantLattice(
-                lattice.x_names, lattice.roots, lattice.y_names[: len(gens)], gens, 1, inverse
+                lattice.x_names, lattice.roots, lattice.y_names[: len(gens)], gens, inverse
             )
 
 
@@ -618,13 +611,12 @@ def test_lattice_refuses_a_wrong_left_inverse(wrong, case):
     lattice, _ = LATTICES[case]
     gens, rows = wrong(lattice.generators, lattice.left_inverse, len(lattice.x_names))
     with pytest.raises(ValueError, match="saturated"):
-        InvariantLattice(lattice.x_names, lattice.roots, lattice.y_names, gens, lattice.sign, rows)
+        InvariantLattice(lattice.x_names, lattice.roots, lattice.y_names, gens, rows)
 
 
 def _rebuilt(lattice):
     return InvariantLattice(
-        lattice.x_names, lattice.roots, lattice.y_names, lattice.generators, lattice.sign,
-        lattice.left_inverse,
+        lattice.x_names, lattice.roots, lattice.y_names, lattice.generators, lattice.left_inverse
     )
 
 
@@ -654,13 +646,35 @@ def test_changing_the_y_monomials_dict_leaves_the_lattice_alone():
 
 
 def test_monomial_outside_the_lattice_is_refused():
+    """The X monomial of the second Y lies outside the span of the first
+    alone, and no weight defect names it.  A lattice of the first Y alone
+    is refused at construction, for rank, so `reexpress` never meets such
+    a monomial; the full lattice re-expresses it as the second Y."""
     lattice, to_x = LATTICES["grassmann (7, 2, (4, 6))"]
-    smaller = InvariantLattice(
-        lattice.x_names, lattice.roots, lattice.y_names[:1], lattice.generators[:1], 1,
-        lattice.left_inverse[:1],
-    )
     outside = to_x[lattice.y_names[1]]
-    with pytest.raises(ReexpressionError, match="monomial outside the invariant lattice"):
-        reexpress(outside, smaller)
-    with pytest.raises(ReexpressionError, match="monomial outside the invariant lattice"):
-        reference_reexpress(outside, smaller)
+    with pytest.raises(ValueError, match="^1 generators for a weight-zero lattice of rank"):
+        InvariantLattice(
+            lattice.x_names, lattice.roots, lattice.y_names[:1], lattice.generators[:1],
+            lattice.left_inverse[:1],
+        )
+    assert reexpress(outside, lattice).canonical() == lattice.y_names[1]
+
+
+def test_lattice_refuses_generators_short_of_the_kernel_rank():
+    """One generator dropped with its left-inverse row: the rest still pair
+    to the identity, so only the rank tells that they span part of the
+    weight kernel.  `reexpress` could then meet a weight-zero monomial
+    outside their span, which no weight defect names."""
+    for case in ("grassmann (7, 2, (4, 6))", "flag n=4"):
+        lattice, _ = LATTICES[case]
+        rank = len(lattice.generators)
+        assert rank == _certify(lattice.roots, lattice.generators, lattice.left_inverse)[0] > 1
+        for drop in (0, rank - 1):
+            keep = [b for b in range(rank) if b != drop]
+            text = f"^{rank - 1} generators for a weight-zero lattice of rank {rank}, "
+            with pytest.raises(ValueError, match=text):
+                InvariantLattice(
+                    lattice.x_names, lattice.roots, tuple(lattice.y_names[b] for b in keep),
+                    tuple(lattice.generators[b] for b in keep),
+                    tuple(lattice.left_inverse[b] for b in keep),
+                )

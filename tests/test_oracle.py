@@ -823,3 +823,17 @@ def test_oracle_imports_only_permutation_from_the_package():
         if alias.name.split(".")[0] == "torusquot"
     ]
     assert internal == [("weyl", ["Permutation"])] and plain == []
+
+
+def test_no_package_module_imports_a_private_name_from_another():
+    """Each module reaches another only through its public names (a dunder
+    such as ``__version__`` is public); the relative imports found show
+    that the walk reads them at all."""
+    found, private = 0, []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += 1
+                names = (a.name for a in node.names)
+                private += [(path.name, x) for x in names if x[:1] == "_" and x[1:2] != "_"]
+    assert found > 10 and private == []

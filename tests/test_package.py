@@ -21,6 +21,8 @@ ALLOWED = {
     "flag_point_semistable": "the benchmark's oracle workload calls it, and "
     "ROADMAP item 4's thm-5.2-stability suite will",
     "RationalFunction.evaluate": "only the benchmark's symbolic workload and tests call it",
+    "quotient_generator_action": "the benchmark's symbolic workload pins its displayed strings; "
+    "the package's own suites use induced_generator_action",
     # the benchmark's oracle workload counts draws, resamplings and
     # inconclusive cells, which the exact verdict no longer has; these go
     # with those counters (ROADMAP item 1a)

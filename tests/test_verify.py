@@ -10,7 +10,7 @@ import pytest
 from torusquot import action, flag, oracle, schubert, verify
 from torusquot.cli import _jsonable, run
 from torusquot.verify import CheckReport, available_suites, exhaustive_check
-from torusquot.weyl import Permutation, parabolic_elements
+from torusquot.weyl import Permutation, all_permutations, parabolic_elements
 
 
 def test_registry_is_complete():
@@ -163,22 +163,45 @@ def test_lemma_4_1_passes_at_every_n_below_its_limit():
 
 
 def test_lemma_4_1_finds_an_escape_when_a_stabilizing_generator_is_dropped(monkeypatch):
-    """Negative control: with the largest stabilizing generator left out of
-    each cell's group, that reflection keeps the generic point in its cell
-    but lies outside the smaller group, and the suite must say so."""
+    """Negative control: with the largest, or the smallest, stabilizing
+    generator left out of each cell's group, that reflection keeps the
+    generic point in its cell but lies outside the smaller group, and the
+    suite must say so."""
     real = action.stabilizer_generators
+    for pick in (max, min):
 
-    def fewer(g):
-        return real(g) - {max(real(g))}
+        def fewer(g):
+            return real(g) - {pick(real(g))}
 
-    monkeypatch.setattr(action, "stabilizer_generators", fewer)
-    rep = exhaustive_check("lemma-4.1", n=6)
-    assert rep.status == "fail"
-    g = next(g for g in schubert.semistable_cells(6, 2) if list(g.a_seq) == rep.counterexample["a_seq"])
-    sigma = Permutation(tuple(rep.counterexample["sigma"]))
-    assert sigma in set(parabolic_elements(real(g), 6))
-    assert sigma not in set(parabolic_elements(fewer(g), 6))
-    assert next(oracle.generic_pivot_sets(schubert.to_permutation(g), 2, [sigma])) == frozenset(g.a_seq)
+        monkeypatch.setattr(action, "stabilizer_generators", fewer)
+        rep = exhaustive_check("lemma-4.1", n=6)
+        assert rep.status == "fail", pick
+        a_seq = rep.counterexample["a_seq"]
+        g = next(g for g in schubert.semistable_cells(6, 2) if list(g.a_seq) == a_seq)
+        sigma = Permutation(tuple(rep.counterexample["sigma"]))
+        assert sigma in set(parabolic_elements(real(g), 6))
+        assert sigma not in set(parabolic_elements(fewer(g), 6))
+        pivots = next(oracle.generic_pivot_sets(schubert.to_permutation(g), 2, [sigma]))
+        assert pivots == frozenset(g.a_seq)
+
+
+def test_lemma_4_1_cut_test_is_membership_in_the_stabilizing_group():
+    """The suite's test for sigma in the group generated by a cell's
+    closure-stabilizing reflections: sigma keeps {1..k} for every k that
+    is not a generator.  Every sigma and every semistable rank-2 cell with
+    n <= 6, against the group itself."""
+    cells = 0
+    for n in range(4, 7):
+        sigmas = list(all_permutations(n))
+        for g in schubert.semistable_cells(n, 2):
+            stab = action.stabilizer_generators(g)
+            cuts = sorted(set(range(1, n)) - stab)
+            group = set(parabolic_elements(stab, n))
+            for sigma in sigmas:
+                keeps = all(max(sigma.images[:k]) == k for k in cuts)
+                assert keeps == (sigma in group), (g, sigma)
+            cells += 1
+    assert cells == sum(len(schubert.semistable_cells(n, 2)) for n in range(4, 7)) > 0
 
 
 def test_thm_suite_carries_reading_records():
