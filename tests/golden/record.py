@@ -38,6 +38,7 @@ SIZED_COMMANDS = (
     ("lemma-2.7", "--n", "11", "--r", "7"),
     ("lemma-2.7", "--n", "11", "--r", "5"),
     ("lemma-3.1", "--n", "8"),
+    ("lemma-3.1", "--n", "10"),
     ("lemma-4.1", "--n", "7"),
 )
 
