@@ -5,11 +5,13 @@ supports from the zero pattern of a cell's points, Laplace expansion of
 the minors of explicit points, the Hilbert-Mumford test as
 (flag-)matroid rank inequalities for Grassmannians and full flags alike,
 and direct subset bumping for cell-closure stability.  Row sets are
-bitmasks throughout.  The rank inequalities are read off families of row
-sets, each held as the bits of one integer: F_t, the row sets of rank at
-least t, for each t.  A Grassmannian's inequality n rk(S) >= r |S| is
-membership of S in one F_t, decided once per distinct support; a flag's
-weighted sum of ranks is counted off the families of each step.  No code
+bitmasks throughout, and both tests read families of row sets, each held
+as the bits of one integer.  The rank inequalities are read off F_t, the
+row sets of rank at least t, for each t.  A Grassmannian's inequality
+n rk(S) >= r |S| is membership of S in one F_t, decided once per
+distinct support; a flag's weighted sum of ranks is counted off the
+families of each step.  The closure test bumps every subset dominated by
+a cell's column set at once, as one shift of their family.  No code
 is shared with the modules under test beyond the Permutation type, so
 agreement between the two sides is evidence, not tautology.
 
@@ -48,13 +50,6 @@ _BIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 # generic points of Grassmannian cells
 
 
-def inversion_positions(w: Permutation) -> List[Tuple[int, int]]:
-    """Matrix positions (i, j), i < j, of the roots inverted by w^{-1}."""
-    winv = w.inverse().images
-    n = len(winv)
-    return [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
-
-
 def _check_rank(r: int, n: int) -> None:
     """Refuse a rank that no cell of a Grassmannian of n-space has."""
     if not 0 <= r <= n:
@@ -66,19 +61,16 @@ def _layout(w: Permutation, r: int) -> List[List[int]]:
     columns, the rows (0-based) where it may be nonzero.
 
     A point is u . w . P with u unipotent upper triangular supported on
-    the inversion positions of w^{-1}, and column c (0-based) of it is
-    column w(c + 1) of u: a 1 at its pivot row w(c + 1), below the rows
-    i with (i, w(c + 1)) an inversion position, each an independent
-    coordinate.
+    the inversion positions (i, j), i < j and w^{-1}(i) > w^{-1}(j), of
+    w^{-1}, and column c (0-based) of it is column j = w(c + 1) of u: a 1
+    at its pivot row j, below the rows i < j with w^{-1}(i) > c + 1, each
+    an independent coordinate, all read off w^{-1} in increasing order.
     """
-    column = {j: c for c, j in enumerate(w.images[:r])}  # pivot row -> column
-    layout: List[List[int]] = [[] for _ in range(r)]
-    for i, j in inversion_positions(w):
-        if j in column:
-            layout[column[j]].append(i - 1)
-    for j, c in column.items():
-        layout[c].append(j - 1)  # below every inversion row of its column
-    return layout
+    winv = w.inverse().images
+    return [
+        [i for i in range(j - 1) if winv[i] > c] + [j - 1]
+        for c, j in enumerate(w.images[:r], start=1)
+    ]
 
 
 def _generic_bases(w: Permutation, r: int) -> Set[int]:
@@ -303,10 +295,11 @@ def hm_semistable(
     of rank at least t (``_rank_families``); the least violated S is the
     lowest set bit of the union over m of the m-sets outside
     F_ceil(r m / n).  A violated S is an integer separator, re-checked
-    against the support before it is returned; checking every S
-    certifies the semistable side.  The verdict depends on (support, n,
-    r) alone, so the last 256 distinct supports keep theirs; a sweep
-    that asks once per cell gains nothing from keeping more.  Raises
+    before it is returned as n max |B & S| < r |S| over the support's row
+    bitmasks B; checking every S certifies the semistable side.  The
+    verdict depends on (support, n, r) alone, so the last 256 distinct
+    supports keep theirs; a sweep that asks once per cell gains nothing
+    from keeping more.  Raises
     ``ValueError`` unless 0 <= r <= n, for an empty support, and for one
     with a subset that is not a tuple of r increasing entries of 1..n.
     """
@@ -326,11 +319,9 @@ def hm_semistable(
     if not violated:
         return HMCertificate(True, None)
     s = (violated & -violated).bit_length() - 1
-    rows = tuple(i + 1 for i in range(n) if s >> i & 1)
-    rank = max(len(set(rows).intersection(sub)) for sub in support)
-    if n * rank >= r * len(rows):
+    if n * max((b & s).bit_count() for b in bases) >= r * s.bit_count():
         raise ArithmeticError("separator failed re-verification")
-    return HMCertificate(False, rows)
+    return HMCertificate(False, tuple(i + 1 for i in range(n) if s >> i & 1))
 
 
 def cell_semistable(
@@ -354,32 +345,56 @@ def reflection_preserves_closure(top: Subset, k: int, n: int) -> bool:
     The closure consists of the spans whose support subsets are
     dominated by `top`; the swap sends a dominated subset containing k
     but not k+1 to its bump, which must stay dominated.  Raises
-    ``ValueError`` unless 1 <= k <= n - 1 and every entry of `top` is in
-    1..n.
+    ``ValueError`` unless 1 <= k <= n - 1 and the entries of `top` are
+    distinct and in 1..n.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"swap index k = {k} is outside 1..n-1 = 1..{n - 1}")
     top = tuple(sorted(top))
     if top and not 1 <= top[0] <= top[-1] <= n:
         raise ValueError(f"top {top} has an entry outside 1..n = 1..{n}")
+    if len(set(top)) < len(top):
+        raise ValueError(f"top {top} has a repeated entry")
     return k not in _closure_breakers(top, n)
 
 
 @lru_cache(maxsize=1)  # callers ask about every k for one top in turn
 def _closure_breakers(top: Subset, n: int) -> FrozenSet[int]:
-    """The k whose swap bumps a subset of 1..n dominated by `top` to one
-    that is not.  Subsets are bitmasks with bit i for i, so a bump of k
-    adds 2^k; it stays dominated iff it is among the dominated subsets
-    of 1..n+1 listed here."""
-    subs = [(0, 0)]  # (subset, its largest element)
-    for t in top:
-        subs = [(m | 1 << v, v) for m, last in subs for v in range(last + 1, min(t, n + 1) + 1)]
-    dominated = {m for m, _ in subs}
-    starts = [m for m in dominated if m < 2 << n]
+    """The k in 1..n-1 whose swap bumps a subset of 1..n dominated by
+    `top` to one that is not.  Subsets are bitmasks with bit i for i, so
+    the bump of a subset holding k but not k+1 adds 2^k to it.  On the
+    family of dominated subsets (``_dominated_family``) that is a shift
+    by 2^k of the members outside ``lacking[k]`` and inside
+    ``lacking[k + 1]`` (``_row_families``), and k breaks the closure iff
+    the shift lands outside the family."""
+    lacking, _ = _row_families(n + 1)
+    dominated = _dominated_family(top)
+    outside = ~dominated
     return frozenset(
-        k for k in range(1, n + 1)
-        if any((m >> k) & 3 == 1 and m + (1 << k) not in dominated for m in starts)
+        k for k in range(1, n)
+        if ((dominated & ~lacking[k] & lacking[k + 1]) << (1 << k)) & outside
     )
+
+
+def _dominated_family(top: Subset) -> int:
+    """The subsets dominated by the increasing tuple `top`, those whose
+    i-th least element is at most top[i] for each i, as one family
+    integer with bit m set for each member bitmask m, as in
+    ``_rank_families``.
+
+    The family grows from the empty set (bit 0) one entry t of `top` at a
+    time.  Its members below 2^v are the subsets whose elements are all
+    below v, and adding v to each is a shift by 2^v, for each v in 1..t;
+    the shifts for different v give subsets with different largest
+    elements, so they never collide.
+    """
+    dominated = 1
+    for t in top:
+        grown = 0
+        for v in range(1, t + 1):
+            grown |= (dominated & ((1 << (1 << v)) - 1)) << (1 << v)
+        dominated = grown
+    return dominated
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +411,12 @@ def flag_point_semistable(
     bases_k be the row subsets with a nonzero minor on the first k
     columns (one ``_minor_sweep`` gives every k), so rk_k(S) = max |B & S|
     over B in bases_k (``_rank_table``, counted off ``_rank_families``) is
-    the rank of rows S there.  The
-    sweep gets each column times the lcm of its denominators: scaling a
-    column by a nonzero integer scales every minor through that column
-    alike, so no bases_k changes, and the expansion multiplies integers,
-    not ``Fraction``s.  The flag is semistable iff
+    the rank of rows S there.  The sweep gets each column times the lcm
+    d of its denominators, each entry x as the integer
+    x.numerator * (d // x.denominator): scaling a column by a nonzero
+    integer scales every minor through that column alike, so no bases_k
+    changes, and the expansion multiplies integers, not ``Fraction``s;
+    the c_k go to integers the same way.  The flag is semistable iff
 
         N * sum_k c_k rk_k(S) >= |S| * sum_k k c_k  for every nonempty S.
 
@@ -426,18 +442,25 @@ def flag_point_semistable(
 
     The inequalities cut out the moment polytope of the torus-orbit
     closure (Gelfand and Serganova, Russian Math. Surveys 42, 1987), and
-    a violated one is an integer separator.
+    a violated one is an integer separator.  Raises ``TypeError`` for an
+    entry or coefficient that is not an int or a ``Fraction``, so no float
+    enters the arithmetic, and ``ValueError`` unless there are n - 1
+    coefficients and the matrix is n x n and nonsingular.
     """
+    for x in itertools.chain(coeffs, *mat):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
     n = len(mat)
-    m = [Fraction(0), *(Fraction(c) for c in coeffs), Fraction(0)]
+    m = [0, *coeffs, 0]
     if len(m) != n + 1:
         raise ValueError("coefficient count must be rank = n - 1")
     scales = [math.lcm(*(x.denominator for x in col)) for col in zip(*mat)]
-    ints = [[int(x * d) for x, d in zip(row, scales)] for row in mat]
+    ints = [[x.numerator * (d // x.denominator) for x, d in zip(row, scales)] for row in mat]
     sweep = _minor_sweep(_columns(ints, n, n))  # sweep[k]: the minors on the first k columns
     if not sweep[n]:
         raise ValueError("singular matrix has no flag cell")
     c = [2 * m[k] - m[k - 1] - m[k + 1] for k in range(1, n)]
     scale = math.lcm(*(ck.denominator for ck in c))  # integer c_k, same inequalities
-    steps = [(k, int(ck * scale), sweep[k]) for k, ck in enumerate(c, start=1) if ck]
+    steps = [(k, ck.numerator * (scale // ck.denominator), sweep[k])
+             for k, ck in enumerate(c, start=1) if ck]
     return _violated_rows(steps, n) is None

@@ -358,10 +358,11 @@ _REGISTRY: Dict[str, _Suite] = {
         _suite_lemma_2_7, 14, "tests every cell of Gr(r, n) against the oracle", **_SEMISTABLE
     ),
     "prop-2.9": _Suite(_suite_prop_2_9, **_SEMISTABLE),
-    # One CLI process on a 2-core VM takes 1.7-2.4 s at n = 12, 5.7-6.1 s at
-    # n = 13 and 22 s at n = 14: the work grows about 4x per n.
+    # One CLI process on a 2-core VM takes 1.0-1.1 s at n = 13, 2.0-2.9 s
+    # at n = 14 and 5.6-9.6 s at n = 15, past a budget of about 6 s: the
+    # work grows about 2.5x per n.
     "lemma-3.1": _Suite(
-        _suite_lemma_3_1, 13, "checks every reflection against the closure of every cell of every rank",
+        _suite_lemma_3_1, 14, "checks every reflection against the closure of every cell of every rank",
         **_GRASSMANNIAN,
     ),
     "prop-3.2": _Suite(_suite_prop_3_2, **_GRASSMANNIAN),

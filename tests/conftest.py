@@ -8,6 +8,10 @@ against.  None of these is called by the package itself.
   read off the oracle's Laplace sweep of its sparse columns.  The
   oracle reads a cell's generic support off its zero pattern, so only
   tests ask this of an explicit point.
+- ``inversion_positions``: the positions of the roots inverted by
+  w^{-1}, where a unipotent factor of a cell point has its coordinates;
+  the reference for the oracle's zero pattern, which reads each
+  column's rows straight off w^{-1}, and the layout of sampled points.
 - ``hnf_columns``: the column Hermite form H = A U with its unimodular
   transform, the one integer normal form the tests build on.
 - ``root_weight`` and ``dense_weight``: the simple-root coefficients of
@@ -140,6 +144,13 @@ def minor_support(mat, n, r):
         sub for sub in itertools.combinations(range(1, n + 1), r)
         if sum(1 << (i - 1) for i in sub) in minors
     )
+
+
+def inversion_positions(w: Permutation) -> List[Tuple[int, int]]:
+    """Matrix positions (i, j), i < j, of the roots inverted by w^{-1}."""
+    winv = w.inverse().images
+    n = len(winv)
+    return [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,27 @@
 
 The oracle is the independent side of every cross-check, so its own
 internals get direct coverage: the generic support read off a cell's
-zero pattern against a second derivation, the Gale-order ideal under
-the cell's column set, and against the supports of sampled points (equal
-at large coordinates, inside it always, strictly inside at coordinates
-in {-1, 1}); the Laplace-expanded minors against determinants; the
-refusal of a rank outside 0..n, of a support that is no set of r-subsets
-of 1..n and of a closure swap or top outside 1..n; the rank table and
-the rank families against max |B & S|, one set of rank families per
-distinct support, the families' threshold reading against the rank
-table's count reading (and a floored threshold that must differ);
-Grassmannian verdicts against the rational phase-1 simplex they replaced
-(its combination re-verified by hand for a semistable verdict, the
-separator's rank inequality for an unstable one) and against Edmonds'
-rank criterion, verdict and separator against a brute-force scan of the
-row sets; the subset-bump closure test; the flag rank inequalities
-against the N! row-permutation enumeration they replaced; and the pivot
-sets of permuted generic points, read off the generic support, against
-the column echelons of permuted sampled points.
+zero pattern against a second derivation, the Gale-order ideal under the
+cell's column set, and against the supports of sampled points (equal at
+large coordinates, inside it always, strictly inside at coordinates in
+{-1, 1}); the Laplace-expanded minors against determinants; the refusal
+of a rank outside 0..n, of a support that is no set of r-subsets of
+1..n, of a closure swap or top outside 1..n or with a repeated entry,
+and of a flag entry or coefficient that is no int or ``Fraction``; the
+zero pattern read off w^{-1} against the inversion positions; the rank
+table and the rank families against max |B & S|, one set of rank
+families per distinct support, the families' threshold reading against
+the rank table's count reading (and a floored threshold that must
+differ); Grassmannian verdicts against the rational phase-1 simplex they
+replaced (its combination re-verified by hand for a semistable verdict,
+the separator's rank inequality for an unstable one) and against
+Edmonds' rank criterion, verdict and separator against a brute-force
+scan of the row sets; the subset-bump closure test on one family integer
+against the sorting reference, its dominated family against the Gale
+ideal, and a bump shifted one row too far, which must disagree; the flag
+rank inequalities against the N! row-permutation enumeration they
+replaced; and the pivot sets of permuted generic points, read off the
+generic support, against the column echelons of permuted sampled points.
 """
 
 import ast
@@ -38,6 +42,7 @@ from conftest import (
     flag_cell_of,
     has_semistable,
     int_det,
+    inversion_positions,
     minor_support,
     reference_flag_point_semistable,
     subset_leq,
@@ -54,7 +59,6 @@ from torusquot.oracle import (
     flag_point_semistable,
     generic_pivot_sets,
     hm_semistable,
-    inversion_positions,
     reflection_preserves_closure,
 )
 from torusquot.weyl import Permutation, all_permutations, simple_reflection
@@ -538,26 +542,35 @@ def test_subset_bump_closure():
     assert [k for k in range(1, 5) if reflection_preserves_closure(top, k, 5)] == [1, 2, 4]
 
 
-def test_closure_test_matches_the_sorting_reference_n_up_to_7():
-    """Every top, n and k in order, then shuffled, so that the memo of
-    the last top never answers for another top or n.  The shuffled tops
-    also reach n + 1, and k reaches 0 and n, outside the cell's range,
-    and those are refused."""
+def test_closure_test_matches_the_sorting_reference_n_up_to_9():
+    """Every top, n and k in order, then 40 seeded tops at each n = 10..13
+    with every k, then every top, n and k up to 9 shuffled, so that the
+    memo of the last top never answers for another top or n.  The
+    shuffled tops also reach n + 1, and k reaches 0 and n, outside the
+    cell's range, and those are refused."""
     ordered = [
         (head, k, n)
-        for n in range(2, 8)
+        for n in range(2, 10)
         for r in range(1, n)
         for head in itertools.combinations(range(1, n + 1), r)
         for k in range(1, n)
     ]
+    rng = random.Random(13)
+    sampled = [
+        (head, k, n)
+        for n in range(10, 14)
+        for _ in range(40)
+        for head in [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1))))]
+        for k in range(1, n)
+    ]
     wide = [
         (head, k, n)
-        for n in range(2, 8)
+        for n in range(2, 10)
         for r in range(1, n + 1)
         for head in itertools.combinations(range(1, n + 2), r)
         for k in range(0, n + 1)
     ]
-    for head, k, n in ordered + random.Random(0).sample(wide, len(wide)):
+    for head, k, n in ordered + sampled + random.Random(0).sample(wide, len(wide)):
         if not 1 <= k <= n - 1 or head[-1] > n:
             for top in (head, frozenset(head)):
                 with pytest.raises(ValueError, match="outside 1..n"):
@@ -574,10 +587,77 @@ def test_closure_test_matches_the_sorting_reference_n_up_to_7():
     ((2, 4), 9, 4, "swap index k = 9 is outside 1..n-1 = 1..3"),
     ((1, 9), 1, 4, "top \\(1, 9\\) has an entry outside 1..n = 1..4"),
     (frozenset({0, 2}), 1, 4, "top \\(0, 2\\) has an entry outside 1..n = 1..4"),
+    # a top with a repeated entry is no subset of 1..n
+    ((2, 2), 1, 4, "top \\(2, 2\\) has a repeated entry"),
+    ((3, 2, 3), 1, 5, "top \\(2, 3, 3\\) has a repeated entry"),
 ])
 def test_closure_test_refuses_a_swap_or_top_outside_1_to_n(top, k, n, message):
     with pytest.raises(ValueError, match=message):
         reflection_preserves_closure(top, k, n)
+
+
+def test_dominated_family_is_the_gale_ideal_bit_for_bit_n_up_to_8():
+    """Bit m of the family is set exactly for the bitmask m of a subset
+    in the Gale ideal under the top, the empty top included."""
+    for n in range(1, 9):
+        for r in range(0, n + 1):
+            for head in itertools.combinations(range(1, n + 1), r):
+                expected = sum(1 << sum(1 << i for i in sub) for sub in gale_ideal(head, n))
+                assert oracle._dominated_family(head) == expected, (head, n)
+
+
+def family_breakers(top, n, shift):
+    """``oracle._closure_breakers`` with the bump of k a shift of the
+    family by 2^shift(k)."""
+    lacking, _ = oracle._row_families(n + 1)
+    dominated = oracle._dominated_family(top)
+    return frozenset(
+        k for k in range(1, n)
+        if ((dominated & ~lacking[k] & lacking[k + 1]) << (1 << shift(k))) & ~dominated
+    )
+
+
+def test_a_bump_shifted_one_row_too_far_disagrees_with_the_reference():
+    """Negative control for the closure comparison: the family test as
+    written agrees with the oracle, and with each bump a shift by
+    2^(k+1) in place of 2^k it disagrees with the sorting reference."""
+    disagreements = 0
+    for n in range(2, 8):
+        for r in range(1, n):
+            for head in itertools.combinations(range(1, n + 1), r):
+                expected = {k for k in range(1, n) if not reference_preserves_closure(head, k, n)}
+                assert family_breakers(head, n, lambda k: k) == expected
+                assert oracle._closure_breakers(head, n) == expected
+                disagreements += family_breakers(head, n, lambda k: k + 1) != expected
+    assert disagreements > 0
+
+
+def test_layout_is_the_inversion_position_construction_n_up_to_9():
+    """Each column's rows read off w^{-1} are the rows i with (i, pivot)
+    an inversion position of w^{-1}, in increasing order, then the
+    pivot: for every cell of every rank 0..n with n <= 9, and for every
+    permutation, not only the minimal ones, with n <= 6."""
+
+    def reference_layout(w, r):
+        column = {j: c for c, j in enumerate(w.images[:r])}  # pivot row -> column
+        layout = [[] for _ in range(r)]
+        for i, j in inversion_positions(w):
+            if j in column:
+                layout[column[j]].append(i - 1)
+        for j, c in column.items():
+            layout[c].append(j - 1)
+        return layout
+
+    grassmannian = [
+        (oracle.Permutation(head + tuple(i for i in range(1, n + 1) if i not in head)), r)
+        for n in range(1, 10)
+        for r in range(0, n + 1)
+        for head in itertools.combinations(range(1, n + 1), r)
+    ]
+    everything = [(w, r) for n in range(1, 7) for w in all_permutations(n) for r in range(0, n + 1)]
+    assert len(grassmannian) == 2 ** 10 - 2
+    for w, r in grassmannian + everything:
+        assert oracle._layout(w, r) == reference_layout(w, r), (w, r)
 
 
 def test_weight_image_signs():
@@ -670,6 +750,46 @@ def test_flag_point_semistable_refusals():
                 [Fraction(0), Fraction(0), Fraction(1)]]
     with pytest.raises(ValueError, match="singular matrix has no flag cell"):
         flag_point_semistable(singular, [Fraction(1), Fraction(2)])
+
+
+_VANDERMONDE = [[Fraction(i ** j) for j in range(3)] for i in range(1, 4)]
+
+
+@pytest.mark.parametrize("mat, coeffs, kind", [
+    # a float has no exact denominator to scale its column by
+    ([[1.0, 0, 0], [0, 1, 0], [0, 0, 1]], [Fraction(1), Fraction(2)], "float"),
+    # a float coefficient is a binary approximation, not an exact rational
+    (_VANDERMONDE, [1.5, Fraction(2)], "float"),
+    (_VANDERMONDE, [Fraction(1), "2"], "str"),
+])
+def test_flag_point_semistable_refuses_inexact_input(mat, coeffs, kind):
+    with pytest.raises(TypeError, match=f"expected an int or a Fraction, got {kind}"):
+        flag_point_semistable(mat, coeffs)
+
+
+def test_int_input_and_unlike_denominators_give_the_enumeration_verdict():
+    """Every cell of S_N for N = 2..5 at a point with coordinates zeroed,
+    once with int entries and int coefficients, once with ``Fraction``
+    entries and coefficients of unlike denominators, so that the c_k
+    have unlike denominators too: the verdict is the enumeration's."""
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(2, 6):
+        for w in all_permutations(n):
+            point = _flag_point(w, rng, 0.3)
+            ints = [[int(x) for x in row] for row in point]
+            fractions = [[x / rng.choice((1, 2, 3, 4, 6)) for x in row] for row in point]
+            for mat, coeffs in (
+                (ints, [rng.randint(-3, 3) for _ in range(n - 1)]),
+                (fractions, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+                             for _ in range(n - 1)]),
+            ):
+                expected = reference_flag_point_semistable(
+                    [[Fraction(x) for x in row] for row in mat], [Fraction(c) for c in coeffs]
+                )
+                assert flag_point_semistable(mat, coeffs) == expected, (mat, coeffs)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_verdicts_equal_the_rational_reference_n4_to_7():
